@@ -88,20 +88,16 @@ impl FixedClusterArray {
                 layer.in_channels
             )));
         }
-        let rs = layer.kernel_h * layer.kernel_w;
         let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
         // Neuron slices and their surviving weight counts, segment-major
         // so co-scheduled lanes share an input slice (matching the MAERI
         // sparse mapper's packing for a fair comparison).
         let mut slices: Vec<usize> = Vec::with_capacity(layer.out_channels * segments);
         for seg in 0..segments {
+            let c_lo = seg * ct;
+            let c_hi = ((seg + 1) * ct).min(layer.in_channels);
             for k in 0..layer.out_channels {
-                let c_lo = seg * ct;
-                let c_hi = ((seg + 1) * ct).min(layer.in_channels);
-                let nz = (c_lo..c_hi)
-                    .flat_map(|c| (0..rs).map(move |j| c * rs + j))
-                    .filter(|&j| mask.is_kept(k, j))
-                    .count();
+                let nz = mask.kept_in_channels(k, c_lo, c_hi);
                 if nz > 0 {
                     slices.push(nz);
                 }

@@ -15,8 +15,11 @@ use crate::tensor::Tensor;
 
 /// A pruning mask over a convolution layer's weights.
 ///
-/// `mask[k][j]` is `true` when weight `j` (flattened over `C*R*S`) of
-/// filter `k` is kept (non-zero).
+/// Weight `j` (flattened over `C*R*S`) of filter `k` is kept (non-zero)
+/// when [`Self::is_kept`] says so. The flags are stored as a bitset, and
+/// each filter also carries prefix counts of its kept weights over the
+/// channel axis, so [`Self::kept_in_channels`] answers a survivor count
+/// for any channel range in O(1).
 ///
 /// # Example
 ///
@@ -30,11 +33,19 @@ use crate::tensor::Tensor;
 /// for &n in mask.nonzeros_per_filter() {
 ///     assert_eq!(n, 13);
 /// }
+/// assert_eq!(mask.kept_in_channels(0, 0, 3), 13);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WeightMask {
     filter_volume: usize,
-    keep: Vec<Vec<bool>>,
+    /// Weights per channel (`R*S`).
+    kernel_area: usize,
+    /// Kept flags, `filter_volume.div_ceil(64)` words per filter: bit
+    /// `j % 64` of the filter's word `j / 64` is weight `j`.
+    bits: Vec<u64>,
+    /// Per-filter channel prefix counts, `C + 1` entries per filter:
+    /// entry `c` is the number of kept weights in channels `0..c`.
+    prefix: Vec<u32>,
     nonzeros: Vec<usize>,
 }
 
@@ -53,31 +64,59 @@ impl WeightMask {
         );
         let volume = layer.filter_volume();
         let zeros_per_filter = ((zero_fraction * volume as f64).round() as usize).min(volume);
-        let mut keep = Vec::with_capacity(layer.out_channels);
-        let mut nonzeros = Vec::with_capacity(layer.out_channels);
-        for _ in 0..layer.out_channels {
-            let mut filter = vec![true; volume];
-            for idx in rng.choose_indices(volume, zeros_per_filter) {
-                filter[idx] = false;
-            }
-            nonzeros.push(volume - zeros_per_filter);
-            keep.push(filter);
-        }
-        WeightMask {
-            filter_volume: volume,
-            keep,
-            nonzeros,
-        }
+        Self::from_pruned(layer, || rng.choose_indices(volume, zeros_per_filter))
     }
 
     /// A dense (no-op) mask for the layer.
     #[must_use]
     pub fn dense(layer: &ConvLayer) -> Self {
+        Self::from_pruned(layer, Vec::new)
+    }
+
+    /// Builds the mask filter by filter; `pruned` yields the pruned
+    /// weight indices of the next filter.
+    fn from_pruned(layer: &ConvLayer, mut pruned: impl FnMut() -> Vec<usize>) -> Self {
         let volume = layer.filter_volume();
+        assert!(
+            u32::try_from(volume).is_ok(),
+            "filter volume {volume} exceeds the prefix-count range"
+        );
+        let kernel_area = layer.kernel_h * layer.kernel_w;
+        let words = volume.div_ceil(64);
+        let filters = layer.out_channels;
+        let mut bits = Vec::with_capacity(filters * words);
+        let mut prefix = Vec::with_capacity(filters * (layer.in_channels + 1));
+        let mut nonzeros = Vec::with_capacity(filters);
+        for _ in 0..filters {
+            let first = bits.len();
+            bits.extend((0..words).map(|w| {
+                let live = (volume - w * 64).min(64);
+                if live == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << live) - 1
+                }
+            }));
+            let filter = &mut bits[first..];
+            for j in pruned() {
+                filter[j / 64] &= !(1u64 << (j % 64));
+            }
+            let mut kept = 0u32;
+            prefix.push(0);
+            for c in 0..layer.in_channels {
+                for j in c * kernel_area..(c + 1) * kernel_area {
+                    kept += u32::from(filter[j / 64] >> (j % 64) & 1 == 1);
+                }
+                prefix.push(kept);
+            }
+            nonzeros.push(kept as usize);
+        }
         WeightMask {
             filter_volume: volume,
-            keep: vec![vec![true; volume]; layer.out_channels],
-            nonzeros: vec![volume; layer.out_channels],
+            kernel_area,
+            bits,
+            prefix,
+            nonzeros,
         }
     }
 
@@ -90,7 +129,7 @@ impl WeightMask {
     /// Number of filters covered by the mask.
     #[must_use]
     pub fn num_filters(&self) -> usize {
-        self.keep.len()
+        self.nonzeros.len()
     }
 
     /// Surviving weight counts per filter — the virtual-neuron sizes a
@@ -107,7 +146,32 @@ impl WeightMask {
     /// Panics if `k` or `j` is out of range.
     #[must_use]
     pub fn is_kept(&self, filter: usize, weight: usize) -> bool {
-        self.keep[filter][weight]
+        assert!(
+            weight < self.filter_volume,
+            "weight {weight} out of range for filter volume {}",
+            self.filter_volume
+        );
+        let word = filter * self.filter_volume.div_ceil(64) + weight / 64;
+        self.bits[word] >> (weight % 64) & 1 == 1
+    }
+
+    /// Surviving weights of filter `filter` in channels `c_lo..c_hi`
+    /// (every `R*S` tap of each channel), from the prefix counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the filter is out of range or `c_lo..c_hi` is not a
+    /// range of the mask's channels.
+    #[must_use]
+    pub fn kept_in_channels(&self, filter: usize, c_lo: usize, c_hi: usize) -> usize {
+        let stride = self.filter_volume / self.kernel_area + 1;
+        assert!(
+            c_lo <= c_hi && c_hi < stride,
+            "channel range {c_lo}..{c_hi} invalid for {} channels",
+            stride - 1
+        );
+        let row = &self.prefix[filter * stride..(filter + 1) * stride];
+        (row[c_hi] - row[c_lo]) as usize
     }
 
     /// Total surviving weights across all filters.
@@ -119,7 +183,7 @@ impl WeightMask {
     /// Overall zero fraction actually achieved.
     #[must_use]
     pub fn zero_fraction(&self) -> f64 {
-        let total = self.filter_volume * self.keep.len();
+        let total = self.filter_volume * self.num_filters();
         if total == 0 {
             return 0.0;
         }
@@ -135,7 +199,7 @@ impl WeightMask {
     pub fn apply(&self, weights: &mut Tensor) {
         let shape = weights.shape().to_vec();
         assert_eq!(shape.len(), 4, "expected [K, C, R, S] weights");
-        assert_eq!(shape[0], self.keep.len(), "filter count mismatch");
+        assert_eq!(shape[0], self.num_filters(), "filter count mismatch");
         assert_eq!(
             shape[1] * shape[2] * shape[3],
             self.filter_volume,
@@ -143,9 +207,9 @@ impl WeightMask {
         );
         let volume = self.filter_volume;
         let data = weights.as_mut_slice();
-        for (k, filter) in self.keep.iter().enumerate() {
-            for (j, &kept) in filter.iter().enumerate() {
-                if !kept {
+        for k in 0..self.num_filters() {
+            for j in 0..volume {
+                if !self.is_kept(k, j) {
                     data[k * volume + j] = 0.0;
                 }
             }
@@ -213,6 +277,41 @@ mod tests {
         assert_eq!(zeros, 4 * 14);
         // Kept weights untouched.
         assert!(weights.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
+    }
+
+    #[test]
+    fn channel_prefix_counts_match_kept_flags() {
+        let mut rng = SimRng::seed(21);
+        for kernel in [1, 3, 5] {
+            let l = ConvLayer::new("k", 7, 8, 8, 5, kernel, kernel, 1, 2);
+            let rs = kernel * kernel;
+            let mut masks = vec![WeightMask::dense(&l)];
+            for zero_fraction in [0.0, 0.3, 0.7, 1.0] {
+                masks.push(WeightMask::generate(&l, zero_fraction, &mut rng));
+            }
+            for mask in &masks {
+                for k in 0..mask.num_filters() {
+                    for c_lo in 0..=l.in_channels {
+                        for c_hi in c_lo..=l.in_channels {
+                            let brute = (c_lo * rs..c_hi * rs)
+                                .filter(|&j| mask.is_kept(k, j))
+                                .count();
+                            assert_eq!(mask.kept_in_channels(k, c_lo, c_hi), brute);
+                        }
+                    }
+                    let all = mask.kept_in_channels(k, 0, l.in_channels);
+                    assert_eq!(all, mask.nonzeros_per_filter()[k]);
+                }
+            }
+            assert_eq!(masks[0].total_nonzeros(), 5 * 7 * rs);
+            assert_eq!(masks[4].total_nonzeros(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel range")]
+    fn channel_range_past_the_mask_panics() {
+        let _ = WeightMask::dense(&layer()).kept_in_channels(0, 0, 4);
     }
 
     #[test]

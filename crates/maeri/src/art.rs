@@ -76,8 +76,8 @@ impl VnRange {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum Op {
     /// Adder switch `node` combines the fragments currently held at
-    /// `children` (its in-VN children) into one fragment at `node`.
-    Combine { node: NodeId, children: Vec<NodeId> },
+    /// `children` (its two in-VN children) into one fragment at `node`.
+    Combine { node: NodeId, children: [NodeId; 2] },
     /// A lone fragment moves up unchanged from `from` to its parent.
     Up { from: NodeId, to: NodeId },
     /// A fragment moves over a forwarding link from `from` into the
@@ -121,8 +121,9 @@ pub struct ArtConfig {
     output_nodes: Vec<NodeId>,
     node_uses: Vec<NodeUse>,
     fl_activations: Vec<FlActivation>,
-    /// Flow count per up-link, keyed by the child node of the link.
-    edge_loads: BTreeMap<NodeId, u32>,
+    /// Flow count per up-link, indexed by the child node of the link
+    /// (zero for links no flow uses).
+    edge_loads: Vec<u32>,
     /// Severed forwarding links as `(level, boundary)` keys; the
     /// construction walk climbs through the parent instead of using
     /// these.
@@ -206,7 +207,7 @@ impl ArtConfig {
             output_nodes: Vec::with_capacity(vns.len()),
             node_uses: vec![NodeUse::default(); tree.num_internal()],
             fl_activations: Vec::new(),
-            edge_loads: BTreeMap::new(),
+            edge_loads: vec![0; tree.num_nodes()],
             dead_fls: faults.map(|p| p.dead_links().clone()).unwrap_or_default(),
         };
         for (vn_idx, range) in vns.iter().enumerate() {
@@ -230,7 +231,7 @@ impl ArtConfig {
             debug_assert!(level > 0, "multiple fragments cannot reach the root");
             // Lateral resolution: only internal levels have FLs.
             if level < leaf_level {
-                frags = self.resolve_laterals(vn_idx, level, frags, &mut ops);
+                frags = self.resolve_laterals(vn_idx, level, &frags, &mut ops);
             }
             // Pair fragments up to their parents.
             let mut next: Vec<usize> = Vec::with_capacity(frags.len() / 2 + 1);
@@ -246,18 +247,18 @@ impl ArtConfig {
                     let b = self.tree.node_at(level, sibling);
                     ops.push(Op::Combine {
                         node: parent,
-                        children: vec![a, b],
+                        children: [a, b],
                     });
                     self.node_uses[parent].addends += 2;
-                    *self.edge_loads.entry(a).or_insert(0) += 1;
-                    *self.edge_loads.entry(b).or_insert(0) += 1;
+                    self.edge_loads[a] += 1;
+                    self.edge_loads[b] += 1;
                     i += 2;
                 } else {
                     // Lone fragment: pass through the parent.
                     let from = self.tree.node_at(level, pos);
                     ops.push(Op::Up { from, to: parent });
                     self.node_uses[parent].passes += 1;
-                    *self.edge_loads.entry(from).or_insert(0) += 1;
+                    self.edge_loads[from] += 1;
                     i += 1;
                 }
                 next.push(parent_pos);
@@ -271,7 +272,7 @@ impl ArtConfig {
         let output_node = self.tree.node_at(level, out_pos);
         let mut node = output_node;
         while let Some(parent) = self.tree.parent(node) {
-            *self.edge_loads.entry(node).or_insert(0) += 1;
+            self.edge_loads[node] += 1;
             self.node_uses[parent].passes += 1;
             node = parent;
         }
@@ -281,15 +282,17 @@ impl ArtConfig {
 
     /// Applies the Step 1/Step 2 forwarding-link rules among the lone
     /// fragments at one level, returning the surviving fragments.
+    /// `frags` holds the fragment positions in ascending order.
     fn resolve_laterals(
         &mut self,
         vn_idx: usize,
         level: usize,
-        frags: Vec<usize>,
+        frags: &[usize],
         ops: &mut Vec<Op>,
     ) -> Vec<usize> {
-        let present: std::collections::BTreeSet<usize> = frags.iter().copied().collect();
-        let is_lone = |pos: usize| !present.contains(&(pos ^ 1));
+        debug_assert!(frags.windows(2).all(|w| w[0] < w[1]));
+        let index_of = |pos: usize| frags.binary_search(&pos).ok();
+        let is_lone = |pos: usize| index_of(pos ^ 1).is_none();
         // The FL partner of `pos`: links exist between (odd, odd + 1).
         let fl_partner = |pos: usize| -> Option<usize> {
             if pos % 2 == 1 {
@@ -299,16 +302,18 @@ impl ArtConfig {
                 pos.checked_sub(1)
             }
         };
-        let mut removed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        let frag_list = frags.clone();
-        for &pos in &frag_list {
-            if removed.contains(&pos) || !is_lone(pos) {
+        // `removed[i]`: fragment `frags[i]` merged laterally into its
+        // partner at this level (only ever set for the fragment being
+        // visited, so a visited fragment is never already removed).
+        let mut removed = vec![false; frags.len()];
+        for (i, &pos) in frags.iter().enumerate() {
+            if !is_lone(pos) {
                 continue;
             }
             let Some(partner) = fl_partner(pos) else {
                 continue;
             };
-            if !present.contains(&partner) || removed.contains(&partner) {
+            if index_of(partner).is_none_or(|j| removed[j]) {
                 continue;
             }
             // Step 1: direction from the smaller span to the larger.
@@ -319,14 +324,9 @@ impl ArtConfig {
             if self.dead_fls.contains(&(level, boundary)) {
                 continue;
             }
-            let left_span = frag_list
-                .iter()
-                .filter(|&&p| p <= boundary && !removed.contains(&p))
-                .count();
-            let right_span = frag_list
-                .iter()
-                .filter(|&&p| p > boundary && !removed.contains(&p))
-                .count();
+            let live = || frags.iter().zip(&removed).filter(|&(_, &r)| !r);
+            let left_span = live().filter(|&(&p, _)| p <= boundary).count();
+            let right_span = live().filter(|&(&p, _)| p > boundary).count();
             let (from, to) = if (pos < partner && left_span <= right_span)
                 || (pos > partner && right_span <= left_span)
             {
@@ -367,9 +367,13 @@ impl ArtConfig {
             } else {
                 to_use.addends += 1;
             }
-            removed.insert(from);
+            removed[i] = true;
         }
-        frags.into_iter().filter(|p| !removed.contains(p)).collect()
+        frags
+            .iter()
+            .zip(&removed)
+            .filter_map(|(&p, &r)| (!r).then_some(p))
+            .collect()
     }
 
     /// Verifies that no forwarding link is claimed twice and no adder
@@ -479,7 +483,10 @@ impl ArtConfig {
     #[must_use]
     pub fn throughput_slowdown(&self) -> f64 {
         let mut worst: f64 = 1.0;
-        for (&child, &load) in &self.edge_loads {
+        for (child, &load) in self.edge_loads.iter().enumerate() {
+            if load == 0 {
+                continue;
+            }
             let level = self.tree.level_of(child);
             let capacity = self.chubby.link_bandwidth(level) as f64;
             worst = worst.max(load as f64 / capacity);
@@ -612,39 +619,61 @@ pub fn pack_vns(leaves: usize, sizes: &[usize]) -> (Vec<VnRange>, Vec<usize>) {
 pub fn pack_vns_into_spans(spans: &[VnRange], sizes: &[usize]) -> (Vec<VnRange>, Vec<usize>) {
     let mut ranges = Vec::new();
     let mut overflow = Vec::new();
-    let mut span_idx = 0usize;
-    let mut cursor = spans.first().map_or(0, |s| s.start);
+    let mut cursor = SpanCursor::new(spans);
     for &size in sizes {
         if size == 0 {
             continue;
         }
-        // Look ahead for the first span position that fits; commit the
-        // cursor only on success so later, smaller sizes can still be
-        // placed (mirrors pack_vns's overflow behavior).
-        let mut si = span_idx;
-        let mut placed = None;
-        while let Some(span) = spans.get(si) {
-            let at = if si == span_idx {
-                cursor.max(span.start)
-            } else {
-                span.start
-            };
-            if at + size <= span.end() {
-                placed = Some((si, at));
-                break;
-            }
-            si += 1;
-        }
-        match placed {
-            Some((si, at)) => {
-                ranges.push(VnRange::new(at, size));
-                span_idx = si;
-                cursor = at + size;
-            }
+        match cursor.place(size) {
+            Some(range) => ranges.push(range),
             None => overflow.push(size),
         }
     }
     (ranges, overflow)
+}
+
+/// The placement state of [`pack_vns_into_spans`]: where the next VN
+/// may start. Placing VNs one at a time through a cursor yields exactly
+/// the ranges `pack_vns_into_spans` returns for the same sizes, so a
+/// caller growing a group VN by VN need not re-pack it from the left.
+#[derive(Debug, Clone)]
+pub(crate) struct SpanCursor<'a> {
+    spans: &'a [VnRange],
+    span_idx: usize,
+    cursor: usize,
+}
+
+impl<'a> SpanCursor<'a> {
+    /// A cursor at the left edge of the first span.
+    pub(crate) fn new(spans: &'a [VnRange]) -> Self {
+        SpanCursor {
+            spans,
+            span_idx: 0,
+            cursor: spans.first().map_or(0, |s| s.start),
+        }
+    }
+
+    /// Places a VN of `size` (> 0) leaves at the first span position
+    /// that fits and advances past it. Returns `None`, leaving the
+    /// cursor where it was, when it fits nowhere, so later, smaller
+    /// VNs can still be placed (mirrors [`pack_vns`]'s overflow).
+    pub(crate) fn place(&mut self, size: usize) -> Option<VnRange> {
+        let mut si = self.span_idx;
+        while let Some(span) = self.spans.get(si) {
+            let at = if si == self.span_idx {
+                self.cursor.max(span.start)
+            } else {
+                span.start
+            };
+            if at + size <= span.end() {
+                self.span_idx = si;
+                self.cursor = at + size;
+                return Some(VnRange::new(at, size));
+            }
+            si += 1;
+        }
+        None
+    }
 }
 
 #[cfg(test)]

@@ -15,14 +15,21 @@
 //! * the fixed-cluster baseline instead rounds every VN up to a whole
 //!   4x4 cluster (see `maeri-baselines`), wasting multipliers.
 
+use std::collections::BTreeMap;
+
 use maeri_dnn::{ConvLayer, WeightMask};
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result, SimError};
 
 use super::span_capacity;
-use crate::art::{pack_vns_into_spans, ArtConfig};
+use crate::art::{ArtConfig, SpanCursor};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
+
+/// Entries the per-run slowdown memo of [`SparseConvMapper::run`] holds
+/// before it is cleared, so a run's memory stays flat however many
+/// distinct groups it packs.
+const SLOWDOWN_MEMO_CAP: usize = 1024;
 
 /// Maps weight-sparse CONV layers onto a MAERI instance.
 ///
@@ -109,24 +116,16 @@ impl SparseConvMapper {
                 layer.in_channels
             )));
         }
-        let rs = layer.kernel_h * layer.kernel_w;
         let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
         let mut sizes = Vec::with_capacity(layer.out_channels * segments);
         // Segment-major order: consecutive VNs share a channel segment
         // (different filters), so the lanes packed together in one
         // group multicast the *same* input slice.
         for seg in 0..segments {
+            let c_lo = seg * ct;
+            let c_hi = ((seg + 1) * ct).min(layer.in_channels);
             for k in 0..layer.out_channels {
-                let c_lo = seg * ct;
-                let c_hi = ((seg + 1) * ct).min(layer.in_channels);
-                let mut nonzeros = 0usize;
-                for c in c_lo..c_hi {
-                    for j in 0..rs {
-                        if mask.is_kept(k, c * rs + j) {
-                            nonzeros += 1;
-                        }
-                    }
-                }
+                let nonzeros = mask.kept_in_channels(k, c_lo, c_hi);
                 if nonzeros > 0 {
                     sizes.push(nonzeros);
                 }
@@ -136,6 +135,11 @@ impl SparseConvMapper {
     }
 
     /// Plans and costs a sparse CONV run with `ct` channels per VN.
+    ///
+    /// A group's ART slowdown depends only on its piece sizes (the
+    /// ranges follow from the sizes and the healthy spans, and the
+    /// chubby tree and fault plan are fixed for the run), so each
+    /// distinct size sequence configures the ART once per run.
     ///
     /// # Errors
     ///
@@ -152,6 +156,13 @@ impl SparseConvMapper {
         }
         let spans = self.cfg.healthy_spans();
         let (cap, _budget) = span_capacity(&spans)?;
+        // The slowdown memo keys groups by their piece sizes as `u16`;
+        // no piece exceeds `cap`, so the key is lossless.
+        assert!(
+            u16::try_from(cap).is_ok(),
+            "healthy span of {cap} leaves exceeds the slowdown memo's key range"
+        );
+        let chubby = self.cfg.collection_chubby();
         let fault_plan = self.cfg.fault_plan();
         // Oversized sparse VNs fold like dense ones; split them here so
         // packing sees mappable pieces (no piece may exceed the largest
@@ -181,31 +192,40 @@ impl SparseConvMapper {
         let mut input_reads = 0u64;
         let mut groups = 0u64;
         let mut idx = 0usize;
+        let mut memo: BTreeMap<Box<[u16]>, f64> = BTreeMap::new();
+        let mut key: Vec<u16> = Vec::new();
+        let mut ranges = Vec::new();
         while idx < pieces.len() {
-            let mut group = Vec::new();
+            key.clear();
+            ranges.clear();
+            let mut cursor = SpanCursor::new(&spans);
             let mut max_folds = 1usize;
             // Grow the group while every piece still lands on a healthy
             // span; the first piece that no longer fits starts the next
             // group (with the span cursor reset to the array's left).
-            while idx < pieces.len() {
-                group.push(pieces[idx].0);
-                let (_, overflow) = pack_vns_into_spans(&spans, &group);
-                if !overflow.is_empty() {
-                    group.pop();
+            // A group never holds an overflow, so placing each piece
+            // once gives the ranges a re-pack of the group would.
+            while let Some(&(size, folds)) = pieces.get(idx) {
+                let Some(range) = cursor.place(size) else {
                     break;
-                }
-                max_folds = max_folds.max(pieces[idx].1);
+                };
+                ranges.push(range);
+                key.push(size as u16);
+                max_folds = max_folds.max(folds);
                 idx += 1;
             }
-            debug_assert!(!group.is_empty(), "one VN must always fit");
-            let (ranges, overflow) = pack_vns_into_spans(&spans, &group);
-            debug_assert!(overflow.is_empty());
-            let art = ArtConfig::build_with_faults(
-                self.cfg.collection_chubby(),
-                &ranges,
-                fault_plan.as_ref(),
-            )?;
-            let slowdown = art.throughput_slowdown();
+            debug_assert!(!ranges.is_empty(), "one VN must always fit");
+            let slowdown = if let Some(&slowdown) = memo.get(key.as_slice()) {
+                slowdown
+            } else {
+                let art = ArtConfig::build_with_faults(chubby, &ranges, fault_plan.as_ref())?;
+                let slowdown = art.throughput_slowdown();
+                if memo.len() >= SLOWDOWN_MEMO_CAP {
+                    memo.clear();
+                }
+                memo.insert(key.as_slice().into(), slowdown);
+                slowdown
+            };
 
             // Input traffic: segment-major packing means the lanes of a
             // group share one channel segment (groups straddling a
@@ -225,7 +245,7 @@ impl SparseConvMapper {
                 + self.cfg.art_depth() as f64
                 + dist.multicast_cycles(fill_inputs).as_u64() as f64;
             total_cycles += startup + p as f64 * q as f64 * steady;
-            let group_weights: u64 = group.iter().map(|&v| v as u64).sum();
+            let group_weights: u64 = ranges.iter().map(|vn| vn.len as u64).sum();
             total_macs += group_weights * p * q;
             input_reads += p * (fill_inputs + q.saturating_sub(1) * step_inputs);
             groups += 1;
@@ -250,7 +270,240 @@ impl SparseConvMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::art::pack_vns_into_spans;
+    use crate::fault::FaultSpec;
     use maeri_sim::SimRng;
+    use std::collections::BTreeSet;
+
+    /// The straightforward `run`: survivor counts from per-weight mask
+    /// lookups, each group re-packed from the left on every push, and
+    /// one ART build per group. The optimized `run` must agree with it
+    /// exactly. Also returns the number of distinct group size
+    /// sequences, the memo's key count without eviction.
+    fn reference_run(
+        m: &SparseConvMapper,
+        layer: &ConvLayer,
+        mask: &WeightMask,
+        ct: usize,
+    ) -> (Result<RunStats>, usize) {
+        let mut distinct: BTreeSet<Vec<usize>> = BTreeSet::new();
+        let run = reference_run_inner(m, layer, mask, ct, &mut distinct);
+        (run, distinct.len())
+    }
+
+    fn reference_run_inner(
+        m: &SparseConvMapper,
+        layer: &ConvLayer,
+        mask: &WeightMask,
+        ct: usize,
+        distinct: &mut BTreeSet<Vec<usize>>,
+    ) -> Result<RunStats> {
+        let n = m.cfg.num_mult_switches();
+        let dist = m.cfg.distributor();
+        if ct == 0 || ct > layer.in_channels {
+            return Err(SimError::unmappable(format!(
+                "channel tile {ct} invalid for {} channels",
+                layer.in_channels
+            )));
+        }
+        let rs = layer.kernel_h * layer.kernel_w;
+        let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
+        let mut sizes = Vec::new();
+        for seg in 0..segments {
+            for k in 0..layer.out_channels {
+                let c_lo = seg * ct;
+                let c_hi = ((seg + 1) * ct).min(layer.in_channels);
+                let mut nonzeros = 0usize;
+                for c in c_lo..c_hi {
+                    for j in 0..rs {
+                        if mask.is_kept(k, c * rs + j) {
+                            nonzeros += 1;
+                        }
+                    }
+                }
+                if nonzeros > 0 {
+                    sizes.push(nonzeros);
+                }
+            }
+        }
+        if sizes.is_empty() {
+            let mut run = RunStats::new(&layer.name, n, Cycle::ZERO, 0);
+            run.extra.add("groups", 0);
+            return Ok(run);
+        }
+        let spans = m.cfg.healthy_spans();
+        let (cap, _budget) = span_capacity(&spans)?;
+        let fault_plan = m.cfg.fault_plan();
+        let mut pieces: Vec<(usize, usize)> = Vec::with_capacity(sizes.len());
+        for size in sizes {
+            let folds = ceil_div(size as u64, cap as u64) as usize;
+            let base = size / folds;
+            let mut rem = size % folds;
+            for _ in 0..folds {
+                let extra = usize::from(rem > 0);
+                rem = rem.saturating_sub(1);
+                pieces.push((base + extra, folds));
+            }
+        }
+        let q = layer.out_w() as u64;
+        let p = layer.out_h() as u64;
+        let (r, stride) = (layer.kernel_h as u64, layer.stride as u64);
+        let cols_new = stride.min(layer.kernel_w as u64);
+        let mut total_cycles = 0f64;
+        let mut total_macs = 0u64;
+        let mut input_reads = 0u64;
+        let mut groups = 0u64;
+        let mut idx = 0usize;
+        while idx < pieces.len() {
+            let mut group = Vec::new();
+            let mut max_folds = 1usize;
+            while idx < pieces.len() {
+                group.push(pieces[idx].0);
+                let (_, overflow) = pack_vns_into_spans(&spans, &group);
+                if !overflow.is_empty() {
+                    group.pop();
+                    break;
+                }
+                max_folds = max_folds.max(pieces[idx].1);
+                idx += 1;
+            }
+            let (ranges, overflow) = pack_vns_into_spans(&spans, &group);
+            assert!(overflow.is_empty());
+            let art = ArtConfig::build_with_faults(
+                m.cfg.collection_chubby(),
+                &ranges,
+                fault_plan.as_ref(),
+            )?;
+            let slowdown = art.throughput_slowdown();
+            distinct.insert(group.clone());
+            let channels_active = (ct as u64).min(layer.in_channels as u64);
+            let rows_piece = ceil_div(r, max_folds as u64);
+            let step_inputs = rows_piece * cols_new * channels_active;
+            let fill_inputs = rows_piece * layer.kernel_w as u64 * channels_active;
+            let steady = (step_inputs as f64 / dist.bandwidth() as f64)
+                .max(1.0)
+                .max(slowdown);
+            let startup =
+                1.0 + m.cfg.art_depth() as f64 + dist.multicast_cycles(fill_inputs).as_u64() as f64;
+            total_cycles += startup + p as f64 * q as f64 * steady;
+            let group_weights: u64 = group.iter().map(|&v| v as u64).sum();
+            total_macs += group_weights * p * q;
+            input_reads += p * (fill_inputs + q.saturating_sub(1) * step_inputs);
+            groups += 1;
+        }
+        let total_weights: u64 = pieces.iter().map(|&(v, _)| v as u64).sum();
+        let weight_cycles = dist.multicast_cycles(total_weights).as_u64();
+        let mut run = RunStats::new(
+            &layer.name,
+            n,
+            Cycle::new(total_cycles.ceil() as u64 + weight_cycles),
+            total_macs,
+        );
+        run.sram_reads = total_weights + input_reads;
+        run.sram_writes = layer.output_count() as u64;
+        run.extra.add("groups", groups);
+        run.extra.add("nonzero_weights", total_weights);
+        Ok(run)
+    }
+
+    fn fabrics() -> Vec<(&'static str, MaeriConfig)> {
+        let build = |b: crate::config::MaeriConfigBuilder| b.build().unwrap();
+        vec![
+            ("healthy", MaeriConfig::paper_64()),
+            (
+                "thin collection",
+                build(
+                    MaeriConfig::builder(64)
+                        .distribution_bandwidth(2)
+                        .collection_bandwidth(2),
+                ),
+            ),
+            (
+                "dead switches and links",
+                build(
+                    MaeriConfig::builder(64).faults(
+                        FaultSpec::new(11)
+                            .dead_multipliers(150)
+                            .dead_forwarding_links(300),
+                    ),
+                ),
+            ),
+            (
+                "dead links, thin collection",
+                build(
+                    MaeriConfig::builder(32)
+                        .collection_bandwidth(1)
+                        .faults(FaultSpec::new(5).dead_forwarding_links(600)),
+                ),
+            ),
+            (
+                "every switch dead",
+                build(MaeriConfig::builder(16).faults(FaultSpec::new(2).dead_multipliers(1000))),
+            ),
+        ]
+    }
+
+    #[test]
+    fn run_matches_reference_over_masks_tiles_and_fabrics() {
+        let l = ConvLayer::new("diff", 20, 5, 5, 12, 3, 3, 1, 1);
+        let c = l.in_channels;
+        for (f, zero_fraction) in [0.0, 0.3, 0.6, 0.9, 1.0].into_iter().enumerate() {
+            let mask = WeightMask::generate(&l, zero_fraction, &mut SimRng::seed(40 + f as u64));
+            for (name, cfg) in fabrics() {
+                let m = SparseConvMapper::new(cfg);
+                let auto = m.auto_channel_tile(&l, &mask);
+                for ct in [1, 2, 3, auto, c - 1, c, 0, c + 1] {
+                    let (want, _) = reference_run(&m, &l, &mask, ct);
+                    let got = m.run(&l, &mask, ct);
+                    assert_eq!(
+                        got, want,
+                        "{name}, zero fraction {zero_fraction}, tile {ct}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_matches_reference_past_the_memo_cap() {
+        // Over a thousand groups of about a dozen varied pieces: nearly
+        // every group is distinct, so the memo fills and is cleared
+        // mid-run.
+        let l = ConvLayer::new("evict", 128, 3, 3, 160, 3, 3, 1, 1);
+        let mask = WeightMask::generate(&l, 0.5, &mut SimRng::seed(8));
+        let healthy = SparseConvMapper::new(
+            MaeriConfig::builder(64)
+                .collection_bandwidth(4)
+                .build()
+                .unwrap(),
+        );
+        let (want, distinct) = reference_run(&healthy, &l, &mask, 1);
+        assert!(
+            distinct > SLOWDOWN_MEMO_CAP,
+            "only {distinct} distinct groups; the memo never evicts"
+        );
+        assert!(want.is_ok());
+        assert_eq!(healthy.run(&l, &mask, 1), want);
+
+        // On this faulty fabric a later group's ART configuration is
+        // illegal: the memo must not hide the build error.
+        let faulty = SparseConvMapper::new(
+            MaeriConfig::builder(64)
+                .faults(
+                    FaultSpec::new(3)
+                        .dead_multipliers(40)
+                        .dead_forwarding_links(200),
+                )
+                .build()
+                .unwrap(),
+        );
+        let (want, distinct) = reference_run(&faulty, &l, &mask, 1);
+        assert!(distinct > 0, "the error should follow successful groups");
+        assert!(want
+            .as_ref()
+            .is_err_and(|e| e.to_string().contains("addends")));
+        assert_eq!(faulty.run(&l, &mask, 1), want);
+    }
 
     fn layer() -> ConvLayer {
         // VGG16 C8 shape, downsized spatially for test speed.

@@ -255,21 +255,13 @@ fn verify_sparse(
         });
     }
     // Survivor VN sizes: nonzero weights per (segment, filter) slice.
-    let rs = layer.kernel_h * layer.kernel_w;
     let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
     let mut sizes: Vec<usize> = Vec::with_capacity(layer.out_channels * segments);
     for seg in 0..segments {
+        let c_lo = seg * ct;
+        let c_hi = ((seg + 1) * ct).min(layer.in_channels);
         for k in 0..layer.out_channels {
-            let c_lo = seg * ct;
-            let c_hi = ((seg + 1) * ct).min(layer.in_channels);
-            let mut nonzeros = 0usize;
-            for c in c_lo..c_hi {
-                for j in 0..rs {
-                    if mask.is_kept(k, c * rs + j) {
-                        nonzeros += 1;
-                    }
-                }
-            }
+            let nonzeros = mask.kept_in_channels(k, c_lo, c_hi);
             if nonzeros > 0 {
                 sizes.push(nonzeros);
             }
