@@ -22,6 +22,8 @@ pub struct FnItem {
     pub line: usize,
     /// Byte range of the body in the scrubbed text.
     pub body: Range<usize>,
+    /// Whether the item is declared plain `pub` (not `pub(crate)`).
+    pub public: bool,
 }
 
 /// One parsed source file: scrubbed text with test regions blanked,
@@ -169,6 +171,7 @@ fn find_fns(code: &str) -> Vec<FnItem> {
             name,
             line: line_of(code, at),
             body: open + 1..end - 1,
+            public: code[..at].trim_end().ends_with("pub"),
         });
     }
     fns
@@ -180,14 +183,16 @@ mod tests {
 
     #[test]
     fn fn_items_have_names_lines_and_bodies() {
-        let src = "pub fn alpha() -> u8 {\n    1\n}\n\nfn beta(x: u8) {\n    let y = x;\n}\n";
+        let src = "pub fn alpha() -> u8 {\n    1\n}\n\nfn beta(x: u8) {\n    let y = x;\n}\npub(crate) fn gamma() {}\n";
         let ast = FileAst::parse("a.rs", src);
-        assert_eq!(ast.fns.len(), 2);
+        assert_eq!(ast.fns.len(), 3);
         assert_eq!(ast.fns[0].name, "alpha");
         assert_eq!(ast.fns[0].line, 1);
         assert_eq!(ast.fns[1].name, "beta");
         assert_eq!(ast.fns[1].line, 5);
         assert!(ast.code[ast.fns[1].body.clone()].contains("let y = x;"));
+        let public: Vec<bool> = ast.fns.iter().map(|f| f.public).collect();
+        assert_eq!(public, [true, false, false]);
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn is_seed(path: &str) -> bool {
 /// The identifiers a body invokes: `name(`, `.name(`, `path::name(`,
 /// and turbofish `name::<T>(`. Macros (`name!(`) and keywords are
 /// excluded. Deduplicated and sorted for deterministic traversal.
-fn called_names(body: &str) -> BTreeSet<String> {
+pub(crate) fn called_names(body: &str) -> BTreeSet<String> {
     let bytes = body.as_bytes();
     let mut out = BTreeSet::new();
     let mut i = 0usize;

@@ -1,4 +1,4 @@
-//! Workspace determinism analyzer.
+//! Workspace source analyzer.
 //!
 //! `maeri-analyze` is a static-analysis gate over the whole workspace
 //! that proves, at the code level, what the regen CI smokes prove at
@@ -8,6 +8,10 @@
 //! parallel cycle kernel) will make these hazards easy to introduce
 //! and expensive to debug after the fact — a parallel `sum()` that
 //! reorders float adds changes report bytes only on some machines.
+//! It is also the workspace's one source scanner: three more rules
+//! hold repository invariants (probed fabric entry points delegate to
+//! their plain twins, panicking unwraps are justified, doc paths
+//! exist) under the same front end and suppression file.
 //!
 //! The pipeline, one module per stage:
 //!
@@ -15,7 +19,8 @@
 //! - [`ast`]: `fn`-item extraction and `#[cfg(test)]` blanking;
 //! - [`classify`]: reachable-by-name closure from the report registry
 //!   and serve serialization seeds → output-path flags per `fn`;
-//! - [`rules`]: the six-determinism-rule catalog;
+//! - [`rules`]: the nine-rule catalog (six determinism rules, three
+//!   repository invariants);
 //! - [`suppress`]: the committed suppression file, where stale
 //!   entries are themselves errors;
 //! - [`workspace`]: file walking and [`workspace::analyze_workspace`],
@@ -81,7 +86,7 @@ impl Analysis {
     /// Findings per rule, in catalog order, including suppressed ones
     /// (the count describes the codebase, not the gate status).
     #[must_use]
-    pub fn per_rule(&self) -> [(Rule, usize); 6] {
+    pub fn per_rule(&self) -> [(Rule, usize); Rule::ALL.len()] {
         Rule::ALL.map(|rule| {
             let n = self
                 .findings

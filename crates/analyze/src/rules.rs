@@ -1,11 +1,11 @@
-//! The determinism rule catalog.
+//! The rule catalog.
 //!
-//! Every rule is a pure function over parsed files plus the
-//! output-path classification, returning structured [`Finding`]s.
-//! Rules scan scrubbed code (comments and strings blanked), so
-//! pattern text appearing in docs or messages never fires. The six
-//! rules cover the hazards a data-oriented, parallel cycle kernel
-//! (ROADMAP item 1) is most likely to introduce:
+//! Every rule is a pure function over parsed files (plus, for the
+//! determinism rules, the output-path classification), returning
+//! structured [`Finding`]s. Rules scan scrubbed code (comments and
+//! strings blanked), so pattern text appearing in docs or messages
+//! never fires. The first six rules cover the hazards a data-oriented,
+//! parallel cycle kernel (ROADMAP item 1) is most likely to introduce:
 //!
 //! 1. `hash_order` — iteration over `HashMap`/`HashSet` whose order
 //!    can reach output without a sort or BTree collection in between.
@@ -21,8 +21,21 @@
 //! 6. `partial_cmp_sort` — comparators built on `partial_cmp` inside
 //!    sorts/extrema, where NaN makes the order (and the output)
 //!    input-dependent; `total_cmp` is the deterministic spelling.
+//!
+//! The last three hold repository invariants and ignore
+//! classification:
+//!
+//! 7. `probe_twin` — every `pub fn NAME_probed` in `crates/maeri` and
+//!    `crates/noc` has a plain `fn NAME` in the same file, and the two
+//!    delegate, so the traced and plain fabric models cannot drift
+//!    apart.
+//! 8. `unwrap` — `.unwrap()` / `.expect(` in shipped code; a file that
+//!    panics on a violated invariant names it in the suppression file.
+//! 9. `doc_path` — a backtick-quoted repo path in a top-level doc that
+//!    does not exist in the tree.
 
-use crate::ast::FileAst;
+use crate::ast::{FileAst, FnItem};
+use crate::classify::called_names;
 use crate::lexer::line_of;
 use std::collections::BTreeSet;
 
@@ -41,17 +54,26 @@ pub enum Rule {
     ThreadInfluence,
     /// Non-total float comparators in sorts.
     PartialCmpSort,
+    /// A probed fabric entry point without a delegating plain twin.
+    ProbeTwin,
+    /// A panicking `unwrap`/`expect` in shipped code.
+    Unwrap,
+    /// A top-level doc quoting a path that does not exist.
+    DocPath,
 }
 
 impl Rule {
     /// Every rule, in catalog order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 9] = [
         Rule::HashOrder,
         Rule::WallClock,
         Rule::UnseededRng,
         Rule::FloatReduce,
         Rule::ThreadInfluence,
         Rule::PartialCmpSort,
+        Rule::ProbeTwin,
+        Rule::Unwrap,
+        Rule::DocPath,
     ];
 
     /// The rule's stable snake_case id (used in suppression files).
@@ -64,6 +86,9 @@ impl Rule {
             Rule::FloatReduce => "float_reduce",
             Rule::ThreadInfluence => "thread_influence",
             Rule::PartialCmpSort => "partial_cmp_sort",
+            Rule::ProbeTwin => "probe_twin",
+            Rule::Unwrap => "unwrap",
+            Rule::DocPath => "doc_path",
         }
     }
 
@@ -93,19 +118,29 @@ impl Rule {
                  derive data from job content instead"
             }
             Rule::PartialCmpSort => "use f64::total_cmp (or a key cast) for a total order",
+            Rule::ProbeTwin => {
+                "make one twin call the other (the plain entry point is usually the probed \
+                 one with a NullSink)"
+            }
+            Rule::Unwrap => {
+                "return a Result; if the panic guards a documented invariant, add an `unwrap` \
+                 suppression for the file that names it"
+            }
+            Rule::DocPath => "fix the reference, or restore the path it names",
         }
     }
 }
 
-/// One rule violation: where, what, and how to fix it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One rule violation: where, what, and how to fix it. Findings order
+/// by (path, line, rule, message): the field order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// The violated rule.
-    pub rule: Rule,
     /// Repo-relative path.
     pub path: String,
     /// 1-based source line.
     pub line: usize,
+    /// The violated rule.
+    pub rule: Rule,
     /// What was matched, with context.
     pub message: String,
 }
@@ -133,9 +168,9 @@ pub const TIMING_MODULES: &[&str] = &[
     "compat/criterion/src/lib.rs",
 ];
 
-/// Runs the whole catalog over `files` with per-fn `output` flags
-/// (as produced by [`crate::classify::output_path`]). Findings are
-/// sorted by (path, line, rule) for deterministic output.
+/// Runs every source rule over `files` with per-fn `output` flags (as
+/// produced by [`crate::classify::output_path`]). Findings are sorted
+/// by (path, line, rule) for deterministic output.
 #[must_use]
 pub fn run_all(files: &[FileAst], output: &[Vec<bool>]) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -146,10 +181,10 @@ pub fn run_all(files: &[FileAst], output: &[Vec<bool>]) -> Vec<Finding> {
         findings.extend(float_reduce(file, flags));
         findings.extend(thread_influence(file, flags));
         findings.extend(partial_cmp_sort(file, flags));
+        findings.extend(probe_twin(file));
+        findings.extend(unwrap_calls(file));
     }
-    findings.sort_by(|a, b| {
-        (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
-    });
+    findings.sort();
     findings.dedup();
     findings
 }
@@ -553,20 +588,157 @@ fn partial_cmp_sort(file: &FileAst, flags: &[bool]) -> Vec<Finding> {
     findings
 }
 
+// ---------------------------------------------------------------- rule 7
+
+/// Trees whose probed entry points need plain twins: the fabric models
+/// (multiplier switches, distribution tree, cycle simulator, mappers)
+/// and the NoC packet simulator.
+const PROBE_TWIN_TREES: &[&str] = &["crates/maeri/src/", "crates/noc/src/"];
+
+/// Rule 7: every `pub fn NAME_probed` has a plain `fn NAME` in the same
+/// file, and the two delegate (see [`twins_delegate`]).
+fn probe_twin(file: &FileAst) -> Vec<Finding> {
+    if !PROBE_TWIN_TREES.iter().any(|t| file.path.starts_with(t)) {
+        return Vec::new();
+    }
+    let mut findings = Vec::new();
+    for probed in file.fns.iter().filter(|f| f.public) {
+        let Some(base) = probed.name.strip_suffix("_probed") else {
+            continue;
+        };
+        let problem = match file.fns.iter().find(|f| f.name == base) {
+            None => "has no plain twin",
+            Some(plain) if twins_delegate(file, probed, plain) => continue,
+            Some(_) => "does not delegate to or from its plain twin",
+        };
+        findings.push(Finding {
+            path: file.path.clone(),
+            line: probed.line,
+            rule: Rule::ProbeTwin,
+            message: format!("probed entry point `{}` {problem} `fn {base}`", probed.name),
+        });
+    }
+    findings
+}
+
+/// Whether a probed/plain pair delegates: one calls the other, or both
+/// call the same inner pair (`multicast_cycles` → `delivery_cycles`,
+/// `multicast_cycles_probed` → `delivery_cycles_probed`), which keeps
+/// them in step one level down.
+fn twins_delegate(file: &FileAst, probed: &FnItem, plain: &FnItem) -> bool {
+    let probed_calls = called_names(&file.code[probed.body.clone()]);
+    let plain_calls = called_names(&file.code[plain.body.clone()]);
+    probed_calls.contains(&plain.name)
+        || plain_calls.contains(&probed.name)
+        || probed_calls
+            .iter()
+            .filter_map(|call| call.strip_suffix("_probed"))
+            .any(|inner| plain_calls.contains(inner))
+}
+
+// ---------------------------------------------------------------- rule 8
+
+/// Rule 8: panicking `.unwrap()` / `.expect(` calls anywhere in shipped
+/// code. Test regions are blanked and a call quoted in a string or
+/// comment is scrubbed, so every match is a live call.
+fn unwrap_calls(file: &FileAst) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for pattern in [".unwrap()", ".expect("] {
+        for (at, _) in file.code.match_indices(pattern) {
+            findings.push(Finding::new(
+                Rule::Unwrap,
+                file,
+                at,
+                format!(
+                    "`{}` panics instead of returning an error",
+                    pattern.trim_end_matches('(')
+                ),
+            ));
+        }
+    }
+    findings
+}
+
+// ---------------------------------------------------------------- rule 9
+
+/// Prefixes that make a backtick-quoted word a path reference: the
+/// tracked trees, or an absolute path.
+const DOC_PATH_PREFIXES: &[&str] = &[
+    "crates/",
+    "examples/",
+    "compat/",
+    "src/",
+    "tests/",
+    ".github/",
+    "/",
+];
+
+/// The path candidates quoted in a markdown document, each with the
+/// byte offset of its backtick span: the first whitespace-separated
+/// word of the span, when it starts with a path prefix. Globs are
+/// skipped; a trailing `/` or punctuation is trimmed.
+fn doc_path_candidates(content: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut offset = 0;
+    for (i, span) in content.split('`').enumerate() {
+        let at = offset;
+        offset += span.len() + 1;
+        if i % 2 == 0 {
+            continue; // outside backticks
+        }
+        let Some(word) = span.split_whitespace().next() else {
+            continue;
+        };
+        let token = word.trim_end_matches(['/', '.', ',', ':', ';', ')']);
+        if token.is_empty() || token.contains('*') {
+            continue;
+        }
+        if DOC_PATH_PREFIXES.iter().any(|p| token.starts_with(p)) {
+            out.push((at, token));
+        }
+    }
+    out
+}
+
+/// Rule 9: backtick-quoted paths in the top-level doc `doc` must exist.
+/// `exists` answers for repo-relative and absolute candidates alike, so
+/// the rule stays a pure function for tests. Each dangling path is
+/// flagged once, at its first mention.
+#[must_use]
+pub fn doc_paths(doc: &str, content: &str, exists: &dyn Fn(&str) -> bool) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut flagged = BTreeSet::new();
+    for (at, candidate) in doc_path_candidates(content) {
+        if !exists(candidate) && flagged.insert(candidate) {
+            findings.push(Finding {
+                path: doc.to_owned(),
+                line: line_of(content, at),
+                rule: Rule::DocPath,
+                message: format!("references `{candidate}`, which does not exist in the tree"),
+            });
+        }
+    }
+    findings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classify::output_path;
+    use crate::suppress;
 
-    /// Parses a single output-path file (seeded via a reports/ path)
-    /// and runs the whole catalog over it.
-    fn findings_for(source: &str) -> Vec<Finding> {
-        let files = vec![FileAst::parse(
-            "crates/bench/src/reports/fixture.rs",
-            source,
-        )];
+    /// Parses a single file at `path` and runs the whole catalog over
+    /// it.
+    fn findings_at(path: &str, source: &str) -> Vec<Finding> {
+        let files = vec![FileAst::parse(path, source)];
         let flags = output_path(&files);
         run_all(&files, &flags)
+    }
+
+    /// [`findings_at`] for an output-path file (seeded via a reports/
+    /// path).
+    fn findings_for(source: &str) -> Vec<Finding> {
+        findings_at("crates/bench/src/reports/fixture.rs", source)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<Rule> {
@@ -591,7 +763,10 @@ mod tests {
     #[test]
     fn hash_order_flags_method_chain_through_guards() {
         let bad = "pub fn run(&self) {\n    let rows: Vec<_> = self.cells.lock().unwrap().values().cloned().collect();\n    emit(rows);\n}\nstruct S { cells: Mutex<HashMap<u64, Row>> }\n";
-        assert_eq!(rules_of(&findings_for(bad)), [Rule::HashOrder]);
+        assert_eq!(
+            rules_of(&findings_for(bad)),
+            [Rule::HashOrder, Rule::Unwrap]
+        );
     }
 
     #[test]
@@ -678,7 +853,7 @@ mod tests {
     fn partial_cmp_sort_flags_non_total_comparator() {
         let bad = "pub fn run(mut xs: Vec<f64>) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n    emit(xs);\n}\n";
         let found = findings_for(bad);
-        assert_eq!(rules_of(&found), [Rule::PartialCmpSort]);
+        assert_eq!(rules_of(&found), [Rule::PartialCmpSort, Rule::Unwrap]);
         assert_eq!(found[0].line, 2);
     }
 
@@ -686,6 +861,134 @@ mod tests {
     fn partial_cmp_sort_clean_for_total_cmp_and_bare_partial_cmp() {
         let good = "pub fn run(mut xs: Vec<f64>, a: f64, b: f64) {\n    xs.sort_by(|p, q| p.total_cmp(q));\n    let ord = a.partial_cmp(&b);\n    emit(xs, ord);\n}\n";
         assert_eq!(findings_for(good), []);
+    }
+
+    const FABRIC: &str = "crates/maeri/src/switch.rs";
+
+    #[test]
+    fn probe_twin_flags_a_missing_plain_twin() {
+        let found = findings_at(FABRIC, "pub fn fire_probed(sink: &mut S) -> u8 { 0 }");
+        assert_eq!(rules_of(&found), [Rule::ProbeTwin]);
+        assert!(found[0].message.contains("no plain twin `fn fire`"));
+    }
+
+    #[test]
+    fn probe_twin_flags_twins_that_do_not_delegate() {
+        // Both exist but each reimplements the logic independently.
+        let src = "pub fn fire() -> u8 { compute() }\n\
+                   pub fn fire_probed(sink: &mut S) -> u8 { compute_and_emit(sink) }\n";
+        let found = findings_at(FABRIC, src);
+        assert_eq!(rules_of(&found), [Rule::ProbeTwin]);
+        assert_eq!(found[0].line, 2);
+        assert!(found[0].message.contains("does not delegate"));
+    }
+
+    #[test]
+    fn probe_twin_clean_when_either_twin_delegates() {
+        // Probed delegates to plain.
+        let a = "pub fn fire() -> u8 { compute() }\n\
+                 pub fn fire_probed(sink: &mut S) -> u8 { let v = self.fire(); sink.emit(); v }";
+        assert_eq!(findings_at(FABRIC, a), []);
+        // Plain delegates to probed.
+        let b = "pub fn run() -> u8 { run_probed(&mut NullSink) }\n\
+                 pub fn run_probed<S>(sink: &mut S) -> u8 { 0 }";
+        assert_eq!(findings_at(FABRIC, b), []);
+    }
+
+    #[test]
+    fn probe_twin_clean_for_parallel_delegation_to_an_inner_pair() {
+        let src = "pub fn delivery() -> u8 { compute() }\n\
+                   pub fn delivery_probed<S>(sink: &mut S) -> u8 { let v = self.delivery(); v }\n\
+                   pub fn multicast() -> u8 { self.delivery() }\n\
+                   pub fn multicast_probed<S>(sink: &mut S) -> u8 { self.delivery_probed(sink) }";
+        assert_eq!(findings_at("crates/maeri/src/dist.rs", src), []);
+    }
+
+    #[test]
+    fn probe_twin_reads_past_braces_in_strings() {
+        // A raw-text brace matcher counts the `{` in the string, never
+        // finds the probed body's end, and misses the delegating call.
+        let src = "pub fn fire() -> u8 { compute() }\n\
+                   pub fn fire_probed(sink: &mut S) -> u8 { sink.note(\"{ open\"); self.fire() }\n";
+        assert_eq!(findings_at(FABRIC, src), []);
+    }
+
+    #[test]
+    fn probe_twin_skips_private_probed_fns_and_other_trees() {
+        let private = "fn gate_folded_probed(sink: &mut S) -> u8 { 0 }";
+        assert_eq!(findings_at(FABRIC, private), []);
+        let public = "pub fn fire_probed(sink: &mut S) -> u8 { 0 }";
+        assert_eq!(findings_at("crates/telemetry/src/lib.rs", public), []);
+    }
+
+    #[test]
+    fn unwrap_flags_calls_in_any_shipped_file() {
+        // An off-path file: the rule ignores classification.
+        let src =
+            "pub fn f(x: Option<u8>) -> u8 {\n    g().expect(\"invariant\");\n    x.unwrap()\n}\n";
+        let found = findings_at("crates/foo/src/lib.rs", src);
+        assert_eq!(rules_of(&found), [Rule::Unwrap, Rule::Unwrap]);
+        assert_eq!((found[0].line, found[1].line), (2, 3));
+    }
+
+    #[test]
+    fn unwrap_ignores_test_code_comments_and_strings() {
+        let src = "// a comment mentioning .unwrap() is fine\n\
+                   /* so is .expect(\"x\") in a block comment */\n\
+                   pub fn f() -> &'static str { \"call .unwrap() later\" }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn t() { f().unwrap(); } }\n";
+        assert_eq!(findings_at("crates/foo/src/lib.rs", src), []);
+    }
+
+    #[test]
+    fn unwrap_after_a_doc_comment_quoting_cfg_test_is_flagged() {
+        // A raw scan that cuts the file at the first `#[cfg(test)]`
+        // text stops reading at this doc comment.
+        let src = "//! Tests live under `#[cfg(test)]`.\n\
+                   pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+        let found = findings_at("crates/foo/src/lib.rs", src);
+        assert_eq!(rules_of(&found), [Rule::Unwrap]);
+        assert_eq!(found[0].line, 3);
+    }
+
+    #[test]
+    fn unwrap_suppressions_are_per_file_and_go_stale() {
+        let sup = suppress::parse("unwrap crates/foo/src/lib.rs a poisoned lock is a bug\n")
+            .expect("well-formed line");
+        let covered = findings_at("crates/foo/src/lib.rs", "pub fn f() { m.lock().unwrap(); }");
+        let other = findings_at("crates/bar/src/lib.rs", "pub fn g() { m.lock().unwrap(); }");
+        let (kept, silenced, stale) = suppress::apply([covered, other].concat(), &sup);
+        assert_eq!(silenced.len(), 1);
+        assert_eq!(rules_of(&kept), [Rule::Unwrap]);
+        assert_eq!(kept[0].path, "crates/bar/src/lib.rs");
+        assert_eq!(stale, []);
+        // Once the file stops calling it, the line is stale.
+        let (_, _, stale) =
+            suppress::apply(findings_at("crates/foo/src/lib.rs", "fn f() {}"), &sup);
+        assert_eq!(stale.len(), 1);
+    }
+
+    #[test]
+    fn doc_path_flags_each_dangling_path_once() {
+        let doc = "See `crates/gone/src/lib.rs`, and again\n\
+                   `crates/gone/src/lib.rs` and `/nonexistent/dir/`; globs\n\
+                   `crates/*/src` and commands `examples/ok.rs --flag x` are\n\
+                   fine, as is the trailing slash in `crates/ok/tests/`.";
+        let exists = |p: &str| p.starts_with("crates/ok") || p == "examples/ok.rs";
+        let found = doc_paths("DESIGN.md", doc, &exists);
+        assert_eq!(rules_of(&found), [Rule::DocPath, Rule::DocPath]);
+        assert_eq!((found[0].path.as_str(), found[0].line), ("DESIGN.md", 1));
+        assert!(found[0].message.contains("`crates/gone/src/lib.rs`"));
+        assert_eq!(found[1].line, 2);
+        assert!(found[1].message.contains("`/nonexistent/dir`"));
+    }
+
+    #[test]
+    fn doc_path_clean_when_paths_exist() {
+        let doc = "Built from `src/lib.rs`; CI is `.github/workflows/ci.yml`.";
+        let exists = |p: &str| p == "src/lib.rs" || p == ".github/workflows/ci.yml";
+        assert_eq!(doc_paths("README.md", doc, &exists), []);
     }
 
     #[test]

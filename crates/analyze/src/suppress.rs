@@ -1,10 +1,9 @@
 //! The committed suppression file: `analyze-suppressions.txt`.
 //!
 //! Each suppression is one line, `<rule> <path> <reason...>`, at
-//! rule-by-file granularity — the same shape as xtask's unwrap
-//! allowlist, and with the same teeth: a suppression that no longer
-//! matches any finding is itself an error, so the file can only
-//! shrink as hazards are fixed. Parse errors (unknown rule ids,
+//! rule-by-file granularity, for any rule in the catalog. A
+//! suppression that no longer matches any finding is itself an error,
+//! so the file can only shrink as hazards are fixed. Parse errors (unknown rule ids,
 //! missing reasons) are errors too; a suppression without a written
 //! justification is indistinguishable from a rubber stamp.
 

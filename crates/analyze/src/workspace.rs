@@ -1,16 +1,17 @@
 //! Workspace traversal and the end-to-end analysis entry point.
 //!
 //! [`analyze_workspace`] is what `cargo run -p xtask -- analyze`
-//! calls: collect every non-test `.rs` file under `crates/` and
-//! `compat/`, parse, classify, run the rule catalog, then apply the
-//! committed suppression file. Tests under `tests/` directories are
-//! excluded wholesale (the determinism contract binds shipped code;
+//! calls: collect every non-test `.rs` file under `src/`, `crates/`
+//! and `compat/`, parse, classify, run the rule catalog, check the
+//! top-level docs' path references, then apply the committed
+//! suppression file. Tests under `tests/` directories are excluded
+//! wholesale (the rules bind shipped code;
 //! `#[cfg(test)]` blanking already covers inline tests), as are
 //! `target/` build outputs.
 
 use crate::ast::FileAst;
 use crate::classify::output_path;
-use crate::rules::run_all;
+use crate::rules::{doc_paths, run_all};
 use crate::suppress::{self, SuppressError, Suppression};
 use crate::{Analysis, Stats};
 use std::fs;
@@ -21,7 +22,10 @@ use std::path::{Path, PathBuf};
 pub const SUPPRESSION_FILE: &str = "analyze-suppressions.txt";
 
 /// Source trees the analyzer walks, relative to the workspace root.
-const SOURCE_ROOTS: &[&str] = &["crates", "compat"];
+const SOURCE_ROOTS: &[&str] = &["src", "crates", "compat"];
+
+/// Top-level docs whose backtick-quoted paths must exist.
+const DOCS: &[&str] = &["README.md", "ROADMAP.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches"];
@@ -95,7 +99,16 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         Err(e) => (Vec::new(), e),
     };
     let flags = output_path(&files);
-    let findings = run_all(&files, &flags);
+    let mut findings = run_all(&files, &flags);
+    for doc in DOCS {
+        // A doc that is absent quotes nothing.
+        if let Ok(content) = fs::read_to_string(root.join(doc)) {
+            findings.extend(doc_paths(doc, &content, &|path: &str| {
+                root.join(path).exists()
+            }));
+        }
+    }
+    findings.sort();
     let (kept, silenced, stale) = suppress::apply(findings, &suppressions);
     file_errors.extend(stale);
 

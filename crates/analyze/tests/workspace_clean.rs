@@ -63,9 +63,10 @@ fn classifier_marks_a_meaningful_output_core() {
 #[test]
 fn known_telemetry_hazards_stay_suppressed_not_fixed_silently() {
     // The suppression file documents real wall-clock reads (report
-    // phase stamps, the live service clock). If those disappear the
-    // stale-suppression check fires — this test just pins that the
-    // current set is the one DESIGN.md section 16 describes.
+    // phase stamps, the live service clock) and the files whose
+    // unwrap/expect calls guard a named invariant. If those disappear
+    // the stale-suppression check fires — this test just pins that
+    // the current set is the one DESIGN.md section 16 describes.
     let analysis = analyze_workspace(&repo_root()).expect("workspace walk succeeds");
     let wall = analysis
         .suppressed
@@ -77,11 +78,11 @@ fn known_telemetry_hazards_stay_suppressed_not_fixed_silently() {
         "expected the documented wall-clock telemetry set, got {wall}"
     );
     assert!(
-        analysis
-            .suppressed
-            .iter()
-            .all(|f| f.rule == Rule::WallClock || f.rule == Rule::ThreadInfluence),
-        "only the two telemetry rules may carry suppressions today"
+        analysis.suppressed.iter().all(|f| matches!(
+            f.rule,
+            Rule::WallClock | Rule::ThreadInfluence | Rule::Unwrap
+        )),
+        "only the two telemetry rules and `unwrap` may carry suppressions today"
     );
 }
 

@@ -1,46 +1,27 @@
 //! The placement-policy catalog.
 //!
-//! Every variant must appear in [`PlacementPolicy::ALL`], carry a
-//! stable snake_case [`name`](PlacementPolicy::name), be exercised by
-//! a test or the `fleet_schedule` report, and be listed in DESIGN.md —
-//! xtask lint check 8 enforces all four.
+//! [`maeri_sim::catalog!`] keeps [`PlacementPolicy::ALL`] and the
+//! stable names complete by construction. The fleet tests and the
+//! `fleet_schedule` report sweep `ALL`, and a test below keeps every
+//! policy listed in DESIGN.md.
 
-/// How the fleet scheduler picks an instance for each incoming layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlacementPolicy {
-    /// The baseline: every slot serves a paper-64 MAERI fabric (the
-    /// fleet is [homogenized](crate::Fleet::homogenized) at equal
-    /// instance count) and jobs go to the least-busy instance.
-    HomogeneousMaeri,
-    /// Rotate through capable instances, blind to cost and load.
-    RoundRobin,
-    /// Best backend per layer: minimize simulated cycles, blind to
-    /// queue depth; ties go to the lowest instance id.
-    Greedy,
-    /// Minimize projected completion time: queue-drain time of the
-    /// instance plus the layer's virtual service cost there; ties go
-    /// to the cheaper backend, then the lowest id.
-    LoadAware,
-}
-
-impl PlacementPolicy {
-    /// Every policy, in report order.
-    pub const ALL: [PlacementPolicy; 4] = [
-        PlacementPolicy::HomogeneousMaeri,
-        PlacementPolicy::RoundRobin,
-        PlacementPolicy::Greedy,
-        PlacementPolicy::LoadAware,
-    ];
-
-    /// Stable snake_case name for reports and logs.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacementPolicy::HomogeneousMaeri => "homogeneous_maeri",
-            PlacementPolicy::RoundRobin => "round_robin",
-            PlacementPolicy::Greedy => "greedy",
-            PlacementPolicy::LoadAware => "load_aware",
-        }
+maeri_sim::catalog! {
+    /// How the fleet scheduler picks an instance for each incoming layer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum PlacementPolicy {
+        /// The baseline: every slot serves a paper-64 MAERI fabric (the
+        /// fleet is [homogenized](crate::Fleet::homogenized) at equal
+        /// instance count) and jobs go to the least-busy instance.
+        HomogeneousMaeri => "homogeneous_maeri",
+        /// Rotate through capable instances, blind to cost and load.
+        RoundRobin => "round_robin",
+        /// Best backend per layer: minimize simulated cycles, blind to
+        /// queue depth; ties go to the lowest instance id.
+        Greedy => "greedy",
+        /// Minimize projected completion time: queue-drain time of the
+        /// instance plus the layer's virtual service cost there; ties go
+        /// to the cheaper backend, then the lowest id.
+        LoadAware => "load_aware",
     }
 }
 
@@ -57,5 +38,14 @@ mod tests {
         assert!(names.contains("round_robin"));
         assert!(names.contains("greedy"));
         assert!(names.contains("load_aware"));
+        // A new policy ships documented: DESIGN.md §15.3 lists each one.
+        let design = include_str!("../../../DESIGN.md");
+        for policy in PlacementPolicy::ALL {
+            assert!(
+                design.contains(&format!("`{}`", policy.name())),
+                "placement policy `{}` is not listed in DESIGN.md",
+                policy.name()
+            );
+        }
     }
 }

@@ -29,56 +29,33 @@ use crate::service::{ServeConfig, Service, SubmitError};
 use crate::store::{ResultStore, StoredResult};
 use crate::wire::{read_frame, write_frame, FabricSpec, JobSpec, Request};
 
-/// One injectable fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPoint {
-    /// The process dies *before* a submit's journal append completes:
-    /// the caller never received a ticket, so nothing is owed — but
-    /// every previously acknowledged job must still replay.
-    KillBeforeJournalAppend,
-    /// The process dies mid-dispatch, after some results reached the
-    /// store but before their tombstones: replay must answer those
-    /// from the store and re-run the rest.
-    KillMidDispatch,
-    /// The journal's last record was half-written when the process
-    /// died: the torn tail is trimmed and every complete admit
-    /// replays.
-    TornJournalTail,
-    /// A store record rotted on disk: it is skipped (never served),
-    /// and the journal replay re-runs that job instead.
-    CorruptStoreRecord,
-    /// A worker picks up a job that never finishes: the per-request
-    /// deadline turns it into a structured timeout and the circuit
-    /// breaker quarantines the offending tenant.
-    WedgedWorker,
-    /// A client sends seeded byte garbage: the frame decoder and
-    /// request parser must answer every mutation with a structured
-    /// error or a valid parse — never a panic.
-    MalformedWireFrame,
-}
-
-impl FaultPoint {
-    /// Every fault the harness knows, in injection order.
-    pub const ALL: [FaultPoint; 6] = [
-        FaultPoint::KillBeforeJournalAppend,
-        FaultPoint::KillMidDispatch,
-        FaultPoint::TornJournalTail,
-        FaultPoint::CorruptStoreRecord,
-        FaultPoint::WedgedWorker,
-        FaultPoint::MalformedWireFrame,
-    ];
-
-    /// The fault's stable snake_case name (report rows, lint check).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultPoint::KillBeforeJournalAppend => "kill_before_journal_append",
-            FaultPoint::KillMidDispatch => "kill_mid_dispatch",
-            FaultPoint::TornJournalTail => "torn_journal_tail",
-            FaultPoint::CorruptStoreRecord => "corrupt_store_record",
-            FaultPoint::WedgedWorker => "wedged_worker",
-            FaultPoint::MalformedWireFrame => "malformed_wire_frame",
-        }
+maeri_sim::catalog! {
+    /// One injectable fault, in injection order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FaultPoint {
+        /// The process dies *before* a submit's journal append completes:
+        /// the caller never received a ticket, so nothing is owed — but
+        /// every previously acknowledged job must still replay.
+        KillBeforeJournalAppend => "kill_before_journal_append",
+        /// The process dies mid-dispatch, after some results reached the
+        /// store but before their tombstones: replay must answer those
+        /// from the store and re-run the rest.
+        KillMidDispatch => "kill_mid_dispatch",
+        /// The journal's last record was half-written when the process
+        /// died: the torn tail is trimmed and every complete admit
+        /// replays.
+        TornJournalTail => "torn_journal_tail",
+        /// A store record rotted on disk: it is skipped (never served),
+        /// and the journal replay re-runs that job instead.
+        CorruptStoreRecord => "corrupt_store_record",
+        /// A worker picks up a job that never finishes: the per-request
+        /// deadline turns it into a structured timeout and the circuit
+        /// breaker quarantines the offending tenant.
+        WedgedWorker => "wedged_worker",
+        /// A client sends seeded byte garbage: the frame decoder and
+        /// request parser must answer every mutation with a structured
+        /// error or a valid parse — never a panic.
+        MalformedWireFrame => "malformed_wire_frame",
     }
 }
 

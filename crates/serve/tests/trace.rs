@@ -79,16 +79,7 @@ fn live_trace_covers_admission_to_reply() {
             .filter(|s| s.job == id)
             .map(|s| s.kind)
             .collect();
-        for kind in [
-            SpanKind::Verify,
-            SpanKind::Admission,
-            SpanKind::JournalAppend,
-            SpanKind::QueueWait,
-            SpanKind::Dispatch,
-            SpanKind::Attempt,
-            SpanKind::StorePut,
-            SpanKind::Reply,
-        ] {
+        for kind in SpanKind::ALL {
             assert!(
                 kinds.contains(&kind),
                 "job {id} is missing a {} span",

@@ -10,7 +10,9 @@
 //! * [`table::Table`] — plain-text table rendering used by the figure
 //!   binaries in `maeri-bench`,
 //! * [`series::Series`] — labelled numeric series with summary statistics,
-//!   used to report figure curves.
+//!   used to report figure curves,
+//! * [`catalog!`] — closed enum catalogs whose `ALL` list and stable
+//!   names are complete by construction.
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod catalog;
 mod cycle;
 mod error;
 mod rng;

@@ -29,74 +29,41 @@
 
 use crate::json::JsonValue;
 
-/// The closed catalog of service request-path span kinds.
-///
-/// Every kind a producer emits must be listed in [`SpanKind::ALL`] and
-/// carry a stable snake_case [`SpanKind::name`] (the repo linter
-/// cross-checks both, plus test coverage, the same way it audits chaos
-/// fault points).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// Verifier pre-flight on the caller's thread.
-    Verify,
-    /// The admission decision: store fast-path, circuit breaker, and
-    /// the per-tenant in-flight bound. The span's status carries the
-    /// accept/reject cause.
-    Admission,
-    /// One durable journal append — the write-ahead admit record at
-    /// admission, or the tombstone after dispatch.
-    JournalAppend,
-    /// Time spent queued behind the tenant's earlier jobs, from
-    /// admission to worker pickup.
-    QueueWait,
-    /// The worker executing the job through the runtime (covers every
-    /// supervised attempt).
-    Dispatch,
-    /// One supervised runtime attempt (a child of `dispatch`; the
-    /// status classifies it: ok / sim_error / timeout / panic).
-    Attempt,
-    /// Appending the result to the persistent store.
-    StorePut,
-    /// Publishing the outcome on the job's ticket and waking waiters.
-    Reply,
+maeri_sim::catalog! {
+    /// The closed catalog of service request-path span kinds, in
+    /// canonical phase order (children after the phase they nest in).
+    ///
+    /// The live trace test in `maeri-serve` requires every kind in
+    /// [`SpanKind::ALL`] on each executed job's request path, so a kind
+    /// no producer emits fails it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SpanKind {
+        /// Verifier pre-flight on the caller's thread.
+        Verify => "verify",
+        /// The admission decision: store fast-path, circuit breaker, and
+        /// the per-tenant in-flight bound. The span's status carries the
+        /// accept/reject cause.
+        Admission => "admission",
+        /// One durable journal append — the write-ahead admit record at
+        /// admission, or the tombstone after dispatch.
+        JournalAppend => "journal_append",
+        /// Time spent queued behind the tenant's earlier jobs, from
+        /// admission to worker pickup.
+        QueueWait => "queue_wait",
+        /// The worker executing the job through the runtime (covers every
+        /// supervised attempt).
+        Dispatch => "dispatch",
+        /// One supervised runtime attempt (a child of `dispatch`; the
+        /// status classifies it: ok / sim_error / timeout / panic).
+        Attempt => "attempt",
+        /// Appending the result to the persistent store.
+        StorePut => "store_put",
+        /// Publishing the outcome on the job's ticket and waking waiters.
+        Reply => "reply",
+    }
 }
 
 impl SpanKind {
-    /// Every kind, in canonical phase order (children after the phase
-    /// they nest in).
-    pub const ALL: [SpanKind; 8] = [
-        SpanKind::Verify,
-        SpanKind::Admission,
-        SpanKind::JournalAppend,
-        SpanKind::QueueWait,
-        SpanKind::Dispatch,
-        SpanKind::Attempt,
-        SpanKind::StorePut,
-        SpanKind::Reply,
-    ];
-
-    /// The stable snake_case name used in dumps, exposition, and the
-    /// Chrome export.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Verify => "verify",
-            SpanKind::Admission => "admission",
-            SpanKind::JournalAppend => "journal_append",
-            SpanKind::QueueWait => "queue_wait",
-            SpanKind::Dispatch => "dispatch",
-            SpanKind::Attempt => "attempt",
-            SpanKind::StorePut => "store_put",
-            SpanKind::Reply => "reply",
-        }
-    }
-
-    /// Parses a [`SpanKind::name`] string back into its kind.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<SpanKind> {
-        SpanKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-
     /// Whether the kind is a top-level phase (sequential and
     /// non-overlapping within one job) as opposed to a child span
     /// nested inside a phase (`attempt` inside `dispatch`).
@@ -164,8 +131,8 @@ impl SpanRecord {
                 .ok_or_else(|| format!("span record is missing string `{key}`"))
         };
         let kind_name = field_str("kind")?;
-        let kind =
-            SpanKind::parse(kind_name).ok_or_else(|| format!("unknown span kind `{kind_name}`"))?;
+        let kind = SpanKind::from_name(kind_name)
+            .ok_or_else(|| format!("unknown span kind `{kind_name}`"))?;
         Ok(SpanRecord {
             job: field_u64("job")?,
             tenant: field_str("tenant")?.to_owned(),
@@ -296,10 +263,24 @@ mod tests {
 
     #[test]
     fn catalog_names_are_stable_and_round_trip() {
+        // Only some of these reach report bytes, so pin the whole list.
+        assert_eq!(
+            SpanKind::ALL.map(SpanKind::name),
+            [
+                "verify",
+                "admission",
+                "journal_append",
+                "queue_wait",
+                "dispatch",
+                "attempt",
+                "store_put",
+                "reply"
+            ]
+        );
         for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::parse(kind.name()), Some(kind));
+            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(SpanKind::parse("warp_drive"), None);
+        assert_eq!(SpanKind::from_name("warp_drive"), None);
         assert!(SpanKind::Dispatch.is_phase());
         assert!(!SpanKind::Attempt.is_phase());
     }

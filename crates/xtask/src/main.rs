@@ -1,28 +1,20 @@
-//! Repo automation tasks. Usage: `cargo run -p xtask -- <task>`.
+//! Repo automation. Usage: `cargo run -p xtask -- analyze`.
 //!
-//! `lint` walks the workspace and enforces the invariants implemented
-//! in [`lint`] (probe-twin sync, the unwrap allowlist, report-registry
-//! contiguity, `#![forbid(unsafe_code)]` headers, dangling doc-path
-//! references, chaos fault-point coverage, span-kind catalog coverage,
-//! placement-policy catalog coverage). `analyze` runs the
-//! `maeri-analyze` determinism analyzer over the workspace and fails
-//! on any finding outside `analyze-suppressions.txt` (and on any
-//! stale suppression). Both exit non-zero with one line per finding
-//! so CI can gate on them.
+//! `analyze` runs the `maeri-analyze` source gate over the workspace:
+//! the six determinism rules plus the probe-twin, unwrap and doc-path
+//! repository invariants (DESIGN.md §16). It exits non-zero, with one
+//! line per finding, on any finding outside `analyze-suppressions.txt`
+//! and on any stale suppression, so CI can gate on it.
 
-mod lint;
-
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => run_lint(),
+    match std::env::args().nth(1).as_deref() {
         Some("analyze") => run_analyze(),
         other => {
             eprintln!(
-                "unknown task {:?}; available tasks: lint, analyze",
+                "unknown task {:?}; available tasks: analyze",
                 other.unwrap_or("<none>")
             );
             ExitCode::FAILURE
@@ -30,10 +22,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the determinism analyzer over the whole workspace.
+/// Runs the source analyzer over the whole workspace.
 fn run_analyze() -> ExitCode {
-    let root = workspace_root();
-    let analysis = match maeri_analyze::analyze_workspace(&root) {
+    // This crate sits two levels below the workspace root.
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let Some(root) = manifest.ancestors().nth(2) else {
+        eprintln!(
+            "xtask analyze: no workspace root above {}",
+            manifest.display()
+        );
+        return ExitCode::FAILURE;
+    };
+    let analysis = match maeri_analyze::analyze_workspace(root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("xtask analyze: workspace walk failed: {e}");
@@ -80,211 +80,6 @@ fn run_analyze() -> ExitCode {
             analysis.findings.len(),
             analysis.suppress_errors.len()
         );
-        ExitCode::FAILURE
-    }
-}
-
-/// The workspace root: two levels up from this crate's manifest.
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/xtask sits two levels below the workspace root")
-        .to_path_buf()
-}
-
-/// Recursively collects `.rs` files under `dir`, returning
-/// repo-relative slash-separated paths paired with file contents.
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            collect_rs(root, &path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path
-                .strip_prefix(root)
-                .expect("walked paths live under the workspace root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            let content = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("failed to read {rel}: {e}"));
-            out.push((rel, content));
-        }
-    }
-}
-
-/// Lists the immediate subdirectories of `root/group` (e.g. every crate
-/// under `crates/`).
-fn subdirs(root: &Path, group: &str) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(root.join(group)) else {
-        return Vec::new();
-    };
-    let mut dirs: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    dirs.sort();
-    dirs
-}
-
-fn run_lint() -> ExitCode {
-    let root = workspace_root();
-    let mut findings = Vec::new();
-
-    // Library source scope: src/ of the facade crate plus every crate
-    // and compat shim, excluding xtask itself (its lint literals and
-    // fixtures would trip the scans).
-    let mut sources: Vec<(String, String)> = Vec::new();
-    collect_rs(&root, &root.join("src"), &mut sources);
-    for group in ["crates", "compat"] {
-        for dir in subdirs(&root, group) {
-            if dir.file_name().is_some_and(|n| n == "xtask") {
-                continue;
-            }
-            collect_rs(&root, &dir.join("src"), &mut sources);
-        }
-    }
-
-    // 1. Probe twins in the fabric crates.
-    for (path, content) in &sources {
-        if path.starts_with("crates/maeri/src") || path.starts_with("crates/noc/src") {
-            findings.extend(lint::check_probe_twins(path, content));
-        }
-    }
-
-    // 2. Non-test unwrap()/expect() against the allowlist.
-    findings.extend(lint::check_unwraps(&sources, lint::UNWRAP_ALLOWLIST));
-
-    // 3. Report registry ids.
-    let registry = "crates/bench/src/reports/mod.rs";
-    match sources.iter().find(|(p, _)| p == registry) {
-        Some((path, content)) => findings.extend(lint::check_report_registry(path, content)),
-        None => findings.push(lint::Finding {
-            path: registry.to_owned(),
-            message: "report registry file is missing".to_owned(),
-        }),
-    }
-
-    // 4. `#![forbid(unsafe_code)]` on every crate entry point.
-    for (path, content) in &sources {
-        if path.ends_with("/lib.rs") || path == "src/lib.rs" {
-            findings.extend(lint::check_forbid_unsafe(path, content));
-        }
-    }
-
-    // 5. No dangling path references in the top-level docs.
-    let exists = |candidate: &str| {
-        if candidate.starts_with('/') {
-            Path::new(candidate).exists()
-        } else {
-            root.join(candidate).exists()
-        }
-    };
-    for doc in ["README.md", "ROADMAP.md", "DESIGN.md", "EXPERIMENTS.md"] {
-        if let Ok(content) = std::fs::read_to_string(root.join(doc)) {
-            findings.extend(lint::check_doc_paths(doc, &content, &exists));
-        }
-    }
-
-    // 6. Every chaos fault point is exercised by a test or the
-    //    chaos_recovery report. Integration tests live under
-    //    `crates/serve/tests/` (outside the src/ scan scope), so they
-    //    are collected separately; the chaos module's own test block
-    //    and the report source also count as coverage.
-    let chaos_path = "crates/serve/src/chaos.rs";
-    match sources.iter().find(|(p, _)| p == chaos_path) {
-        Some((path, content)) => {
-            let mut coverage: Vec<(String, String)> = Vec::new();
-            collect_rs(&root, &root.join("crates/serve/tests"), &mut coverage);
-            for covered in [chaos_path, "crates/bench/src/reports/chaos_recovery.rs"] {
-                if let Some(pair) = sources.iter().find(|(p, _)| p == covered) {
-                    coverage.push(pair.clone());
-                }
-            }
-            findings.extend(lint::check_fault_points(path, content, &coverage));
-        }
-        None => findings.push(lint::Finding {
-            path: chaos_path.to_owned(),
-            message: "chaos harness module is missing".to_owned(),
-        }),
-    }
-
-    // 7. Every trace span kind is registered, named, emitted by the
-    //    serving stack, and exercised by a serve test or the
-    //    service_trace report — the trace vocabulary cannot drift from
-    //    its emitters or its tests.
-    let span_path = "crates/telemetry/src/span.rs";
-    match sources.iter().find(|(p, _)| p == span_path) {
-        Some((path, content)) => {
-            let emitters: Vec<(String, String)> = sources
-                .iter()
-                .filter(|(p, _)| {
-                    p.starts_with("crates/serve/src") || p.starts_with("crates/runtime/src")
-                })
-                .cloned()
-                .collect();
-            let mut coverage: Vec<(String, String)> = Vec::new();
-            collect_rs(&root, &root.join("crates/serve/tests"), &mut coverage);
-            if let Some(pair) = sources
-                .iter()
-                .find(|(p, _)| p == "crates/bench/src/reports/service_trace.rs")
-            {
-                coverage.push(pair.clone());
-            }
-            findings.extend(lint::check_span_kinds(path, content, &emitters, &coverage));
-        }
-        None => findings.push(lint::Finding {
-            path: span_path.to_owned(),
-            message: "span catalog module is missing".to_owned(),
-        }),
-    }
-
-    // 8. Every fleet placement policy is registered, named, exercised
-    //    by a fleet test or the fleet_schedule report, and documented
-    //    in DESIGN.md — the scheduling catalog cannot drift from its
-    //    tests or its docs.
-    let placement_path = "crates/fleet/src/placement.rs";
-    match sources.iter().find(|(p, _)| p == placement_path) {
-        Some((path, content)) => {
-            let mut coverage: Vec<(String, String)> = sources
-                .iter()
-                .filter(|(p, _)| p.starts_with("crates/fleet/src"))
-                .cloned()
-                .collect();
-            collect_rs(&root, &root.join("crates/fleet/tests"), &mut coverage);
-            if let Some(pair) = sources
-                .iter()
-                .find(|(p, _)| p == "crates/bench/src/reports/fleet_schedule.rs")
-            {
-                coverage.push(pair.clone());
-            }
-            let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-            findings.extend(lint::check_placement_policies(
-                path, content, &coverage, &design,
-            ));
-        }
-        None => findings.push(lint::Finding {
-            path: placement_path.to_owned(),
-            message: "placement-policy catalog module is missing".to_owned(),
-        }),
-    }
-
-    if findings.is_empty() {
-        println!(
-            "xtask lint: {} source files checked, no findings",
-            sources.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &findings {
-            eprintln!("xtask lint: {}: {}", f.path, f.message);
-        }
-        eprintln!("xtask lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }
