@@ -4,11 +4,11 @@
 //! regenerate identical numbers.
 //!
 //! The dataflow sweeps (Figs. 12-14, 17) are expressed as
-//! [`SimJob`] batches and submitted to the shared
-//! [`Runtime`](maeri_runtime::Runtime), which parallelizes them across
-//! workers and caches identical points: the headline summary re-visits
-//! the figure sweeps and is answered from cache. Results come back in
-//! job order, so the numbers are bit-identical to the old serial loops.
+//! [`SimJob`] batches and submitted to the shared [`Runtime`], which
+//! parallelizes them across workers and caches identical points: the
+//! headline summary re-visits the figure sweeps and is answered from
+//! cache. Results come back in job order, so the numbers are
+//! bit-identical to the old serial loops.
 
 use maeri::analytic::AnalyticResult;
 use maeri::engine::RunStats;

@@ -9,7 +9,7 @@
 //!   shape and MAC-count arithmetic,
 //! * [`zoo`] — the models from Table 1 of the paper (AlexNet, VGG-16,
 //!   GoogLeNet, ResNet-50, DeepSpeech2, Deep Voice) as layer lists,
-//! * [`reference`] — straightforward software implementations of each
+//! * [`reference`](mod@reference) — straightforward software implementations of each
 //!   layer, used as ground truth when validating the functional output
 //!   of the cycle-level accelerator simulators,
 //! * [`sparsity`] — seeded weight-pruning masks for the sparse

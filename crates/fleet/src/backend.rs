@@ -7,7 +7,7 @@
 //! backend's [`EnergyModel`]. Because every probe is an ordinary
 //! runtime job, per-(layer, backend) costs are memoized by the
 //! content-hash cache — the fleet scheduler can re-ask freely, and a
-//! degraded MAERI config (its [`FaultSpec`] is part of the job key)
+//! degraded MAERI config (its [`FaultSpec`](maeri::FaultSpec) is part of the job key)
 //! never aliases a healthy one.
 
 use maeri::{MaeriConfig, VnPolicy};
@@ -63,7 +63,7 @@ pub enum Backend {
 
 /// What one layer costs on one backend, in the fleet's currencies:
 /// simulated cycles, modeled energy, and the virtual service time the
-/// fleet clock accounts (same [`virtual_cost_us`] the serving stack
+/// fleet clock accounts (same [`virtual_cost_us`](maeri_serve::loadsim::virtual_cost_us) the serving stack
 /// uses, so service-level and fleet-level latencies are comparable).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendCost {

@@ -90,8 +90,7 @@ pub fn simulate_conv_iteration(
 /// completed with their ART latency, per-lane stalls, the final cycle).
 ///
 /// The probes are zero-cost when disabled: each site hands
-/// [`TraceSink::emit`] a closure, and with
-/// [`NullSink`](maeri_telemetry::NullSink) (whose
+/// [`TraceSink::emit`] a closure, and with [`NullSink`] (whose
 /// [`ENABLED`](TraceSink::ENABLED) is `false`) the monomorphized loop
 /// is the uninstrumented one — [`simulate_conv_iteration`] itself is
 /// just this function with a `NullSink`.
@@ -461,14 +460,14 @@ pub fn simulate_conv_layer_probed<S: TraceSink>(
     Ok(total)
 }
 
-/// Runs [`simulate_conv_layer_probed`] with a
-/// [`TelemetrySink`](maeri_telemetry::TelemetrySink) and reduces what
-/// it saw to per-run [`FabricTelemetry`]: per-level distribution link
-/// occupancy, multiplier busy fraction, stall fractions, ART usage, and
-/// the VN reduction-latency histogram. All fabric figures describe the
-/// one traced steady-state iteration (every iteration of a dense layer
-/// is structurally identical); the returned [`TraceStats`] is the
-/// whole-layer total, exactly as [`simulate_conv_layer`] reports it.
+/// Runs [`simulate_conv_layer_probed`] with a [`TelemetrySink`] and
+/// reduces what it saw to per-run [`FabricTelemetry`]: per-level
+/// distribution link occupancy, multiplier busy fraction, stall
+/// fractions, ART usage, and the VN reduction-latency histogram. All
+/// fabric figures describe the one traced steady-state iteration
+/// (every iteration of a dense layer is structurally identical); the
+/// returned [`TraceStats`] is the whole-layer total, exactly as
+/// [`simulate_conv_layer`] reports it.
 ///
 /// # Errors
 ///

@@ -58,9 +58,8 @@ impl LstmMapper {
 
     /// [`LstmMapper::run`] with probes: both phases report their ART
     /// configurations and closed-form distribution deliveries to
-    /// `sink`. `run` itself is this function with a
-    /// [`NullSink`](maeri_telemetry::NullSink), so the unprobed path is
-    /// structurally identical.
+    /// `sink`. `run` itself is this function with a [`NullSink`], so
+    /// the unprobed path is structurally identical.
     ///
     /// # Errors
     ///

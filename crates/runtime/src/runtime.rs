@@ -95,8 +95,8 @@ impl Runtime {
     }
 
     /// The process-wide shared runtime. Sized from the
-    /// [`WORKERS_ENV`] environment variable when set (parseable and
-    /// nonzero), otherwise from `std::thread::available_parallelism`.
+    /// `MAERI_RUNTIME_WORKERS` environment variable when set (parseable
+    /// and nonzero), otherwise from `std::thread::available_parallelism`.
     ///
     /// Sharing one runtime is what lets separate reports hit each
     /// other's cached results — e.g. the headline summary reuses the
@@ -236,7 +236,7 @@ impl Runtime {
     }
 
     /// Runs a named batch of jobs and returns their results **in job
-    /// order** (results[i] belongs to jobs[i], regardless of which
+    /// order** (`results[i]` belongs to `jobs[i]`, regardless of which
     /// worker finished first).
     ///
     /// Previously-cached and intra-batch duplicate jobs are served

@@ -52,7 +52,10 @@ impl AttemptOutcome {
         }
     }
 
-    fn classify(result: &JobResult) -> AttemptOutcome {
+    /// Classifies a job result (the status of its `attempt` and
+    /// `dispatch` spans).
+    #[must_use]
+    pub fn classify(result: &JobResult) -> AttemptOutcome {
         match result {
             Ok(_) => AttemptOutcome::Ok,
             Err(JobError::Sim(_)) => AttemptOutcome::SimError,

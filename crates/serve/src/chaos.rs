@@ -134,7 +134,7 @@ fn recover_and_count(
 ) -> ChaosOutcome {
     let service = Service::start(config, Arc::new(Runtime::new(1)))
         .expect("recovery start must survive constructed wreckage");
-    let replay = service.stats().journal_replay;
+    let replay = service.stats();
     let mut resolved = 0u64;
     for id in 1..=acknowledged {
         if service.wait(id).is_some() {
@@ -145,8 +145,8 @@ fn recover_and_count(
     ChaosOutcome {
         fault,
         acknowledged,
-        orphans_replayed: replay.orphans_replayed,
-        recovered_from_store: replay.recovered_from_store,
+        orphans_replayed: replay.journal_orphans_replayed,
+        recovered_from_store: replay.journal_recovered_from_store,
         resolved,
         lost: acknowledged - resolved,
         detail,

@@ -118,21 +118,6 @@ pub struct JournalRecovery {
     pub max_id: u64,
 }
 
-/// A compact, copyable summary of one service start's journal replay,
-/// carried in [`crate::metrics::ServiceSnapshot`] and the `stats` wire
-/// response.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplaySummary {
-    /// Orphaned admits re-enqueued at start.
-    pub orphans_replayed: u64,
-    /// Orphaned admits answered from the result store at start.
-    pub recovered_from_store: u64,
-    /// Bytes of torn journal tail trimmed at open.
-    pub truncated_bytes: u64,
-    /// Corrupt journal records skipped at open.
-    pub skipped: u64,
-}
-
 struct JournalInner {
     file: File,
 }
@@ -165,27 +150,27 @@ impl Journal {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
-                    .map_err(|e| io_err(format!("create {}", parent.display()), &e))?;
+                    .map_err(|e| StoreError::io(format!("create {}", parent.display()), &e))?;
             }
         }
         let mut bytes = Vec::new();
         match File::open(path) {
             Ok(mut file) => {
                 file.read_to_end(&mut bytes)
-                    .map_err(|e| io_err(format!("read {}", path.display()), &e))?;
+                    .map_err(|e| StoreError::io(format!("read {}", path.display()), &e))?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(format!("open {}", path.display()), &e)),
+            Err(e) => return Err(StoreError::io(format!("open {}", path.display()), &e)),
         }
         let (recovery, valid_len) = replay(&bytes);
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .map_err(|e| io_err(format!("open {} for append", path.display()), &e))?;
+            .map_err(|e| StoreError::io(format!("open {} for append", path.display()), &e))?;
         if valid_len < bytes.len() as u64 {
             file.set_len(valid_len)
-                .map_err(|e| io_err("trim torn journal tail", &e))?;
+                .map_err(|e| StoreError::io("trim torn journal tail", &e))?;
         }
         Ok((
             Journal {
@@ -236,7 +221,7 @@ impl Journal {
             .file
             .write_all(&record)
             .and_then(|()| inner.file.flush())
-            .map_err(|e| io_err("append journal record", &e))
+            .map_err(|e| StoreError::io("append journal record", &e))
     }
 
     /// Rewrites the log to contain exactly `live` (the admits still
@@ -256,28 +241,22 @@ impl Journal {
             .map_err(|_| StoreError::poisoned("journal file lock"))?;
         let tmp = self.path.with_extension("compact");
         {
-            let mut out =
-                File::create(&tmp).map_err(|e| io_err(format!("create {}", tmp.display()), &e))?;
+            let mut out = File::create(&tmp)
+                .map_err(|e| StoreError::io(format!("create {}", tmp.display()), &e))?;
             for admit in live {
                 out.write_all(&encode_record(&admit.to_json().render().into_bytes()))
-                    .map_err(|e| io_err("write compacted journal", &e))?;
+                    .map_err(|e| StoreError::io("write compacted journal", &e))?;
             }
             out.flush()
-                .map_err(|e| io_err("flush compacted journal", &e))?;
+                .map_err(|e| StoreError::io("flush compacted journal", &e))?;
         }
         std::fs::rename(&tmp, &self.path)
-            .map_err(|e| io_err(format!("rename {} over journal", tmp.display()), &e))?;
+            .map_err(|e| StoreError::io(format!("rename {} over journal", tmp.display()), &e))?;
         inner.file = OpenOptions::new()
             .append(true)
             .open(&self.path)
-            .map_err(|e| io_err("reopen compacted journal", &e))?;
+            .map_err(|e| StoreError::io("reopen compacted journal", &e))?;
         Ok(())
-    }
-}
-
-fn io_err(context: impl Into<String>, err: &std::io::Error) -> StoreError {
-    StoreError::Io {
-        context: format!("{}: {err}", context.into()),
     }
 }
 

@@ -25,9 +25,11 @@
 //! * per-request deadlines and a per-tenant circuit breaker: wedged
 //!   jobs become structured timeouts, and a tenant whose jobs keep
 //!   timing out is quarantined until a cooldown probe succeeds;
-//! * service metrics ([`metrics`]): admission counters, queue depth,
-//!   store/cache hit rate, breaker/journal counters, recovery reports,
-//!   and wall-latency percentiles;
+//! * service metrics ([`metrics`]): one declared table of every
+//!   `stats` value — admission counters, queue depth, store/cache
+//!   traffic, breaker/journal counters, recovery counts, recorder
+//!   occupancy, and windowed wall-latency percentiles — rendered both
+//!   as the `stats` JSON and as Prometheus samples;
 //! * a seeded Poisson traffic generator ([`traffic`]) and a
 //!   deterministic virtual-time load simulator ([`loadsim`]) that
 //!   drive the `service_load` report and the CI smoke test;
@@ -43,7 +45,7 @@
 //!   export — off by default and byte-neutral to every report;
 //! * a time-series metrics registry ([`registry`]): windowed latency
 //!   histograms, per-tenant SLO scoring (deadline-hit rate, windowed
-//!   p99 vs target, error-budget burn), and Prometheus text
+//!   p99 vs target, error-budget burn), and the Prometheus text
 //!   exposition served by the `metrics` wire verb.
 //!
 //! # Quick start
@@ -75,10 +77,10 @@ pub mod traffic;
 pub mod wire;
 
 pub use chaos::{ChaosOutcome, FaultPoint};
-pub use journal::{AdmitRecord, Journal, JournalRecovery, ReplaySummary};
+pub use journal::{AdmitRecord, Journal, JournalRecovery};
 pub use metrics::{ServiceMetrics, ServiceSnapshot};
 pub use recorder::{FlightRecorder, Postmortem, RecorderConfig, SpanLog};
-pub use registry::{MetricsRegistry, SloConfig, SloTracker, TenantSlo, WindowedHistogram};
+pub use registry::{MetricKind, MetricsRegistry, SloTracker, TenantSlo, WindowedHistogram};
 pub use server::Server;
 pub use service::{JobStatus, JobTicket, ServeConfig, Service, SubmitError};
 pub use store::{RecoveryReport, ResultStore, StoreError, StoredResult};

@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-use maeri_runtime::{JobError, JobResult, Runtime};
+use maeri_runtime::{AttemptOutcome, JobResult, Runtime};
 use maeri_sim::histogram::Histogram;
 use maeri_telemetry::span::{SpanKind, SpanRecord};
 
@@ -145,25 +145,6 @@ pub fn simulate_traced(
     (outcome, spans.unwrap_or_default())
 }
 
-/// A virtual-time span: start/end are virtual µs from the trace clock.
-fn vspan(
-    job: u64,
-    tenant: &str,
-    kind: SpanKind,
-    start_us: u64,
-    end_us: u64,
-    status: &str,
-) -> SpanRecord {
-    SpanRecord {
-        job,
-        tenant: tenant.to_owned(),
-        kind,
-        start_us,
-        dur_us: end_us.saturating_sub(start_us),
-        status: status.to_owned(),
-    }
-}
-
 fn replay(
     arrivals: &[Arrival],
     scenario: &LoadScenario,
@@ -196,7 +177,7 @@ fn replay(
         let Ok(job) = arrival.spec.to_sim_job() else {
             outcome.invalid += 1;
             if let Some(out) = spans.as_mut() {
-                out.push(vspan(
+                out.push(SpanRecord::between(
                     0,
                     tenant,
                     SpanKind::Verify,
@@ -210,7 +191,7 @@ fn replay(
         if job.verify().is_err() {
             outcome.invalid += 1;
             if let Some(out) = spans.as_mut() {
-                out.push(vspan(
+                out.push(SpanRecord::between(
                     0,
                     tenant,
                     SpanKind::Verify,
@@ -228,8 +209,15 @@ fn replay(
         if tenant_jobs.len() >= scenario.per_tenant_depth {
             outcome.rejected += 1;
             if let Some(out) = spans.as_mut() {
-                out.push(vspan(0, tenant, SpanKind::Verify, now, now, "ok"));
-                out.push(vspan(
+                out.push(SpanRecord::between(
+                    0,
+                    tenant,
+                    SpanKind::Verify,
+                    now,
+                    now,
+                    "ok",
+                ));
+                out.push(SpanRecord::between(
                     0,
                     tenant,
                     SpanKind::Admission,
@@ -259,14 +247,7 @@ fn replay(
             }
             seen.insert(key.as_bytes().to_vec());
             outcome.misses += 1;
-            let status = match &result {
-                Ok(_) => "ok",
-                Err(JobError::Sim(_)) => "sim_error",
-                Err(JobError::InvalidMapping(_)) => "invalid_mapping",
-                Err(JobError::Panicked(_)) => "panic",
-                Err(JobError::TimedOut(_)) => "timeout",
-            };
-            (cost, status)
+            (cost, AttemptOutcome::classify(&result).name())
         };
         let Reverse(free_at) = servers.pop().unwrap_or(Reverse(0));
         let start = now.max(free_at);
@@ -279,8 +260,15 @@ fn replay(
             // the reject sentinel, exactly as in the live service.
             let id = outcome.admitted as u64;
             let admit_status = if hit { "store_hit" } else { "ok" };
-            out.push(vspan(id, tenant, SpanKind::Verify, now, now, "ok"));
-            out.push(vspan(
+            out.push(SpanRecord::between(
+                id,
+                tenant,
+                SpanKind::Verify,
+                now,
+                now,
+                "ok",
+            ));
+            out.push(SpanRecord::between(
                 id,
                 tenant,
                 SpanKind::Admission,
@@ -288,8 +276,15 @@ fn replay(
                 now,
                 admit_status,
             ));
-            out.push(vspan(id, tenant, SpanKind::QueueWait, now, start, "ok"));
-            out.push(vspan(
+            out.push(SpanRecord::between(
+                id,
+                tenant,
+                SpanKind::QueueWait,
+                now,
+                start,
+                "ok",
+            ));
+            out.push(SpanRecord::between(
                 id,
                 tenant,
                 SpanKind::Dispatch,
@@ -297,7 +292,14 @@ fn replay(
                 done,
                 dispatch_status,
             ));
-            out.push(vspan(id, tenant, SpanKind::Reply, done, done, "ok"));
+            out.push(SpanRecord::between(
+                id,
+                tenant,
+                SpanKind::Reply,
+                done,
+                done,
+                "ok",
+            ));
         }
         outcome.latency_us.record(done - now);
         outcome.makespan_us = outcome.makespan_us.max(done);

@@ -22,7 +22,7 @@
 //!   writes: one JSON document with the drop counter and the full ring
 //!   contents, parseable by [`read_postmortem`].
 //!
-//! The spans themselves — the [`SpanKind`] catalog, the per-job
+//! The spans themselves — the [`SpanKind`](maeri_telemetry::span::SpanKind) catalog, the per-job
 //! monotonicity contract, the Chrome export — live in
 //! [`maeri_telemetry::span`]; this module only stores and persists
 //! them.

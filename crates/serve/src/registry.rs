@@ -1,18 +1,18 @@
-//! The time-series metrics registry: windowed histograms, per-tenant
-//! SLO accounting, and Prometheus-style text exposition.
+//! The time-series side of service metrics: windowed histograms,
+//! per-tenant SLO accounting, and Prometheus-style text exposition.
 //!
-//! [`crate::metrics::ServiceMetrics`] is a set of monotonic counters
-//! frozen into point-in-time snapshots; this module adds the two
-//! things a counter snapshot cannot express:
+//! [`crate::metrics`] declares every `stats` value once, in one table;
+//! this module adds what a flat counter table cannot express:
 //!
 //! * **windows** — [`WindowedHistogram`] keeps the current and the
 //!   previous fixed-size sample window (merged with
 //!   [`maeri_sim::histogram::Histogram::merge`]), so percentiles
-//!   reflect *recent* behavior instead of averaging over the whole
-//!   process lifetime;
+//!   reflect *recent* behavior at bounded memory instead of averaging
+//!   over the whole process lifetime;
 //! * **SLOs** — [`SloTracker`] scores every completion per tenant
-//!   against an [`SloConfig`] latency target: deadline-hit rate,
-//!   windowed p99 vs the target, and error-budget burn;
+//!   against the [`SLO_TARGET_P99_US`] latency target: deadline-hit
+//!   rate, windowed p99 vs the target, and burn of the
+//!   [`SLO_ERROR_BUDGET`];
 //!
 //! and one exposition surface: [`MetricsRegistry`] renders counter
 //! and gauge families as Prometheus text (`# HELP` / `# TYPE` /
@@ -26,32 +26,23 @@ use std::sync::Mutex;
 
 use maeri_sim::histogram::Histogram;
 
-/// Per-tenant latency service-level objective.
-#[derive(Debug, Clone, Copy)]
-pub struct SloConfig {
-    /// The latency target: a completion at or under this many µs (and
-    /// successful) hits its SLO.
-    pub target_p99_us: u64,
-    /// The tolerated miss fraction; burn 1.0 means misses are arriving
-    /// exactly at budget, above 1.0 the budget is being exceeded.
-    pub error_budget: f64,
-}
+/// The per-tenant latency target: a completion at or under this many
+/// µs (and successful) hits its SLO.
+pub const SLO_TARGET_P99_US: u64 = 50_000;
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            target_p99_us: 50_000,
-            error_budget: 0.01,
-        }
-    }
-}
+/// The tolerated SLO miss fraction: burn 1.0 means misses arrive
+/// exactly at budget, above 1.0 the budget is being exceeded.
+pub const SLO_ERROR_BUDGET: f64 = 0.01;
+
+/// Completions per tenant latency window.
+const SLO_WINDOW: usize = 64;
 
 /// A two-window sample histogram: the currently-filling window plus
 /// the previous completed one. Recording rotates the windows when the
 /// current one reaches `window` samples; reads merge both, so
 /// percentiles cover between `window` and `2 * window` recent samples
 /// and old history ages out instead of dominating forever.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WindowedHistogram {
     window: usize,
     current: Histogram,
@@ -100,7 +91,7 @@ impl WindowedHistogram {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TenantWindow {
     latency: WindowedHistogram,
     completed: u64,
@@ -130,43 +121,29 @@ pub struct TenantSlo {
 }
 
 /// Per-tenant SLO accounting: feed it every completion, read back a
-/// per-tenant scorecard.
-#[derive(Debug)]
+/// per-tenant scorecard. Latency is windowed over the last 64 to 128
+/// completions per tenant.
+#[derive(Debug, Default)]
 pub struct SloTracker {
-    config: SloConfig,
-    window: usize,
     tenants: Mutex<BTreeMap<String, TenantWindow>>,
 }
 
 impl SloTracker {
-    /// A tracker scoring against `config`, windowing latency over 64
-    /// samples per tenant.
-    #[must_use]
-    pub fn new(config: SloConfig) -> Self {
-        SloTracker {
-            config,
-            window: 64,
-            tenants: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The config this tracker scores against.
-    #[must_use]
-    pub fn config(&self) -> SloConfig {
-        self.config
-    }
-
-    /// Scores one completion: `ok` within the latency target is a
+    /// Scores one completion: `ok` within [`SLO_TARGET_P99_US`] is a
     /// deadline hit, anything else a miss.
     pub fn observe(&self, tenant: &str, latency_us: u64, ok: bool) {
         let mut tenants = self.tenants.lock().expect("slo mutex poisoned");
-        let entry = tenants.entry(tenant.to_owned()).or_default();
-        if entry.latency.is_empty() && entry.completed == 0 {
-            entry.latency = WindowedHistogram::new(self.window);
-        }
+        let entry = tenants
+            .entry(tenant.to_owned())
+            .or_insert_with(|| TenantWindow {
+                latency: WindowedHistogram::new(SLO_WINDOW),
+                completed: 0,
+                deadline_hits: 0,
+                deadline_misses: 0,
+            });
         entry.latency.record(latency_us);
         entry.completed += 1;
-        if ok && latency_us <= self.config.target_p99_us {
+        if ok && latency_us <= SLO_TARGET_P99_US {
             entry.deadline_hits += 1;
         } else {
             entry.deadline_misses += 1;
@@ -185,12 +162,6 @@ impl SloTracker {
                 } else {
                     window.deadline_hits as f64 / window.completed as f64
                 };
-                let miss_fraction = 1.0 - hit_rate;
-                let budget_burn = if self.config.error_budget > 0.0 {
-                    miss_fraction / self.config.error_budget
-                } else {
-                    0.0
-                };
                 TenantSlo {
                     tenant: tenant.clone(),
                     completed: window.completed,
@@ -198,20 +169,76 @@ impl SloTracker {
                     deadline_misses: window.deadline_misses,
                     hit_rate,
                     window_p99_us: window.latency.merged().percentile(99.0).unwrap_or(0),
-                    budget_burn,
+                    budget_burn: (1.0 - hit_rate) / SLO_ERROR_BUDGET,
                 }
             })
             .collect()
     }
+
+    /// Pushes the SLO target and the per-tenant scorecard families:
+    /// the exposition-only part of the `metrics` verb, since `stats`
+    /// has no tenant label to carry them.
+    pub fn expose(&self, reg: &mut MetricsRegistry) {
+        use MetricKind::{Counter, Gauge};
+        reg.push(
+            "maeri_slo_target_p99_us",
+            "Latency target completions are scored against, microseconds.",
+            Gauge,
+            &[],
+            SLO_TARGET_P99_US as f64,
+        );
+        for tenant in self.report() {
+            let labels = [("tenant", tenant.tenant.as_str())];
+            for (name, help, kind, value) in [
+                (
+                    "maeri_slo_completions_total",
+                    "Completions scored against the SLO, per tenant.",
+                    Counter,
+                    tenant.completed as f64,
+                ),
+                (
+                    "maeri_slo_deadline_hits_total",
+                    "Completions that hit the SLO (successful, within target).",
+                    Counter,
+                    tenant.deadline_hits as f64,
+                ),
+                (
+                    "maeri_slo_deadline_misses_total",
+                    "Completions that missed the SLO (failed or over target).",
+                    Counter,
+                    tenant.deadline_misses as f64,
+                ),
+                (
+                    "maeri_slo_deadline_hit_ratio",
+                    "Deadline hits over completions, per tenant.",
+                    Gauge,
+                    tenant.hit_rate,
+                ),
+                (
+                    "maeri_slo_window_p99_us",
+                    "Windowed p99 latency vs the target, per tenant.",
+                    Gauge,
+                    tenant.window_p99_us as f64,
+                ),
+                (
+                    "maeri_slo_budget_burn",
+                    "Recent miss fraction over the error budget, per tenant.",
+                    Gauge,
+                    tenant.budget_burn,
+                ),
+            ] {
+                reg.push(name, help, kind, &labels, value);
+            }
+        }
+    }
 }
 
-/// One sample of a metric family: label pairs plus a value.
+/// One sample of a metric family: `(name, value)` label pairs,
+/// rendered as `{name="value"}`, plus the value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// `(name, value)` label pairs, rendered as `{name="value"}`.
-    pub labels: Vec<(String, String)>,
-    /// The sample value.
-    pub value: f64,
+struct Sample {
+    labels: Vec<(String, String)>,
+    value: f64,
 }
 
 /// The Prometheus metric kinds this registry exposes.
@@ -232,17 +259,14 @@ impl MetricKind {
     }
 }
 
-/// One named metric family: help line, kind, and its samples.
+/// One named metric family (`[a-zA-Z_:][a-zA-Z0-9_:]*`): help line,
+/// kind, and its samples (one unlabeled, or many labeled).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricFamily {
-    /// The metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
-    pub name: String,
-    /// The `# HELP` text.
-    pub help: String,
-    /// Counter or gauge.
-    pub kind: MetricKind,
-    /// The family's samples (one unlabeled, or many labeled).
-    pub samples: Vec<Sample>,
+struct MetricFamily {
+    name: String,
+    help: String,
+    kind: MetricKind,
+    samples: Vec<Sample>,
 }
 
 /// An ordered collection of metric families rendered as Prometheus
@@ -259,40 +283,28 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds an unlabeled counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.push(name, help, MetricKind::Counter, Vec::new(), value as f64);
-    }
-
-    /// Adds an unlabeled gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.push(name, help, MetricKind::Gauge, Vec::new(), value);
-    }
-
-    /// Adds one labeled counter sample; samples with the same `name`
-    /// collect into one family (the first call's `help` wins).
-    pub fn labeled_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.push(name, help, MetricKind::Counter, own(labels), value as f64);
-    }
-
-    /// Adds one labeled gauge sample (same family semantics as
-    /// [`MetricsRegistry::labeled_counter`]).
-    pub fn labeled_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.push(name, help, MetricKind::Gauge, own(labels), value);
-    }
-
-    fn push(
+    /// Adds one sample; samples with the same `name` collect into one
+    /// family (the first call's `help` and `kind` win).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a valid Prometheus metric name.
+    pub fn push(
         &mut self,
         name: &str,
         help: &str,
         kind: MetricKind,
-        labels: Vec<(String, String)>,
+        labels: &[(&str, &str)],
         value: f64,
     ) {
         assert!(
             valid_metric_name(name),
             "invalid Prometheus metric name `{name}`"
         );
+        let labels = labels
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+            .collect();
         let sample = Sample { labels, value };
         if let Some(family) = self.families.iter_mut().find(|f| f.name == name) {
             family.samples.push(sample);
@@ -304,12 +316,6 @@ impl MetricsRegistry {
                 samples: vec![sample],
             });
         }
-    }
-
-    /// The families registered so far, in insertion order.
-    #[must_use]
-    pub fn families(&self) -> &[MetricFamily] {
-        &self.families
     }
 
     /// Renders the registry as Prometheus text exposition: per family
@@ -340,13 +346,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-fn own(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    labels
-        .iter()
-        .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-        .collect()
 }
 
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` per the Prometheus data model.
@@ -451,13 +450,10 @@ mod tests {
 
     #[test]
     fn slo_tracker_scores_hits_misses_and_burn() {
-        let tracker = SloTracker::new(SloConfig {
-            target_p99_us: 100,
-            error_budget: 0.25,
-        });
+        let tracker = SloTracker::default();
         tracker.observe("a", 50, true); // hit
-        tracker.observe("a", 90, true); // hit
-        tracker.observe("a", 500, true); // miss: over target
+        tracker.observe("a", SLO_TARGET_P99_US, true); // hit: at target
+        tracker.observe("a", SLO_TARGET_P99_US + 1, true); // miss: over target
         tracker.observe("a", 10, false); // miss: failed
         tracker.observe("b", 10, true); // hit
         let report = tracker.report();
@@ -468,9 +464,9 @@ mod tests {
         assert_eq!(a.deadline_hits, 2);
         assert_eq!(a.deadline_misses, 2);
         assert!((a.hit_rate - 0.5).abs() < 1e-12);
-        // Miss fraction 0.5 over budget 0.25 → burning 2x the budget.
-        assert!((a.budget_burn - 2.0).abs() < 1e-12);
-        assert_eq!(a.window_p99_us, 500);
+        // Miss fraction 0.5 over the 1 % budget → burning 50x the budget.
+        assert!((a.budget_burn - 0.5 / SLO_ERROR_BUDGET).abs() < 1e-9);
+        assert_eq!(a.window_p99_us, SLO_TARGET_P99_US + 1);
         let b = &report[1];
         assert!((b.hit_rate - 1.0).abs() < 1e-12);
         assert!((b.budget_burn).abs() < 1e-12);
@@ -479,19 +475,23 @@ mod tests {
     #[test]
     fn registry_renders_valid_exposition() {
         let mut reg = MetricsRegistry::new();
-        reg.counter("maeri_submitted_total", "Submit requests received.", 42);
-        reg.gauge("maeri_queue_depth", "Jobs queued or running.", 3.0);
-        reg.labeled_counter(
-            "maeri_slo_completions_total",
-            "Completions scored per tenant.",
+        let (counter, gauge) = (MetricKind::Counter, MetricKind::Gauge);
+        reg.push("maeri_submitted_total", "Submits.", counter, &[], 42.0);
+        reg.push("maeri_queue_depth", "Jobs queued.", gauge, &[], 3.0);
+        let completions = "maeri_slo_completions_total";
+        reg.push(
+            completions,
+            "Per tenant.",
+            counter,
             &[("tenant", "t\"0")],
-            7,
+            7.0,
         );
-        reg.labeled_counter(
-            "maeri_slo_completions_total",
-            "ignored duplicate help",
+        reg.push(
+            completions,
+            "ignored duplicate",
+            gauge,
             &[("tenant", "t1")],
-            9,
+            9.0,
         );
         let text = reg.render();
         validate_exposition(&text).unwrap();
@@ -505,6 +505,8 @@ mod tests {
             text.matches("# TYPE maeri_slo_completions_total").count(),
             1
         );
+        assert!(text.contains("# TYPE maeri_slo_completions_total counter\n"));
+        assert!(text.contains("# HELP maeri_slo_completions_total Per tenant.\n"));
     }
 
     #[test]
@@ -518,6 +520,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid Prometheus metric name")]
     fn bad_metric_name_panics_at_registration() {
-        MetricsRegistry::new().counter("bad name", "help", 1);
+        MetricsRegistry::new().push("bad name", "help", MetricKind::Counter, &[], 1.0);
     }
 }

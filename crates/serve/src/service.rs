@@ -40,14 +40,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use maeri_runtime::{DispatchTrace, JobError, JobResult, Runtime, SimJob};
+use maeri_runtime::{AttemptOutcome, DispatchTrace, JobError, Runtime, SimJob};
 use maeri_telemetry::span::{SpanKind, SpanRecord};
 
-use crate::journal::{AdmitRecord, Journal, ReplaySummary};
+use crate::journal::{AdmitRecord, Journal};
 use crate::metrics::{ServiceMetrics, ServiceSnapshot};
 use crate::recorder::{FlightRecorder, RecorderConfig};
-use crate::registry::{MetricsRegistry, SloConfig, SloTracker};
-use crate::store::{RecoveryReport, ResultStore, StoreError, StoredResult};
+use crate::registry::{MetricsRegistry, SloTracker};
+use crate::store::{ResultStore, StoreError, StoredResult};
 use crate::wire::JobSpec;
 
 /// Service tuning knobs.
@@ -80,9 +80,6 @@ pub struct ServeConfig {
     /// ([`RecorderConfig::default`]) — CI uses this to prove tracing
     /// never perturbs report output.
     pub recorder: Option<RecorderConfig>,
-    /// The latency SLO completions are scored against (per tenant,
-    /// exposed through [`Service::prometheus`]).
-    pub slo: SloConfig,
 }
 
 impl Default for ServeConfig {
@@ -98,7 +95,6 @@ impl Default for ServeConfig {
             recorder: std::env::var_os("MAERI_TRACE")
                 .filter(|v| v != "0")
                 .map(|_| RecorderConfig::default()),
-            slo: SloConfig::default(),
         }
     }
 }
@@ -285,32 +281,11 @@ struct Shared {
     runtime: Arc<Runtime>,
     store: Option<ResultStore>,
     journal: Option<Journal>,
-    store_recovery: RecoveryReport,
-    journal_replay: ReplaySummary,
     breaker_threshold: u32,
     breaker_cooldown: Duration,
     closing: AtomicBool,
     recorder: Option<FlightRecorder>,
     slo: SloTracker,
-}
-
-/// Builds one span on the live recorder clock.
-fn live_span(
-    job: u64,
-    tenant: &str,
-    kind: SpanKind,
-    start_us: u64,
-    end_us: u64,
-    status: &str,
-) -> SpanRecord {
-    SpanRecord {
-        job,
-        tenant: tenant.to_owned(),
-        kind,
-        start_us,
-        dur_us: end_us.saturating_sub(start_us),
-        status: status.to_owned(),
-    }
 }
 
 /// The two spans of a submit rejected after a clean verify: the
@@ -323,8 +298,8 @@ fn reject_spans(
     cause: &str,
 ) -> [SpanRecord; 2] {
     [
-        live_span(0, tenant, SpanKind::Verify, t0, verify_end, "ok"),
-        live_span(
+        SpanRecord::between(0, tenant, SpanKind::Verify, t0, verify_end, "ok"),
+        SpanRecord::between(
             0,
             tenant,
             SpanKind::Admission,
@@ -338,17 +313,6 @@ fn reject_spans(
 /// `Duration` to whole microseconds, saturating.
 fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The span status string classifying a dispatch outcome.
-fn outcome_status(result: &JobResult) -> &'static str {
-    match result {
-        Ok(_) => "ok",
-        Err(JobError::Sim(_)) => "sim_error",
-        Err(JobError::InvalidMapping(_)) => "invalid_mapping",
-        Err(JobError::Panicked(_)) => "panic",
-        Err(JobError::TimedOut(_)) => "timeout",
-    }
 }
 
 /// The batch-inference simulation service.
@@ -375,15 +339,20 @@ impl Service {
     ///
     /// Propagates [`StoreError`] when the store or journal log cannot
     /// be opened. On-disk corruption is never an error: both logs
-    /// recover by trimming/skipping and report what they found (see
-    /// [`ServiceSnapshot`](crate::metrics::ServiceSnapshot)).
+    /// recover by trimming/skipping and report what they found in the
+    /// `store_*` and `journal_*` rows of [`ServiceSnapshot`].
     pub fn start(config: ServeConfig, runtime: Arc<Runtime>) -> Result<Self, StoreError> {
-        let (store, store_recovery) = match &config.store_path {
+        let metrics = ServiceMetrics::new();
+        let set = |cell: &AtomicU64, value: u64| cell.store(value, Ordering::Relaxed);
+        let store = match &config.store_path {
             Some(path) => {
                 let (store, recovery) = ResultStore::open(path)?;
-                (Some(store), recovery)
+                set(&metrics.store_recovered_entries, recovery.entries as u64);
+                set(&metrics.store_truncated_bytes, recovery.truncated_bytes);
+                set(&metrics.store_skipped_entries, recovery.skipped as u64);
+                Some(store)
             }
-            None => (None, RecoveryReport::default()),
+            None => None,
         };
         let journal_pair = match &config.journal_path {
             Some(path) => Some(Journal::open(path)?),
@@ -395,7 +364,6 @@ impl Service {
         };
         let replay_us = recorder.as_ref().map_or(0, FlightRecorder::now_us);
 
-        let metrics = ServiceMetrics::new();
         let mut sched = Sched {
             queues: Vec::new(),
             cursor: 0,
@@ -404,7 +372,6 @@ impl Service {
             breakers: BTreeMap::new(),
             shutdown: false,
         };
-        let mut replay = ReplaySummary::default();
         let mut completions = 0u64;
         let mut next_id = 1u64;
 
@@ -414,13 +381,15 @@ impl Service {
         // rest re-enter the queues under their original ids, before
         // any worker starts.
         let journal = if let Some((journal, recovery)) = journal_pair {
-            replay.truncated_bytes = recovery.truncated_bytes;
-            replay.skipped = recovery.skipped as u64;
+            set(&metrics.journal_truncated_bytes, recovery.truncated_bytes);
+            set(&metrics.journal_skipped_records, recovery.skipped as u64);
             next_id = recovery.max_id + 1;
             let mut live: Vec<AdmitRecord> = Vec::new();
             for admit in &recovery.orphans {
                 let Ok(job) = admit.spec.to_sim_job() else {
-                    replay.skipped += 1;
+                    metrics
+                        .journal_skipped_records
+                        .fetch_add(1, Ordering::Relaxed);
                     continue;
                 };
                 let label = job.label();
@@ -430,7 +399,9 @@ impl Service {
                     // The crash landed between the store append and the
                     // tombstone: the work is done, only the ack is owed.
                     metrics.store_hits.fetch_add(1, Ordering::Relaxed);
-                    replay.recovered_from_store += 1;
+                    metrics
+                        .journal_recovered_from_store
+                        .fetch_add(1, Ordering::Relaxed);
                     completions += 1;
                     let status = if result.ok {
                         JobStatus::Done
@@ -450,7 +421,9 @@ impl Service {
                     );
                 } else {
                     metrics.job_queued();
-                    replay.orphans_replayed += 1;
+                    metrics
+                        .journal_orphans_replayed
+                        .fetch_add(1, Ordering::Relaxed);
                     *sched.inflight.entry(admit.tenant.clone()).or_insert(0) += 1;
                     sched.tickets.insert(
                         admit.id,
@@ -490,13 +463,11 @@ impl Service {
             runtime,
             store,
             journal,
-            store_recovery,
-            journal_replay: replay,
             breaker_threshold: config.breaker_threshold,
             breaker_cooldown: config.breaker_cooldown,
             closing: AtomicBool::new(false),
             recorder,
-            slo: SloTracker::new(config.slo),
+            slo: SloTracker::default(),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -592,7 +563,7 @@ impl Service {
         let t0 = rec.map_or(0, FlightRecorder::now_us);
         if self.shared.closing.load(Ordering::Relaxed) {
             if let Some(rec) = rec {
-                rec.record(&live_span(
+                rec.record(&SpanRecord::between(
                     0,
                     tenant,
                     SpanKind::Admission,
@@ -606,7 +577,7 @@ impl Service {
         if let Err(err) = job.verify() {
             metrics.rejected_invalid.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = rec {
-                rec.record(&live_span(
+                rec.record(&SpanRecord::between(
                     0,
                     tenant,
                     SpanKind::Verify,
@@ -634,17 +605,7 @@ impl Service {
             .map_err(|_| SubmitError::Poisoned)?;
         if sched.shutdown {
             if let Some(rec) = rec {
-                rec.record_batch(&[
-                    live_span(0, tenant, SpanKind::Verify, t0, verify_end, "ok"),
-                    live_span(
-                        0,
-                        tenant,
-                        SpanKind::Admission,
-                        verify_end,
-                        rec.now_us(),
-                        "closed",
-                    ),
-                ]);
+                rec.record_batch(&reject_spans(rec, tenant, t0, verify_end, "closed"));
             }
             return Err(SubmitError::Closed);
         }
@@ -679,8 +640,8 @@ impl Service {
             if let Some(rec) = rec {
                 let answered = rec.now_us();
                 rec.record_batch(&[
-                    live_span(id, tenant, SpanKind::Verify, t0, verify_end, "ok"),
-                    live_span(
+                    SpanRecord::between(id, tenant, SpanKind::Verify, t0, verify_end, "ok"),
+                    SpanRecord::between(
                         id,
                         tenant,
                         SpanKind::Admission,
@@ -688,7 +649,7 @@ impl Service {
                         answered,
                         "store_hit",
                     ),
-                    live_span(
+                    SpanRecord::between(
                         id,
                         tenant,
                         SpanKind::Reply,
@@ -794,7 +755,7 @@ impl Service {
                     .fetch_add(1, Ordering::Relaxed);
             }
             if let Some(rec) = rec {
-                journal_span = Some(live_span(
+                journal_span = Some(SpanRecord::between(
                     id,
                     tenant,
                     SpanKind::JournalAppend,
@@ -823,8 +784,8 @@ impl Service {
         // SIGKILL postmortem contract rests on.
         let admit_end = if let Some(rec) = rec {
             let mut spans = vec![
-                live_span(id, tenant, SpanKind::Verify, t0, verify_end, "ok"),
-                live_span(
+                SpanRecord::between(id, tenant, SpanKind::Verify, t0, verify_end, "ok"),
+                SpanRecord::between(
                     id,
                     tenant,
                     SpanKind::Admission,
@@ -895,18 +856,17 @@ impl Service {
         drop(sched);
     }
 
-    /// The service metrics snapshot (includes runtime cache counters,
-    /// the store size, and what recovery found at start).
+    /// The service metrics snapshot: every row of the metric table,
+    /// including the runtime cache counters, the store size, and what
+    /// recovery found at start.
     #[must_use]
     pub fn stats(&self) -> ServiceSnapshot {
-        let store_entries = self.shared.store.as_ref().map_or(0, ResultStore::len);
-        let mut snapshot = self
-            .shared
-            .metrics
-            .snapshot(self.shared.runtime.cache_stats(), store_entries);
-        snapshot.store_recovery = self.shared.store_recovery;
-        snapshot.journal_replay = self.shared.journal_replay;
-        snapshot
+        let shared = &self.shared;
+        shared.metrics.snapshot(
+            shared.runtime.cache_stats(),
+            shared.store.as_ref(),
+            shared.recorder.as_ref(),
+        )
     }
 
     /// The shared runtime executing this service's jobs.
@@ -929,178 +889,17 @@ impl Service {
     }
 
     /// The service's full metric surface rendered as Prometheus text
-    /// exposition — every admission/completion counter, queue and
-    /// latency gauges, recorder occupancy, and the per-tenant SLO
-    /// scorecard. This is the body of the `metrics` wire verb.
+    /// exposition: one sample per row of the metric table, then the
+    /// SLO target and the per-tenant SLO scorecard. This is the body of
+    /// the `metrics` wire verb.
     #[must_use]
     pub fn prometheus(&self) -> String {
-        let snap = self.stats();
         let mut reg = MetricsRegistry::new();
-        reg.counter(
-            "maeri_submitted_total",
-            "Submit requests received, including rejected ones.",
-            snap.submitted,
-        );
-        reg.counter(
-            "maeri_admitted_total",
-            "Jobs accepted into the queue or answered from the store.",
-            snap.admitted,
-        );
-        let rejects = "Submits rejected, by cause.";
-        reg.labeled_counter(
-            "maeri_rejected_total",
-            rejects,
-            &[("cause", "backpressure")],
-            snap.rejected_backpressure,
-        );
-        reg.labeled_counter(
-            "maeri_rejected_total",
-            rejects,
-            &[("cause", "invalid")],
-            snap.rejected_invalid,
-        );
-        reg.labeled_counter(
-            "maeri_rejected_total",
-            rejects,
-            &[("cause", "circuit_open")],
-            snap.rejected_circuit,
-        );
-        reg.counter(
-            "maeri_store_hits_total",
-            "Jobs answered from the persistent store at admission.",
-            snap.store_hits,
-        );
-        reg.counter(
-            "maeri_completed_total",
-            "Jobs that ran to a successful result.",
-            snap.completed,
-        );
-        reg.counter(
-            "maeri_failed_total",
-            "Jobs that ran to a structured error.",
-            snap.failed,
-        );
-        reg.counter(
-            "maeri_timeouts_total",
-            "Watchdog or deadline timeouts (a subset of failed).",
-            snap.timeouts,
-        );
-        reg.counter(
-            "maeri_journal_appends_total",
-            "Durable write-ahead journal appends.",
-            snap.journal_appends,
-        );
-        reg.counter(
-            "maeri_journal_append_errors_total",
-            "Journal appends that failed.",
-            snap.journal_append_errors,
-        );
-        reg.counter(
-            "maeri_store_put_errors_total",
-            "Persistent-store appends that failed.",
-            snap.store_put_errors,
-        );
-        reg.counter(
-            "maeri_cache_hits_total",
-            "Runtime result-cache hits.",
-            snap.cache.hits,
-        );
-        reg.counter(
-            "maeri_cache_misses_total",
-            "Runtime result-cache misses.",
-            snap.cache.misses,
-        );
-        reg.gauge(
-            "maeri_queue_depth",
-            "Jobs queued or running right now.",
-            snap.queue_depth as f64,
-        );
-        reg.gauge(
-            "maeri_queue_high_water",
-            "Queue-depth high-water mark.",
-            snap.queue_high_water as f64,
-        );
-        reg.gauge(
-            "maeri_store_entries",
-            "Results in the persistent store.",
-            snap.store_entries as f64,
-        );
-        let latency = "Wall completion latency percentiles, microseconds.";
-        reg.labeled_gauge(
-            "maeri_latency_us",
-            latency,
-            &[("quantile", "0.5")],
-            snap.latency_p50_us as f64,
-        );
-        reg.labeled_gauge(
-            "maeri_latency_us",
-            latency,
-            &[("quantile", "0.99")],
-            snap.latency_p99_us as f64,
-        );
-        reg.labeled_gauge(
-            "maeri_latency_us",
-            latency,
-            &[("quantile", "0.999")],
-            snap.latency_p999_us as f64,
-        );
-        if let Some(rec) = &self.shared.recorder {
-            reg.gauge(
-                "maeri_recorder_spans",
-                "Spans currently held in the flight-recorder ring.",
-                rec.len() as f64,
-            );
-            reg.counter(
-                "maeri_recorder_dropped_total",
-                "Spans evicted from the flight-recorder ring.",
-                rec.dropped(),
-            );
+        for (row, value) in self.stats().rows() {
+            let labels = row.label.as_slice();
+            reg.push(row.family, row.help, row.kind, labels, value as f64);
         }
-        let slo = self.shared.slo.config();
-        reg.gauge(
-            "maeri_slo_target_p99_us",
-            "Latency target completions are scored against, microseconds.",
-            slo.target_p99_us as f64,
-        );
-        for tenant in self.shared.slo.report() {
-            let labels = [("tenant", tenant.tenant.as_str())];
-            reg.labeled_counter(
-                "maeri_slo_completions_total",
-                "Completions scored against the SLO, per tenant.",
-                &labels,
-                tenant.completed,
-            );
-            reg.labeled_counter(
-                "maeri_slo_deadline_hits_total",
-                "Completions that hit the SLO (successful, within target).",
-                &labels,
-                tenant.deadline_hits,
-            );
-            reg.labeled_counter(
-                "maeri_slo_deadline_misses_total",
-                "Completions that missed the SLO (failed or over target).",
-                &labels,
-                tenant.deadline_misses,
-            );
-            reg.labeled_gauge(
-                "maeri_slo_deadline_hit_ratio",
-                "Deadline hits over completions, per tenant.",
-                &labels,
-                tenant.hit_rate,
-            );
-            reg.labeled_gauge(
-                "maeri_slo_window_p99_us",
-                "Windowed p99 latency vs the target, per tenant.",
-                &labels,
-                tenant.window_p99_us as f64,
-            );
-            reg.labeled_gauge(
-                "maeri_slo_budget_burn",
-                "Recent miss fraction over the error budget, per tenant.",
-                &labels,
-                tenant.budget_burn,
-            );
-        }
+        self.shared.slo.expose(&mut reg);
         reg.render()
     }
 
@@ -1212,7 +1011,7 @@ fn worker_loop(shared: &Shared) {
         let stored = StoredResult::from_result(&job.label(), &result);
         let mut spans: Vec<SpanRecord> = Vec::new();
         if rec.is_some() {
-            spans.push(live_span(
+            spans.push(SpanRecord::between(
                 id,
                 &tenant,
                 SpanKind::QueueWait,
@@ -1220,13 +1019,13 @@ fn worker_loop(shared: &Shared) {
                 dispatch_start,
                 "ok",
             ));
-            spans.push(live_span(
+            spans.push(SpanRecord::between(
                 id,
                 &tenant,
                 SpanKind::Dispatch,
                 dispatch_start,
                 dispatch_end,
-                outcome_status(&result),
+                AttemptOutcome::classify(&result).name(),
             ));
             for attempt in &dispatch.attempts {
                 spans.push(SpanRecord {
@@ -1256,7 +1055,7 @@ fn worker_loop(shared: &Shared) {
                         .fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(rec) = rec {
-                    spans.push(live_span(
+                    spans.push(SpanRecord::between(
                         id,
                         &tenant,
                         SpanKind::StorePut,
@@ -1287,7 +1086,7 @@ fn worker_loop(shared: &Shared) {
                     .fetch_add(1, Ordering::Relaxed);
             }
             if let Some(rec) = rec {
-                spans.push(live_span(
+                spans.push(SpanRecord::between(
                     id,
                     &tenant,
                     SpanKind::JournalAppend,
@@ -1362,7 +1161,7 @@ fn worker_loop(shared: &Shared) {
         // whole batch before waking waiters so a crash() right after
         // wait() returns still finds the full trace in the ring.
         if let Some(rec) = rec {
-            spans.push(live_span(
+            spans.push(SpanRecord::between(
                 id,
                 &tenant,
                 SpanKind::Reply,

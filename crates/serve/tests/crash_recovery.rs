@@ -76,9 +76,9 @@ fn acknowledged_submits_survive_a_crash_under_their_original_ids() {
         acked
     };
     let service = Service::start(config(&dir, 2), Arc::new(Runtime::new(1))).expect("warm start");
-    let replay = service.stats().journal_replay;
+    let replay = service.stats();
     assert_eq!(
-        replay.orphans_replayed + replay.recovered_from_store,
+        replay.journal_orphans_replayed + replay.journal_recovered_from_store,
         5,
         "every acknowledged job is accounted for at restart"
     );
@@ -112,9 +112,9 @@ fn completed_jobs_tombstone_and_never_replay() {
     }
     let service = Service::start(config(&dir, 2), Arc::new(Runtime::new(1))).expect("warm start");
     let snap = service.stats();
-    assert_eq!(snap.journal_replay.orphans_replayed, 0);
-    assert_eq!(snap.journal_replay.recovered_from_store, 0);
-    assert_eq!(snap.store_recovery.entries, 3, "results persisted");
+    assert_eq!(snap.journal_orphans_replayed, 0);
+    assert_eq!(snap.journal_recovered_from_store, 0);
+    assert_eq!(snap.store_recovered_entries, 3, "results persisted");
     // A repeat submit is a store hit, not a re-run.
     let id = service.submit_spec("t0", &spec(1), None).expect("repeat");
     assert!(service.wait(id).expect("stored answer").ok);

@@ -69,7 +69,7 @@ fn warm_restart_answers_from_the_store() {
     assert_eq!(result, first_result, "byte-identical canonical output");
     let snap = service.stats();
     assert_eq!(snap.store_hits, 1);
-    assert_eq!(snap.cache.misses, 0, "the runtime never saw the job");
+    assert_eq!(snap.cache_misses, 0, "the runtime never saw the job");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -1,8 +1,9 @@
 //! End-to-end observability tests: live request-path tracing through
 //! the flight recorder, the crash postmortem contract, the `metrics`
-//! wire verb, and reject-cause counter accounting under concurrency.
+//! wire verb and its agreement with `stats`, and reject-cause counter
+//! accounting under concurrency.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,12 +11,14 @@ use std::sync::Arc;
 use maeri::{MaeriConfig, VnPolicy};
 use maeri_dnn::ConvLayer;
 use maeri_runtime::{Runtime, SimJob};
+use maeri_serve::metrics::{MetricRow, ROWS};
 use maeri_serve::recorder::{read_postmortem, read_span_log, RecorderConfig};
 use maeri_serve::registry::validate_exposition;
 use maeri_serve::server::Server;
 use maeri_serve::service::{ServeConfig, Service, SubmitError};
 use maeri_serve::wire::{Client, FabricSpec, JobSpec};
 use maeri_serve::Journal;
+use maeri_telemetry::json::JsonValue;
 use maeri_telemetry::span::{validate_trace, SpanKind};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -268,6 +271,74 @@ fn metrics_wire_verb_serves_valid_prometheus() {
     assert_eq!(slo.iter().map(|t| t.completed).sum::<u64>(), 3);
 
     server.stop();
+}
+
+/// The exposition series a metric-table row renders as:
+/// `family` or `family{name="value"}`.
+fn series(row: &MetricRow) -> String {
+    match row.label {
+        Some((name, value)) => format!("{}{{{name}=\"{value}\"}}", row.family),
+        None => row.family.to_owned(),
+    }
+}
+
+#[test]
+fn every_stats_key_has_a_matching_exposition_sample() {
+    let dir = temp_dir("drift");
+    let config = ServeConfig {
+        workers: 1,
+        per_tenant_depth: 8,
+        store_path: Some(dir.join("store.log")),
+        journal_path: Some(dir.join("journal.log")),
+        ..ServeConfig::default()
+    };
+    let service = Arc::new(Service::start(config, Arc::new(Runtime::new(1))).expect("start"));
+    let mut server = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(&server.local_addr()).expect("connect");
+    // Two distinct jobs and one repeat, so the store answers once.
+    for (tenant, name) in [("alpha", "drift0"), ("alpha", "drift1"), ("beta", "drift0")] {
+        let id = service.submit(tenant, conv_job(name)).expect("submit");
+        assert!(service.wait(id).expect("result").ok);
+    }
+    service.drain();
+
+    let stats = client.stats().expect("stats verb");
+    let text = client.metrics_text().expect("metrics verb");
+    validate_exposition(&text).expect("exposition must be valid");
+    server.stop();
+    // Series → value, for every sample outside the per-tenant SLO
+    // families (which `stats` cannot carry).
+    let samples: BTreeMap<&str, &str> = text
+        .lines()
+        .filter(|line| !line.starts_with('#') && !line.starts_with("maeri_slo_"))
+        .map(|line| line.rsplit_once(' ').expect("`series value` sample line"))
+        .collect();
+    let JsonValue::Object(fields) = &stats else {
+        panic!("stats is not an object: {}", stats.render());
+    };
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+    let rows: Vec<&str> = ROWS.iter().map(|row| row.key).collect();
+    assert_eq!(keys, rows, "`stats` carries exactly the table's rows");
+    for (row, (key, value)) in ROWS.iter().zip(fields) {
+        let value = value
+            .as_u64()
+            .expect("stats values are integers")
+            .to_string();
+        assert_eq!(
+            samples.get(series(row).as_str()),
+            Some(&value.as_str()),
+            "stats key `{key}` = {value} has no matching `{}` sample",
+            series(row)
+        );
+    }
+    for name in samples.keys() {
+        assert!(
+            ROWS.iter().any(|row| series(row) == *name),
+            "sample `{name}` maps back to no stats key"
+        );
+    }
+    assert_eq!(stats.get("store_hits").and_then(JsonValue::as_u64), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -240,7 +240,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
+    fn eat(&mut self, byte: u8) -> Result<(), String> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -287,7 +287,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         self.depth += 1;
         self.skip_ws();
         let mut fields: Vec<(String, JsonValue)> = Vec::new();
@@ -300,7 +300,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
             fields.push((key, value));
@@ -324,7 +324,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         self.depth += 1;
         self.skip_ws();
         let mut items: Vec<JsonValue> = Vec::new();
@@ -356,7 +356,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         while let Some(byte) = self.peek() {
             match byte {

@@ -95,6 +95,27 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// The span of `job`'s `kind` phase from `start_us` to `end_us`
+    /// (a zero-length span if `end_us` is earlier).
+    #[must_use]
+    pub fn between(
+        job: u64,
+        tenant: &str,
+        kind: SpanKind,
+        start_us: u64,
+        end_us: u64,
+        status: &str,
+    ) -> SpanRecord {
+        SpanRecord {
+            job,
+            tenant: tenant.to_owned(),
+            kind,
+            start_us,
+            dur_us: end_us.saturating_sub(start_us),
+            status: status.to_owned(),
+        }
+    }
+
     /// The span's end (`start_us + dur_us`, saturating).
     #[must_use]
     pub fn end_us(&self) -> u64 {

@@ -153,9 +153,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "crash recovery: restart replayed {} orphans, answered {} from the store \
          (journal trimmed {} torn bytes)",
-        snap.journal_replay.orphans_replayed,
-        snap.journal_replay.recovered_from_store,
-        snap.journal_replay.truncated_bytes
+        snap.journal_orphans_replayed,
+        snap.journal_recovered_from_store,
+        snap.journal_truncated_bytes
     );
     let mut replayed = 0u64;
     let mut store_answered = 0u64;
