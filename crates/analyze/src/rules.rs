@@ -165,7 +165,6 @@ pub const TIMING_MODULES: &[&str] = &[
     "crates/serve/src/metrics.rs",
     "crates/serve/src/recorder.rs",
     "crates/serve/src/registry.rs",
-    "compat/criterion/src/lib.rs",
 ];
 
 /// Runs every source rule over `files` with per-fn `output` flags (as

@@ -110,7 +110,6 @@ pub fn run() {
         &LoadScenario {
             virtual_workers: 1,
             per_tenant_depth: 4,
-            hit_cost_us: 25,
         },
         &Runtime::new(1),
         None,

@@ -48,7 +48,6 @@ pub fn run() {
     let scenario = LoadScenario {
         virtual_workers: 4,
         per_tenant_depth: 6,
-        hit_cost_us: 25,
     };
     let runtime = Runtime::new(1);
     let (outcome, spans) = loadsim::simulate_traced(&arrivals, &scenario, &runtime, None);

@@ -7,8 +7,7 @@
 //! a *recording* sink observes the run without perturbing it, the
 //! telemetry reduction is deterministic, the Chrome export is valid
 //! JSON, and the `NullSink` path costs roughly nothing over repeated
-//! runs (the precise measurement lives in
-//! `crates/bench/benches/telemetry.rs`).
+//! runs.
 
 use std::time::Instant;
 
@@ -106,8 +105,7 @@ fn telemetry_reduction_is_deterministic() {
 fn null_sink_overhead_is_negligible() {
     // Lenient min-of-N wall-clock guard: the NullSink path compiles to
     // the same machine code as the plain path, so their best-of-five
-    // times must be close. Generous bound — CI boxes are noisy; the
-    // precise comparison is the Criterion benchmark.
+    // times must be close. Generous bound — CI boxes are noisy.
     let cfg = MaeriConfig::paper_64();
     let layer = conv();
     // Warm up both paths.

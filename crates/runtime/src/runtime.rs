@@ -56,32 +56,18 @@ impl Runtime {
     /// default (single-attempt, no-watchdog) [`RetryPolicy`].
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        Self::with_queue_depth(workers, workers.max(1) * 4)
-    }
-
-    /// Creates a runtime with an explicit bounded queue depth:
-    /// submission blocks once `queue_depth` tasks are waiting.
-    #[must_use]
-    pub fn with_queue_depth(workers: usize, queue_depth: usize) -> Self {
-        Self::with_queue_depth_and_policy(workers, queue_depth, RetryPolicy::default())
+        Self::with_policy(workers, RetryPolicy::default())
     }
 
     /// Creates a runtime whose workers supervise every job under
     /// `policy`: bounded retries for transient failures and an optional
-    /// per-attempt timeout watchdog (see [`RetryPolicy`]).
+    /// per-attempt timeout watchdog (see [`RetryPolicy`]). The job queue
+    /// holds four tasks per worker; submission blocks beyond that.
     #[must_use]
     pub fn with_policy(workers: usize, policy: RetryPolicy) -> Self {
-        Self::with_queue_depth_and_policy(workers, workers.max(1) * 4, policy)
-    }
-
-    fn with_queue_depth_and_policy(
-        workers: usize,
-        queue_depth: usize,
-        policy: RetryPolicy,
-    ) -> Self {
         let metrics = Arc::new(RuntimeMetrics::new());
         Runtime {
-            pool: WorkerPool::new(workers, queue_depth, &metrics, policy),
+            pool: WorkerPool::new(workers, workers.max(1) * 4, &metrics, policy),
             cache: ResultCache::new(),
             metrics,
             policy,

@@ -9,35 +9,23 @@
 //! re-enqueueing the rest under their original ids — and compacts the
 //! log down to the still-live admits.
 //!
-//! The on-disk format is the same append-only magic/len/FNV-1a framing
-//! as [`crate::store`], with a JSON payload per record:
-//!
-//! ```text
-//! record := magic:u32le  payload_len:u32le
-//!           payload bytes (canonical JSON)
-//!           checksum:u64le   (FNV-1a over payload bytes)
-//! ```
-//!
-//! Payloads are `{"kind":"admit","id":N,"tenant":...,"job":{...}}`
-//! (with an optional `deadline_ms`) or `{"kind":"tombstone","id":N}`.
-//! The job body is the wire-level [`JobSpec`] JSON — the only encoding
-//! in the repo that round-trips, which is why plain
+//! Each record is a one-field record of the record log in
+//! `crates/serve/src/log.rs` under the magic word `"MAEJ"`, which also
+//! owns recovery: a record that fails its checksum, or decodes as
+//! neither an admit nor a tombstone, is skipped and counted. Payloads
+//! are `{"kind":"admit","id":N,"tenant":...,"job":{...}}` (with an
+//! optional `deadline_ms`) or `{"kind":"tombstone","id":N}`. The job
+//! body is the wire-level [`JobSpec`] JSON — the only encoding in the
+//! repo that round-trips, which is why plain
 //! [`crate::service::Service::submit`] (a raw `SimJob`, no wire form)
 //! is not journaled.
-//!
-//! Recovery policy mirrors the store's: a torn tail is trimmed and
-//! counted; a complete-but-invalid record (checksum or JSON failure)
-//! is skipped using its length framing and counted; a record whose
-//! framing itself is implausible loses the rest of the log (counted as
-//! truncated bytes). Nothing in this module panics on disk contents.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 use maeri_telemetry::json::{self, JsonValue};
 
+use crate::log::RecordLog;
 use crate::store::StoreError;
 use crate::wire::JobSpec;
 
@@ -46,10 +34,6 @@ use crate::wire::JobSpec;
 /// fed to the store (or vice versa) reads as zero valid records
 /// instead of as silent garbage.
 pub(crate) const MAGIC: u32 = 0x4A45_414D;
-
-/// Upper bound on a record payload; a length above this is treated as
-/// lost framing rather than an allocation request.
-const MAX_PAYLOAD_LEN: u32 = 16 * 1024 * 1024;
 
 /// One journaled admission: everything needed to re-run the job after
 /// a crash under its original identity.
@@ -118,23 +102,47 @@ pub struct JournalRecovery {
     pub max_id: u64,
 }
 
-struct JournalInner {
-    file: File,
+impl JournalRecovery {
+    /// Folds one checksummed payload into the recovery. Returns `false`
+    /// when it decodes as neither an admit nor a tombstone, which the
+    /// log counts as skipped.
+    fn apply(&mut self, payload: &[u8]) -> bool {
+        let Some(doc) = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| json::parse(text).ok())
+        else {
+            return false;
+        };
+        match doc.get("kind").and_then(JsonValue::as_str) {
+            Some("admit") => match AdmitRecord::from_json(&doc) {
+                Ok(admit) => {
+                    self.admits += 1;
+                    self.max_id = self.max_id.max(admit.id);
+                    self.orphans.push(admit);
+                    true
+                }
+                Err(_) => false,
+            },
+            Some("tombstone") => match doc.get("id").and_then(JsonValue::as_u64) {
+                Some(id) => {
+                    self.tombstones += 1;
+                    self.max_id = self.max_id.max(id);
+                    self.orphans.retain(|admit| admit.id != id);
+                    true
+                }
+                None => false,
+            },
+            _ => false,
+        }
+    }
 }
 
 /// The append-only write-ahead journal. Thread-safe: appends take an
 /// internal lock, so one journal is shared by the submit path and
 /// every worker.
+#[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    inner: Mutex<JournalInner>,
-}
-
-#[allow(clippy::missing_fields_in_debug)] // `inner` is a lock + raw file handle
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal").field("path", &self.path).finish()
-    }
+    log: Mutex<RecordLog<1>>,
 }
 
 impl Journal {
@@ -147,44 +155,13 @@ impl Journal {
     /// [`StoreError::Io`] on filesystem failures. Corruption is never
     /// an error here — it is reported in the [`JournalRecovery`].
     pub fn open(path: &Path) -> Result<(Self, JournalRecovery), StoreError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| StoreError::io(format!("create {}", parent.display()), &e))?;
-            }
-        }
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut file) => {
-                file.read_to_end(&mut bytes)
-                    .map_err(|e| StoreError::io(format!("read {}", path.display()), &e))?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::io(format!("open {}", path.display()), &e)),
-        }
-        let (recovery, valid_len) = replay(&bytes);
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(format!("open {} for append", path.display()), &e))?;
-        if valid_len < bytes.len() as u64 {
-            file.set_len(valid_len)
-                .map_err(|e| StoreError::io("trim torn journal tail", &e))?;
-        }
-        Ok((
-            Journal {
-                path: path.to_owned(),
-                inner: Mutex::new(JournalInner { file }),
-            },
-            recovery,
-        ))
-    }
-
-    /// The journal's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        let mut recovery = JournalRecovery::default();
+        let (log, report) = RecordLog::open(path, MAGIC, |[payload]| recovery.apply(payload))?;
+        recovery.truncated_bytes = report.truncated_bytes;
+        recovery.skipped = report.skipped;
+        recovery.orphans.sort_by_key(|admit| admit.id);
+        let log = Mutex::new(log);
+        Ok((Journal { log }, recovery))
     }
 
     /// Appends (and flushes) one admit record. The caller must not
@@ -195,7 +172,7 @@ impl Journal {
     /// [`StoreError::Io`] when the append fails;
     /// [`StoreError::Poisoned`] when the file lock was poisoned.
     pub fn append_admit(&self, admit: &AdmitRecord) -> Result<(), StoreError> {
-        self.append_payload(&admit.to_json())
+        self.append(&admit.to_json())
     }
 
     /// Appends (and flushes) one tombstone for a published outcome.
@@ -208,20 +185,11 @@ impl Journal {
         let doc = JsonValue::object()
             .with("kind", JsonValue::Str("tombstone".to_owned()))
             .with("id", JsonValue::UInt(id));
-        self.append_payload(&doc)
+        self.append(&doc)
     }
 
-    fn append_payload(&self, doc: &JsonValue) -> Result<(), StoreError> {
-        let record = encode_record(&doc.render().into_bytes());
-        let mut inner = self
-            .inner
-            .lock()
-            .map_err(|_| StoreError::poisoned("journal file lock"))?;
-        inner
-            .file
-            .write_all(&record)
-            .and_then(|()| inner.file.flush())
-            .map_err(|e| StoreError::io("append journal record", &e))
+    fn append(&self, doc: &JsonValue) -> Result<(), StoreError> {
+        self.lock()?.append([doc.render().as_bytes()])
     }
 
     /// Rewrites the log to contain exactly `live` (the admits still
@@ -235,123 +203,27 @@ impl Journal {
     /// [`StoreError::Io`] when the rewrite fails;
     /// [`StoreError::Poisoned`] when the file lock was poisoned.
     pub fn compact(&self, live: &[AdmitRecord]) -> Result<(), StoreError> {
-        let mut inner = self
-            .inner
+        let payloads: Vec<String> = live.iter().map(|admit| admit.to_json().render()).collect();
+        self.lock()?
+            .rewrite(payloads.iter().map(|payload| [payload.as_bytes()]))
+    }
+
+    fn lock(&self) -> Result<MutexGuard<'_, RecordLog<1>>, StoreError> {
+        self.log
             .lock()
-            .map_err(|_| StoreError::poisoned("journal file lock"))?;
-        let tmp = self.path.with_extension("compact");
-        {
-            let mut out = File::create(&tmp)
-                .map_err(|e| StoreError::io(format!("create {}", tmp.display()), &e))?;
-            for admit in live {
-                out.write_all(&encode_record(&admit.to_json().render().into_bytes()))
-                    .map_err(|e| StoreError::io("write compacted journal", &e))?;
-            }
-            out.flush()
-                .map_err(|e| StoreError::io("flush compacted journal", &e))?;
-        }
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| StoreError::io(format!("rename {} over journal", tmp.display()), &e))?;
-        inner.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| StoreError::io("reopen compacted journal", &e))?;
-        Ok(())
+            .map_err(|_| StoreError::poisoned("journal file lock"))
     }
-}
-
-/// Serializes one journal record.
-fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out
-}
-
-/// FNV-1a over the payload bytes (same parameters as the store).
-fn checksum(payload: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in payload {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Replays the journal bytes into a [`JournalRecovery`] and the byte
-/// length of the retained prefix. Never fails: corruption is counted,
-/// not raised.
-fn replay(bytes: &[u8]) -> (JournalRecovery, u64) {
-    let mut recovery = JournalRecovery::default();
-    let mut orphans: Vec<AdmitRecord> = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 8 {
-            break; // truncated header: a crash landed mid-append
-        }
-        let magic = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let payload_len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if magic != MAGIC || payload_len > MAX_PAYLOAD_LEN {
-            break; // framing lost: everything from here is unreadable
-        }
-        let body_len = 8 + payload_len as usize + 8;
-        if rest.len() < body_len {
-            break; // truncated body
-        }
-        let payload = &rest[8..8 + payload_len as usize];
-        let stored_sum =
-            u64::from_le_bytes(rest[body_len - 8..body_len].try_into().unwrap_or([0u8; 8]));
-        offset += body_len;
-        if stored_sum != checksum(payload) {
-            recovery.skipped += 1;
-            continue; // complete but corrupt: framing is intact, skip it
-        }
-        let Some(doc) = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| json::parse(text).ok())
-        else {
-            recovery.skipped += 1;
-            continue;
-        };
-        match doc.get("kind").and_then(JsonValue::as_str) {
-            Some("admit") => match AdmitRecord::from_json(&doc) {
-                Ok(admit) => {
-                    recovery.admits += 1;
-                    recovery.max_id = recovery.max_id.max(admit.id);
-                    orphans.push(admit);
-                }
-                Err(_) => recovery.skipped += 1,
-            },
-            Some("tombstone") => match doc.get("id").and_then(JsonValue::as_u64) {
-                Some(id) => {
-                    recovery.tombstones += 1;
-                    recovery.max_id = recovery.max_id.max(id);
-                    orphans.retain(|admit| admit.id != id);
-                }
-                None => recovery.skipped += 1,
-            },
-            _ => recovery.skipped += 1,
-        }
-    }
-    recovery.truncated_bytes = bytes.len() as u64 - offset as u64;
-    orphans.sort_by_key(|admit| admit.id);
-    recovery.orphans = orphans;
-    (recovery, offset as u64)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
+    use std::io::Write;
+
     use super::*;
     use crate::wire::FabricSpec;
 
-    fn temp_journal(tag: &str) -> PathBuf {
+    fn temp_journal(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "maeri-journal-unit-{}-{tag}.log",
             std::process::id()

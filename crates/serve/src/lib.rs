@@ -15,13 +15,16 @@
 //! * a `maeri-verify` pre-flight at admission: illegal mappings are
 //!   refused before they occupy a queue slot;
 //! * a crash-safe, content-addressed persistent result store
-//!   ([`store`]): an append-only log keyed by [`maeri_runtime::JobKey`]
-//!   that survives restarts, trims torn appends, and reports — never
-//!   panics on — corruption;
+//!   ([`store`]): an in-memory index over an append-only log keyed by
+//!   [`maeri_runtime::JobKey`] that survives restarts, trims torn
+//!   appends, and reports — never panics on — corruption;
 //! * a write-ahead admission journal ([`journal`]): every wire-level
-//!   submit is durably recorded before its ticket is returned, so
+//!   submit is written and flushed before its ticket is returned, so
 //!   [`service::Service::start`] can replay orphaned jobs after a
-//!   crash — an acknowledged job is never lost;
+//!   process crash — an acknowledged job is never lost. The store and
+//!   the journal share one record log (`crates/serve/src/log.rs`): one
+//!   framing, one replay, and one append path that refuses what replay
+//!   would drop;
 //! * per-request deadlines and a per-tenant circuit breaker: wedged
 //!   jobs become structured timeouts, and a tenant whose jobs keep
 //!   timing out is quarantined until a cooldown probe succeeds;
@@ -67,6 +70,7 @@
 pub mod chaos;
 pub mod journal;
 pub mod loadsim;
+mod log;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;

@@ -27,6 +27,9 @@ use maeri_telemetry::span::{SpanKind, SpanRecord};
 use crate::store::{ResultStore, StoredResult};
 use crate::traffic::Arrival;
 
+/// Virtual cost of answering a job from the store or cache, in µs.
+pub const HIT_COST_US: u64 = 25;
+
 /// Virtual-time queueing parameters.
 #[derive(Debug, Clone)]
 pub struct LoadScenario {
@@ -34,8 +37,6 @@ pub struct LoadScenario {
     pub virtual_workers: usize,
     /// Per-tenant in-flight bound; arrivals beyond it are rejected.
     pub per_tenant_depth: usize,
-    /// Virtual cost of answering from the store or cache, in µs.
-    pub hit_cost_us: u64,
 }
 
 impl Default for LoadScenario {
@@ -43,7 +44,6 @@ impl Default for LoadScenario {
         LoadScenario {
             virtual_workers: 4,
             per_tenant_depth: 64,
-            hit_cost_us: 25,
         }
     }
 }
@@ -232,7 +232,7 @@ fn replay(
         let hit = store.is_some_and(|s| s.get(&key).is_some()) || seen.contains(key.as_bytes());
         let (cost, dispatch_status) = if hit {
             outcome.hits += 1;
-            (scenario.hit_cost_us, "ok")
+            (HIT_COST_US, "ok")
         } else {
             let result = runtime.run_one(&job);
             if let Err(err) = &result {
@@ -342,7 +342,6 @@ mod tests {
         let scenario = LoadScenario {
             virtual_workers: 1,
             per_tenant_depth: 3,
-            hit_cost_us: 25,
         };
         let outcome = simulate(&traffic, &scenario, &Runtime::new(1), None);
         assert!(
@@ -364,7 +363,6 @@ mod tests {
         let scenario = LoadScenario {
             virtual_workers: 2,
             per_tenant_depth: 4,
-            hit_cost_us: 25,
         };
         let plain = simulate(&traffic, &scenario, &Runtime::new(1), None);
         let (traced, spans) = simulate_traced(&traffic, &scenario, &Runtime::new(1), None);

@@ -28,7 +28,7 @@
 //! them.
 
 use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +38,7 @@ use std::time::Instant;
 use maeri_telemetry::json;
 use maeri_telemetry::span::{chrome_trace, SpanRecord};
 
+use crate::log::open_append;
 use crate::store::StoreError;
 
 /// Flight-recorder tuning knobs.
@@ -87,26 +88,7 @@ impl FlightRecorder {
     ///
     /// [`StoreError::Io`] when the span log cannot be opened.
     pub fn open(config: &RecorderConfig) -> Result<FlightRecorder, StoreError> {
-        let log = match &config.span_log {
-            Some(path) => {
-                if let Some(parent) = path.parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent).map_err(|err| StoreError::Io {
-                            context: format!("creating span log directory: {err}"),
-                        })?;
-                    }
-                }
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|err| StoreError::Io {
-                        context: format!("opening span log {}: {err}", path.display()),
-                    })?;
-                Some(file)
-            }
-            None => None,
-        };
+        let log = config.span_log.as_deref().map(open_append).transpose()?;
         Ok(FlightRecorder {
             inner: Mutex::new(RecorderInner {
                 ring: VecDeque::with_capacity(config.capacity.max(1)),
@@ -293,6 +275,8 @@ pub fn read_postmortem(path: &Path) -> Result<Postmortem, StoreError> {
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
+
     use super::*;
     use maeri_telemetry::span::SpanKind;
 

@@ -50,6 +50,11 @@ use crate::registry::{MetricsRegistry, SloTracker};
 use crate::store::{ResultStore, StoreError, StoredResult};
 use crate::wire::JobSpec;
 
+/// How long [`Service::shutdown`] (and `Drop`) waits for queued jobs
+/// to finish before abandoning them. Abandoned journaled jobs are
+/// re-run by the next [`Service::start`] on the same journal.
+pub const CLOSE_GRACE: Duration = Duration::from_secs(5);
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -63,10 +68,6 @@ pub struct ServeConfig {
     /// Write-ahead admission journal path; `None` disables journaling
     /// (and with it crash-safe replay) at zero overhead.
     pub journal_path: Option<std::path::PathBuf>,
-    /// How long [`Service::shutdown`] (and `Drop`) waits for queued
-    /// jobs to finish before abandoning them. Abandoned journaled jobs
-    /// are re-run by the next [`Service::start`] on the same journal.
-    pub close_grace: Duration,
     /// Consecutive per-tenant timeouts that open the circuit breaker;
     /// `0` disables the breaker.
     pub breaker_threshold: u32,
@@ -89,7 +90,6 @@ impl Default for ServeConfig {
             per_tenant_depth: 64,
             store_path: None,
             journal_path: None,
-            close_grace: Duration::from_secs(5),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(500),
             recorder: std::env::var_os("MAERI_TRACE")
@@ -318,9 +318,9 @@ fn us(d: Duration) -> u64 {
 /// The batch-inference simulation service.
 ///
 /// Dropping the service shuts it down: workers finish in-flight jobs
-/// up to [`ServeConfig::close_grace`], anything still queued past the
-/// grace is abandoned (and, when journaled, re-run by the next start),
-/// and threads are joined.
+/// up to [`CLOSE_GRACE`], anything still queued past the grace is
+/// abandoned (and, when journaled, re-run by the next start), and
+/// threads are joined.
 pub struct Service {
     shared: Arc<Shared>,
     next_id: AtomicU64,
@@ -523,11 +523,11 @@ impl Service {
     }
 
     /// Submits one wire-level job spec for `tenant`, journaled: the
-    /// admit record is durably appended *before* the id is returned,
-    /// so an acknowledged job survives a crash (store fast-path hits
-    /// complete at admission and need no journal entry). An optional
-    /// `deadline_ms` is enforced by the runtime watchdog and preserved
-    /// across replay.
+    /// admit record is appended and flushed *before* the id is
+    /// returned, so an acknowledged job survives a process crash (store
+    /// fast-path hits complete at admission and need no journal entry).
+    /// An optional `deadline_ms` is enforced by the runtime watchdog and
+    /// preserved across replay.
     ///
     /// # Errors
     ///
@@ -903,12 +903,12 @@ impl Service {
         reg.render()
     }
 
-    /// Stops accepting work, waits up to [`ServeConfig::close_grace`]
-    /// for queued and running jobs to finish, abandons whatever is
-    /// still queued past the grace (journaled jobs are re-run by the
-    /// next start), and joins the workers.
+    /// Stops accepting work, waits up to [`CLOSE_GRACE`] for queued and
+    /// running jobs to finish, abandons whatever is still queued past
+    /// the grace (journaled jobs are re-run by the next start), and
+    /// joins the workers.
     pub fn shutdown(&self) {
-        self.shutdown_with_grace(self.config.close_grace);
+        self.shutdown_with_grace(CLOSE_GRACE);
     }
 
     /// Shuts down with **zero** grace, like a crash with joined
@@ -1308,8 +1308,8 @@ mod tests {
             );
         }
 
-        // Graceful: the default close_grace comfortably covers this
-        // backlog, so Drop/shutdown completes everything.
+        // Graceful: CLOSE_GRACE comfortably covers this backlog, so
+        // Drop/shutdown completes everything.
         let svc = service(1, 16);
         let ids: Vec<u64> = (0..3)
             .map(|i| svc.submit("t0", SimJob::wedge(5 + i)).unwrap())

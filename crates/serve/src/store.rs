@@ -1,47 +1,26 @@
-//! Crash-safe persistent result store: an append-only on-disk log with
-//! an in-memory index, keyed by the runtime's content-hash [`JobKey`].
+//! Crash-safe persistent result store: an in-memory index over an
+//! append-only log, keyed by the runtime's content-hash [`JobKey`].
 //!
-//! The log survives process restarts: reopening replays every complete
-//! entry into the index, so a warm-restarted service answers repeated
-//! requests without re-simulating. The format is deliberately boring —
-//! framed records with a checksum, no compaction, no mmap:
-//!
-//! ```text
-//! entry := magic:u32le  key_len:u32le  payload_len:u32le
-//!          key bytes    payload bytes (canonical JSON)
-//!          checksum:u64le   (FNV-1a over key bytes ++ payload bytes)
-//! ```
-//!
-//! Recovery policy, exercised by `tests/store_recovery.rs`:
-//!
-//! * a **truncated tail** (the process died mid-append) is detected,
-//!   reported, and trimmed so the next append lands on a clean frame;
-//! * a **corrupted entry** whose framing is intact (checksum mismatch,
-//!   unparseable payload) is *skipped* using its length fields and
-//!   counted in the [`RecoveryReport`] — one flipped byte costs one
-//!   entry, not the log;
-//! * an entry whose **framing itself is implausible** (bad magic,
-//!   absurd lengths) means the frame boundaries are lost: the log is
-//!   truncated from that offset and the bytes are counted as torn.
-//!
-//! Nothing in recovery panics, errors out, or silently serves bad
-//! data; the report is surfaced through the service's `stats` verb.
+//! Reopening replays every entry into the index, so a warm-restarted
+//! service answers repeated requests without re-simulating. An entry is
+//! a two-field record of the record log in `crates/serve/src/log.rs`
+//! under the magic word `"MAER"`: the key, then the result as canonical
+//! JSON. That module owns the framing and the recovery policy: torn
+//! tails are trimmed, corrupt entries are skipped and counted, and
+//! nothing panics or serves bad data. What recovery found is the
+//! [`RecoveryReport`], surfaced through the service's `stats` verb.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use maeri_runtime::{JobKey, JobResult, SimOutput};
 use maeri_telemetry::json::{self, JsonValue};
 
+use crate::log::RecordLog;
+
 /// Magic word opening every log entry (`"MAER"` little-endian).
 const MAGIC: u32 = 0x5245_414D;
-
-/// Upper bound on key/payload sizes; a length field above this is
-/// treated as corruption rather than an allocation request.
-const MAX_FIELD_LEN: u32 = 16 * 1024 * 1024;
 
 /// A store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,16 +188,15 @@ fn output_cycles(output: &SimOutput) -> u64 {
 }
 
 struct StoreInner {
-    file: File,
+    log: RecordLog<2>,
     index: BTreeMap<Vec<u8>, StoredResult>,
 }
 
 /// The content-addressed persistent result store.
 ///
-/// Thread-safe: `put`/`get` take an internal lock, so one store can be
-/// shared by every service worker.
+/// Thread-safe: `put`/`get` take one lock over the index and the log,
+/// so one store can be shared by every service worker.
 pub struct ResultStore {
-    path: PathBuf,
     inner: Mutex<StoreInner>,
 }
 
@@ -226,7 +204,6 @@ pub struct ResultStore {
 impl std::fmt::Debug for ResultStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultStore")
-            .field("path", &self.path)
             .field("entries", &self.len())
             .finish()
     }
@@ -243,52 +220,20 @@ impl ResultStore {
     /// [`StoreError::Io`] on filesystem failures. Corruption is never
     /// an error: it is counted in the [`RecoveryReport`].
     pub fn open(path: &Path) -> Result<(Self, RecoveryReport), StoreError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| StoreError::io(format!("create {}", parent.display()), &e))?;
-            }
-        }
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut file) => {
-                file.read_to_end(&mut bytes)
-                    .map_err(|e| StoreError::io(format!("read {}", path.display()), &e))?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::io(format!("open {}", path.display()), &e)),
-        }
-        let (index, valid_len, entries, skipped) = replay(&bytes);
-        let truncated = bytes.len() as u64 - valid_len;
-        // Append mode: every write lands at end-of-file, so the log
-        // can never overwrite a replayed entry.
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(format!("open {} for append", path.display()), &e))?;
-        if truncated > 0 {
-            file.set_len(valid_len)
-                .map_err(|e| StoreError::io("trim truncated tail", &e))?;
-        }
-        let store = ResultStore {
-            path: path.to_owned(),
-            inner: Mutex::new(StoreInner { file, index }),
-        };
-        Ok((
-            store,
-            RecoveryReport {
-                entries,
-                truncated_bytes: truncated,
-                skipped,
-            },
-        ))
-    }
-
-    /// The log's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        let mut index = BTreeMap::new();
+        let (log, report) = RecordLog::open(path, MAGIC, |[key, payload]| {
+            let parsed = std::str::from_utf8(payload)
+                .ok()
+                .and_then(|text| json::parse(text).ok())
+                .and_then(|doc| StoredResult::from_json(&doc).ok());
+            let Some(result) = parsed else {
+                return false;
+            };
+            index.insert(key.to_vec(), result);
+            true
+        })?;
+        let inner = Mutex::new(StoreInner { log, index });
+        Ok((ResultStore { inner }, report))
     }
 
     /// Looks up a result by job key.
@@ -304,19 +249,17 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the append fails; the index is only
-    /// updated after the entry is durably written and flushed.
+    /// [`StoreError::Io`] when the append fails, or when the key is
+    /// empty or the result's JSON exceeds 16 MiB (replay could not read
+    /// such an entry back, so nothing is written). The index is only
+    /// updated after the entry is written and flushed.
     pub fn put(&self, key: &JobKey, result: &StoredResult) -> Result<bool, StoreError> {
         let mut inner = self.inner.lock().expect("store mutex poisoned");
         if inner.index.contains_key(key.as_bytes()) {
             return Ok(false);
         }
-        let entry = encode_entry(key.as_bytes(), result);
-        inner
-            .file
-            .write_all(&entry)
-            .and_then(|()| inner.file.flush())
-            .map_err(|e| StoreError::io("append entry", &e))?;
+        let payload = result.to_json().render().into_bytes();
+        inner.log.append([key.as_bytes(), &payload])?;
         inner.index.insert(key.as_bytes().to_vec(), result.clone());
         Ok(true)
     }
@@ -334,85 +277,6 @@ impl ResultStore {
     }
 }
 
-/// Serializes one log entry.
-fn encode_entry(key: &[u8], result: &StoredResult) -> Vec<u8> {
-    let payload = result.to_json().render().into_bytes();
-    let mut out = Vec::with_capacity(20 + key.len() + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(key.len()).unwrap_or(u32::MAX).to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(key);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(key, &payload).to_le_bytes());
-    out
-}
-
-/// FNV-1a over the key and payload bytes.
-fn checksum(key: &[u8], payload: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in key.iter().chain(payload) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Replays the log bytes: returns the rebuilt index, the byte length
-/// of the retained prefix, the entry count, and the skipped-entry
-/// count. A tail that ends mid-entry — or whose framing is no longer
-/// plausible — is treated as a crashed append and excluded from the
-/// retained prefix; a *complete* entry that fails validation is
-/// skipped over its intact framing and counted.
-#[allow(clippy::type_complexity)]
-fn replay(bytes: &[u8]) -> (BTreeMap<Vec<u8>, StoredResult>, u64, usize, usize) {
-    let mut index = BTreeMap::new();
-    let mut offset = 0usize;
-    let mut entries = 0usize;
-    let mut skipped = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 12 {
-            break; // truncated header
-        }
-        let magic = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let key_len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        let payload_len = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
-        if magic != MAGIC || key_len == 0 || key_len > MAX_FIELD_LEN || payload_len > MAX_FIELD_LEN
-        {
-            break; // framing lost: everything from here is unreadable
-        }
-        let body_len = 12 + key_len as usize + payload_len as usize + 8;
-        if rest.len() < body_len {
-            break; // truncated body
-        }
-        let key = &rest[12..12 + key_len as usize];
-        let payload = &rest[12 + key_len as usize..12 + key_len as usize + payload_len as usize];
-        let stored_sum =
-            u64::from_le_bytes(rest[body_len - 8..body_len].try_into().unwrap_or([0u8; 8]));
-        offset += body_len;
-        if stored_sum != checksum(key, payload) {
-            skipped += 1;
-            continue; // one flipped byte costs one entry, not the log
-        }
-        let parsed = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| json::parse(text).ok())
-            .and_then(|doc| StoredResult::from_json(&doc).ok());
-        match parsed {
-            Some(result) => {
-                index.insert(key.to_vec(), result);
-                entries += 1;
-            }
-            None => skipped += 1,
-        }
-    }
-    (index, offset as u64, entries, skipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,7 +292,7 @@ mod tests {
         }
     }
 
-    fn temp_log(tag: &str) -> PathBuf {
+    fn temp_log(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("maeri-store-unit-{}-{tag}.log", std::process::id()))
     }
 
@@ -457,29 +321,5 @@ mod tests {
         assert_eq!(parsed, original);
         assert!(!parsed.ok);
         assert_eq!(parsed.kind, "error");
-    }
-
-    #[test]
-    fn replay_treats_bad_magic_as_lost_framing() {
-        let bytes = [0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-        let (index, valid_len, entries, skipped) = replay(&bytes);
-        assert!(index.is_empty());
-        assert_eq!(valid_len, 0, "nothing after lost framing is retained");
-        assert_eq!(entries, 0);
-        assert_eq!(skipped, 0);
-    }
-
-    #[test]
-    fn replay_skips_a_checksum_mismatch_over_intact_framing() {
-        let mut bytes = encode_entry(b"key-a", &sample("a"));
-        let tail = encode_entry(b"key-b", &sample("b"));
-        let flip_at = 12 + 2; // inside the first entry's key bytes
-        bytes[flip_at] ^= 0xff;
-        bytes.extend_from_slice(&tail);
-        let (index, valid_len, entries, skipped) = replay(&bytes);
-        assert_eq!(skipped, 1);
-        assert_eq!(entries, 1, "the entry after the corrupt one replays");
-        assert_eq!(valid_len, bytes.len() as u64);
-        assert_eq!(index.get(&b"key-b"[..]).unwrap().label, "b");
     }
 }

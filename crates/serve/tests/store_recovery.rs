@@ -6,7 +6,9 @@
 //! * a corrupted complete entry is *skipped and reported* — never a
 //!   panic, never silently served, and never fatal to its neighbours;
 //! * lost framing (garbage where a header should be) truncates the
-//!   rest of the log and is counted as torn bytes.
+//!   rest of the log and is counted as torn bytes;
+//! * an entry replay could not read back (an empty key, a result over
+//!   16 MiB) is refused at `put`, so it never costs its neighbours.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Write};
@@ -161,5 +163,31 @@ fn garbage_prefix_truncates_as_lost_framing() {
     let (_, report) = ResultStore::open(&path).expect("reopen");
     assert_eq!(report.entries, 1);
     assert_eq!(report.truncated_bytes, 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn unreadable_entries_are_refused_and_their_neighbours_survive() {
+    let path = temp_log("refused");
+    {
+        let (store, _) = ResultStore::open(&path).expect("fresh open");
+        store.put(&key(1), &result("before", 1)).expect("append");
+        let empty_key = JobKey::from_bytes(Vec::new());
+        assert!(store.put(&empty_key, &result("empty", 2)).is_err());
+        let huge = StoredResult {
+            detail: "x".repeat(16 * 1024 * 1024),
+            ..result("huge", 3)
+        };
+        assert!(store.put(&key(3), &huge).is_err(), "over 16 MiB");
+        store.put(&key(4), &result("after", 4)).expect("append");
+        assert_eq!(store.len(), 2);
+    }
+    let (store, report) = ResultStore::open(&path).expect("reopen");
+    assert_eq!(report.entries, 2, "both good entries replay");
+    assert_eq!(report.truncated_bytes, 0, "nothing unreadable was written");
+    assert_eq!(
+        store.get(&key(4)).expect("after the refusals").label,
+        "after"
+    );
     let _ = std::fs::remove_file(&path);
 }
