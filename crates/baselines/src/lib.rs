@@ -12,9 +12,7 @@
 //!   bus (Figures 13 and 14).
 //!
 //! All three reuse [`maeri::engine::RunStats`] so results are directly
-//! comparable with the MAERI mappers, and all three answer the uniform
-//! [`cost::CostModel`] interface (`cost(layer) -> {cycles, energy}`)
-//! the fleet scheduler consumes.
+//! comparable with the MAERI mappers.
 //!
 //! # Example
 //!
@@ -34,11 +32,9 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod cost;
 pub mod row_stationary;
 pub mod systolic;
 
 pub use cluster::FixedClusterArray;
-pub use cost::{CostModel, LayerCost};
 pub use row_stationary::RowStationary;
 pub use systolic::SystolicArray;

@@ -66,6 +66,19 @@ mod tests {
     }
 
     #[test]
+    fn every_report_has_a_binary() {
+        // CI checks each `src/bin/` report at one and four workers, so a
+        // report without a binary would escape that check.
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for (_, name, _) in REPORTS {
+            assert!(
+                bins.join(format!("{name}.rs")).is_file(),
+                "report {name} has no src/bin/{name}.rs"
+            );
+        }
+    }
+
+    #[test]
     fn report_ids_are_unique_and_contiguous() {
         for (position, (id, name, _)) in REPORTS.iter().enumerate() {
             assert_eq!(

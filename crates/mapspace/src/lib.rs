@@ -25,7 +25,7 @@
 //! byte-stable across runs and worker counts. `maeri-runtime` wraps
 //! [`search`] in its `SimJob::MapSearch` variant so whole-network
 //! tuning fans out across the worker pool with content-hash caching
-//! and retry hardening for free.
+//! and panic isolation for free.
 //!
 //! ```
 //! use maeri::MaeriConfig;

@@ -12,21 +12,22 @@
 //!   bounded queue with graceful shutdown and **panic isolation**: a
 //!   panicking job is reported as a failed [`JobResult`], never a
 //!   crashed process;
-//! * every attempt runs under a [`RetryPolicy`]: transient failures
-//!   (panics, timeouts) are retried with bounded doubling backoff,
-//!   and a wedged job is abandoned by a watchdog as
-//!   [`JobError::TimedOut`] instead of hanging the pool;
+//! * every job runs exactly once: jobs are pure, so re-running a
+//!   failure would only reproduce it. A per-request deadline
+//!   ([`Runtime::run_one_with_deadline`]) runs the job on a watchdog
+//!   thread and abandons it past the deadline as
+//!   [`JobError::TimedOut`] instead of hanging the caller;
 //! * a deterministic in-memory cache keyed by a content hash of the job
 //!   ([`JobKey`]) computes identical points once, across batches and
 //!   across callers sharing a [`Runtime`];
 //! * [`RuntimeMetrics`] counts jobs submitted/executed/failed, cache
-//!   hits, the queue high-water mark, and per-phase wall time;
+//!   hits, timeouts, the queue high-water mark, and the wall time of
+//!   each named batch or noted phase;
 //! * the traced entry point
-//!   [`Runtime::run_one_traced_with_deadline`] additionally returns a
-//!   [`DispatchTrace`] — cache-hit flag plus one classified
-//!   [`AttemptRecord`] per supervised attempt — so the serving layer's
-//!   flight recorder can show retries, timeouts, and panics instead of
-//!   a single opaque dispatch interval.
+//!   [`Runtime::run_one_traced_with_deadline`] additionally returns how
+//!   long an executed job ran (`None` for a cache hit), so the serving
+//!   layer's flight recorder can draw one classified
+//!   ([`AttemptOutcome`]) attempt span per executed dispatch.
 //!
 //! Determinism is a hard guarantee: [`Runtime::run_batch`] returns
 //! results **ordered by job index, never by completion order**, and
@@ -69,5 +70,5 @@ pub use cache::{CacheStats, ResultCache};
 pub use job::{Fidelity, JobKey, SimJob};
 pub use metrics::{MetricsSnapshot, PhaseStats, RuntimeMetrics};
 pub use output::{canonical_result_text, JobError, JobResult, SimOutput, TelemetryRun};
-pub use runtime::{DispatchTrace, Runtime};
-pub use supervise::{AttemptOutcome, AttemptRecord, RetryPolicy};
+pub use runtime::Runtime;
+pub use supervise::AttemptOutcome;

@@ -31,9 +31,7 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Jobs answered without executing (cache or in-batch dedup).
     pub cache_hits: u64,
-    /// Extra attempts spent re-running transiently-failed jobs.
-    pub retries: u64,
-    /// Attempts abandoned by the per-job timeout watchdog.
+    /// Jobs abandoned past their per-request deadline.
     pub timeouts: u64,
     /// Highest number of jobs simultaneously in flight on the queue.
     pub queue_high_water: usize,
@@ -80,12 +78,8 @@ impl MetricsSnapshot {
             "  jobs: {} submitted, {} executed, {} failed, {} cache hits",
             self.submitted, self.executed, self.failed, self.cache_hits
         );
-        if self.retries > 0 || self.timeouts > 0 {
-            let _ = writeln!(
-                out,
-                "  hardening: {} retries, {} timeouts",
-                self.retries, self.timeouts
-            );
+        if self.timeouts > 0 {
+            let _ = writeln!(out, "  timeouts: {}", self.timeouts);
         }
         let _ = writeln!(
             out,
@@ -150,7 +144,6 @@ impl MetricsSnapshot {
             .with("executed", JsonValue::UInt(self.executed))
             .with("failed", JsonValue::UInt(self.failed))
             .with("cache_hits", JsonValue::UInt(self.cache_hits))
-            .with("retries", JsonValue::UInt(self.retries))
             .with("timeouts", JsonValue::UInt(self.timeouts))
             .with(
                 "queue_high_water",
@@ -189,7 +182,6 @@ pub struct RuntimeMetrics {
     executed: AtomicU64,
     failed: AtomicU64,
     cache_hits: AtomicU64,
-    retries: AtomicU64,
     timeouts: AtomicU64,
     telemetry_runs: AtomicU64,
     telemetry_events: AtomicU64,
@@ -227,12 +219,7 @@ impl RuntimeMetrics {
         self.cache_hits.fetch_add(count as u64, Ordering::Relaxed);
     }
 
-    /// Counts one extra attempt spent on a transiently-failed job.
-    pub(crate) fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one attempt abandoned by the timeout watchdog.
+    /// Counts one job abandoned by the deadline watchdog.
     pub(crate) fn record_timeout(&self) {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
     }
@@ -292,7 +279,6 @@ impl RuntimeMetrics {
             executed: self.executed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
             telemetry_runs: self.telemetry_runs.load(Ordering::Relaxed),
@@ -397,14 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn hardening_line_appears_only_when_something_happened() {
+    fn timeouts_line_appears_only_after_a_timeout() {
         let metrics = RuntimeMetrics::new();
-        assert!(!metrics.snapshot().render().contains("hardening"));
-        metrics.record_retry();
+        assert!(!metrics.snapshot().render().contains("timeouts"));
         metrics.record_timeout();
         let snap = metrics.snapshot();
-        assert_eq!(snap.retries, 1);
         assert_eq!(snap.timeouts, 1);
-        assert!(snap.render().contains("hardening: 1 retries, 1 timeouts"));
+        assert!(snap.render().contains("  timeouts: 1\n"));
     }
 }

@@ -206,8 +206,8 @@ pub enum JobError {
     InvalidMapping(String),
     /// The job panicked; the worker caught it and kept serving.
     Panicked(String),
-    /// The job exceeded its per-attempt wall-clock budget; the watchdog
-    /// abandoned it and the worker kept serving.
+    /// The job ran past its per-request deadline; the watchdog
+    /// abandoned it and the caller kept serving.
     TimedOut(String),
 }
 
@@ -216,9 +216,10 @@ impl JobError {
     /// execution (environment, scheduling, stack exhaustion) rather
     /// than of the job description.
     ///
-    /// Transient failures are worth retrying and must never be cached;
+    /// Transient failures are kept out of the result cache (and the
+    /// serving layer's store), so a later request runs the job again;
     /// a deterministic [`JobError::Sim`] rejection would only reproduce
-    /// itself, so it is cached and never retried.
+    /// itself, so it is cached.
     #[must_use]
     pub fn is_transient(&self) -> bool {
         match self {

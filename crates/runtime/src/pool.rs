@@ -8,7 +8,6 @@ use std::thread::JoinHandle;
 use crate::job::SimJob;
 use crate::metrics::RuntimeMetrics;
 use crate::output::{JobError, JobResult};
-use crate::supervise::RetryPolicy;
 
 /// One unit of queued work: the job plus the ticket that routes its
 /// result back to the submitting batch.
@@ -24,10 +23,6 @@ struct Task {
 ///   waiting, so a huge batch cannot balloon memory.
 /// * **Panic isolation** — each job runs under `catch_unwind`; a panic
 ///   becomes [`JobError::Panicked`] and the worker keeps serving.
-/// * **Supervision** — each job runs under the pool's [`RetryPolicy`]:
-///   transient failures are retried with backoff and wedged attempts
-///   are abandoned as [`JobError::TimedOut`] instead of hanging the
-///   worker (see [`crate::supervise`]).
 /// * **Graceful shutdown** — dropping the pool closes the queue, lets
 ///   every in-flight job finish, and joins all workers.
 pub(crate) struct WorkerPool {
@@ -43,7 +38,6 @@ impl WorkerPool {
         num_workers: usize,
         queue_depth: usize,
         metrics: &Arc<RuntimeMetrics>,
-        policy: RetryPolicy,
     ) -> Self {
         let num_workers = num_workers.max(1);
         let (queue, task_rx) = sync_channel::<Task>(queue_depth.max(1));
@@ -54,7 +48,7 @@ impl WorkerPool {
                 let metrics = Arc::clone(metrics);
                 std::thread::Builder::new()
                     .name(format!("maeri-worker-{index}"))
-                    .spawn(move || worker_loop(&task_rx, &metrics, policy))
+                    .spawn(move || worker_loop(&task_rx, &metrics))
                     .expect("failed to spawn simulation worker")
             })
             .collect();
@@ -94,7 +88,7 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(task_rx: &Mutex<Receiver<Task>>, metrics: &RuntimeMetrics, policy: RetryPolicy) {
+fn worker_loop(task_rx: &Mutex<Receiver<Task>>, metrics: &RuntimeMetrics) {
     loop {
         // Hold the lock only to dequeue, never while executing.
         let task = match task_rx.lock() {
@@ -104,8 +98,8 @@ fn worker_loop(task_rx: &Mutex<Receiver<Task>>, metrics: &RuntimeMetrics, policy
         let Ok(Task { ticket, job, reply }) = task else {
             return; // queue closed: graceful shutdown
         };
-        // The supervisor records per-attempt executed/failed counts.
-        let result = crate::supervise::execute_supervised(&job, &policy, metrics);
+        // `execute` records the executed/failed counts.
+        let result = crate::supervise::execute(&job, None, metrics);
         metrics.job_drained();
         // The batch may have been abandoned (receiver dropped); that is
         // not the worker's problem.
@@ -139,10 +133,7 @@ mod tests {
 
     fn pool(workers: usize) -> (WorkerPool, Arc<RuntimeMetrics>) {
         let metrics = Arc::new(RuntimeMetrics::new());
-        (
-            WorkerPool::new(workers, 8, &metrics, RetryPolicy::default()),
-            metrics,
-        )
+        (WorkerPool::new(workers, 8, &metrics), metrics)
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use maeri::{MaeriConfig, VnPolicy};
 use maeri_dnn::zoo::Model;
@@ -14,22 +14,6 @@ use crate::job::{JobKey, SimJob};
 use crate::metrics::{MetricsSnapshot, PhaseStats, RuntimeMetrics};
 use crate::output::{JobResult, SimOutput};
 use crate::pool::WorkerPool;
-use crate::supervise::{AttemptRecord, RetryPolicy};
-
-/// Everything the serving layer needs to attribute one dispatch after
-/// the fact: whether the cache answered, and — for real executions —
-/// the timing and classification of every supervised attempt (see
-/// [`AttemptRecord`]). Produced by
-/// [`Runtime::run_one_traced_with_deadline`]; the untraced entry
-/// points never build one.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DispatchTrace {
-    /// The cache answered; no attempt ran.
-    pub cache_hit: bool,
-    /// Per-attempt records in execution order, offsets measured from
-    /// dispatch start. Empty for cache hits.
-    pub attempts: Vec<AttemptRecord>,
-}
 
 /// Environment variable overriding the global runtime's worker count.
 pub const WORKERS_ENV: &str = "MAERI_RUNTIME_WORKERS";
@@ -47,37 +31,20 @@ pub struct Runtime {
     pool: WorkerPool,
     cache: ResultCache,
     metrics: Arc<RuntimeMetrics>,
-    policy: RetryPolicy,
 }
 
 impl Runtime {
-    /// Creates a runtime with `workers` worker threads (minimum 1), a
-    /// default job-queue depth of four tasks per worker, and the
-    /// default (single-attempt, no-watchdog) [`RetryPolicy`].
+    /// Creates a runtime with `workers` worker threads (minimum 1) and a
+    /// job queue of four tasks per worker; submission blocks beyond
+    /// that. Every job runs once, under panic isolation.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        Self::with_policy(workers, RetryPolicy::default())
-    }
-
-    /// Creates a runtime whose workers supervise every job under
-    /// `policy`: bounded retries for transient failures and an optional
-    /// per-attempt timeout watchdog (see [`RetryPolicy`]). The job queue
-    /// holds four tasks per worker; submission blocks beyond that.
-    #[must_use]
-    pub fn with_policy(workers: usize, policy: RetryPolicy) -> Self {
         let metrics = Arc::new(RuntimeMetrics::new());
         Runtime {
-            pool: WorkerPool::new(workers, workers.max(1) * 4, &metrics, policy),
+            pool: WorkerPool::new(workers, workers.max(1) * 4, &metrics),
             cache: ResultCache::new(),
             metrics,
-            policy,
         }
-    }
-
-    /// The supervision policy every job runs under.
-    #[must_use]
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// The process-wide shared runtime. Sized from the
@@ -119,76 +86,49 @@ impl Runtime {
         self.cache.stats()
     }
 
-    /// Runs one job (through the cache, but on the calling thread).
+    /// Runs one job through the cache, on the calling thread. Unlike a
+    /// batch, it adds no entry to the phase log.
     pub fn run_one(&self, job: &SimJob) -> JobResult {
         self.run_one_with_deadline(job, None)
     }
 
-    /// Runs one job under a per-request deadline: the runtime's
-    /// [`RetryPolicy`] is applied as usual, but each attempt's watchdog
-    /// budget is clamped to `deadline` (a policy without a watchdog
-    /// gains one for this job only). Past the deadline the attempt is
-    /// abandoned and reported as [`crate::JobError::TimedOut`] — a
-    /// transient error, so it is never cached. `None` behaves exactly
-    /// like [`Runtime::run_one`].
-    pub fn run_one_with_deadline(
-        &self,
-        job: &SimJob,
-        deadline: Option<std::time::Duration>,
-    ) -> JobResult {
-        self.run_one_inner(job, deadline, &mut None).0
+    /// Runs one job under a per-request deadline. Past the deadline the
+    /// job is abandoned on its watchdog thread and reported as
+    /// [`crate::JobError::TimedOut`] — a transient error, so it is never
+    /// cached. `None` behaves exactly like [`Runtime::run_one`].
+    pub fn run_one_with_deadline(&self, job: &SimJob, deadline: Option<Duration>) -> JobResult {
+        self.run_one_inner(job, deadline, false).0
     }
 
-    /// [`Runtime::run_one_with_deadline`], additionally returning a
-    /// [`DispatchTrace`] with per-attempt timing and classification.
-    /// The result (and every counter side effect) is identical to the
-    /// untraced call; only the trace is extra.
+    /// [`Runtime::run_one_with_deadline`], additionally returning how
+    /// long the job ran, or `None` when the cache answered. The result
+    /// (and every counter side effect) is identical to the untimed call.
     pub fn run_one_traced_with_deadline(
         &self,
         job: &SimJob,
-        deadline: Option<std::time::Duration>,
-    ) -> (JobResult, DispatchTrace) {
-        let mut attempts = Some(Vec::new());
-        let (result, cache_hit) = self.run_one_inner(job, deadline, &mut attempts);
-        (
-            result,
-            DispatchTrace {
-                cache_hit,
-                attempts: attempts.unwrap_or_default(),
-            },
-        )
+        deadline: Option<Duration>,
+    ) -> (JobResult, Option<Duration>) {
+        self.run_one_inner(job, deadline, true)
     }
 
     fn run_one_inner(
         &self,
         job: &SimJob,
-        deadline: Option<std::time::Duration>,
-        attempts: &mut Option<Vec<AttemptRecord>>,
-    ) -> (JobResult, bool) {
-        let start = Instant::now();
+        deadline: Option<Duration>,
+        timed: bool,
+    ) -> (JobResult, Option<Duration>) {
         let key = job.key();
         self.metrics.record_submitted(1);
-        let mut policy = self.policy;
-        if let Some(limit) = deadline {
-            policy.timeout = Some(policy.timeout.map_or(limit, |t| t.min(limit)));
-        }
-        let (result, hit) = if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(&key) {
             self.metrics.record_cache_hits(1);
-            (hit, true)
-        } else {
-            // The supervisor records per-attempt executed/failed counts.
-            let result = crate::supervise::execute_traced(job, &policy, &self.metrics, attempts);
-            self.record_telemetry(&result);
-            self.cache.insert(key, result.clone());
-            (result, false)
-        };
-        self.metrics.record_phase(PhaseStats {
-            name: job.label(),
-            jobs: 1,
-            cache_hits: usize::from(hit),
-            wall: start.elapsed(),
-        });
-        (result, hit)
+            return (hit, None);
+        }
+        let start = timed.then(Instant::now);
+        let result = crate::supervise::execute(job, deadline, &self.metrics);
+        let ran = start.map(|start| start.elapsed());
+        self.record_telemetry(&result);
+        self.cache.insert(key, result.clone());
+        (result, ran)
     }
 
     /// Appends an externally-measured phase to the metrics phase log —
@@ -414,10 +354,8 @@ mod tests {
     #[test]
     fn deadline_turns_a_wedged_job_into_a_timeout() {
         let runtime = Runtime::new(1);
-        let result = runtime.run_one_with_deadline(
-            &SimJob::wedge(5_000),
-            Some(std::time::Duration::from_millis(20)),
-        );
+        let result =
+            runtime.run_one_with_deadline(&SimJob::wedge(5_000), Some(Duration::from_millis(20)));
         assert!(matches!(result, Err(crate::JobError::TimedOut(_))));
         // The timeout is transient: it must not be cached, so a
         // deadline-free re-run executes the job for real.
@@ -426,18 +364,30 @@ mod tests {
     }
 
     #[test]
-    fn deadline_clamps_but_never_extends_the_policy_watchdog() {
-        let policy = RetryPolicy::default().with_timeout(std::time::Duration::from_millis(20));
-        let runtime = Runtime::with_policy(1, policy);
-        // A generous per-request deadline must not loosen the policy's
-        // own 20 ms watchdog.
-        let start = Instant::now();
-        let result = runtime.run_one_with_deadline(
-            &SimJob::wedge(5_000),
-            Some(std::time::Duration::from_secs(30)),
+    fn run_one_leaves_the_phase_log_empty() {
+        let runtime = Runtime::new(1);
+        let job = SimJob::dense_conv(MaeriConfig::paper_64(), layer("solo"), VnPolicy::Auto);
+        let _ = runtime.run_one(&job);
+        let _ = runtime.run_one(&job);
+        let snapshot = runtime.metrics();
+        assert_eq!((snapshot.executed, snapshot.cache_hits), (1, 1));
+        assert!(
+            snapshot.phases.is_empty(),
+            "only named batches and noted phases enter the phase log"
         );
-        assert!(matches!(result, Err(crate::JobError::TimedOut(_))));
-        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn traced_run_times_executions_not_cache_hits() {
+        let runtime = Runtime::new(1);
+        let job = SimJob::health_check();
+        let (first, ran) = runtime.run_one_traced_with_deadline(&job, None);
+        assert!(first.is_ok());
+        assert!(ran.is_some(), "an executed job reports its run time");
+        let (second, ran) = runtime.run_one_traced_with_deadline(&job, None);
+        assert_eq!(first, second);
+        assert_eq!(ran, None, "a cache hit runs nothing");
+        assert_eq!(runtime.metrics().executed, 1);
     }
 
     #[test]

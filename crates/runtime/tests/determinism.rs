@@ -147,14 +147,14 @@ fn panicking_job_yields_job_error_while_the_rest_complete() {
 }
 
 #[test]
-fn panicked_jobs_are_retried_not_cached() {
+fn panicked_jobs_are_rerun_not_cached() {
     let runtime = Runtime::new(2);
     let poison = SimJob::poison("always fails");
     let first = runtime.run_batch(std::slice::from_ref(&poison));
     let second = runtime.run_batch(std::slice::from_ref(&poison));
     assert!(matches!(&first[0], Err(JobError::Panicked(_))));
     assert!(matches!(&second[0], Err(JobError::Panicked(_))));
-    // Both attempts executed (no cache hit for panics)...
+    // Both requests executed the job (no cache hit for panics)...
     assert_eq!(runtime.metrics().executed, 2);
     // ...but deterministic sim errors ARE cached.
     let bad = SimJob::sparse_conv(

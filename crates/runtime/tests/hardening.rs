@@ -1,91 +1,63 @@
-//! Runtime hardening: a wedged job must surface as `TimedOut` instead
-//! of hanging the pool, transient failures must retry within a bounded
-//! budget, and no transient result may ever be served from the cache.
+//! Runtime hardening: every job runs exactly once. A wedged job must
+//! surface as `TimedOut` within its deadline instead of hanging the
+//! caller, a panic is one failed execution, and no transient result is
+//! ever served from the cache.
 
 use std::time::{Duration, Instant};
 
-use maeri_runtime::{JobError, RetryPolicy, Runtime, SimJob};
+use maeri_runtime::{JobError, Runtime, SimJob};
 
 #[test]
-fn wedged_job_times_out_and_the_batch_still_completes() {
-    let policy = RetryPolicy::default().with_timeout(Duration::from_millis(50));
-    let runtime = Runtime::with_policy(2, policy);
-    // Distinct stall times: identical jobs would deduplicate in-batch.
-    let jobs = vec![
-        SimJob::wedge(10_000),
-        SimJob::health_check(),
-        SimJob::wedge(9_000),
-    ];
+fn wedged_job_times_out_within_its_deadline() {
+    let runtime = Runtime::new(1);
     let start = Instant::now();
-    let results = runtime.run_batch(&jobs);
+    let result =
+        runtime.run_one_with_deadline(&SimJob::wedge(10_000), Some(Duration::from_millis(50)));
+    assert!(matches!(result, Err(JobError::TimedOut(_))));
     assert!(
         start.elapsed() < Duration::from_secs(5),
-        "the batch must not wait for the wedged jobs to finish"
+        "the caller must not wait for the wedged job to finish"
     );
-    assert!(matches!(&results[0], Err(JobError::TimedOut(_))));
-    assert!(results[1].is_ok());
-    assert!(matches!(&results[2], Err(JobError::TimedOut(_))));
     let snapshot = runtime.metrics();
-    assert_eq!(snapshot.timeouts, 2);
-    assert_eq!(snapshot.failed, 2);
+    assert_eq!(snapshot.executed, 1);
+    assert_eq!(snapshot.timeouts, 1);
+    assert_eq!(snapshot.failed, 1);
 }
 
 #[test]
-fn transient_failures_retry_up_to_the_attempt_budget() {
-    let policy = RetryPolicy::retrying(3, Duration::from_millis(1));
-    let runtime = Runtime::with_policy(1, policy);
-    let result = runtime.run_one(&SimJob::poison("always"));
+fn panicking_job_executes_once() {
+    let runtime = Runtime::new(1);
+    let result =
+        runtime.run_one_with_deadline(&SimJob::poison("once"), Some(Duration::from_secs(5)));
     assert!(matches!(result, Err(JobError::Panicked(_))));
     let snapshot = runtime.metrics();
-    assert_eq!(snapshot.executed, 3, "three attempts, no more");
-    assert_eq!(snapshot.retries, 2, "two of them were retries");
-    assert_eq!(snapshot.failed, 3);
+    assert_eq!(snapshot.executed, 1, "one attempt, no more");
+    assert_eq!(snapshot.failed, 1);
+    assert_eq!(snapshot.timeouts, 0);
 }
 
 #[test]
-fn backoff_doubles_between_retries() {
-    let policy = RetryPolicy::retrying(3, Duration::from_millis(30));
-    let runtime = Runtime::with_policy(1, policy);
-    let start = Instant::now();
-    let _ = runtime.run_one(&SimJob::poison("flaky"));
-    // 30ms before the first retry, 60ms before the second.
-    assert!(
-        start.elapsed() >= Duration::from_millis(90),
-        "expected >= 90ms of backoff, got {:?}",
-        start.elapsed()
-    );
-}
-
-#[test]
-fn timed_out_attempts_are_retried_and_counted() {
-    let policy = RetryPolicy::retrying(2, Duration::ZERO).with_timeout(Duration::from_millis(40));
-    let runtime = Runtime::with_policy(1, policy);
-    let result = runtime.run_one(&SimJob::wedge(10_000));
-    assert!(matches!(result, Err(JobError::TimedOut(_))));
-    let snapshot = runtime.metrics();
-    assert_eq!(snapshot.executed, 2);
-    assert_eq!(snapshot.retries, 1);
-    assert_eq!(snapshot.timeouts, 2);
-}
-
-#[test]
-fn timed_out_results_are_never_served_from_the_cache() {
-    let policy = RetryPolicy::default().with_timeout(Duration::from_millis(40));
-    let runtime = Runtime::with_policy(1, policy);
+fn timeouts_are_never_cached() {
+    let runtime = Runtime::new(1);
     let job = SimJob::wedge(10_000);
-    assert!(matches!(runtime.run_one(&job), Err(JobError::TimedOut(_))));
-    assert!(matches!(runtime.run_one(&job), Err(JobError::TimedOut(_))));
+    let deadline = Some(Duration::from_millis(40));
+    for _ in 0..2 {
+        assert!(matches!(
+            runtime.run_one_with_deadline(&job, deadline),
+            Err(JobError::TimedOut(_))
+        ));
+    }
     let snapshot = runtime.metrics();
-    assert_eq!(snapshot.executed, 2, "each request re-attempted the job");
+    assert_eq!(snapshot.executed, 2, "each request ran the job again");
     assert_eq!(snapshot.cache_hits, 0, "a timeout must never be cached");
+    assert_eq!(runtime.cache_stats().entries, 0);
 }
 
 #[test]
-fn deterministic_sim_errors_are_cached_not_retried() {
-    let policy = RetryPolicy::retrying(5, Duration::from_millis(1));
-    let runtime = Runtime::with_policy(1, policy);
+fn deterministic_rejections_are_cached() {
+    let runtime = Runtime::new(1);
     // Channel tile larger than the channel count: rejected up front by
-    // the static verifier — deterministically, so never retried.
+    // the static verifier, deterministically.
     let job = SimJob::sparse_conv(
         maeri::MaeriConfig::paper_64(),
         maeri_dnn::ConvLayer::new("k", 3, 8, 8, 4, 3, 3, 1, 1),
@@ -93,27 +65,13 @@ fn deterministic_sim_errors_are_cached_not_retried() {
         99,
         1,
     );
-    assert!(matches!(
-        runtime.run_one(&job),
-        Err(JobError::InvalidMapping(_))
-    ));
-    assert!(matches!(
-        runtime.run_one(&job),
-        Err(JobError::InvalidMapping(_))
-    ));
-    let snapshot = runtime.metrics();
-    assert_eq!(snapshot.executed, 1, "deterministic rejections never retry");
-    assert_eq!(snapshot.retries, 0);
-    assert_eq!(snapshot.cache_hits, 1, "and the rejection is cached");
-}
-
-#[test]
-fn default_policy_keeps_the_legacy_single_attempt_contract() {
-    let runtime = Runtime::new(1);
-    assert_eq!(runtime.policy(), RetryPolicy::default());
-    let _ = runtime.run_one(&SimJob::poison("once"));
+    for _ in 0..2 {
+        assert!(matches!(
+            runtime.run_one_with_deadline(&job, Some(Duration::from_secs(5))),
+            Err(JobError::InvalidMapping(_))
+        ));
+    }
     let snapshot = runtime.metrics();
     assert_eq!(snapshot.executed, 1);
-    assert_eq!(snapshot.retries, 0);
-    assert_eq!(snapshot.timeouts, 0);
+    assert_eq!(snapshot.cache_hits, 1, "the rejection is cached");
 }

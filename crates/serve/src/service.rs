@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use maeri_runtime::{AttemptOutcome, DispatchTrace, JobError, Runtime, SimJob};
+use maeri_runtime::{AttemptOutcome, JobError, Runtime, SimJob};
 use maeri_telemetry::span::{SpanKind, SpanRecord};
 
 use crate::journal::{AdmitRecord, Journal};
@@ -999,18 +999,16 @@ fn worker_loop(shared: &Shared) {
         };
         let rec = shared.recorder.as_ref();
         let dispatch_start = rec.map_or(0, FlightRecorder::now_us);
-        let (result, dispatch) = match rec {
+        let (result, ran) = match rec {
             Some(_) => shared.runtime.run_one_traced_with_deadline(&job, deadline),
-            None => (
-                shared.runtime.run_one_with_deadline(&job, deadline),
-                DispatchTrace::default(),
-            ),
+            None => (shared.runtime.run_one_with_deadline(&job, deadline), None),
         };
         let dispatch_end = rec.map_or(0, FlightRecorder::now_us);
         let timed_out = matches!(&result, Err(JobError::TimedOut(_)));
         let stored = StoredResult::from_result(&job.label(), &result);
         let mut spans: Vec<SpanRecord> = Vec::new();
         if rec.is_some() {
+            let outcome = AttemptOutcome::classify(&result).name();
             spans.push(SpanRecord::between(
                 id,
                 &tenant,
@@ -1025,16 +1023,17 @@ fn worker_loop(shared: &Shared) {
                 SpanKind::Dispatch,
                 dispatch_start,
                 dispatch_end,
-                AttemptOutcome::classify(&result).name(),
+                outcome,
             ));
-            for attempt in &dispatch.attempts {
+            // One attempt per executed job; a cache hit ran nothing.
+            if let Some(ran) = ran {
                 spans.push(SpanRecord {
                     job: id,
                     tenant: tenant.clone(),
                     kind: SpanKind::Attempt,
-                    start_us: dispatch_start + us(attempt.start_offset),
-                    dur_us: us(attempt.dur),
-                    status: attempt.outcome.name().to_owned(),
+                    start_us: dispatch_start,
+                    dur_us: us(ran),
+                    status: outcome.to_owned(),
                 });
             }
         }

@@ -1,6 +1,7 @@
 //! End-to-end service tests: warm-restart store hits across service
-//! instances, and the full socket round trip (client → framed wire →
-//! server → scheduler → runtime → store → client).
+//! instances, a runtime phase log that serving never grows, and the
+//! full socket round trip (client → framed wire → server → scheduler →
+//! runtime → store → client).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +72,30 @@ fn warm_restart_answers_from_the_store() {
     assert_eq!(snap.store_hits, 1);
     assert_eq!(snap.cache_misses, 0, "the runtime never saw the job");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn served_jobs_leave_the_runtime_phase_log_empty() {
+    let service = Service::start(
+        ServeConfig {
+            workers: 2,
+            per_tenant_depth: 16,
+            ..ServeConfig::default()
+        },
+        Arc::new(Runtime::new(1)),
+    )
+    .expect("start");
+    // Four distinct jobs, then two repeats the runtime cache answers.
+    for name in ["p0", "p1", "p2", "p3", "p0", "p1"] {
+        let id = service.submit("t0", conv_job(name)).expect("submit");
+        assert!(service.wait(id).expect("wait").ok);
+    }
+    let metrics = service.runtime().metrics();
+    assert_eq!(metrics.executed + metrics.cache_hits, 6);
+    assert!(
+        metrics.phases.is_empty(),
+        "a live service must not grow the phase log per job"
+    );
 }
 
 #[test]

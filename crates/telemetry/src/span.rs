@@ -4,12 +4,12 @@
 //!
 //! The fabric probes in this crate speak in *cycles*; the serving
 //! layer above them speaks in *request phases*: a job is admitted,
-//! verified, waits in its tenant's queue, is dispatched (possibly over
-//! several supervised attempts), has its result and journal tombstone
-//! appended, and finally gets its reply published. [`SpanKind`] is the
-//! closed catalog of those phases, [`SpanRecord`] is one timed
-//! interval of one job's life, and [`chrome_trace`] renders a span
-//! stream in the same Chrome trace-event JSON shape as
+//! verified, waits in its tenant's queue, is dispatched (one runtime
+//! attempt when the cache does not answer), has its result and journal
+//! tombstone appended, and finally gets its reply published.
+//! [`SpanKind`] is the closed catalog of those phases, [`SpanRecord`]
+//! is one timed interval of one job's life, and [`chrome_trace`]
+//! renders a span stream in the same Chrome trace-event JSON shape as
 //! [`crate::ChromeTraceSink`] (one job per trace thread), reusing the
 //! hand-rolled [`crate::json`] machinery.
 //!
@@ -18,8 +18,8 @@
 //! Per job, the **phase** spans are sequential and non-overlapping, in
 //! this order: `verify` → `admission` → `journal_append` →
 //! `queue_wait` → `dispatch` → `store_put` → `journal_append`
-//! (tombstone) → `reply`. The one **child** kind is `attempt`: each
-//! supervised runtime attempt nests inside its job's `dispatch` span
+//! (tombstone) → `reply`. The one **child** kind is `attempt`: the
+//! runtime's execution of the job nests inside its `dispatch` span
 //! ([`SpanKind::is_phase`] is the discriminator, and
 //! [`validate_trace`] enforces the whole contract). Timestamps are
 //! microseconds on whatever clock the producer uses — wall-clock since
@@ -50,11 +50,12 @@ maeri_sim::catalog! {
         /// Time spent queued behind the tenant's earlier jobs, from
         /// admission to worker pickup.
         QueueWait => "queue_wait",
-        /// The worker executing the job through the runtime (covers every
-        /// supervised attempt).
+        /// The worker executing the job through the runtime (a cache
+        /// lookup, then the attempt on a miss).
         Dispatch => "dispatch",
-        /// One supervised runtime attempt (a child of `dispatch`; the
-        /// status classifies it: ok / sim_error / timeout / panic).
+        /// The runtime's one execution of the job (a child of
+        /// `dispatch`, absent on a cache hit; the status classifies it:
+        /// ok / sim_error / invalid_mapping / timeout / panic).
         Attempt => "attempt",
         /// Appending the result to the persistent store.
         StorePut => "store_put",

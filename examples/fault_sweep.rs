@@ -1,15 +1,14 @@
 //! Fault-injection walkthrough: materialize a seeded fault plan, watch
 //! the mappers carve virtual neurons around the dead multiplier
-//! switches, and run the degraded sweep through the hardened runtime
-//! (bounded retries plus a per-job timeout watchdog).
+//! switches, and run the degraded sweep as one batch on a private
+//! runtime (each job runs once, with a failure isolated to its own
+//! result).
 //!
 //! Run with: `cargo run --release --example fault_sweep`
 
-use std::time::Duration;
-
 use maeri_repro::dnn::ConvLayer;
 use maeri_repro::fabric::{FaultPlan, FaultSpec, MaeriConfig, VnPolicy};
-use maeri_repro::runtime::{RetryPolicy, Runtime, SimJob};
+use maeri_repro::runtime::{Runtime, SimJob};
 use maeri_repro::sim::table::{fmt_f64, fmt_pct, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,12 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     println!("healthy spans the mappers can pack: {}\n", spans.join(", "));
 
-    // A hardened private runtime: transient failures retry up to three
-    // times with backoff, and any attempt over 30s is abandoned as
-    // `JobError::TimedOut` instead of hanging the pool.
-    let policy =
-        RetryPolicy::retrying(3, Duration::from_millis(5)).with_timeout(Duration::from_secs(30));
-    let runtime = Runtime::with_policy(4, policy);
+    // A private runtime: a job that panics fails alone, as a
+    // `JobError` in its own slot, and the rest of the sweep completes.
+    let runtime = Runtime::new(4);
 
     let layer = ConvLayer::new("vgg_style", 64, 28, 28, 64, 3, 3, 1, 1);
     println!("layer: {layer}\n");
