@@ -1,37 +1,10 @@
 //! Deterministic in-memory result cache keyed by job content.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::job::JobKey;
 use crate::output::JobResult;
-
-/// Point-in-time cache counters, exposed so layers above the runtime
-/// (`maeri-serve`) can aggregate hit rates without reaching into the
-/// cache internals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups that found a stored result.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Results currently stored.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hits as a fraction of all lookups (`None` before any lookup).
-    #[must_use]
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / total as f64)
-        }
-    }
-}
 
 /// Memoizes completed [`JobResult`]s by [`JobKey`].
 ///
@@ -50,8 +23,6 @@ impl CacheStats {
 #[derive(Debug, Default)]
 pub struct ResultCache {
     entries: Mutex<BTreeMap<JobKey, JobResult>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResultCache {
@@ -64,28 +35,11 @@ impl ResultCache {
     /// Looks up the result for a job key.
     #[must_use]
     pub fn get(&self, key: &JobKey) -> Option<JobResult> {
-        let found = self
-            .entries
+        self.entries
             .lock()
             .expect("result cache poisoned")
             .get(key)
-            .cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// A point-in-time copy of the cache's hit/miss counters and size.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
+            .cloned()
     }
 
     /// Records a completed result. Transient failures (panics and
@@ -113,11 +67,6 @@ impl ResultCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached result.
-    pub fn clear(&self) {
-        self.entries.lock().expect("result cache poisoned").clear();
     }
 }
 
@@ -164,34 +113,6 @@ mod tests {
         // A deterministic rejection under the same key is still kept.
         assert!(cache.insert(key.clone(), Err(JobError::Sim("unmappable".into()))));
         assert!(cache.get(&key).is_some());
-    }
-
-    #[test]
-    fn clear_empties_the_cache() {
-        let cache = ResultCache::new();
-        let job = SimJob::health_check();
-        cache.insert(job.key(), job.execute());
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn stats_count_hits_misses_and_entries() {
-        let cache = ResultCache::new();
-        let job = SimJob::health_check();
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.stats().hit_rate(), None);
-        assert!(cache.get(&job.key()).is_none()); // miss
-        cache.insert(job.key(), job.execute());
-        assert!(cache.get(&job.key()).is_some()); // hit
-        assert!(cache.get(&job.key()).is_some()); // hit
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
-        let rate = stats.hit_rate().unwrap();
-        assert!((rate - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

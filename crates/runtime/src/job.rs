@@ -1040,7 +1040,7 @@ mod tests {
             other => panic!("expected InvalidMapping, got {other:?}"),
         };
         assert!(err.contains("channel_tile 99 out of range"), "{err}");
-        // Deterministic, so cached — never retried.
+        // Deterministic, so cached: a repeat request reuses the error.
         assert!(!crate::JobError::InvalidMapping(err).is_transient());
     }
 

@@ -20,9 +20,11 @@
 //! * a deterministic in-memory cache keyed by a content hash of the job
 //!   ([`JobKey`]) computes identical points once, across batches and
 //!   across callers sharing a [`Runtime`];
-//! * [`RuntimeMetrics`] counts jobs submitted/executed/failed, cache
-//!   hits, timeouts, the queue high-water mark, and the wall time of
-//!   each named batch or noted phase;
+//! * [`RuntimeMetrics`] declares each counter (jobs submitted,
+//!   executed and failed, cache hits, timeouts, queue high-water,
+//!   telemetry and search counts) once, in a
+//!   [`maeri_telemetry::metric_table!`], and logs the wall time of each
+//!   named batch or noted phase;
 //! * the traced entry point
 //!   [`Runtime::run_one_traced_with_deadline`] additionally returns how
 //!   long an executed job ran (`None` for a cache hit), so the serving
@@ -66,7 +68,7 @@ mod pool;
 mod runtime;
 mod supervise;
 
-pub use cache::{CacheStats, ResultCache};
+pub use cache::ResultCache;
 pub use job::{Fidelity, JobKey, SimJob};
 pub use metrics::{MetricsSnapshot, PhaseStats, RuntimeMetrics};
 pub use output::{canonical_result_text, JobError, JobResult, SimOutput, TelemetryRun};

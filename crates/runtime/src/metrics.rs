@@ -1,6 +1,9 @@
-//! Lightweight runtime metrics: counters plus per-phase wall times.
+//! Lightweight runtime metrics: one declared table of counters
+//! ([`maeri_telemetry::metric_table!`]) plus per-phase wall times.
+//! `to_json`, `render` and the service's `metrics` verb all walk
+//! [`MetricsSnapshot::rows`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -20,43 +23,54 @@ pub struct PhaseStats {
     pub wall: Duration,
 }
 
-/// Point-in-time copy of the runtime's counters, safe to print.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Jobs handed to the runtime (cache hits included).
-    pub submitted: u64,
-    /// Jobs actually executed on a worker.
-    pub executed: u64,
-    /// Executed jobs that returned an error (sim rejection or panic).
-    pub failed: u64,
-    /// Jobs answered without executing (cache or in-batch dedup).
-    pub cache_hits: u64,
-    /// Jobs abandoned past their per-request deadline.
-    pub timeouts: u64,
-    /// Highest number of jobs simultaneously in flight on the queue.
-    pub queue_high_water: usize,
-    /// Freshly-executed jobs that carried fabric telemetry.
-    pub telemetry_runs: u64,
-    /// Total trace events those telemetry runs recorded.
-    pub telemetry_events: u64,
-    /// Freshly-executed mapping-space searches.
-    pub searches: u64,
-    /// Candidates those searches enumerated.
-    pub search_candidates: u64,
-    /// Enumerated candidates pruned as infeasible or duplicate shapes.
-    pub search_pruned: u64,
-    /// The subset of pruned candidates rejected by the static verifier
-    /// before any analytic scoring ran (see `maeri-verify`).
-    pub search_statically_rejected: u64,
-    /// Frontier members validated with an exact cycle trace.
-    pub search_validated: u64,
-    /// Searches whose frontier was trace-validated (rank checkable).
-    pub search_rank_checks: u64,
-    /// Rank checks where analytic and exact ranking picked the same
-    /// winner.
-    pub search_rank_agreements: u64,
-    /// Per-phase wall-time log, in submission order.
-    pub phases: Vec<PhaseStats>,
+maeri_telemetry::metric_table! {
+    /// Shared counters updated by the runtime and its workers: one
+    /// atomic per row, the number of jobs in flight behind the
+    /// high-water mark, and the phase log.
+    pub struct RuntimeMetrics {
+        in_flight: AtomicU64 = AtomicU64::new(0),
+        phases: Mutex<Vec<PhaseStats>> = Mutex::new(Vec::new()),
+    }
+    /// Point-in-time copy of the runtime's counters, safe to print.
+    pub struct MetricsSnapshot {
+        /// Per-phase wall-time log, in submission order.
+        pub phases: Vec<PhaseStats>,
+    }
+    /// Every runtime counter, declared once, in `regen_all --json` key
+    /// order.
+    static ROWS;
+    counted {
+        submitted: Counter "maeri_runtime_submitted_total"
+            => "Jobs handed to the runtime (cache hits included).",
+        executed: Counter "maeri_runtime_executed_total"
+            => "Jobs actually executed on a worker.",
+        failed: Counter "maeri_runtime_failed_total"
+            => "Executed jobs that returned an error (rejection, panic or timeout).",
+        cache_hits: Counter "maeri_runtime_cache_hits_total"
+            => "Jobs answered without executing (cache or in-batch dedup).",
+        timeouts: Counter "maeri_runtime_timeouts_total"
+            => "Jobs abandoned past their per-request deadline.",
+        queue_high_water: Gauge "maeri_runtime_queue_high_water"
+            => "Highest number of jobs simultaneously in flight on the queue.",
+        telemetry_runs: Counter "maeri_runtime_telemetry_runs_total"
+            => "Freshly-executed jobs that carried fabric telemetry.",
+        telemetry_events: Counter "maeri_runtime_telemetry_events_total"
+            => "Total trace events those telemetry runs recorded.",
+        searches: Counter "maeri_runtime_searches_total"
+            => "Freshly-executed mapping-space searches.",
+        search_candidates: Counter "maeri_runtime_search_candidates_total"
+            => "Candidates those searches enumerated.",
+        search_pruned: Counter "maeri_runtime_search_pruned_total"
+            => "Enumerated candidates pruned as infeasible or duplicate shapes.",
+        search_statically_rejected: Counter "maeri_runtime_search_statically_rejected_total"
+            => "Pruned candidates the static verifier rejected before any analytic scoring.",
+        search_validated: Counter "maeri_runtime_search_validated_total"
+            => "Frontier members validated with an exact cycle trace.",
+        search_rank_checks: Counter "maeri_runtime_search_rank_checks_total"
+            => "Searches whose frontier was trace-validated (rank checkable).",
+        search_rank_agreements: Counter "maeri_runtime_search_rank_agreements_total"
+            => "Rank checks where analytic and exact ranking picked the same winner.",
+    }
 }
 
 impl MetricsSnapshot {
@@ -66,45 +80,14 @@ impl MetricsSnapshot {
         self.phases.iter().map(|p| p.wall).sum()
     }
 
-    /// Renders the snapshot as an aligned plain-text report (used by
-    /// the `regen_all` summary).
+    /// Renders the snapshot as plain text, one `key: value` line per
+    /// row and then the phase table (the `regen_all` stderr summary).
     #[must_use]
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("runtime metrics\n");
-        let _ = writeln!(
-            out,
-            "  jobs: {} submitted, {} executed, {} failed, {} cache hits",
-            self.submitted, self.executed, self.failed, self.cache_hits
-        );
-        if self.timeouts > 0 {
-            let _ = writeln!(out, "  timeouts: {}", self.timeouts);
-        }
-        let _ = writeln!(
-            out,
-            "  queue high-water: {} in flight",
-            self.queue_high_water
-        );
-        if self.telemetry_runs > 0 {
-            let _ = writeln!(
-                out,
-                "  telemetry: {} instrumented runs, {} trace events",
-                self.telemetry_runs, self.telemetry_events
-            );
-        }
-        if self.searches > 0 {
-            let _ = writeln!(
-                out,
-                "  search: {} searches, {} candidates ({} pruned, {} statically rejected, {} validated), rank agreement {}/{}",
-                self.searches,
-                self.search_candidates,
-                self.search_pruned,
-                self.search_statically_rejected,
-                self.search_validated,
-                self.search_rank_agreements,
-                self.search_rank_checks
-            );
+        let mut out = String::from("runtime metrics\n");
+        for (row, value) in self.rows() {
+            let _ = writeln!(out, "  {}: {value}", row.key);
         }
         if !self.phases.is_empty() {
             out.push_str("  phases:\n");
@@ -113,11 +96,7 @@ impl MetricsSnapshot {
                 let _ = writeln!(
                     out,
                     "    {:width$}  {:3} jobs  {:3} cached  {:8.2?}",
-                    phase.name,
-                    phase.jobs,
-                    phase.cache_hits,
-                    phase.wall,
-                    width = width
+                    phase.name, phase.jobs, phase.cache_hits, phase.wall,
                 );
             }
             let _ = writeln!(out, "  total wall: {:.2?}", self.total_wall());
@@ -125,7 +104,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// The snapshot as a JSON document (used by `regen_all --json`).
+    /// The snapshot as a JSON document (used by `regen_all --json`):
+    /// every row, then the total wall time and the phase log.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let phases = self
@@ -139,34 +119,7 @@ impl MetricsSnapshot {
                     .with("wall_us", JsonValue::UInt(phase.wall.as_micros() as u64))
             })
             .collect();
-        JsonValue::object()
-            .with("submitted", JsonValue::UInt(self.submitted))
-            .with("executed", JsonValue::UInt(self.executed))
-            .with("failed", JsonValue::UInt(self.failed))
-            .with("cache_hits", JsonValue::UInt(self.cache_hits))
-            .with("timeouts", JsonValue::UInt(self.timeouts))
-            .with(
-                "queue_high_water",
-                JsonValue::UInt(self.queue_high_water as u64),
-            )
-            .with("telemetry_runs", JsonValue::UInt(self.telemetry_runs))
-            .with("telemetry_events", JsonValue::UInt(self.telemetry_events))
-            .with("searches", JsonValue::UInt(self.searches))
-            .with("search_candidates", JsonValue::UInt(self.search_candidates))
-            .with("search_pruned", JsonValue::UInt(self.search_pruned))
-            .with(
-                "search_statically_rejected",
-                JsonValue::UInt(self.search_statically_rejected),
-            )
-            .with("search_validated", JsonValue::UInt(self.search_validated))
-            .with(
-                "search_rank_checks",
-                JsonValue::UInt(self.search_rank_checks),
-            )
-            .with(
-                "search_rank_agreements",
-                JsonValue::UInt(self.search_rank_agreements),
-            )
+        self.rows_json()
             .with(
                 "total_wall_us",
                 JsonValue::UInt(self.total_wall().as_micros() as u64),
@@ -175,35 +128,7 @@ impl MetricsSnapshot {
     }
 }
 
-/// Shared counters updated by the runtime and its workers.
-#[derive(Debug, Default)]
-pub struct RuntimeMetrics {
-    submitted: AtomicU64,
-    executed: AtomicU64,
-    failed: AtomicU64,
-    cache_hits: AtomicU64,
-    timeouts: AtomicU64,
-    telemetry_runs: AtomicU64,
-    telemetry_events: AtomicU64,
-    searches: AtomicU64,
-    search_candidates: AtomicU64,
-    search_pruned: AtomicU64,
-    search_statically_rejected: AtomicU64,
-    search_validated: AtomicU64,
-    search_rank_checks: AtomicU64,
-    search_rank_agreements: AtomicU64,
-    in_flight: AtomicUsize,
-    queue_high_water: AtomicUsize,
-    phases: Mutex<Vec<PhaseStats>>,
-}
-
 impl RuntimeMetrics {
-    /// Creates zeroed metrics.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn record_submitted(&self, count: usize) {
         self.submitted.fetch_add(count as u64, Ordering::Relaxed);
     }
@@ -233,21 +158,16 @@ impl RuntimeMetrics {
     /// Counts one freshly-executed mapping search and its per-search
     /// counters (cache hits are deliberately not re-counted, like
     /// telemetry).
-    pub(crate) fn record_search(&self, counters: &maeri_mapspace::SearchCounters) {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        self.search_candidates
-            .fetch_add(counters.enumerated, Ordering::Relaxed);
-        self.search_pruned
-            .fetch_add(counters.pruned, Ordering::Relaxed);
-        self.search_statically_rejected
-            .fetch_add(counters.statically_rejected, Ordering::Relaxed);
-        self.search_validated
-            .fetch_add(counters.validated, Ordering::Relaxed);
-        if let Some(agreed) = counters.rank_agreement {
-            self.search_rank_checks.fetch_add(1, Ordering::Relaxed);
-            if agreed {
-                self.search_rank_agreements.fetch_add(1, Ordering::Relaxed);
-            }
+    pub(crate) fn record_search(&self, search: &maeri_mapspace::SearchCounters) {
+        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+        add(&self.searches, 1);
+        add(&self.search_candidates, search.enumerated);
+        add(&self.search_pruned, search.pruned);
+        add(&self.search_statically_rejected, search.statically_rejected);
+        add(&self.search_validated, search.validated);
+        if let Some(agreed) = search.rank_agreement {
+            add(&self.search_rank_checks, 1);
+            add(&self.search_rank_agreements, u64::from(agreed));
         }
     }
 
@@ -274,28 +194,12 @@ impl RuntimeMetrics {
     /// guaranteed while no batch is in flight.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
-            telemetry_runs: self.telemetry_runs.load(Ordering::Relaxed),
-            telemetry_events: self.telemetry_events.load(Ordering::Relaxed),
-            searches: self.searches.load(Ordering::Relaxed),
-            search_candidates: self.search_candidates.load(Ordering::Relaxed),
-            search_pruned: self.search_pruned.load(Ordering::Relaxed),
-            search_statically_rejected: self.search_statically_rejected.load(Ordering::Relaxed),
-            search_validated: self.search_validated.load(Ordering::Relaxed),
-            search_rank_checks: self.search_rank_checks.load(Ordering::Relaxed),
-            search_rank_agreements: self.search_rank_agreements.load(Ordering::Relaxed),
-            phases: self
-                .phases
-                .lock()
-                .expect("metrics phase log poisoned")
-                .clone(),
-        }
+        let phases = self
+            .phases
+            .lock()
+            .expect("metrics phase log poisoned")
+            .clone();
+        self.read(phases)
     }
 }
 
@@ -350,17 +254,26 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_line_appears_only_with_instrumented_runs() {
+    fn render_prints_every_row_in_table_order() {
         let metrics = RuntimeMetrics::new();
-        assert!(!metrics.snapshot().render().contains("telemetry"));
         metrics.record_telemetry(120);
         metrics.record_telemetry(80);
+        metrics.record_timeout();
         let snap = metrics.snapshot();
-        assert_eq!(snap.telemetry_runs, 2);
-        assert_eq!(snap.telemetry_events, 200);
-        assert!(snap
-            .render()
-            .contains("telemetry: 2 instrumented runs, 200 trace events"));
+        let text = snap.render();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        let rows: Vec<String> = snap
+            .rows()
+            .map(|(row, value)| format!("  {}: {value}", row.key))
+            .collect();
+        assert_eq!(lines, rows, "one line per row, zero or not");
+        for line in [
+            "  telemetry_runs: 2",
+            "  telemetry_events: 200",
+            "  timeouts: 1",
+        ] {
+            assert!(lines.contains(&line), "missing `{line}` in\n{text}");
+        }
     }
 
     #[test]
@@ -383,12 +296,18 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_line_appears_only_after_a_timeout() {
-        let metrics = RuntimeMetrics::new();
-        assert!(!metrics.snapshot().render().contains("timeouts"));
-        metrics.record_timeout();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.timeouts, 1);
-        assert!(snap.render().contains("  timeouts: 1\n"));
+    fn json_keys_keep_their_order() {
+        let JsonValue::Object(fields) = RuntimeMetrics::new().snapshot().to_json() else {
+            panic!("the snapshot renders as an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        // Scripts and the benchmark read these `regen_all --json` keys.
+        assert_eq!(
+            keys.join(" "),
+            "submitted executed failed cache_hits timeouts queue_high_water telemetry_runs \
+             telemetry_events searches search_candidates search_pruned \
+             search_statically_rejected search_validated search_rank_checks \
+             search_rank_agreements total_wall_us phases"
+        );
     }
 }

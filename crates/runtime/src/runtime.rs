@@ -5,10 +5,6 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use maeri::{MaeriConfig, VnPolicy};
-use maeri_dnn::zoo::Model;
-use maeri_dnn::Layer;
-
 use crate::cache::ResultCache;
 use crate::job::{JobKey, SimJob};
 use crate::metrics::{MetricsSnapshot, PhaseStats, RuntimeMetrics};
@@ -76,14 +72,6 @@ impl Runtime {
     #[must_use]
     pub fn cache(&self) -> &ResultCache {
         &self.cache
-    }
-
-    /// A point-in-time copy of the cache's hit/miss counters — the
-    /// public aggregation surface for layers above the runtime (the
-    /// serve layer's hit-rate metric reads this, not the internals).
-    #[must_use]
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
     }
 
     /// Runs one job through the cache, on the calling thread. Unlike a
@@ -220,36 +208,6 @@ impl Runtime {
             })
             .collect()
     }
-
-    /// Maps every layer of a model onto one MAERI fabric configuration
-    /// and runs the whole network as a batch (CONV layers use `policy`,
-    /// FC/LSTM/pool layers their dedicated mappers). Results are in
-    /// model layer order.
-    pub fn run_network(&self, cfg: MaeriConfig, model: &Model, policy: VnPolicy) -> Vec<JobResult> {
-        let jobs: Vec<SimJob> = model
-            .layers()
-            .iter()
-            .map(|layer| match layer {
-                Layer::Conv(l) => SimJob::dense_conv(cfg, l.clone(), policy),
-                Layer::Fc(l) => SimJob::Fc {
-                    cfg,
-                    layer: l.clone(),
-                },
-                Layer::Pool(l) => SimJob::Pool {
-                    cfg,
-                    layer: l.clone(),
-                },
-                Layer::Lstm(l) => SimJob::Lstm {
-                    cfg,
-                    layer: l.clone(),
-                },
-                // `Layer` is non-exhaustive upstream; a new layer kind
-                // needs a mapper before the runtime can schedule it.
-                other => unimplemented!("no job mapping for layer {}", other.name()),
-            })
-            .collect();
-        self.run_phase(model.name(), &jobs)
-    }
 }
 
 fn default_workers() -> usize {
@@ -267,6 +225,7 @@ fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maeri::{MaeriConfig, VnPolicy};
     use maeri_dnn::ConvLayer;
 
     fn layer(name: &str) -> ConvLayer {
@@ -343,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn run_network_covers_every_layer() {
-        let runtime = Runtime::new(2);
-        let model = maeri_dnn::zoo::alexnet();
-        let results = runtime.run_network(MaeriConfig::paper_64(), &model, VnPolicy::Auto);
-        assert_eq!(results.len(), model.layers().len());
-        assert!(results.iter().all(Result::is_ok));
-    }
-
-    #[test]
     fn deadline_turns_a_wedged_job_into_a_timeout() {
         let runtime = Runtime::new(1);
         let result =
@@ -360,7 +310,7 @@ mod tests {
         // The timeout is transient: it must not be cached, so a
         // deadline-free re-run executes the job for real.
         assert_eq!(runtime.metrics().timeouts, 1);
-        assert_eq!(runtime.cache_stats().entries, 0);
+        assert!(runtime.cache().is_empty());
     }
 
     #[test]

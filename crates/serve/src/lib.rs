@@ -32,7 +32,8 @@
 //!   `stats` value — admission counters, queue depth, store/cache
 //!   traffic, breaker/journal counters, recovery counts, recorder
 //!   occupancy, and windowed wall-latency percentiles — rendered both
-//!   as the `stats` JSON and as Prometheus samples;
+//!   as the `stats` JSON and, with the runtime's rows, as Prometheus
+//!   samples;
 //! * a seeded Poisson traffic generator ([`traffic`]) and a
 //!   deterministic virtual-time load simulator ([`loadsim`]) that
 //!   drive the `service_load` report and the CI smoke test;
@@ -84,7 +85,7 @@ pub use chaos::{ChaosOutcome, FaultPoint};
 pub use journal::{AdmitRecord, Journal, JournalRecovery};
 pub use metrics::{ServiceMetrics, ServiceSnapshot};
 pub use recorder::{FlightRecorder, Postmortem, RecorderConfig, SpanLog};
-pub use registry::{MetricKind, MetricsRegistry, SloTracker, TenantSlo, WindowedHistogram};
+pub use registry::{MetricsRegistry, SloTracker, TenantSlo, WindowedHistogram};
 pub use server::Server;
 pub use service::{JobStatus, JobTicket, ServeConfig, Service, SubmitError};
 pub use store::{RecoveryReport, ResultStore, StoreError, StoredResult};

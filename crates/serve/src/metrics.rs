@@ -6,15 +6,14 @@
 //! *requested* — including jobs that never reached the runtime because
 //! admission control rejected them or the persistent store answered.
 //!
-//! Each row of the table ([`ROWS`]) names one metric once: its field
-//! name, which is also its `stats` key; its Prometheus kind and family,
-//! with an optional fixed label; and its help text. Counted rows are
-//! [`ServiceMetrics`] atomics, bumped on the request path; sampled rows
-//! are read when a snapshot is taken. [`ServiceSnapshot`] keeps one
-//! named `u64` per row, and [`ServiceSnapshot::rows`] walks them in
-//! table order for both [`ServiceSnapshot::to_json`] and
-//! [`crate::service::Service::prometheus`], so a metric cannot reach
-//! one output and miss the other.
+//! The table ([`ROWS`]) is declared with
+//! [`maeri_telemetry::metric_table!`], like the runtime's. Counted rows
+//! are [`ServiceMetrics`] atomics, bumped on the request path; read
+//! rows are evaluated when a snapshot is taken, the `cache_*` rows from
+//! the runtime's own counters. [`ServiceSnapshot::to_json`] and
+//! [`crate::service::Service::prometheus`] both walk
+//! [`ServiceSnapshot::rows`]; the `metrics` verb then adds the
+//! runtime's rows.
 //!
 //! Wall-clock latencies are real time and therefore nondeterministic;
 //! they are exposed only through the live `stats` and `metrics` verbs,
@@ -24,113 +23,29 @@
 //! [`WindowedHistogram`]), so memory and the cost of a `stats` read
 //! stay bounded however long the service runs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-use maeri_runtime::CacheStats;
+use maeri_runtime::MetricsSnapshot;
 use maeri_sim::histogram::Histogram;
 use maeri_telemetry::json::JsonValue;
 
 use crate::recorder::FlightRecorder;
-use crate::registry::{MetricKind, WindowedHistogram};
+use crate::registry::WindowedHistogram;
 use crate::store::ResultStore;
 
 /// Completions per latency window: the quantiles in `stats` read the
 /// current window plus the previous full one.
 pub const LATENCY_WINDOW: usize = 1024;
 
-/// One declared service metric: its `stats` key and its Prometheus
-/// sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricRow {
-    /// The `stats` key, which is also the [`ServiceSnapshot`] field.
-    pub key: &'static str,
-    /// Counter or gauge.
-    pub kind: MetricKind,
-    /// The Prometheus family the sample belongs to.
-    pub family: &'static str,
-    /// The sample's fixed label, when several rows share a family.
-    pub label: Option<(&'static str, &'static str)>,
-    /// The family's `# HELP` text.
-    pub help: &'static str,
-}
-
-/// Declares the metric table: the [`ServiceMetrics`] atomics (one per
-/// counted row), the [`ServiceSnapshot`] fields and their load, and
-/// [`ROWS`]. Sampled rows carry the expression that reads them, over
-/// the arguments named in the `sampled(..)` header.
-macro_rules! service_metrics {
-    (@label) => { None };
-    (@label $key:ident $value:literal) => { Some((stringify!($key), $value)) };
-    (@row $key:ident $kind:ident $family:literal $help:literal $($lk:ident $lv:literal)?) => {
-        MetricRow {
-            key: stringify!($key),
-            kind: MetricKind::$kind,
-            family: $family,
-            label: service_metrics!(@label $($lk $lv)?),
-            help: $help,
-        }
-    };
-    (
-        $(#[$table_attr:meta])*
-        counted {
-            $($c_key:ident: $c_kind:ident $c_family:literal $({ $c_lk:ident = $c_lv:literal })?
-                => $c_help:literal,)+
-        }
-        sampled($($arg:ident: $arg_ty:ty),+) {
-            $($s_key:ident: $s_kind:ident $s_family:literal $({ $s_lk:ident = $s_lv:literal })?
-                => $s_help:literal = $s_value:expr,)+
-        }
-    ) => {
-        /// Shared atomic counters for one service instance (one per
-        /// counted row of [`ROWS`]), plus the windowed latency histogram.
-        #[derive(Debug)]
-        pub struct ServiceMetrics {
-            $(#[doc = $c_help] pub $c_key: AtomicU64,)+
-            latency_us: Mutex<WindowedHistogram>,
-        }
-
-        impl ServiceMetrics {
-            /// Creates zeroed metrics.
-            #[must_use]
-            pub fn new() -> Self {
-                ServiceMetrics {
-                    $($c_key: AtomicU64::new(0),)+
-                    latency_us: Mutex::new(WindowedHistogram::new(LATENCY_WINDOW)),
-                }
-            }
-
-            fn read(&self, $($arg: $arg_ty),+) -> ServiceSnapshot {
-                ServiceSnapshot {
-                    $($c_key: self.$c_key.load(Ordering::Relaxed),)+
-                    $($s_key: $s_value,)+
-                }
-            }
-        }
-
-        /// A point-in-time copy of every row of [`ROWS`].
-        #[derive(Debug, Clone, PartialEq, Eq)]
-        pub struct ServiceSnapshot {
-            $(#[doc = $c_help] pub $c_key: u64,)+
-            $(#[doc = $s_help] pub $s_key: u64,)+
-        }
-
-        impl ServiceSnapshot {
-            /// Every row of [`ROWS`] with its value, in table order.
-            pub fn rows(&self) -> impl Iterator<Item = (&'static MetricRow, u64)> {
-                ROWS.iter().zip([$(self.$c_key,)+ $(self.$s_key,)+])
-            }
-        }
-
-        $(#[$table_attr])*
-        pub static ROWS: [MetricRow; [$(stringify!($c_key),)+ $(stringify!($s_key),)+].len()] = [
-            $(service_metrics!(@row $c_key $c_kind $c_family $c_help $($c_lk $c_lv)?),)+
-            $(service_metrics!(@row $s_key $s_kind $s_family $s_help $($s_lk $s_lv)?),)+
-        ];
-    };
-}
-
-service_metrics! {
+maeri_telemetry::metric_table! {
+    /// Shared atomic counters for one service instance (one per
+    /// counted row of [`ROWS`]), plus the windowed latency histogram.
+    pub struct ServiceMetrics {
+        latency_us: Mutex<WindowedHistogram> = Mutex::new(WindowedHistogram::new(LATENCY_WINDOW)),
+    }
+    /// A point-in-time copy of every row of [`ROWS`].
+    pub struct ServiceSnapshot {}
     /// Every service metric, declared once, in `stats` key order. Rows
     /// sharing a family share its kind and help text.
     ///
@@ -138,6 +53,7 @@ service_metrics! {
     /// ([`crate::registry::SloTracker::expose`]) are exposition-only:
     /// a flat `stats` object cannot carry a tenant label whose values
     /// are only known at run time.
+    pub static ROWS;
     counted {
         submitted: Counter "maeri_submitted_total"
             => "Submit requests received, including rejected ones.",
@@ -188,9 +104,10 @@ service_metrics! {
         journal_skipped_records: Gauge "maeri_journal_skipped_records"
             => "Corrupt or unrunnable journal records skipped at start.",
     }
-    sampled(
+    read(
         latency: &mut Histogram,
-        cache: CacheStats,
+        runtime: &MetricsSnapshot,
+        cache_entries: usize,
         store: Option<&ResultStore>,
         recorder: Option<&FlightRecorder>
     ) {
@@ -203,12 +120,14 @@ service_metrics! {
         latency_p999_us: Gauge "maeri_latency_us" { quantile = "0.999" }
             => "Wall completion latency percentiles, microseconds."
             = latency.percentile(99.9).unwrap_or(0),
+        // Single jobs only, never batches: each runtime cache hit is one
+        // lookup that hit, and each miss executes exactly once.
         cache_hits: Counter "maeri_cache_hits_total"
-            => "Runtime result-cache hits." = cache.hits,
+            => "Runtime result-cache hits." = runtime.cache_hits,
         cache_misses: Counter "maeri_cache_misses_total"
-            => "Runtime result-cache misses." = cache.misses,
+            => "Runtime result-cache misses." = runtime.executed,
         cache_entries: Gauge "maeri_cache_entries"
-            => "Results in the runtime result cache." = cache.entries as u64,
+            => "Results in the runtime result cache." = cache_entries as u64,
         store_entries: Gauge "maeri_store_entries"
             => "Results in the persistent store." = store.map_or(0, |s| s.len() as u64),
         recorder_spans: Gauge "maeri_recorder_spans"
@@ -217,12 +136,6 @@ service_metrics! {
         recorder_dropped: Counter "maeri_recorder_dropped_total"
             => "Spans evicted from the flight-recorder ring."
             = recorder.map_or(0, FlightRecorder::dropped),
-    }
-}
-
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        ServiceMetrics::new()
     }
 }
 
@@ -242,14 +155,15 @@ impl ServiceMetrics {
             .record(latency_us);
     }
 
-    /// A point-in-time snapshot: every counter, plus the sampled rows
-    /// read from the latency window, the runtime cache, the store
-    /// (`None` when memory-only) and the flight recorder (`None` when
-    /// tracing is off).
+    /// A point-in-time snapshot: every counter, plus the read rows
+    /// taken from the latency window, the runtime's counters and cache
+    /// size, the store (`None` when memory-only) and the flight
+    /// recorder (`None` when tracing is off).
     #[must_use]
     pub fn snapshot(
         &self,
-        cache: CacheStats,
+        runtime: &MetricsSnapshot,
+        cache_entries: usize,
         store: Option<&ResultStore>,
         recorder: Option<&FlightRecorder>,
     ) -> ServiceSnapshot {
@@ -258,7 +172,7 @@ impl ServiceMetrics {
             .lock()
             .expect("latency mutex poisoned")
             .merged();
-        self.read(&mut latency, cache, store, recorder)
+        self.read(&mut latency, runtime, cache_entries, store, recorder)
     }
 }
 
@@ -279,17 +193,15 @@ impl ServiceSnapshot {
     /// response).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(
-            self.rows()
-                .map(|(row, value)| (row.key.to_owned(), JsonValue::UInt(value)))
-                .collect(),
-        )
+        self.rows_json()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maeri_runtime::RuntimeMetrics;
+    use maeri_telemetry::metrics::{MetricKind, MetricRow};
 
     #[test]
     fn queue_depth_tracks_high_water() {
@@ -299,7 +211,7 @@ mod tests {
         m.job_queued();
         m.job_finished(10);
         m.job_finished(20);
-        let snap = m.snapshot(CacheStats::default(), None, None);
+        let snap = m.snapshot(&RuntimeMetrics::new().snapshot(), 0, None, None);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.queue_high_water, 3);
         assert_eq!(snap.latency_p50_us, 10);
@@ -311,12 +223,9 @@ mod tests {
         let m = ServiceMetrics::new();
         m.submitted.store(10, Ordering::Relaxed);
         m.store_hits.store(4, Ordering::Relaxed);
-        let cache = CacheStats {
-            hits: 1,
-            misses: 5,
-            entries: 5,
-        };
-        let snap = m.snapshot(cache, None, None);
+        let mut runtime = RuntimeMetrics::new().snapshot();
+        (runtime.cache_hits, runtime.executed) = (1, 5);
+        let snap = m.snapshot(&runtime, 5, None, None);
         assert!((snap.service_hit_rate().unwrap() - 0.5).abs() < 1e-12);
         let rendered = snap.to_json().render();
         assert!(rendered.contains("\"store_hits\":4"));
@@ -338,7 +247,7 @@ mod tests {
             }
         }
         assert_eq!(held(), 2 * LATENCY_WINDOW);
-        let snap = m.snapshot(CacheStats::default(), None, None);
+        let snap = m.snapshot(&RuntimeMetrics::new().snapshot(), 0, None, None);
         assert!(
             snap.latency_p999_us <= LATENCY_WINDOW as u64,
             "the slow window aged out"
@@ -349,8 +258,15 @@ mod tests {
 
     #[test]
     fn rows_of_one_family_agree_on_kind_and_help() {
-        for row in &ROWS {
-            let twins: Vec<&MetricRow> = ROWS.iter().filter(|r| r.family == row.family).collect();
+        // The `metrics` verb renders both tables, so the check spans
+        // the runtime's rows too.
+        let runtime = RuntimeMetrics::new().snapshot();
+        let rows: Vec<&MetricRow> = ROWS
+            .iter()
+            .chain(runtime.rows().map(|(row, _)| row))
+            .collect();
+        for row in &rows {
+            let twins: Vec<&&MetricRow> = rows.iter().filter(|r| r.family == row.family).collect();
             assert!(
                 twins
                     .iter()
@@ -363,6 +279,12 @@ mod tests {
                 row.label.is_some(),
                 "`{}`: a shared family needs a label on every row, a lone one none",
                 row.key
+            );
+            assert_eq!(
+                row.kind == MetricKind::Counter,
+                row.family.ends_with("_total"),
+                "`{}`: counter families, and only they, end in `_total`",
+                row.family
             );
         }
     }

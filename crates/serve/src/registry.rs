@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use maeri_sim::histogram::Histogram;
+use maeri_telemetry::metrics::MetricKind;
 
 /// The per-tenant latency target: a completion at or under this many
 /// µs (and successful) hits its SLO.
@@ -241,24 +242,6 @@ struct Sample {
     value: f64,
 }
 
-/// The Prometheus metric kinds this registry exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// A monotonically increasing count.
-    Counter,
-    /// A value that can go up and down.
-    Gauge,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-        }
-    }
-}
-
 /// One named metric family (`[a-zA-Z_:][a-zA-Z0-9_:]*`): help line,
 /// kind, and its samples (one unlabeled, or many labeled).
 #[derive(Debug, Clone, PartialEq)]
@@ -326,7 +309,7 @@ impl MetricsRegistry {
         let mut out = String::new();
         for family in &self.families {
             let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(&family.help));
-            let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.as_str());
+            let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.name());
             for sample in &family.samples {
                 out.push_str(&family.name);
                 if !sample.labels.is_empty() {

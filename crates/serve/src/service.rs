@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use maeri_runtime::{AttemptOutcome, JobError, Runtime, SimJob};
+use maeri_runtime::{AttemptOutcome, JobError, MetricsSnapshot, Runtime, SimJob};
 use maeri_telemetry::span::{SpanKind, SpanRecord};
 
 use crate::journal::{AdmitRecord, Journal};
@@ -861,9 +861,15 @@ impl Service {
     /// recovery found at start.
     #[must_use]
     pub fn stats(&self) -> ServiceSnapshot {
+        self.stats_over(&self.shared.runtime.metrics())
+    }
+
+    /// [`Service::stats`] with its `cache_*` rows read from `runtime`.
+    fn stats_over(&self, runtime: &MetricsSnapshot) -> ServiceSnapshot {
         let shared = &self.shared;
         shared.metrics.snapshot(
-            shared.runtime.cache_stats(),
+            runtime,
+            shared.runtime.cache().len(),
             shared.store.as_ref(),
             shared.recorder.as_ref(),
         )
@@ -889,13 +895,15 @@ impl Service {
     }
 
     /// The service's full metric surface rendered as Prometheus text
-    /// exposition: one sample per row of the metric table, then the
+    /// exposition: one sample per row of the service's metric table and
+    /// of the runtime's, both read from one runtime snapshot, then the
     /// SLO target and the per-tenant SLO scorecard. This is the body of
     /// the `metrics` wire verb.
     #[must_use]
     pub fn prometheus(&self) -> String {
+        let runtime = self.shared.runtime.metrics();
         let mut reg = MetricsRegistry::new();
-        for (row, value) in self.stats().rows() {
+        for (row, value) in self.stats_over(&runtime).rows().chain(runtime.rows()) {
             let labels = row.label.as_slice();
             reg.push(row.family, row.help, row.kind, labels, value as f64);
         }

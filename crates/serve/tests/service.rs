@@ -1,7 +1,8 @@
 //! End-to-end service tests: warm-restart store hits across service
-//! instances, a runtime phase log that serving never grows, and the
-//! full socket round trip (client → framed wire → server → scheduler →
-//! runtime → store → client).
+//! instances, a runtime phase log that serving never grows, cache rows
+//! that read the runtime's own counters, and the full socket round trip
+//! (client → framed wire → server → scheduler → runtime → store →
+//! client).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,6 +97,41 @@ fn served_jobs_leave_the_runtime_phase_log_empty() {
         metrics.phases.is_empty(),
         "a live service must not grow the phase log per job"
     );
+}
+
+#[test]
+fn cache_rows_read_the_runtime_counters() {
+    let config = ServeConfig {
+        workers: 1,
+        per_tenant_depth: 16,
+        breaker_threshold: 0,
+        ..ServeConfig::default()
+    };
+    let service = Service::start(config, Arc::new(Runtime::new(1))).expect("start");
+    // A job and its repeat, two deadline timeouts and two panics: only
+    // the repeat is answered from the cache, and neither transient
+    // failure is cached, so every other submit executes once.
+    for (job, deadline_ms) in [
+        (conv_job("rows0"), 60_000),
+        (conv_job("rows0"), 60_000),
+        (SimJob::wedge(200), 20),
+        (SimJob::wedge(200), 20),
+        (SimJob::poison("rows panic"), 60_000),
+        (SimJob::poison("rows panic"), 60_000),
+    ] {
+        let id = service
+            .submit_with_deadline("t0", job, deadline_ms)
+            .expect("submit");
+        service.wait(id).expect("wait");
+    }
+    service.drain();
+    let stats = service.stats();
+    let runtime = service.runtime().metrics();
+    assert_eq!((runtime.cache_hits, runtime.executed), (1, 5));
+    assert_eq!(runtime.timeouts, 2);
+    assert_eq!(stats.cache_hits, runtime.cache_hits);
+    assert_eq!(stats.cache_misses, runtime.executed);
+    assert_eq!(stats.cache_entries, 1, "only the conv result is cached");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end observability tests: live request-path tracing through
 //! the flight recorder, the crash postmortem contract, the `metrics`
-//! wire verb and its agreement with `stats`, and reject-cause counter
-//! accounting under concurrency.
+//! wire verb and its agreement with `stats` and the runtime's counters,
+//! and reject-cause counter accounting under concurrency.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use maeri::{MaeriConfig, VnPolicy};
 use maeri_dnn::ConvLayer;
 use maeri_runtime::{Runtime, SimJob};
-use maeri_serve::metrics::{MetricRow, ROWS};
+use maeri_serve::metrics::ROWS;
 use maeri_serve::recorder::{read_postmortem, read_span_log, RecorderConfig};
 use maeri_serve::registry::validate_exposition;
 use maeri_serve::server::Server;
@@ -19,6 +19,7 @@ use maeri_serve::service::{ServeConfig, Service, SubmitError};
 use maeri_serve::wire::{Client, FabricSpec, JobSpec};
 use maeri_serve::Journal;
 use maeri_telemetry::json::JsonValue;
+use maeri_telemetry::metrics::MetricRow;
 use maeri_telemetry::span::{validate_trace, SpanKind};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -319,22 +320,29 @@ fn every_stats_key_has_a_matching_exposition_sample() {
     let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
     let rows: Vec<&str> = ROWS.iter().map(|row| row.key).collect();
     assert_eq!(keys, rows, "`stats` carries exactly the table's rows");
-    for (row, (key, value)) in ROWS.iter().zip(fields) {
-        let value = value
-            .as_u64()
-            .expect("stats values are integers")
-            .to_string();
+    // Every service row with its `stats` value, then every runtime row
+    // with its value in the runtime's own snapshot.
+    let stats_values = fields
+        .iter()
+        .map(|(_, value)| value.as_u64().expect("stats values are integers"));
+    let expected: Vec<(&MetricRow, u64)> = ROWS
+        .iter()
+        .zip(stats_values)
+        .chain(service.runtime().metrics().rows())
+        .collect();
+    for (row, value) in &expected {
         assert_eq!(
             samples.get(series(row).as_str()),
-            Some(&value.as_str()),
-            "stats key `{key}` = {value} has no matching `{}` sample",
+            Some(&value.to_string().as_str()),
+            "`{}` = {value} has no matching `{}` sample",
+            row.key,
             series(row)
         );
     }
     for name in samples.keys() {
         assert!(
-            ROWS.iter().any(|row| series(row) == *name),
-            "sample `{name}` maps back to no stats key"
+            expected.iter().any(|(row, _)| series(row) == *name),
+            "sample `{name}` maps back to no stats key or runtime row"
         );
     }
     assert_eq!(stats.get("store_hits").and_then(JsonValue::as_u64), Some(1));

@@ -31,6 +31,13 @@
 //! recorder produces those spans; this crate owns their vocabulary so
 //! recorder, load simulator, and reports all agree on it.
 //!
+//! The [`metrics`] module declares counter tables: the
+//! [`metric_table!`] macro turns one row per counter into the shared
+//! atomics, the snapshot struct and a static row array that every
+//! renderer walks. The runtime's job, cache and search counters and
+//! the service's request counters are both declared with it, so each
+//! reaches JSON and Prometheus text from one declaration.
+//!
 //! # Example
 //!
 //! ```
@@ -57,6 +64,7 @@ mod fabric;
 mod sink;
 
 pub mod json;
+pub mod metrics;
 pub mod span;
 
 pub use chrome::ChromeTraceSink;
