@@ -32,6 +32,7 @@
 //! sized to exactly what the rules need.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 pub mod ast;
 pub mod classify;

@@ -866,16 +866,16 @@ mod tests {
 
     #[test]
     fn probe_twin_flags_a_missing_plain_twin() {
-        let found = findings_at(FABRIC, "pub fn fire_probed(sink: &mut S) -> u8 { 0 }");
+        let found = findings_at(FABRIC, "pub fn step_probed(sink: &mut S) -> u8 { 0 }");
         assert_eq!(rules_of(&found), [Rule::ProbeTwin]);
-        assert!(found[0].message.contains("no plain twin `fn fire`"));
+        assert!(found[0].message.contains("no plain twin `fn step`"));
     }
 
     #[test]
     fn probe_twin_flags_twins_that_do_not_delegate() {
         // Both exist but each reimplements the logic independently.
-        let src = "pub fn fire() -> u8 { compute() }\n\
-                   pub fn fire_probed(sink: &mut S) -> u8 { compute_and_emit(sink) }\n";
+        let src = "pub fn step() -> u8 { compute() }\n\
+                   pub fn step_probed(sink: &mut S) -> u8 { compute_and_emit(sink) }\n";
         let found = findings_at(FABRIC, src);
         assert_eq!(rules_of(&found), [Rule::ProbeTwin]);
         assert_eq!(found[0].line, 2);
@@ -885,8 +885,8 @@ mod tests {
     #[test]
     fn probe_twin_clean_when_either_twin_delegates() {
         // Probed delegates to plain.
-        let a = "pub fn fire() -> u8 { compute() }\n\
-                 pub fn fire_probed(sink: &mut S) -> u8 { let v = self.fire(); sink.emit(); v }";
+        let a = "pub fn step() -> u8 { compute() }\n\
+                 pub fn step_probed(sink: &mut S) -> u8 { let v = self.step(); sink.emit(); v }";
         assert_eq!(findings_at(FABRIC, a), []);
         // Plain delegates to probed.
         let b = "pub fn run() -> u8 { run_probed(&mut NullSink) }\n\
@@ -907,8 +907,8 @@ mod tests {
     fn probe_twin_reads_past_braces_in_strings() {
         // A raw-text brace matcher counts the `{` in the string, never
         // finds the probed body's end, and misses the delegating call.
-        let src = "pub fn fire() -> u8 { compute() }\n\
-                   pub fn fire_probed(sink: &mut S) -> u8 { sink.note(\"{ open\"); self.fire() }\n";
+        let src = "pub fn step() -> u8 { compute() }\n\
+                   pub fn step_probed(sink: &mut S) -> u8 { sink.note(\"{ open\"); self.step() }\n";
         assert_eq!(findings_at(FABRIC, src), []);
     }
 
@@ -916,7 +916,7 @@ mod tests {
     fn probe_twin_skips_private_probed_fns_and_other_trees() {
         let private = "fn gate_folded_probed(sink: &mut S) -> u8 { 0 }";
         assert_eq!(findings_at(FABRIC, private), []);
-        let public = "pub fn fire_probed(sink: &mut S) -> u8 { 0 }";
+        let public = "pub fn step_probed(sink: &mut S) -> u8 { 0 }";
         assert_eq!(findings_at("crates/telemetry/src/lib.rs", public), []);
     }
 

@@ -16,16 +16,137 @@
 //! profile yields [`ArtConfig::throughput_slowdown`] — 1.0 means fully
 //! non-blocking (Property 2); thinner links (e.g. the 0.25x
 //! configuration of Figure 13) yield a proportional slowdown.
+//!
+//! A partition the walk cannot build comes back as an [`ArtError`]
+//! naming the first conflict and the VNs behind it. This walk is the
+//! only one: the static verifier (`maeri-verify`) builds the ART too,
+//! so a mapper and the prune gate meet the same error.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::fmt;
 
 use maeri_noc::topology::NodeId;
 use maeri_noc::{BinaryTree, ChubbyTree};
-use maeri_sim::{Result, SimError};
+use maeri_sim::SimError;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
 use crate::switch::AdderMode;
+
+/// Why the ART cannot build a VN partition. VN indices are positions
+/// in the supplied partition; the first conflict the construction walk
+/// meets is reported.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArtError {
+    /// VN `vn` covers leaves `start..end`, which leaves the
+    /// `leaves`-wide multiplier array.
+    OutOfRange {
+        /// Index of the offending VN in the supplied partition.
+        vn: usize,
+        /// First leaf the VN claims.
+        start: usize,
+        /// One past the last leaf the VN claims.
+        end: usize,
+        /// Number of multiplier leaves in the fabric.
+        leaves: usize,
+    },
+    /// Two VNs both claim `leaf`.
+    Overlap {
+        /// Index of the lower-starting VN of the conflicting pair.
+        first_vn: usize,
+        /// Index of the higher-starting VN of the conflicting pair.
+        second_vn: usize,
+        /// A leaf both VNs cover.
+        leaf: usize,
+    },
+    /// VN `vn` covers the dead multiplier switch `leaf`.
+    DeadLeaf {
+        /// Index of the offending VN.
+        vn: usize,
+        /// The dead leaf it covers.
+        leaf: usize,
+    },
+    /// The forwarding link between `from` and `to` at `level` would be
+    /// claimed by two VNs.
+    LinkClaimedTwice {
+        /// Tree level of both endpoints.
+        level: usize,
+        /// Sending node of the second (conflicting) activation.
+        from: NodeId,
+        /// Receiving node of the second (conflicting) activation.
+        to: NodeId,
+        /// VN that claimed the link first.
+        first_vn: usize,
+        /// VN whose claim collides.
+        second_vn: usize,
+    },
+    /// Adder switch `node` would need more than its three input ports.
+    AdderOverloaded {
+        /// Tree level of the adder.
+        level: usize,
+        /// The overloaded adder switch.
+        node: NodeId,
+        /// Addends demanded of it.
+        addends: usize,
+        /// First VN contributing addends.
+        first_vn: usize,
+        /// Last VN contributing addends (distinct from `first_vn` when
+        /// more than one VN contributes).
+        second_vn: usize,
+    },
+}
+
+impl fmt::Display for ArtError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArtError::OutOfRange {
+                vn,
+                start,
+                end,
+                leaves,
+            } => write!(
+                f,
+                "vn {vn} covers leaves {start}..{end}, out of range 0..{leaves}"
+            ),
+            ArtError::Overlap {
+                first_vn,
+                second_vn,
+                leaf,
+            } => write!(f, "vn {first_vn} and vn {second_vn} both cover leaf {leaf}"),
+            ArtError::DeadLeaf { vn, leaf } => {
+                write!(f, "vn {vn} covers dead multiplier switch {leaf}")
+            }
+            ArtError::LinkClaimedTwice {
+                level,
+                from,
+                to,
+                first_vn,
+                second_vn,
+            } => write!(
+                f,
+                "forwarding link {from}-{to} at level {level} claimed by vn {first_vn} and vn {second_vn}"
+            ),
+            ArtError::AdderOverloaded {
+                level,
+                node,
+                addends,
+                first_vn,
+                second_vn,
+            } => write!(
+                f,
+                "adder switch {node} at level {level} needs {addends} addends (vn {first_vn} vs vn {second_vn}); 3 is the port budget"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ArtError {}
+
+impl From<ArtError> for SimError {
+    fn from(err: ArtError) -> Self {
+        SimError::unmappable(err)
+    }
+}
 
 /// A virtual neuron: a contiguous run of multiplier-switch leaves.
 ///
@@ -124,10 +245,6 @@ pub struct ArtConfig {
     /// Flow count per up-link, indexed by the child node of the link
     /// (zero for links no flow uses).
     edge_loads: Vec<u32>,
-    /// Severed forwarding links as `(level, boundary)` keys; the
-    /// construction walk climbs through the parent instead of using
-    /// these.
-    dead_fls: BTreeSet<(usize, usize)>,
 }
 
 impl ArtConfig {
@@ -139,9 +256,10 @@ impl ArtConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Unmappable`] when ranges overlap or fall
-    /// outside the tree, and propagates invalid-config errors.
-    pub fn build(chubby: ChubbyTree, vns: &[VnRange]) -> Result<Self> {
+    /// Returns the first [`ArtError`] conflict: a range outside the
+    /// tree, two overlapping ranges, a forwarding link claimed twice or
+    /// an adder switch past its port budget.
+    pub fn build(chubby: ChubbyTree, vns: &[VnRange]) -> Result<Self, ArtError> {
         Self::build_with_faults(chubby, vns, None)
     }
 
@@ -156,13 +274,13 @@ impl ArtConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Unmappable`] when ranges overlap, fall
-    /// outside the tree, or cover a faulty leaf.
+    /// As [`Self::build`], plus [`ArtError::DeadLeaf`] when a range
+    /// covers a faulty leaf.
     pub fn build_with_faults(
         chubby: ChubbyTree,
         vns: &[VnRange],
         faults: Option<&FaultPlan>,
-    ) -> Result<Self> {
+    ) -> Result<Self, ArtError> {
         let tree = *chubby.tree();
         let leaves = tree.num_leaves();
         if let Some(plan) = faults {
@@ -171,30 +289,29 @@ impl ArtConfig {
         // Validate: in range, pairwise disjoint, and on healthy leaves.
         let mut sorted: Vec<(usize, &VnRange)> = vns.iter().enumerate().collect();
         sorted.sort_by_key(|(_, r)| r.start);
-        let mut prev_end = 0usize;
-        for (_, range) in &sorted {
+        let mut prev: Option<(usize, usize)> = None;
+        for &(vn, range) in &sorted {
             if range.end() > leaves {
-                return Err(SimError::unmappable(format!(
-                    "virtual neuron {}..{} exceeds {} leaves",
-                    range.start,
-                    range.end(),
-                    leaves
-                )));
+                return Err(ArtError::OutOfRange {
+                    vn,
+                    start: range.start,
+                    end: range.end(),
+                    leaves,
+                });
             }
-            if range.start < prev_end {
-                return Err(SimError::unmappable(format!(
-                    "virtual neuron at leaf {} overlaps the previous one",
-                    range.start
-                )));
+            if let Some((first_vn, prev_end)) = prev {
+                if range.start < prev_end {
+                    return Err(ArtError::Overlap {
+                        first_vn,
+                        second_vn: vn,
+                        leaf: range.start,
+                    });
+                }
             }
-            prev_end = range.end();
+            prev = Some((vn, range.end()));
             if let Some(plan) = faults {
-                if let Some(dead) = (range.start..range.end()).find(|&l| plan.is_leaf_dead(l)) {
-                    return Err(SimError::unmappable(format!(
-                        "virtual neuron {}..{} covers faulty multiplier switch {dead}",
-                        range.start,
-                        range.end()
-                    )));
+                if let Some(leaf) = (range.start..range.end()).find(|&l| plan.is_leaf_dead(l)) {
+                    return Err(ArtError::DeadLeaf { vn, leaf });
                 }
             }
         }
@@ -208,10 +325,9 @@ impl ArtConfig {
             node_uses: vec![NodeUse::default(); tree.num_internal()],
             fl_activations: Vec::new(),
             edge_loads: vec![0; tree.num_nodes()],
-            dead_fls: faults.map(|p| p.dead_links().clone()).unwrap_or_default(),
         };
         for (vn_idx, range) in vns.iter().enumerate() {
-            config.construct_vn(vn_idx, range);
+            config.construct_vn(vn_idx, range, faults);
         }
         config.check_link_exclusivity()?;
         Ok(config)
@@ -221,7 +337,7 @@ impl ArtConfig {
     /// rise level by level; lone fragments prefer an active forwarding
     /// link toward the VN interior over climbing through an otherwise
     /// idle parent.
-    fn construct_vn(&mut self, vn_idx: usize, range: &VnRange) {
+    fn construct_vn(&mut self, vn_idx: usize, range: &VnRange, faults: Option<&FaultPlan>) {
         let leaf_level = self.tree.levels() - 1;
         let mut ops = Vec::new();
         // Fragment positions at the current level.
@@ -231,7 +347,7 @@ impl ArtConfig {
             debug_assert!(level > 0, "multiple fragments cannot reach the root");
             // Lateral resolution: only internal levels have FLs.
             if level < leaf_level {
-                frags = self.resolve_laterals(vn_idx, level, &frags, &mut ops);
+                frags = self.resolve_laterals(vn_idx, level, &frags, faults, &mut ops);
             }
             // Pair fragments up to their parents.
             let mut next: Vec<usize> = Vec::with_capacity(frags.len() / 2 + 1);
@@ -288,6 +404,7 @@ impl ArtConfig {
         vn_idx: usize,
         level: usize,
         frags: &[usize],
+        faults: Option<&FaultPlan>,
         ops: &mut Vec<Op>,
     ) -> Vec<usize> {
         debug_assert!(frags.windows(2).all(|w| w[0] < w[1]));
@@ -321,7 +438,7 @@ impl ArtConfig {
             let boundary = pos.min(partner);
             // A severed link is never activated: the fragment climbs
             // through its parent instead (graceful degradation).
-            if self.dead_fls.contains(&(level, boundary)) {
+            if faults.is_some_and(|plan| plan.is_fl_dead(level, boundary)) {
                 continue;
             }
             let live = || frags.iter().zip(&removed).filter(|&(_, &r)| !r);
@@ -377,27 +494,43 @@ impl ArtConfig {
     }
 
     /// Verifies that no forwarding link is claimed twice and no adder
-    /// switch exceeds its port budget.
-    fn check_link_exclusivity(&self) -> Result<()> {
-        let mut seen = std::collections::BTreeSet::new();
+    /// switch exceeds its port budget, naming the VNs behind the first
+    /// conflict.
+    fn check_link_exclusivity(&self) -> Result<(), ArtError> {
+        let mut claims = BTreeMap::new();
         for fl in &self.fl_activations {
             let key = (fl.from.min(fl.to), fl.from.max(fl.to));
-            if !seen.insert(key) {
-                return Err(SimError::unmappable(format!(
-                    "forwarding link between nodes {} and {} claimed twice",
-                    key.0, key.1
-                )));
+            if let Some(first_vn) = claims.insert(key, fl.vn) {
+                return Err(ArtError::LinkClaimedTwice {
+                    level: fl.level,
+                    from: fl.from,
+                    to: fl.to,
+                    first_vn,
+                    second_vn: fl.vn,
+                });
             }
         }
-        for (node, usage) in self.node_uses.iter().enumerate() {
-            if usage.addends > 3 {
-                return Err(SimError::unmappable(format!(
-                    "adder switch {node} would need {} addends",
-                    usage.addends
-                )));
-            }
-        }
-        Ok(())
+        let Some(node) = self.node_uses.iter().position(|u| u.addends > 3) else {
+            return Ok(());
+        };
+        // Claimants in construction order: VNs that combine at the
+        // adder or send a lateral into it.
+        let mut claimants = self.ops.iter().enumerate().filter_map(|(vn, ops)| {
+            ops.iter()
+                .any(|op| match *op {
+                    Op::Combine { node: n, .. } | Op::Lateral { to: n, .. } => n == node,
+                    Op::Up { .. } => false,
+                })
+                .then_some(vn)
+        });
+        let first_vn = claimants.next().unwrap_or(0);
+        Err(ArtError::AdderOverloaded {
+            level: self.tree.level_of(node),
+            node,
+            addends: usize::from(self.node_uses[node].addends),
+            first_vn,
+            second_vn: claimants.next_back().unwrap_or(first_vn),
+        })
     }
 
     /// The configured VN ranges.
@@ -494,6 +627,19 @@ impl ArtConfig {
         // Root port: every VN output leaves through the root.
         let root_load = self.vns.len() as f64;
         worst = worst.max(root_load / self.chubby.root_bandwidth() as f64);
+        worst
+    }
+
+    /// Worst flow count on one up-link of each level, indexed by level:
+    /// entry 0 is the root port, which carries one output per VN.
+    #[must_use]
+    pub fn worst_link_loads(&self) -> Vec<u64> {
+        let mut worst = vec![0; self.tree.levels()];
+        worst[0] = self.vns.len() as u64;
+        for (child, &load) in self.edge_loads.iter().enumerate().skip(1) {
+            let level = self.tree.level_of(child);
+            worst[level] = worst[level].max(u64::from(load));
+        }
         worst
     }
 
@@ -783,13 +929,13 @@ mod tests {
     fn overlapping_vns_rejected() {
         let vns = [VnRange::new(0, 5), VnRange::new(4, 5)];
         let err = ArtConfig::build(chubby(16, 8), &vns).unwrap_err();
-        assert!(err.to_string().contains("overlap"));
+        assert!(err.to_string().contains("both cover leaf 4"), "{err}");
     }
 
     #[test]
     fn out_of_range_vn_rejected() {
         let err = ArtConfig::build(chubby(16, 8), &[VnRange::new(10, 8)]).unwrap_err();
-        assert!(err.to_string().contains("exceeds"));
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]
@@ -882,7 +1028,7 @@ mod tests {
         let err =
             ArtConfig::build_with_faults(chubby(16, 8), &[VnRange::new(dead, 1)], Some(&plan))
                 .unwrap_err();
-        assert!(err.to_string().contains("faulty multiplier"), "{err}");
+        assert!(err.to_string().contains("dead multiplier"), "{err}");
     }
 
     #[test]

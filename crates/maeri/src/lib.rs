@@ -63,7 +63,7 @@ pub mod mapper;
 pub mod switch;
 pub mod viz;
 
-pub use art::{ArtConfig, VnRange};
+pub use art::{ArtConfig, ArtError, VnRange};
 pub use config::{MaeriConfig, MaeriConfigBuilder};
 pub use engine::RunStats;
 pub use fault::{FaultPlan, FaultSpec};

@@ -137,24 +137,6 @@ impl MultSwitch {
         Some(weight * input)
     }
 
-    /// [`MultSwitch::fire`] that reports a successful multiply to a
-    /// telemetry sink as a [`MultFire`] event stamped with the caller's
-    /// clock and this switch's leaf index (a no-op for a disabled sink).
-    ///
-    /// [`MultFire`]: maeri_telemetry::TraceEvent::MultFire
-    pub fn fire_probed<S: maeri_telemetry::TraceSink>(
-        &mut self,
-        cycle: u64,
-        switch_id: u32,
-        sink: &mut S,
-    ) -> Option<f32> {
-        let product = self.fire();
-        if product.is_some() {
-            sink.emit(|| maeri_telemetry::TraceEvent::MultFire { cycle, switch_id });
-        }
-        product
-    }
-
     /// Peeks at the head input and multiplies without consuming it —
     /// used by the CONV sliding window, where an input is reused and
     /// then forwarded to the left neighbor.

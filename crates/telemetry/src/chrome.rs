@@ -181,12 +181,6 @@ fn trace_event_json(event: &TraceEvent) -> JsonValue {
                 .with("lane", JsonValue::UInt(u64::from(lane)))
                 .with("latency_cycles", JsonValue::UInt(latency)),
         ),
-        TraceEvent::MultFire { cycle, switch_id } => instant(
-            "mult_fire",
-            cycle,
-            FABRIC_TID,
-            JsonValue::object().with("switch", JsonValue::UInt(u64::from(switch_id))),
-        ),
         TraceEvent::ArtConfigured {
             active_adders,
             forward_links,

@@ -86,13 +86,6 @@ pub enum TraceEvent {
         /// Cycles from [`TraceEvent::VnReduceStart`] to collection.
         latency: u64,
     },
-    /// A multiplier switch performed one multiply.
-    MultFire {
-        /// Simulation cycle.
-        cycle: u64,
-        /// Leaf index of the switch.
-        switch_id: u32,
-    },
     /// The ART was (re)configured for a run: how much of the adder
     /// fabric the mapping uses.
     ArtConfigured {
@@ -122,7 +115,6 @@ impl TraceEvent {
             TraceEvent::CollectStall { .. } => "collect_stall",
             TraceEvent::VnReduceStart { .. } => "vn_reduce_start",
             TraceEvent::VnReduceComplete { .. } => "vn_reduce_complete",
-            TraceEvent::MultFire { .. } => "mult_fire",
             TraceEvent::ArtConfigured { .. } => "art_configured",
             TraceEvent::RunEnd { .. } => "run_end",
         }
@@ -141,7 +133,6 @@ impl TraceEvent {
             | TraceEvent::CollectStall { cycle, .. }
             | TraceEvent::VnReduceStart { cycle, .. }
             | TraceEvent::VnReduceComplete { cycle, .. }
-            | TraceEvent::MultFire { cycle, .. }
             | TraceEvent::RunEnd { cycle } => Some(cycle),
             TraceEvent::DistDelivery { .. } | TraceEvent::ArtConfigured { .. } => None,
         }
@@ -174,10 +165,6 @@ mod tests {
                 cycle: 7,
                 lane: 0,
                 latency: 6,
-            },
-            TraceEvent::MultFire {
-                cycle: 1,
-                switch_id: 5,
             },
             TraceEvent::ArtConfigured {
                 active_adders: 60,

@@ -93,7 +93,6 @@ pub struct TelemetrySink {
     dist_stall_lane_cycles: u64,
     collect_stall_lane_cycles: u64,
     waves_started: u64,
-    mult_fires: u64,
     art_active_adders: u64,
     art_forward_links: u64,
     vn_latency: Histogram,
@@ -135,12 +134,6 @@ impl TelemetrySink {
     #[must_use]
     pub fn waves_started(&self) -> u64 {
         self.waves_started
-    }
-
-    /// Individual multiplies observed (when switch-level probes ran).
-    #[must_use]
-    pub fn mult_fires(&self) -> u64 {
-        self.mult_fires
     }
 
     /// Active adders of the last [`TraceEvent::ArtConfigured`].
@@ -195,7 +188,6 @@ impl TraceSink for TelemetrySink {
             TraceEvent::CollectStall { .. } => self.collect_stall_lane_cycles += 1,
             TraceEvent::VnReduceStart { .. } => self.waves_started += 1,
             TraceEvent::VnReduceComplete { latency, .. } => self.vn_latency.record(latency),
-            TraceEvent::MultFire { .. } => self.mult_fires += 1,
             TraceEvent::ArtConfigured {
                 active_adders,
                 forward_links,

@@ -3,11 +3,13 @@
 //! A violation is never reported as a bare boolean or prose string: each
 //! variant names the level, node ids, and conflicting VN pair (or the
 //! offending knob and its bounds) that demonstrate the illegality, so a
-//! failed verification is directly actionable and testable.
+//! failed verification is directly actionable and testable. Partition
+//! conflicts are the ART builder's own [`ArtError`], wrapped unchanged
+//! in [`VerifyError::Partition`].
 
 use std::fmt;
 
-use maeri_noc::topology::NodeId;
+use maeri::art::ArtError;
 
 /// Which tree network a bandwidth finding refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +34,14 @@ impl fmt::Display for Network {
 /// The variants map onto the five invariants of the paper that
 /// `maeri-verify` checks (see DESIGN.md section 11):
 ///
-/// 1. VN contiguity/disjointness over the multiplier leaves
-///    ([`VerifyError::VnOutOfRange`], [`VerifyError::VnOverlap`]),
-/// 2. ART link exclusivity for the induced reduction forest
-///    ([`VerifyError::LinkClaimedTwice`], [`VerifyError::AdderOverloaded`]),
+/// 1. VN contiguity/disjointness over the multiplier leaves,
+/// 2. ART link exclusivity for the induced reduction forest,
 /// 3. per-level bandwidth feasibility ([`VerifyError::BandwidthInfeasible`]),
 /// 4. MAC conservation ([`VerifyError::MacMismatch`]),
-/// 5. fault consistency ([`VerifyError::DeadLeaf`]).
+/// 5. fault consistency.
+///
+/// Invariants 1, 2 and 5 are the ART builder's own checks and surface
+/// as [`VerifyError::Partition`].
 ///
 /// Knob/bounds violations that make a candidate unmappable before any
 /// partition exists surface as [`VerifyError::KnobOutOfRange`],
@@ -46,62 +49,9 @@ impl fmt::Display for Network {
 /// [`VerifyError::KindMismatch`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum VerifyError {
-    /// Invariant 1: VN `vn` covers leaves `start..end`, which leaves the
-    /// `leaves`-wide multiplier array.
-    VnOutOfRange {
-        /// Index of the offending VN in the supplied partition.
-        vn: usize,
-        /// First leaf the VN claims.
-        start: usize,
-        /// One past the last leaf the VN claims.
-        end: usize,
-        /// Number of multiplier leaves in the fabric.
-        leaves: usize,
-    },
-    /// Invariant 1: two VNs both claim `leaf`.
-    VnOverlap {
-        /// Index of the lower-starting VN of the conflicting pair.
-        first_vn: usize,
-        /// Index of the higher-starting VN of the conflicting pair.
-        second_vn: usize,
-        /// A leaf both VNs cover.
-        leaf: usize,
-    },
-    /// Invariant 5: VN `vn` covers the dead multiplier switch `leaf`.
-    DeadLeaf {
-        /// Index of the offending VN.
-        vn: usize,
-        /// The dead leaf it covers.
-        leaf: usize,
-    },
-    /// Invariant 2: the forwarding link between `from` and `to` at
-    /// `level` would be claimed by two VNs.
-    LinkClaimedTwice {
-        /// Tree level of both endpoints.
-        level: usize,
-        /// Sending node of the second (conflicting) activation.
-        from: NodeId,
-        /// Receiving node of the second (conflicting) activation.
-        to: NodeId,
-        /// VN that claimed the link first.
-        first_vn: usize,
-        /// VN whose claim collides.
-        second_vn: usize,
-    },
-    /// Invariant 2: adder switch `node` would need more than its three
-    /// input ports.
-    AdderOverloaded {
-        /// Tree level of the adder.
-        level: usize,
-        /// The overloaded adder switch.
-        node: NodeId,
-        /// Addends demanded of it.
-        addends: usize,
-        /// First VN contributing addends.
-        first_vn: usize,
-        /// Last VN contributing addends (distinct from `first_vn`).
-        second_vn: usize,
-    },
+    /// Invariants 1, 2 and 5: the ART builder rejects the VN partition
+    /// with this conflict.
+    Partition(ArtError),
     /// Invariant 3 (strict form): `level` of `network` must move `load`
     /// words per cycle over links of width `capacity`.
     BandwidthInfeasible {
@@ -155,43 +105,7 @@ pub enum VerifyError {
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VerifyError::VnOutOfRange {
-                vn,
-                start,
-                end,
-                leaves,
-            } => write!(
-                f,
-                "vn {vn} covers leaves {start}..{end}, out of range 0..{leaves}"
-            ),
-            VerifyError::VnOverlap {
-                first_vn,
-                second_vn,
-                leaf,
-            } => write!(f, "vn {first_vn} and vn {second_vn} both cover leaf {leaf}"),
-            VerifyError::DeadLeaf { vn, leaf } => {
-                write!(f, "vn {vn} covers dead multiplier switch {leaf}")
-            }
-            VerifyError::LinkClaimedTwice {
-                level,
-                from,
-                to,
-                first_vn,
-                second_vn,
-            } => write!(
-                f,
-                "forwarding link {from}-{to} at level {level} claimed by vn {first_vn} and vn {second_vn}"
-            ),
-            VerifyError::AdderOverloaded {
-                level,
-                node,
-                addends,
-                first_vn,
-                second_vn,
-            } => write!(
-                f,
-                "adder switch {node} at level {level} needs {addends} addends (vn {first_vn} vs vn {second_vn}); 3 is the port budget"
-            ),
+            VerifyError::Partition(err) => err.fmt(f),
             VerifyError::BandwidthInfeasible {
                 network,
                 level,
@@ -228,6 +142,12 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+impl From<ArtError> for VerifyError {
+    fn from(err: ArtError) -> Self {
+        VerifyError::Partition(err)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,24 +156,24 @@ mod tests {
     fn displays_are_stable() {
         let cases: Vec<(VerifyError, &str)> = vec![
             (
-                VerifyError::VnOutOfRange {
+                VerifyError::Partition(ArtError::OutOfRange {
                     vn: 2,
                     start: 60,
                     end: 68,
                     leaves: 64,
-                },
+                }),
                 "vn 2 covers leaves 60..68, out of range 0..64",
             ),
             (
-                VerifyError::VnOverlap {
+                VerifyError::Partition(ArtError::Overlap {
                     first_vn: 0,
                     second_vn: 1,
                     leaf: 4,
-                },
+                }),
                 "vn 0 and vn 1 both cover leaf 4",
             ),
             (
-                VerifyError::DeadLeaf { vn: 3, leaf: 17 },
+                VerifyError::Partition(ArtError::DeadLeaf { vn: 3, leaf: 17 }),
                 "vn 3 covers dead multiplier switch 17",
             ),
             (

@@ -23,13 +23,19 @@
 //! minimal counterexample — the level, node ids, and conflicting VN
 //! pair — never as a bare boolean.
 //!
+//! Invariants 1, 2 and 5 are decided by building the ART with the one
+//! VN-construction walk ([`maeri::art::ArtConfig::build_with_faults`]),
+//! whose conflicts come back as [`VerifyError::Partition`].
+//!
 //! The verifier is wired in three places: `maeri-mapspace` uses
 //! [`statically_reject`] as a pre-score prune gate, `maeri-runtime`
 //! rejects illegal jobs early with `JobError::InvalidMapping`, and
-//! `tests/differential.rs` proves the verifier agrees with the cycle
-//! simulator's dynamic checks over exhaustive small fabrics.
+//! `tests/differential.rs` checks the walk against an independent
+//! oracle (legality from the ranges and fault plan alone, exact sums
+//! from the replay) over exhaustive small fabrics and seeded samples.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 pub mod candidate;
 pub mod error;

@@ -1,24 +1,17 @@
 //! Invariants 1–3 and 5: static verification of a VN partition.
 //!
-//! [`verify_reduction`] runs the same level-by-level walk as the ART's
-//! VN-construction algorithm (`maeri::art::ArtConfig::build_with_faults`,
-//! Section 4.1 of the paper) — but purely symbolically: it claims links
-//! and adder ports without ever materializing an operation list or
-//! clocking a cycle, and reports the first conflict as a structured
-//! [`VerifyError`] with the conflicting VN pair. A differential test
-//! (`tests/differential.rs`) pins the two walks to each other: for every
-//! partition on small fabrics and seeded samples at 64 leaves, the
-//! verifier accepts exactly when the dynamic construction accepts, and
-//! both sides agree on forwarding-link count, active adders, and
-//! throughput slowdown.
+//! [`verify_reduction`] builds the ART with the one VN-construction walk
+//! (`maeri::art::ArtConfig::build_with_faults`, Section 4.1 of the
+//! paper) without clocking a cycle: the builder's first conflict comes
+//! back as [`VerifyError::Partition`] with the conflicting VN pair, and
+//! an accepted build's accessors fill the report. `tests/differential.rs`
+//! checks the walk against an independent oracle (legality from the
+//! ranges and the fault plan alone, exact sums from the replay).
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use maeri::art::VnRange;
+use maeri::art::{ArtConfig, VnRange};
 use maeri::fault::FaultPlan;
 use maeri::MaeriConfig;
-use maeri_noc::topology::NodeId;
-use maeri_noc::{BinaryTree, ChubbyTree};
+use maeri_noc::ChubbyTree;
 
 use crate::error::{Network, VerifyError};
 
@@ -119,29 +112,6 @@ impl PartitionReport {
     }
 }
 
-/// Mirror of the ART's per-adder port bookkeeping.
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeUse {
-    addends: u8,
-    passes: u8,
-    lateral_in: bool,
-    lateral_out: bool,
-}
-
-/// The symbolic walk state over one partition.
-struct Walker<'a> {
-    tree: BinaryTree,
-    faults: Option<&'a FaultPlan>,
-    node_uses: Vec<NodeUse>,
-    /// VNs that contributed addends to each adder, for counterexamples.
-    claimants: Vec<Vec<usize>>,
-    /// First VN to claim each forwarding link (undirected key).
-    fl_claims: BTreeMap<(NodeId, NodeId), usize>,
-    forwarding_links: usize,
-    /// Flow count per up-link, keyed by the child node of the link.
-    edge_loads: BTreeMap<NodeId, u32>,
-}
-
 /// Statically verifies a VN partition against a fabric configuration:
 /// invariants 1, 2, 5 decide acceptance; the report carries the
 /// invariant-3 level loads for both networks.
@@ -179,123 +149,26 @@ pub fn verify_partition_with_faults(
     })
 }
 
-/// Verifies the reduction forest a VN partition induces on the ART —
-/// the exact static counterpart of
-/// [`maeri::art::ArtConfig::build_with_faults`].
+/// Verifies the reduction forest a VN partition induces on the ART by
+/// building it with [`maeri::art::ArtConfig::build_with_faults`].
 ///
 /// # Errors
 ///
-/// Returns the first [`VerifyError`] violation with its counterexample.
+/// Returns the builder's first conflict as [`VerifyError::Partition`].
 pub fn verify_reduction(
     collection: &ChubbyTree,
     faults: Option<&FaultPlan>,
     vns: &[VnRange],
 ) -> Result<ReductionReport, VerifyError> {
-    let tree = *collection.tree();
-    let leaves = tree.num_leaves();
-
-    // Invariants 1 and 5: in range, pairwise disjoint, on healthy
-    // leaves. Same sorted sweep as the dynamic construction.
-    let mut sorted: Vec<(usize, &VnRange)> = vns.iter().enumerate().collect();
-    sorted.sort_by_key(|(_, r)| r.start);
-    let mut prev: Option<(usize, usize)> = None;
-    for (idx, range) in &sorted {
-        if range.end() > leaves {
-            return Err(VerifyError::VnOutOfRange {
-                vn: *idx,
-                start: range.start,
-                end: range.end(),
-                leaves,
-            });
-        }
-        if let Some((prev_vn, prev_end)) = prev {
-            if range.start < prev_end {
-                return Err(VerifyError::VnOverlap {
-                    first_vn: prev_vn,
-                    second_vn: *idx,
-                    leaf: range.start,
-                });
-            }
-        }
-        prev = Some((*idx, range.end()));
-        if let Some(plan) = faults {
-            if let Some(dead) = (range.start..range.end()).find(|&l| plan.is_leaf_dead(l)) {
-                return Err(VerifyError::DeadLeaf {
-                    vn: *idx,
-                    leaf: dead,
-                });
-            }
-        }
-    }
-
-    // Invariant 2: the symbolic walk claims links and adder ports in
-    // the same order the dynamic construction does.
-    let mut walker = Walker {
-        tree,
-        faults,
-        node_uses: vec![NodeUse::default(); tree.num_internal()],
-        claimants: vec![Vec::new(); tree.num_internal()],
-        fl_claims: BTreeMap::new(),
-        forwarding_links: 0,
-        edge_loads: BTreeMap::new(),
-    };
-    for (vn_idx, range) in vns.iter().enumerate() {
-        walker.walk_vn(vn_idx, range)?;
-    }
-    for (node, usage) in walker.node_uses.iter().enumerate() {
-        if usage.addends > 3 {
-            let claimants = &walker.claimants[node];
-            let first_vn = claimants.first().copied().unwrap_or(0);
-            let second_vn = claimants
-                .iter()
-                .rev()
-                .copied()
-                .find(|&vn| vn != first_vn)
-                .unwrap_or(first_vn);
-            return Err(VerifyError::AdderOverloaded {
-                level: tree.level_of(node),
-                node,
-                addends: usage.addends as usize,
-                first_vn,
-                second_vn,
-            });
-        }
-    }
-
-    // Invariant 3, collection half: worst flow per level vs. the
-    // chubby capacity profile.
-    let mut worst_by_level: BTreeMap<usize, u64> = BTreeMap::new();
-    for (&child, &load) in &walker.edge_loads {
-        let level = tree.level_of(child);
-        let entry = worst_by_level.entry(level).or_insert(0);
-        *entry = (*entry).max(u64::from(load));
-    }
-    let mut collection_loads = vec![LevelLoad {
-        level: 0,
-        load: vns.len() as u64,
-        capacity: collection.root_bandwidth() as u64,
-    }];
-    let mut collection_slowdown: f64 = 1.0;
-    for level in 1..tree.levels() {
-        let load = worst_by_level.get(&level).copied().unwrap_or(0);
-        let capacity = collection.link_bandwidth(level) as u64;
-        collection_loads.push(LevelLoad {
-            level,
-            load,
-            capacity,
-        });
-    }
-    for ll in &collection_loads {
-        collection_slowdown = collection_slowdown.max(ll.load as f64 / ll.capacity as f64);
-    }
-
+    let art = ArtConfig::build_with_faults(*collection, vns, faults)?;
     Ok(ReductionReport {
         num_vns: vns.len(),
-        busy_leaves: vns.iter().map(|r| r.len).sum(),
-        forwarding_links: walker.forwarding_links,
-        active_adders: walker.node_uses.iter().filter(|u| u.addends > 0).count(),
-        collection_slowdown,
-        collection_loads,
+        busy_leaves: art.busy_leaves(),
+        forwarding_links: art.forwarding_links().len(),
+        active_adders: art.active_adders(),
+        collection_slowdown: art.throughput_slowdown(),
+        // Invariant 3, collection half.
+        collection_loads: level_loads(collection, art.worst_link_loads()),
     })
 }
 
@@ -316,172 +189,41 @@ fn distribution_loads(distribution: &ChubbyTree, vns: &[VnRange]) -> Vec<LevelLo
     for (i, &b) in busy.iter().enumerate() {
         busy_prefix[i + 1] = busy_prefix[i] + u64::from(b);
     }
-    let total_busy = busy_prefix[leaves];
-    let mut loads = vec![LevelLoad {
-        level: 0,
-        load: total_busy,
-        capacity: distribution.root_bandwidth() as u64,
-    }];
+    let mut loads = vec![busy_prefix[leaves]];
     for level in 1..tree.levels() {
         let mut worst = 0u64;
         for pos in 0..tree.nodes_at_level(level) {
             let (lo, hi) = tree.leaf_span(tree.node_at(level, pos));
             worst = worst.max(busy_prefix[hi + 1] - busy_prefix[lo]);
         }
-        loads.push(LevelLoad {
-            level,
-            load: worst,
-            capacity: distribution.link_bandwidth(level) as u64,
-        });
+        loads.push(worst);
     }
-    loads
+    level_loads(distribution, loads)
 }
 
-impl Walker<'_> {
-    /// Adds `count` addends for `vn` at `node`, remembering the
-    /// claimant for counterexamples.
-    fn add_addends(&mut self, node: NodeId, count: u8, vn: usize) {
-        self.node_uses[node].addends += count;
-        self.claimants[node].push(vn);
-    }
-
-    /// The static counterpart of `ArtConfig::construct_vn`.
-    fn walk_vn(&mut self, vn: usize, range: &VnRange) -> Result<(), VerifyError> {
-        let leaf_level = self.tree.levels() - 1;
-        let mut frags: Vec<usize> = (range.start..range.end()).collect();
-        let mut level = leaf_level;
-        while frags.len() > 1 {
-            if level < leaf_level {
-                frags = self.resolve_laterals(vn, level, frags)?;
-            }
-            let mut next: Vec<usize> = Vec::with_capacity(frags.len() / 2 + 1);
-            let mut i = 0;
-            while i < frags.len() {
-                let pos = frags[i];
-                let sibling = pos ^ 1;
-                let parent_pos = pos / 2;
-                let parent = self.tree.node_at(level - 1, parent_pos);
-                if i + 1 < frags.len() && frags[i + 1] == sibling {
-                    let a = self.tree.node_at(level, pos);
-                    let b = self.tree.node_at(level, sibling);
-                    self.add_addends(parent, 2, vn);
-                    *self.edge_loads.entry(a).or_insert(0) += 1;
-                    *self.edge_loads.entry(b).or_insert(0) += 1;
-                    i += 2;
-                } else {
-                    let from = self.tree.node_at(level, pos);
-                    self.node_uses[parent].passes += 1;
-                    *self.edge_loads.entry(from).or_insert(0) += 1;
-                    i += 1;
-                }
-                next.push(parent_pos);
-            }
-            frags = next;
-            level -= 1;
-        }
-        // Collection climb from the VN output node to the root.
-        let mut node = self.tree.node_at(level, frags[0]);
-        while let Some(parent) = self.tree.parent(node) {
-            *self.edge_loads.entry(node).or_insert(0) += 1;
-            self.node_uses[parent].passes += 1;
-            node = parent;
-        }
-        Ok(())
-    }
-
-    /// The static counterpart of `ArtConfig::resolve_laterals`: the
-    /// Step 1/Step 2 forwarding-link rules of Section 4.1, claiming
-    /// links instead of emitting operations.
-    fn resolve_laterals(
-        &mut self,
-        vn: usize,
-        level: usize,
-        frags: Vec<usize>,
-    ) -> Result<Vec<usize>, VerifyError> {
-        let present: BTreeSet<usize> = frags.iter().copied().collect();
-        let is_lone = |pos: usize| !present.contains(&(pos ^ 1));
-        let fl_partner = |pos: usize| -> Option<usize> {
-            if pos % 2 == 1 {
-                let p = pos + 1;
-                (p < self.tree.nodes_at_level(level)).then_some(p)
+/// Pairs per-level worst loads (entry 0 the root port) with the chubby
+/// capacity of each level.
+fn level_loads(chubby: &ChubbyTree, loads: impl IntoIterator<Item = u64>) -> Vec<LevelLoad> {
+    loads
+        .into_iter()
+        .enumerate()
+        .map(|(level, load)| LevelLoad {
+            level,
+            load,
+            capacity: if level == 0 {
+                chubby.root_bandwidth()
             } else {
-                pos.checked_sub(1)
-            }
-        };
-        let mut removed: BTreeSet<usize> = BTreeSet::new();
-        let frag_list = frags.clone();
-        for &pos in &frag_list {
-            if removed.contains(&pos) || !is_lone(pos) {
-                continue;
-            }
-            let Some(partner) = fl_partner(pos) else {
-                continue;
-            };
-            if !present.contains(&partner) || removed.contains(&partner) {
-                continue;
-            }
-            let boundary = pos.min(partner);
-            if self
-                .faults
-                .is_some_and(|plan| plan.is_fl_dead(level, boundary))
-            {
-                continue;
-            }
-            let left_span = frag_list
-                .iter()
-                .filter(|&&p| p <= boundary && !removed.contains(&p))
-                .count();
-            let right_span = frag_list
-                .iter()
-                .filter(|&&p| p > boundary && !removed.contains(&p))
-                .count();
-            let (from, to) = if (pos < partner && left_span <= right_span)
-                || (pos > partner && right_span <= left_span)
-            {
-                (pos, partner)
-            } else {
-                continue;
-            };
-            let from_node = self.tree.node_at(level, from);
-            let to_node = self.tree.node_at(level, to);
-            if self.node_uses[to_node].addends >= 3
-                || self.node_uses[to_node].lateral_in
-                || self.node_uses[from_node].lateral_out
-            {
-                continue;
-            }
-            let key = (from_node.min(to_node), from_node.max(to_node));
-            if let Some(&first_vn) = self.fl_claims.get(&key) {
-                return Err(VerifyError::LinkClaimedTwice {
-                    level,
-                    from: from_node,
-                    to: to_node,
-                    first_vn,
-                    second_vn: vn,
-                });
-            }
-            self.fl_claims.insert(key, vn);
-            self.forwarding_links += 1;
-            self.node_uses[from_node].lateral_out = true;
-            let to_use = &mut self.node_uses[to_node];
-            to_use.lateral_in = true;
-            if to_use.addends == 0 {
-                to_use.addends = 2;
-                to_use.passes = to_use.passes.saturating_sub(1);
-            } else {
-                to_use.addends += 1;
-            }
-            self.claimants[to_node].push(vn);
-            removed.insert(from);
-        }
-        Ok(frags.into_iter().filter(|p| !removed.contains(p)).collect())
-    }
+                chubby.link_bandwidth(level)
+            } as u64,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maeri::art::{pack_vns, ArtConfig};
+    use maeri::art::{pack_vns, ArtError};
+    use maeri_noc::BinaryTree;
 
     fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
         ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
@@ -508,11 +250,11 @@ mod tests {
         let err = verify_reduction(&chubby(16, 8), None, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::VnOverlap {
+            VerifyError::Partition(ArtError::Overlap {
                 first_vn: 0,
                 second_vn: 1,
                 leaf: 4
-            }
+            })
         );
     }
 
@@ -521,12 +263,12 @@ mod tests {
         let err = verify_reduction(&chubby(16, 8), None, &[VnRange::new(10, 8)]).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::VnOutOfRange {
+            VerifyError::Partition(ArtError::OutOfRange {
                 vn: 0,
                 start: 10,
                 end: 18,
                 leaves: 16
-            }
+            })
         );
     }
 
@@ -537,7 +279,10 @@ mod tests {
         let dead = *plan.dead_leaves().iter().next().unwrap();
         let err =
             verify_reduction(&chubby(16, 8), Some(&plan), &[VnRange::new(dead, 1)]).unwrap_err();
-        assert_eq!(err, VerifyError::DeadLeaf { vn: 0, leaf: dead });
+        assert_eq!(
+            err,
+            VerifyError::Partition(ArtError::DeadLeaf { vn: 0, leaf: dead })
+        );
     }
 
     #[test]

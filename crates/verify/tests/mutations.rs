@@ -4,7 +4,7 @@
 //! invariant with the correct counterexample fields — never a
 //! neighbouring invariant, never a bare rejection.
 
-use maeri::art::{pack_vns, VnRange};
+use maeri::art::{pack_vns, ArtError, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
 use maeri::mapper::{CandidateKind, ConvMapping, LoopOrder, MappingCandidate};
 use maeri::MaeriConfig;
@@ -40,11 +40,11 @@ fn single_cell_overlap_flags_exactly_that_pair() {
         let err = verify_partition(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::VnOverlap {
+            VerifyError::Partition(ArtError::Overlap {
                 first_vn: victim - 1,
                 second_vn: victim,
                 leaf: v.start - 1,
-            }
+            })
         );
     }
 }
@@ -63,12 +63,12 @@ fn single_cell_out_of_range_flags_exact_bounds() {
         let err = verify_partition(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::VnOutOfRange {
+            VerifyError::Partition(ArtError::OutOfRange {
                 vn: last,
                 start: v.start,
                 end: v.end() + grow,
                 leaves: 64,
-            }
+            })
         );
     }
 }
@@ -99,10 +99,10 @@ fn single_cell_onto_dead_leaf_flags_fault_inconsistency() {
         let err = verify_partition(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::DeadLeaf {
+            VerifyError::Partition(ArtError::DeadLeaf {
                 vn: spans.len(),
                 leaf,
-            }
+            })
         );
     }
 }
@@ -203,11 +203,11 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
                 let err = verify_partition(&cfg, &vns).unwrap_err();
                 assert_eq!(
                     err,
-                    VerifyError::VnOverlap {
+                    VerifyError::Partition(ArtError::Overlap {
                         first_vn: victim - 1,
                         second_vn: victim,
                         leaf: v.start - 1,
-                    }
+                    })
                 );
             }
             0 => {
@@ -216,12 +216,12 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
                 let err = verify_partition(&cfg, &vns).unwrap_err();
                 assert_eq!(
                     err,
-                    VerifyError::VnOutOfRange {
+                    VerifyError::Partition(ArtError::OutOfRange {
                         vn: victim,
                         start: 64,
                         end: 65,
                         leaves: 64,
-                    }
+                    })
                 );
             }
             // Overlap with the successor by growing one cell (the
@@ -233,21 +233,21 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
                 if victim + 1 < vns.len() {
                     assert_eq!(
                         err,
-                        VerifyError::VnOverlap {
+                        VerifyError::Partition(ArtError::Overlap {
                             first_vn: victim,
                             second_vn: victim + 1,
                             leaf: v.end(),
-                        }
+                        })
                     );
                 } else {
                     assert_eq!(
                         err,
-                        VerifyError::VnOutOfRange {
+                        VerifyError::Partition(ArtError::OutOfRange {
                             vn: victim,
                             start: v.start,
                             end: v.end() + 1,
                             leaves: 64,
-                        }
+                        })
                     );
                 }
             }
