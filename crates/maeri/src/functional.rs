@@ -12,7 +12,7 @@ use maeri_dnn::{ConvLayer, FcLayer, PoolLayer, Tensor};
 use maeri_sim::{Result, SimError};
 
 use crate::art::{pack_vns_into_spans, ArtConfig, VnRange};
-use crate::mapper::span_capacity;
+use crate::mapper::{span_capacity, LstmMapper};
 use crate::switch::MultSwitch;
 use crate::MaeriConfig;
 
@@ -320,17 +320,9 @@ pub fn run_lstm_step(
     // Phase 2: reconstructed 2-leaf VNs compute f*s_prev + i*t per
     // neuron; the output gate multiplies through a lone switch.
     let n = cfg.num_mult_switches();
-    let spans = cfg.healthy_spans();
-    let (cap, budget) = span_capacity(&spans)?;
-    if cap < 2 {
-        return Err(SimError::unmappable(
-            "LSTM state VNs need two adjacent healthy multiplier switches",
-        ));
-    }
-    let (ranges, _) = pack_vns_into_spans(&spans, &vec![2usize; (budget / 2).max(1)]);
+    let art = LstmMapper::state_plan(cfg)?.art;
+    let ranges = art.vns();
     let state_lanes = ranges.len();
-    let art =
-        ArtConfig::build_with_faults(cfg.collection_chubby(), &ranges, cfg.fault_plan().as_ref())?;
     let mut cell = vec![0.0f32; layer.hidden_dim];
     for chunk_start in (0..layer.hidden_dim).step_by(state_lanes) {
         let chunk_end = (chunk_start + state_lanes).min(layer.hidden_dim);

@@ -69,5 +69,5 @@ pub use engine::RunStats;
 pub use fault::{FaultPlan, FaultSpec};
 pub use mapper::{
     CandidateKind, ConvMapper, ConvMapping, CrossLayerMapper, FcMapper, FoldMode, LoopOrder,
-    LstmMapper, MappingCandidate, PoolMapper, SparseConvMapper, VnPolicy,
+    LstmMapper, MappingCandidate, PlanError, PoolMapper, SparseConvMapper, VectorPlan, VnPolicy,
 };

@@ -32,7 +32,7 @@ use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result, SimError};
 use serde::{Deserialize, Serialize};
 
-use super::span_capacity;
+use super::{knob_in_range, span_capacity, PlanError};
 use crate::art::{pack_vns_into_spans, ArtConfig};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
@@ -197,23 +197,15 @@ impl ConvMapper {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Unmappable`] for a zero or oversized explicit
-    /// tile.
-    pub fn channel_tile(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<usize> {
+    /// Returns [`PlanError::KnobOutOfRange`] for a zero or oversized
+    /// explicit tile.
+    pub fn channel_tile(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<usize, PlanError> {
         match policy {
             VnPolicy::FullFilter => Ok(layer.in_channels),
             VnPolicy::ChannelsPerVn(ct)
             | VnPolicy::Explicit(ConvMapping {
                 channel_tile: ct, ..
-            }) => {
-                if ct == 0 || ct > layer.in_channels {
-                    return Err(SimError::unmappable(format!(
-                        "channel tile {ct} invalid for {} input channels",
-                        layer.in_channels
-                    )));
-                }
-                Ok(ct)
-            }
+            }) => knob_in_range("channel_tile", ct, layer.in_channels),
             VnPolicy::Auto => {
                 // Score every tile by the cycle model's estimated
                 // utilization: wide tiles maximize multiplier coverage
@@ -276,17 +268,23 @@ impl ConvMapper {
     ///
     /// # Errors
     ///
-    /// Propagates policy errors and ART construction failures.
-    pub fn plan(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<ConvPlan> {
+    /// Returns [`PlanError::NothingMappable`] on a fully faulty fabric,
+    /// [`PlanError::KnobOutOfRange`] for a bad channel tile or a zero
+    /// `max_vns`, and [`PlanError::Partition`] when the ART refuses the
+    /// packing.
+    pub fn plan(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<ConvPlan, PlanError> {
         let spans = self.cfg.healthy_spans();
         let (cap, budget) = span_capacity(&spans)?;
         let ct = self.channel_tile(layer, policy)?;
         let (max_vns, loop_order) = match policy {
             VnPolicy::Explicit(m) => {
                 if m.max_vns == 0 {
-                    return Err(SimError::unmappable(
-                        "explicit mapping needs at least one VN (max_vns >= 1)",
-                    ));
+                    return Err(PlanError::KnobOutOfRange {
+                        knob: "max_vns",
+                        value: 0,
+                        min: 1,
+                        max: self.cfg.num_mult_switches(),
+                    });
                 }
                 (m.max_vns, m.loop_order)
             }
@@ -416,8 +414,9 @@ impl ConvMapper {
         Ok(run)
     }
 
-    /// Applies the cycle model to a plan.
-    pub(crate) fn cost(&self, layer: &ConvLayer, plan: &ConvPlan) -> RunStats {
+    /// Applies the cycle model to a plan from [`ConvMapper::plan`].
+    #[must_use]
+    pub fn cost(&self, layer: &ConvLayer, plan: &ConvPlan) -> RunStats {
         let dist = self.cfg.distributor();
         let n = self.cfg.num_mult_switches();
         let q = layer.out_w() as u64;

@@ -10,10 +10,7 @@ use maeri_dnn::FcLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
-use maeri_sim::SimError;
-
-use super::span_capacity;
-use crate::art::{pack_vns_into_spans, ArtConfig};
+use super::VectorPlan;
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -47,11 +44,9 @@ impl FcMapper {
     ///
     /// # Errors
     ///
-    /// Propagates ART construction failures.
+    /// Propagates planning failures.
     pub fn run(&self, layer: &FcLayer) -> Result<RunStats> {
-        let (cap, _) = span_capacity(&self.cfg.healthy_spans())?;
-        let fold = ceil_div(layer.inputs as u64, cap as u64);
-        self.run_folded(layer, fold)
+        self.run_with_vn_size(layer, self.heuristic_vn_size(layer)?)
     }
 
     /// The VN size [`FcMapper::run`] resolves to — the heuristic's
@@ -61,10 +56,7 @@ impl FcMapper {
     ///
     /// Propagates span-capacity failures.
     pub fn heuristic_vn_size(&self, layer: &FcLayer) -> Result<usize> {
-        let (cap, _) = span_capacity(&self.cfg.healthy_spans())?;
-        let d = layer.inputs as u64;
-        let fold = ceil_div(d, cap as u64);
-        Ok(ceil_div(d, fold) as usize)
+        Ok(VectorPlan::heuristic_vn_size(&self.cfg, layer.inputs)?)
     }
 
     /// Costs an FC layer run with an explicit VN-size target: each
@@ -74,39 +66,20 @@ impl FcMapper {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Unmappable`] when `vn_size` is zero, exceeds
-    /// the input length, or exceeds the largest healthy span.
+    /// Returns [`SimError::Unmappable`](maeri_sim::SimError::Unmappable)
+    /// when [`VectorPlan::new`] refuses `vn_size`.
     pub fn run_with_vn_size(&self, layer: &FcLayer, vn_size: usize) -> Result<RunStats> {
-        let (cap, _) = span_capacity(&self.cfg.healthy_spans())?;
-        let d = layer.inputs as u64;
-        if vn_size == 0 || vn_size as u64 > d || vn_size > cap {
-            return Err(SimError::unmappable(format!(
-                "FC VN size {vn_size} invalid: need 1..={} (inputs {d}, largest healthy span {cap})",
-                (d as usize).min(cap)
-            )));
-        }
-        self.run_folded(layer, ceil_div(d, vn_size as u64))
+        let plan = VectorPlan::new(&self.cfg, layer.inputs, vn_size, "vn_size")?;
+        Ok(self.cost(layer, &plan))
     }
 
-    /// The shared cost core: folds every neuron `fold` ways and packs
-    /// balanced VNs of `ceil(inputs / fold)` switches.
-    fn run_folded(&self, layer: &FcLayer, fold: u64) -> Result<RunStats> {
+    /// The FC cost model over a folded-vector plan.
+    fn cost(&self, layer: &FcLayer, plan: &VectorPlan) -> RunStats {
         let n = self.cfg.num_mult_switches();
         let dist = self.cfg.distributor();
-        let spans = self.cfg.healthy_spans();
-        let (_, budget) = span_capacity(&spans)?;
         let d = layer.inputs as u64;
-        let vn_size = ceil_div(d, fold) as usize;
-        let want = (budget / vn_size).max(1);
-        let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; want]);
-        let num_vns = ranges.len();
-        let fault_plan = self.cfg.fault_plan();
-        let art = ArtConfig::build_with_faults(
-            self.cfg.collection_chubby(),
-            &ranges,
-            fault_plan.as_ref(),
-        )?;
-        let slowdown = art.throughput_slowdown();
+        let (fold, vn_size, num_vns) = (plan.fold as u64, plan.vn_size, plan.art.vns().len());
+        let slowdown = plan.art.throughput_slowdown();
 
         let units = layer.outputs as u64 * fold;
         let iterations = ceil_div(units, num_vns as u64);
@@ -129,7 +102,7 @@ impl FcMapper {
         run.sram_writes = layer.outputs as u64;
         run.extra.add("fc_iterations", iterations);
         run.extra.add("fc_fold", fold);
-        Ok(run)
+        run
     }
 }
 

@@ -17,8 +17,7 @@ use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 use maeri_telemetry::{NullSink, TraceSink};
 
-use super::span_capacity;
-use crate::art::{pack_vns_into_spans, ArtConfig};
+use super::{PlanError, VectorPlan};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -130,9 +129,8 @@ impl LstmMapper {
         layer: &LstmLayer,
         sink: &mut S,
     ) -> Result<RunStats> {
-        let (cap, _) = span_capacity(&self.cfg.healthy_spans())?;
-        let d = (layer.input_dim + layer.hidden_dim) as u64;
-        self.gate_phase_folded_probed(layer, ceil_div(d, cap as u64), sink)
+        let plan = Self::gate_plan(&self.cfg, layer, self.heuristic_gate_vn_size(layer)?)?;
+        Ok(self.gate_cost(layer, &plan, sink))
     }
 
     /// The gate-phase VN size [`LstmMapper::run`] resolves to — the
@@ -142,10 +140,40 @@ impl LstmMapper {
     ///
     /// Propagates span-capacity failures.
     pub fn heuristic_gate_vn_size(&self, layer: &LstmLayer) -> Result<usize> {
-        let (cap, _) = span_capacity(&self.cfg.healthy_spans())?;
-        let d = (layer.input_dim + layer.hidden_dim) as u64;
-        let fold = ceil_div(d, cap as u64);
-        Ok(ceil_div(d, fold) as usize)
+        Ok(VectorPlan::heuristic_vn_size(
+            &self.cfg,
+            layer.input_dim + layer.hidden_dim,
+        )?)
+    }
+
+    /// The gate-phase plan: the `4H` gate dot products over `[x; h]`
+    /// fold into VNs of the `gate_vn_size` target.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`VectorPlan::new`] refusal for knob `gate_vn_size`.
+    pub fn gate_plan(
+        cfg: &MaeriConfig,
+        layer: &LstmLayer,
+        vn_size: usize,
+    ) -> Result<VectorPlan, PlanError> {
+        VectorPlan::new(
+            cfg,
+            layer.input_dim + layer.hidden_dim,
+            vn_size,
+            "gate_vn_size",
+        )
+    }
+
+    /// The state-phase plan: two-switch VNs for `f*s_prev + i*t`
+    /// (knob `state_vn_size`, fixed at 2).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`VectorPlan::new`] refusal, e.g. when no two
+    /// adjacent multiplier switches are healthy.
+    pub fn state_plan(cfg: &MaeriConfig) -> Result<VectorPlan, PlanError> {
+        VectorPlan::new(cfg, 2, 2, "state_vn_size")
     }
 
     /// Costs one LSTM time step with an explicit gate-phase VN-size
@@ -156,51 +184,31 @@ impl LstmMapper {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`](maeri_sim::SimError) when `vn_size` is
-    /// zero, exceeds the concatenated vector length, or exceeds the
-    /// largest healthy span; propagates ART construction failures.
+    /// Returns [`SimError`](maeri_sim::SimError) when the gate or state
+    /// plan is refused ([`LstmMapper::gate_plan`],
+    /// [`LstmMapper::state_plan`]).
     pub fn run_with_gate_vn_size(&self, layer: &LstmLayer, vn_size: usize) -> Result<RunStats> {
-        let (cap, _) = span_capacity(&self.cfg.healthy_spans())?;
-        let d = (layer.input_dim + layer.hidden_dim) as u64;
-        if vn_size == 0 || vn_size as u64 > d || vn_size > cap {
-            return Err(maeri_sim::SimError::unmappable(format!(
-                "LSTM gate VN size {vn_size} invalid: need 1..={} (vector {d}, largest healthy span {cap})",
-                (d as usize).min(cap)
-            )));
-        }
-        let mut run =
-            self.gate_phase_folded_probed(layer, ceil_div(d, vn_size as u64), &mut NullSink)?;
+        let plan = Self::gate_plan(&self.cfg, layer, vn_size)?;
+        let mut run = self.gate_cost(layer, &plan, &mut NullSink);
         let state = self.run_state_phase(layer)?;
         run.absorb(&state);
         run.label.clone_from(&layer.name);
         Ok(run)
     }
 
-    /// The shared gate-phase cost core: folds every gate dot product
-    /// `fold` ways and packs balanced VNs of `ceil(d / fold)` switches.
-    fn gate_phase_folded_probed<S: TraceSink>(
+    /// The gate-phase cost model over a folded-vector plan.
+    fn gate_cost<S: TraceSink>(
         &self,
         layer: &LstmLayer,
-        fold: u64,
+        plan: &VectorPlan,
         sink: &mut S,
-    ) -> Result<RunStats> {
+    ) -> RunStats {
         let n = self.cfg.num_mult_switches();
         let dist = self.cfg.distributor();
-        let spans = self.cfg.healthy_spans();
-        let (_, budget) = span_capacity(&spans)?;
         let d = (layer.input_dim + layer.hidden_dim) as u64;
-        let vn_size = ceil_div(d, fold) as usize;
-        let want = (budget / vn_size).max(1);
-        let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; want]);
-        let num_vns = ranges.len();
-        let fault_plan = self.cfg.fault_plan();
-        let art = ArtConfig::build_with_faults(
-            self.cfg.collection_chubby(),
-            &ranges,
-            fault_plan.as_ref(),
-        )?;
-        art.probe_configuration(sink);
-        let slowdown = art.throughput_slowdown();
+        let (fold, vn_size, num_vns) = (plan.fold as u64, plan.vn_size, plan.art.vns().len());
+        plan.art.probe_configuration(sink);
+        let slowdown = plan.art.throughput_slowdown();
 
         // 4 gates x H neurons, each needing `fold` passes.
         let units = 4 * layer.hidden_dim as u64 * fold;
@@ -233,7 +241,7 @@ impl LstmMapper {
         run.sram_writes = 4 * layer.hidden_dim as u64; // f, i, o, t per neuron
         run.extra.add("gate_iterations", iterations);
         run.extra.add("gate_fold", fold);
-        Ok(run)
+        run
     }
 
     /// Phase 2: state (`s = f*s_prev + i*t`) and output
@@ -250,7 +258,7 @@ impl LstmMapper {
     ///
     /// # Errors
     ///
-    /// Propagates ART construction failures.
+    /// Propagates [`LstmMapper::state_plan`] refusals.
     pub fn run_state_phase_probed<S: TraceSink>(
         &self,
         layer: &LstmLayer,
@@ -258,27 +266,13 @@ impl LstmMapper {
     ) -> Result<RunStats> {
         let n = self.cfg.num_mult_switches();
         let dist = self.cfg.distributor();
-        let spans = self.cfg.healthy_spans();
-        let (cap, budget) = span_capacity(&spans)?;
-        if cap < 2 {
-            return Err(maeri_sim::SimError::unmappable(
-                "LSTM state VNs need two adjacent healthy multiplier switches",
-            ));
-        }
         let h = layer.hidden_dim as u64;
 
         // State: VNs of two multipliers, carved from healthy spans.
-        let want = (budget / 2).max(1);
-        let (ranges, _) = pack_vns_into_spans(&spans, &vec![2usize; want]);
-        let state_vns = ranges.len();
-        let fault_plan = self.cfg.fault_plan();
-        let art = ArtConfig::build_with_faults(
-            self.cfg.collection_chubby(),
-            &ranges,
-            fault_plan.as_ref(),
-        )?;
-        art.probe_configuration(sink);
-        let slowdown = art.throughput_slowdown();
+        let plan = Self::state_plan(&self.cfg)?;
+        let state_vns = plan.art.vns().len();
+        plan.art.probe_configuration(sink);
+        let slowdown = plan.art.throughput_slowdown();
         let state_iters = ceil_div(h, state_vns as u64);
         // Four operands per neuron: f, s_prev, i, t.
         let per_iter = (dist
@@ -291,6 +285,7 @@ impl LstmMapper {
 
         // Output: one multiply per neuron (o * tanh(s)); pure
         // distribution/collection bound over the healthy switches.
+        let budget: usize = self.cfg.healthy_spans().iter().map(|s| s.len).sum();
         let out_iters = ceil_div(h, budget as u64);
         let out_lanes = budget.min(h as usize) as u64;
         let out_per_iter = (dist.multicast_cycles_probed(2 * out_lanes, sink).as_u64())

@@ -1,9 +1,10 @@
 //! Dataflow mappers: one per layer type of Section 4.
 //!
 //! Each mapper turns a layer descriptor plus a [`crate::MaeriConfig`]
-//! into virtual-neuron assignments over the multiplier switches, builds
-//! the corresponding [`crate::art::ArtConfig`], and produces a
-//! [`crate::engine::RunStats`] from the documented cycle model:
+//! into a *plan* — virtual-neuron assignments over the multiplier
+//! switches and the [`crate::art::ArtConfig`] they build — and then
+//! applies its cost model to the plan to produce a
+//! [`crate::engine::RunStats`]:
 //!
 //! * distribution cost from [`crate::dist::Distributor`] bandwidth
 //!   counting (multicast-aware),
@@ -11,6 +12,11 @@
 //! * collection throughput bounded by the ART's chubby links
 //!   ([`crate::art::ArtConfig::throughput_slowdown`]),
 //! * folding (Section 4.8) via adder-switch temporal registers.
+//!
+//! FC neurons, LSTM gates, the LSTM state phase and pooling windows
+//! share one folded-vector plan, [`VectorPlan`]. A refused plan is a structured
+//! [`PlanError`], which the static verifier (`maeri-verify`) reports
+//! unchanged.
 
 pub mod candidate;
 pub mod conv;
@@ -20,6 +26,8 @@ pub mod lstm;
 pub mod pool;
 pub mod sparse;
 
+use std::fmt;
+
 pub use candidate::{CandidateKind, MappingCandidate};
 pub use conv::{ConvMapper, ConvMapping, ConvPlan, FoldMode, LoopOrder, VnPolicy};
 pub use cross_layer::CrossLayerMapper;
@@ -28,8 +36,62 @@ pub use lstm::LstmMapper;
 pub use pool::PoolMapper;
 pub use sparse::SparseConvMapper;
 
-use crate::art::VnRange;
+use crate::art::{pack_vns_into_spans, ArtConfig, ArtError, VnRange};
+use crate::MaeriConfig;
 use maeri_sim::{Result, SimError};
+
+/// Why a mapper cannot plan a layer: a knob outside its legal range, a
+/// fabric with no healthy multiplier, or a VN partition the ART
+/// refuses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanError {
+    /// A mapping knob sits outside its legal range.
+    KnobOutOfRange {
+        /// The knob's name (e.g. `"channel_tile"`).
+        knob: &'static str,
+        /// The supplied value.
+        value: usize,
+        /// Smallest legal value.
+        min: usize,
+        /// Largest legal value.
+        max: usize,
+    },
+    /// Every multiplier switch is faulty; no VN can be formed.
+    NothingMappable,
+    /// The ART cannot build the planned VN partition.
+    Partition(ArtError),
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::KnobOutOfRange {
+                knob,
+                value,
+                min,
+                max,
+            } => write!(f, "{knob} {value} out of range {min}..={max}"),
+            PlanError::NothingMappable => {
+                f.write_str("every multiplier switch is faulty; no virtual neuron can be formed")
+            }
+            PlanError::Partition(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+impl From<ArtError> for PlanError {
+    fn from(err: ArtError) -> Self {
+        PlanError::Partition(err)
+    }
+}
+
+impl From<PlanError> for SimError {
+    fn from(err: PlanError) -> Self {
+        SimError::unmappable(err)
+    }
+}
 
 /// Largest contiguous healthy span (`cap`, the biggest VN the fabric
 /// can host) and total healthy leaves (`budget`) of a span set. On a
@@ -37,14 +99,86 @@ use maeri_sim::{Result, SimError};
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Unmappable`] when no healthy span remains —
-/// every multiplier switch is faulty, so nothing can map.
-pub(crate) fn span_capacity(spans: &[VnRange]) -> Result<(usize, usize)> {
+/// Returns [`PlanError::NothingMappable`] when no healthy span remains.
+pub fn span_capacity(spans: &[VnRange]) -> Result<(usize, usize), PlanError> {
     let cap = spans.iter().map(|s| s.len).max().unwrap_or(0);
     if cap == 0 {
-        return Err(SimError::unmappable(
-            "every multiplier switch is faulty; no virtual neuron can be formed",
-        ));
+        return Err(PlanError::NothingMappable);
     }
     Ok((cap, spans.iter().map(|s| s.len).sum()))
+}
+
+/// `value` when the knob lies in `1..=max`, else its range error.
+pub(crate) fn knob_in_range(
+    knob: &'static str,
+    value: usize,
+    max: usize,
+) -> Result<usize, PlanError> {
+    if (1..=max).contains(&value) {
+        Ok(value)
+    } else {
+        Err(PlanError::KnobOutOfRange {
+            knob,
+            value,
+            min: 1,
+            max,
+        })
+    }
+}
+
+/// The folded-vector plan shared by FC neurons (Section 4.5), LSTM
+/// gates and the LSTM state phase (Section 4.3) and pooling windows
+/// (Section 4.4): each length-`d` reduction folds `fold` ways
+/// (Section 4.8) into balanced VNs of `vn_size` switches, packed into
+/// the healthy spans as many times as the healthy budget allows.
+#[derive(Debug, Clone)]
+pub struct VectorPlan {
+    /// Passes per reduction (`ceil(d / requested VN size)`).
+    pub fold: usize,
+    /// Switches per VN after balancing (`ceil(d / fold)`).
+    pub vn_size: usize,
+    /// The ART configuration of one iteration; its VNs are the lanes.
+    pub art: ArtConfig,
+}
+
+impl VectorPlan {
+    /// Plans length-`d` reductions with the VN-size target `vn_size`,
+    /// the knob named `knob` in errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::NothingMappable`] on a fully faulty fabric,
+    /// [`PlanError::KnobOutOfRange`] when `vn_size` is outside
+    /// `1..=min(d, cap)`, and [`PlanError::Partition`] when the ART
+    /// refuses the packing.
+    pub fn new(
+        cfg: &MaeriConfig,
+        d: usize,
+        vn_size: usize,
+        knob: &'static str,
+    ) -> Result<Self, PlanError> {
+        let spans = cfg.healthy_spans();
+        let (cap, budget) = span_capacity(&spans)?;
+        let fold = d.div_ceil(knob_in_range(knob, vn_size, d.min(cap))?);
+        let vn_size = d.div_ceil(fold);
+        let want = (budget / vn_size).max(1);
+        let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; want]);
+        let art = ArtConfig::build_with_faults(
+            cfg.collection_chubby(),
+            &ranges,
+            cfg.fault_plan().as_ref(),
+        )?;
+        Ok(VectorPlan { fold, vn_size, art })
+    }
+
+    /// The heuristic VN size for length-`d` reductions: the fewest
+    /// folds the largest healthy span allows, balanced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::NothingMappable`] on a fully faulty fabric.
+    pub fn heuristic_vn_size(cfg: &MaeriConfig, d: usize) -> Result<usize, PlanError> {
+        let (cap, _) = span_capacity(&cfg.healthy_spans())?;
+        Ok(d.div_ceil(d.div_ceil(cap)))
+    }
 }

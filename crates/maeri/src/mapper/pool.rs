@@ -10,8 +10,7 @@ use maeri_dnn::PoolLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
-use super::span_capacity;
-use crate::art::{pack_vns_into_spans, ArtConfig};
+use super::VectorPlan;
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -44,27 +43,17 @@ impl PoolMapper {
     ///
     /// # Errors
     ///
-    /// Propagates ART construction failures.
+    /// Propagates planning failures.
     pub fn run(&self, layer: &PoolLayer) -> Result<RunStats> {
         let n = self.cfg.num_mult_switches();
         let dist = self.cfg.distributor();
-        let spans = self.cfg.healthy_spans();
-        let (cap, budget) = span_capacity(&spans)?;
         let window = layer.window * layer.window;
         // A window beyond the largest healthy span folds (AS registers
         // keep running maxima just as they keep partial sums).
-        let fold = ceil_div(window as u64, cap as u64);
-        let vn_size = ceil_div(window as u64, fold) as usize;
-        let want = (budget / vn_size).max(1);
-        let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; want]);
-        let num_vns = ranges.len();
-        let fault_plan = self.cfg.fault_plan();
-        let art = ArtConfig::build_with_faults(
-            self.cfg.collection_chubby(),
-            &ranges,
-            fault_plan.as_ref(),
-        )?;
-        let slowdown = art.throughput_slowdown();
+        let vn_size = VectorPlan::heuristic_vn_size(&self.cfg, window)?;
+        let plan = VectorPlan::new(&self.cfg, window, vn_size, "vn_size")?;
+        let (fold, vn_size, num_vns) = (plan.fold as u64, plan.vn_size, plan.art.vns().len());
+        let slowdown = plan.art.throughput_slowdown();
 
         let outputs = (layer.channels * layer.out_h() * layer.out_w()) as u64;
         let units = outputs * fold;

@@ -19,9 +19,9 @@ use std::collections::BTreeMap;
 
 use maeri_dnn::{ConvLayer, WeightMask};
 use maeri_sim::util::ceil_div;
-use maeri_sim::{Cycle, Result, SimError};
+use maeri_sim::{Cycle, Result};
 
-use super::span_capacity;
+use super::{knob_in_range, span_capacity, PlanError};
 use crate::art::{ArtConfig, SpanCursor};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
@@ -108,14 +108,14 @@ impl SparseConvMapper {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Unmappable`] for an invalid channel tile.
-    pub fn vn_sizes(&self, layer: &ConvLayer, mask: &WeightMask, ct: usize) -> Result<Vec<usize>> {
-        if ct == 0 || ct > layer.in_channels {
-            return Err(SimError::unmappable(format!(
-                "channel tile {ct} invalid for {} channels",
-                layer.in_channels
-            )));
-        }
+    /// Returns [`PlanError::KnobOutOfRange`] for an invalid channel tile.
+    pub fn vn_sizes(
+        &self,
+        layer: &ConvLayer,
+        mask: &WeightMask,
+        ct: usize,
+    ) -> Result<Vec<usize>, PlanError> {
+        knob_in_range("channel_tile", ct, layer.in_channels)?;
         let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
         let mut sizes = Vec::with_capacity(layer.out_channels * segments);
         // Segment-major order: consecutive VNs share a channel segment
@@ -301,10 +301,13 @@ mod tests {
         let n = m.cfg.num_mult_switches();
         let dist = m.cfg.distributor();
         if ct == 0 || ct > layer.in_channels {
-            return Err(SimError::unmappable(format!(
-                "channel tile {ct} invalid for {} channels",
-                layer.in_channels
-            )));
+            return Err(PlanError::KnobOutOfRange {
+                knob: "channel_tile",
+                value: ct,
+                min: 1,
+                max: layer.in_channels,
+            }
+            .into());
         }
         let rs = layer.kernel_h * layer.kernel_w;
         let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;

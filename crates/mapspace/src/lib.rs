@@ -9,9 +9,11 @@
 //! 1. **Enumerate** every candidate [`MappingCandidate`](maeri::MappingCandidate)
 //!    a [`SearchSpec`] allows (channel tile, replication cap, loop
 //!    order, VN-size fold target, bandwidth pair — per layer kind),
-//! 2. **Prune** structurally infeasible or shape-duplicate candidates,
-//! 3. **Score** the survivors with the closed-form analytic model
-//!    (`maeri::analytic::conv_mapping` and the mappers' cost cores),
+//! 2. **Prune** candidates the mapper refuses to plan (the static
+//!    verifier, `maeri-verify`, asks the mapper before scoring) and
+//!    shape duplicates,
+//! 3. **Score** the survivors with the mappers' closed-form cost models
+//!    (`maeri::ConvMapper::cost` on the plan the fingerprint read),
 //! 4. keep a **top-K frontier** (always joined by the legacy heuristic
 //!    mapper's named point, so tuning can never lose to it), and
 //! 5. **Validate** the frontier with the exact clocked trace

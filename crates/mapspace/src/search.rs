@@ -1,6 +1,5 @@
 //! The prune → score → validate search loop.
 
-use maeri::analytic;
 use maeri::cycle_sim::simulate_conv_layer;
 use maeri::{
     CandidateKind, ConvMapper, ConvMapping, FcMapper, LoopOrder, LstmMapper, MappingCandidate,
@@ -406,11 +405,10 @@ fn score(
     let bwc = cand.collect_bandwidth as u64;
     match (&spec.layer, cand.kind) {
         (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
-            let policy = VnPolicy::Explicit(m);
-            let plan = ConvMapper::new(cfg).plan(l, policy)?;
-            let cycles = analytic::conv_mapping(&cfg, l, policy)?.cycles;
+            let mapper = ConvMapper::new(cfg);
+            let plan = mapper.plan(l, VnPolicy::Explicit(m))?;
             Ok((
-                cycles,
+                mapper.cost(l, &plan).cycles.as_u64(),
                 [
                     plan.vn_size as u64,
                     plan.num_vns as u64,

@@ -407,13 +407,7 @@ impl SimJob {
                 mask_seed,
             } => {
                 let mask = regenerate_mask(layer, *zero_fraction, *mask_seed);
-                let cand = MappingCandidate::with_base_bandwidth(
-                    CandidateKind::SparseConv {
-                        channel_tile: *channel_tile,
-                    },
-                    cfg,
-                );
-                statically_reject(cfg, &VerifyLayer::SparseConv { layer, mask: &mask }, &cand)
+                return verify_sparse(cfg, layer, &mask, *channel_tile);
             }
             // Trace lanes carry raw VN sizes; bounds-check them against
             // the fabric before building any flit stream.
@@ -441,7 +435,10 @@ impl SimJob {
     /// Mapper-internal invariant violations also surface as panics and
     /// are isolated the same way.
     pub fn execute(&self) -> JobResult {
-        self.verify()?;
+        // A sparse job verifies, in its arm, the one mask it runs on.
+        if !matches!(self, SimJob::SparseConv { .. }) {
+            self.verify()?;
+        }
         match self {
             SimJob::DenseConv { cfg, layer, policy } => {
                 Ok(SimOutput::Run(ConvMapper::new(*cfg).run(layer, *policy)?))
@@ -454,6 +451,7 @@ impl SimJob {
                 mask_seed,
             } => {
                 let mask = regenerate_mask(layer, *zero_fraction, *mask_seed);
+                verify_sparse(cfg, layer, &mask, *channel_tile)?;
                 Ok(SimOutput::Run(SparseConvMapper::new(*cfg).run(
                     layer,
                     &mask,
@@ -808,6 +806,21 @@ impl SimJob {
 /// Regenerates the deterministic weight mask a sparse job describes.
 fn regenerate_mask(layer: &ConvLayer, zero_fraction: f64, seed: u64) -> WeightMask {
     WeightMask::generate(layer, zero_fraction, &mut SimRng::seed(seed))
+}
+
+/// A sparse job's static pre-flight check on the mask it runs on.
+fn verify_sparse(
+    cfg: &MaeriConfig,
+    layer: &ConvLayer,
+    mask: &WeightMask,
+    channel_tile: usize,
+) -> Result<(), JobError> {
+    let cand =
+        MappingCandidate::with_base_bandwidth(CandidateKind::SparseConv { channel_tile }, cfg);
+    match statically_reject(cfg, &VerifyLayer::SparseConv { layer, mask }, &cand) {
+        Some(err) => Err(JobError::InvalidMapping(err.to_string())),
+        None => Ok(()),
+    }
 }
 
 /// Content identity of a [`SimJob`].

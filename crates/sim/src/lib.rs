@@ -48,5 +48,6 @@ pub use error::SimError;
 pub use rng::SimRng;
 pub use stats::Stats;
 
-/// Result alias used across the simulation crates.
-pub type Result<T> = std::result::Result<T, SimError>;
+/// Result alias used across the simulation crates (errors default to
+/// [`SimError`]).
+pub type Result<T, E = SimError> = std::result::Result<T, E>;

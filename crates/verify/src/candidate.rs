@@ -1,25 +1,29 @@
 //! Invariant 4 and the pre-score prune gate: static verification of a
-//! [`MappingCandidate`] against a layer, without running any mapper.
+//! [`MappingCandidate`] against a layer, on the mapper's own plan.
 //!
-//! [`verify_mapping`] replays each mapper's *planning* math (knob
-//! bounds, folding, VN packing) symbolically, verifies the resulting
-//! partition with [`crate::verify_partition_with_faults`], and closes
-//! the books with a MAC-conservation ledger: every weight×input pair
-//! must be assigned exactly once, and trailing idle switches drop none.
+//! [`verify_mapping`] asks the mapper for its plan ([`ConvMapper::plan`],
+//! [`VectorPlan::new`], [`LstmMapper::state_plan`],
+//! [`SparseConvMapper::vn_sizes`]), so a refused candidate comes back
+//! as the mapper's own [`maeri::PlanError`]. Building the plan built
+//! its ART, which decided invariants 1, 2 and 5; the report reads that
+//! ART, and a MAC-conservation ledger checks the plan's fields against
+//! the layer: every weight×input pair must be assigned exactly once,
+//! and trailing idle switches drop none.
 //!
-//! [`statically_reject`] is the soundness-critical wrapper the
-//! mapping-space search uses as a prune gate: it only rejects
-//! candidates the dynamic scoring path would also reject, so pruning
-//! before scoring changes no search outcome (pinned by the byte-stable
-//! report comparison in CI).
+//! [`statically_reject`] is the wrapper the mapping-space search uses as
+//! a prune gate. It rejects exactly the dense CONV, FC and LSTM
+//! candidates the mapper refuses, and only sparse candidates the mapper
+//! refuses too, so pruning before scoring changes no search outcome.
 
-use maeri::art::{pack_vns_into_spans, VnRange};
-use maeri::{CandidateKind, ConvMapping, MaeriConfig, MappingCandidate};
+use maeri::mapper::{span_capacity, ConvPlan};
+use maeri::{
+    CandidateKind, ConvMapper, LstmMapper, MaeriConfig, MappingCandidate, SparseConvMapper,
+    VectorPlan, VnPolicy,
+};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
-use maeri_sim::util::ceil_div;
 
 use crate::error::VerifyError;
-use crate::partition::{verify_partition_with_faults, PartitionReport};
+use crate::partition::PartitionReport;
 
 /// The layer a candidate is verified against.
 #[derive(Debug, Clone, Copy)]
@@ -53,13 +57,13 @@ impl VerifyLayer<'_> {
 /// What a successful mapping verification proves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappingReport {
-    /// The verified VN partition of one steady-state iteration (`None`
+    /// The plan's VN partition of one steady-state iteration (`None`
     /// for sparse layers, whose grouping is re-packed dynamically per
-    /// group, and for entirely pruned sparse layers that do no work).
+    /// group; the LSTM gate phase's for LSTM).
     pub partition: Option<PartitionReport>,
     /// Work units the layer defines (MACs; gate-phase MACs for LSTM).
     pub macs_expected: u64,
-    /// Work units the mapping assigns.
+    /// Work units the plan assigns.
     pub macs_assigned: u64,
 }
 
@@ -68,8 +72,8 @@ pub struct MappingReport {
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] violation: fabric-configuration
-/// failures, knob bounds, kind mismatches, partition illegality, or a
-/// MAC-conservation mismatch.
+/// failures, kind mismatches, the mapper's refusal to plan, or a
+/// MAC-conservation mismatch in the plan.
 pub fn verify_mapping(
     base: &MaeriConfig,
     layer: &VerifyLayer<'_>,
@@ -78,58 +82,62 @@ pub fn verify_mapping(
     let cfg = cand.config(base).map_err(|e| VerifyError::Config {
         message: e.to_string(),
     })?;
-    match (layer, cand.kind) {
-        (VerifyLayer::Conv(l), CandidateKind::Conv(m)) => verify_conv(&cfg, l, &m),
-        (VerifyLayer::SparseConv { layer, mask }, CandidateKind::SparseConv { channel_tile }) => {
-            verify_sparse(&cfg, layer, mask, channel_tile)
+    let (art, macs) = match (layer, cand.kind) {
+        (VerifyLayer::Conv(l), CandidateKind::Conv(m)) => {
+            let plan = ConvMapper::new(cfg).plan(l, VnPolicy::Explicit(m))?;
+            let macs = conv_ledger(l, &plan)?;
+            (Some(plan.art), macs)
         }
         (VerifyLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
-            let d = l.inputs;
-            let report = verify_folded_vector(&cfg, d, vn_size, "vn_size")?;
-            mac_ledger_folded(d, report.1, l.outputs as u64, l.macs(), "fc folding").map(
-                |(expected, assigned)| MappingReport {
-                    partition: Some(report.0),
-                    macs_expected: expected,
-                    macs_assigned: assigned,
-                },
-            )
+            let plan = VectorPlan::new(&cfg, l.inputs, vn_size, "vn_size")?;
+            let macs = folded_ledger(&plan, l.inputs, l.outputs, l.macs(), "fc folding")?;
+            (Some(plan.art), macs)
         }
         (VerifyLayer::Lstm(l), CandidateKind::Lstm { gate_vn_size }) => {
-            let d = l.input_dim + l.hidden_dim;
-            let report = verify_folded_vector(&cfg, d, gate_vn_size, "gate_vn_size")?;
-            mac_ledger_folded(
-                d,
-                report.1,
-                4 * l.hidden_dim as u64,
-                l.gate_macs(),
-                "lstm gate folding",
-            )
-            .map(|(expected, assigned)| MappingReport {
-                partition: Some(report.0),
-                macs_expected: expected,
-                macs_assigned: assigned,
+            let plan = LstmMapper::gate_plan(&cfg, l, gate_vn_size)?;
+            LstmMapper::state_plan(&cfg)?;
+            let (d, gates) = (l.input_dim + l.hidden_dim, 4 * l.hidden_dim);
+            let macs = folded_ledger(&plan, d, gates, l.gate_macs(), "lstm gate folding")?;
+            (Some(plan.art), macs)
+        }
+        (VerifyLayer::SparseConv { layer, mask }, CandidateKind::SparseConv { channel_tile }) => {
+            let sizes = SparseConvMapper::new(cfg).vn_sizes(layer, mask, channel_tile)?;
+            // An entirely pruned layer performs no work and always maps.
+            if !sizes.is_empty() {
+                span_capacity(&cfg.healthy_spans())?;
+            }
+            // Each surviving weight is assigned once per output position.
+            let positions = (layer.out_h() * layer.out_w()) as u64;
+            let expected = mask.total_nonzeros() as u64 * positions;
+            let assigned = sizes.iter().sum::<usize>() as u64 * positions;
+            (None, conserve(expected, assigned, "sparse survivors")?)
+        }
+        (layer, kind) => {
+            return Err(VerifyError::KindMismatch {
+                candidate: match kind {
+                    CandidateKind::Conv(_) => "conv",
+                    CandidateKind::SparseConv { .. } => "sparse",
+                    CandidateKind::Fc { .. } => "fc",
+                    CandidateKind::Lstm { .. } => "lstm",
+                },
+                layer: layer.kind_label(),
             })
         }
-        (layer, kind) => Err(VerifyError::KindMismatch {
-            candidate: match kind {
-                CandidateKind::Conv(_) => "conv",
-                CandidateKind::SparseConv { .. } => "sparse",
-                CandidateKind::Fc { .. } => "fc",
-                CandidateKind::Lstm { .. } => "lstm",
-            },
-            layer: layer.kind_label(),
-        }),
-    }
+    };
+    Ok(MappingReport {
+        partition: art.map(|art| PartitionReport::of(&cfg, &art)),
+        macs_expected: macs,
+        macs_assigned: macs,
+    })
 }
 
-/// The mapping-space prune gate: `Some(violation)` only when the
-/// dynamic scoring path is guaranteed to reject the candidate too.
-///
-/// Every check in [`verify_mapping`] mirrors a reject condition of the
-/// corresponding mapper (`ConvMapper::plan`, `FcMapper::run_with_vn_size`,
-/// `LstmMapper::run_with_gate_vn_size`, `SparseConvMapper::run`) or of
-/// the ART construction those mappers invoke, so a statically rejected
-/// candidate can never have scored.
+/// The mapping-space prune gate: `Some(violation)` exactly when the
+/// mapper refuses a dense CONV, FC or LSTM candidate
+/// (`ConvMapper::run`, `FcMapper::run_with_vn_size`,
+/// `LstmMapper::run_with_gate_vn_size`), and for a sparse candidate
+/// only when `SparseConvMapper::run` refuses it too (a later group's
+/// ART may still fail there). A statically rejected candidate can never
+/// have scored.
 #[must_use]
 pub fn statically_reject(
     base: &MaeriConfig,
@@ -139,234 +147,63 @@ pub fn statically_reject(
     verify_mapping(base, layer, cand).err()
 }
 
-/// Largest healthy span and total healthy budget, or
-/// [`VerifyError::NothingMappable`].
-fn span_capacity(spans: &[VnRange]) -> Result<(usize, usize), VerifyError> {
-    let cap = spans.iter().map(|s| s.len).max().unwrap_or(0);
-    if cap == 0 {
-        return Err(VerifyError::NothingMappable);
-    }
-    Ok((cap, spans.iter().map(|s| s.len).sum()))
-}
-
-/// Dense CONV: mirrors `ConvMapper::plan` (Section 4.2 with folding
-/// from Section 4.8), then verifies the packed partition and the
-/// channel-tiling MAC ledger.
-fn verify_conv(
-    cfg: &MaeriConfig,
-    layer: &ConvLayer,
-    m: &ConvMapping,
-) -> Result<MappingReport, VerifyError> {
-    let spans = cfg.healthy_spans();
-    let (cap, budget) = span_capacity(&spans)?;
-    if m.channel_tile == 0 || m.channel_tile > layer.in_channels {
-        return Err(VerifyError::KnobOutOfRange {
-            knob: "channel_tile",
-            value: m.channel_tile,
-            min: 1,
-            max: layer.in_channels,
-        });
-    }
-    if m.max_vns == 0 {
-        return Err(VerifyError::KnobOutOfRange {
-            knob: "max_vns",
-            value: 0,
-            min: 1,
-            max: cfg.num_mult_switches(),
-        });
-    }
-    let rs = layer.kernel_h * layer.kernel_w;
-    let vn_weights = rs * m.channel_tile;
-    let subfold = ceil_div(vn_weights as u64, cap as u64) as usize;
-    let vn_size = ceil_div(vn_weights as u64, subfold as u64) as usize;
-    let want = (budget / vn_size).min(m.max_vns).max(1);
-    let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; want]);
-    let plan = cfg.fault_plan();
-    let partition = verify_partition_with_faults(cfg, plan.as_ref(), &ranges)?;
-
-    // Invariant 4 ledger, in three closures over the same tiling:
-    // (a) the `segments` channel tiles cover every input channel once,
-    let segments = ceil_div(layer.in_channels as u64, m.channel_tile as u64) as usize;
-    let mut covered = 0usize;
-    for seg in 0..segments {
-        covered += m
-            .channel_tile
-            .min(layer.in_channels.saturating_sub(seg * m.channel_tile));
-    }
-    let per_position = (rs * covered) as u64;
-    let positions = layer.out_channels as u64 * layer.out_h() as u64 * layer.out_w() as u64;
-    let assigned = positions * per_position;
-    let expected = layer.macs();
-    if covered != layer.in_channels || assigned != expected {
-        return Err(VerifyError::MacMismatch {
-            expected,
-            assigned,
-            unit: "conv channel tiling",
-        });
-    }
-    // (b) the subfold passes cover every weight of one padded tile once
-    // (trailing idle switches pad the last pass but drop nothing),
-    let mut piece_sum = 0usize;
-    for pass in 0..subfold {
-        piece_sum += vn_size.min(vn_weights.saturating_sub(pass * vn_size));
-    }
-    if piece_sum != vn_weights {
-        return Err(VerifyError::MacMismatch {
-            expected: vn_weights as u64,
-            assigned: piece_sum as u64,
-            unit: "conv subfold pieces",
-        });
-    }
-    // (c) the iteration count covers every work unit at least once.
-    let row_units = layer.out_channels as u64 * layer.out_h() as u64 * (segments * subfold) as u64;
-    let lanes = ranges.len() as u64;
-    let iterations = ceil_div(row_units, lanes);
-    if iterations * lanes < row_units {
-        return Err(VerifyError::MacMismatch {
-            expected: row_units,
-            assigned: iterations * lanes,
-            unit: "conv work units",
-        });
-    }
-    Ok(MappingReport {
-        partition: Some(partition),
-        macs_expected: expected,
-        macs_assigned: assigned,
-    })
-}
-
-/// Sparse CONV: mirrors `SparseConvMapper::run`'s reject conditions
-/// (channel-tile bounds, fully faulty fabric) and checks the
-/// fold-piece MAC ledger over the survivor VN sizes. The per-group
-/// packing itself is re-formed dynamically group by group, so no
-/// single partition exists to verify here.
-fn verify_sparse(
-    cfg: &MaeriConfig,
-    layer: &ConvLayer,
-    mask: &WeightMask,
-    ct: usize,
-) -> Result<MappingReport, VerifyError> {
-    if ct == 0 || ct > layer.in_channels {
-        return Err(VerifyError::KnobOutOfRange {
-            knob: "channel_tile",
-            value: ct,
-            min: 1,
-            max: layer.in_channels,
-        });
-    }
-    // Survivor VN sizes: nonzero weights per (segment, filter) slice.
-    let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
-    let mut sizes: Vec<usize> = Vec::with_capacity(layer.out_channels * segments);
-    for seg in 0..segments {
-        let c_lo = seg * ct;
-        let c_hi = ((seg + 1) * ct).min(layer.in_channels);
-        for k in 0..layer.out_channels {
-            let nonzeros = mask.kept_in_channels(k, c_lo, c_hi);
-            if nonzeros > 0 {
-                sizes.push(nonzeros);
-            }
-        }
-    }
-    let positions = (layer.out_h() * layer.out_w()) as u64;
-    let kept: u64 = sizes.iter().map(|&s| s as u64).sum();
-    let expected = kept * positions;
-    if sizes.is_empty() {
-        // An entirely pruned layer performs no work and always maps.
-        return Ok(MappingReport {
-            partition: None,
-            macs_expected: 0,
-            macs_assigned: 0,
-        });
-    }
-    let spans = cfg.healthy_spans();
-    let (cap, _budget) = span_capacity(&spans)?;
-    // Oversized survivor VNs fold into <= cap pieces; the ledger checks
-    // the pieces repartition the survivors exactly.
-    let mut piece_total = 0u64;
-    for size in &sizes {
-        let folds = ceil_div(*size as u64, cap as u64) as usize;
-        let base = size / folds;
-        let mut rem = size % folds;
-        for _ in 0..folds {
-            let extra = usize::from(rem > 0);
-            rem = rem.saturating_sub(1);
-            piece_total += (base + extra) as u64;
-        }
-    }
-    let assigned = piece_total * positions;
-    if assigned != expected {
-        return Err(VerifyError::MacMismatch {
-            expected,
-            assigned,
-            unit: "sparse fold pieces",
-        });
-    }
-    Ok(MappingReport {
-        partition: None,
-        macs_expected: expected,
-        macs_assigned: assigned,
-    })
-}
-
-/// FC/LSTM-gate shared path: mirrors the folded-vector packing of
-/// `FcMapper::run_folded` / `LstmMapper::gate_phase_folded`, verifying
-/// the packed partition. Returns the report plus the fold count.
-fn verify_folded_vector(
-    cfg: &MaeriConfig,
-    d: usize,
-    vn_size: usize,
-    knob: &'static str,
-) -> Result<(PartitionReport, u64), VerifyError> {
-    let spans = cfg.healthy_spans();
-    let (cap, budget) = span_capacity(&spans)?;
-    let max = d.min(cap);
-    if vn_size == 0 || vn_size > max {
-        return Err(VerifyError::KnobOutOfRange {
-            knob,
-            value: vn_size,
-            min: 1,
-            max,
-        });
-    }
-    let fold = ceil_div(d as u64, vn_size as u64);
-    let packed = ceil_div(d as u64, fold) as usize;
-    let want = (budget / packed).max(1);
-    let (ranges, _) = pack_vns_into_spans(&spans, &vec![packed; want]);
-    let plan = cfg.fault_plan();
-    let partition = verify_partition_with_faults(cfg, plan.as_ref(), &ranges)?;
-    Ok((partition, fold))
-}
-
-/// Invariant 4 for folded dot products: `fold` segments of
-/// `ceil(d / fold)` switches cover all `d` inputs exactly once, for
-/// each of the `outputs` neurons.
-fn mac_ledger_folded(
-    d: usize,
-    fold: u64,
-    outputs: u64,
-    expected: u64,
-    unit: &'static str,
-) -> Result<(u64, u64), VerifyError> {
-    let packed = ceil_div(d as u64, fold) as usize;
-    let mut covered = 0usize;
-    for seg in 0..fold as usize {
-        covered += packed.min(d.saturating_sub(seg * packed));
-    }
-    let assigned = outputs * covered as u64;
-    if covered != d || assigned != expected {
-        return Err(VerifyError::MacMismatch {
+/// Invariant 4's books: the plan must assign exactly the `expected`
+/// units the layer defines. Returns the conserved count.
+fn conserve(expected: u64, assigned: u64, unit: &'static str) -> Result<u64, VerifyError> {
+    if assigned == expected {
+        Ok(assigned)
+    } else {
+        Err(VerifyError::MacMismatch {
             expected,
             assigned,
             unit,
+        })
+    }
+}
+
+/// Invariant 4 over a dense CONV plan, in three closures: the plan's
+/// `segments` channel tiles cover every input channel once, its
+/// `subfold` pieces cover every weight of one tile once (trailing idle
+/// switches pad the last piece but drop nothing), and its iterations
+/// cover every work unit at least once. Returns the layer's MACs.
+fn conv_ledger(layer: &ConvLayer, plan: &ConvPlan) -> Result<u64, VerifyError> {
+    let rs = layer.kernel_h * layer.kernel_w;
+    let covered = (plan.segments * plan.channel_tile).min(layer.in_channels);
+    let assigned = layer.output_count() as u64 * (rs * covered) as u64;
+    let macs = conserve(layer.macs(), assigned, "conv channel tiling")?;
+    let tile = rs * plan.channel_tile;
+    let pieces = (plan.subfold * plan.vn_size).min(tile);
+    conserve(tile as u64, pieces as u64, "conv subfold pieces")?;
+    let units = layer.out_channels as u64 * layer.out_h() as u64 * plan.fold_factor() as u64;
+    let lanes = plan.iterations * plan.num_vns as u64;
+    if lanes < units {
+        return Err(VerifyError::MacMismatch {
+            expected: units,
+            assigned: lanes,
+            unit: "conv work units",
         });
     }
-    Ok((expected, assigned))
+    Ok(macs)
+}
+
+/// Invariant 4 over a folded-vector plan: `plan.fold` segments of
+/// `plan.vn_size` switches cover all `d` inputs of each of the
+/// `outputs` dot products, `expected` MACs in all. Returns them.
+fn folded_ledger(
+    plan: &VectorPlan,
+    d: usize,
+    outputs: usize,
+    expected: u64,
+    unit: &'static str,
+) -> Result<u64, VerifyError> {
+    let covered = (plan.fold * plan.vn_size).min(d);
+    conserve(expected, (outputs * covered) as u64, unit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maeri::{LoopOrder, SparseConvMapper};
+    use maeri::{ConvMapping, LoopOrder, PlanError};
     use maeri_sim::SimRng;
 
     fn conv_layer() -> ConvLayer {
@@ -411,12 +248,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             err,
-            VerifyError::KnobOutOfRange {
+            VerifyError::Plan(PlanError::KnobOutOfRange {
                 knob: "channel_tile",
                 value: 99,
                 min: 1,
                 max: 3
-            }
+            })
         );
         // The dynamic mapper rejects it too (gate soundness).
         assert!(SparseConvMapper::new(base).run(&layer, &mask, 99).is_err());
@@ -437,12 +274,12 @@ mod tests {
         let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &reject).unwrap();
         assert_eq!(
             err,
-            VerifyError::KnobOutOfRange {
+            VerifyError::Plan(PlanError::KnobOutOfRange {
                 knob: "vn_size",
                 value: cap + 1,
                 min: 1,
                 max: cap
-            }
+            })
         );
         let accept =
             MappingCandidate::with_base_bandwidth(CandidateKind::Fc { vn_size: cap }, &base);
@@ -480,5 +317,87 @@ mod tests {
         };
         let err = verify_mapping(&base, &VerifyLayer::Conv(&layer), &cand).unwrap_err();
         assert!(matches!(err, VerifyError::Config { .. }), "{err}");
+    }
+
+    /// A plan the mapper built for a 3×3 layer of 16 channels with tile
+    /// 8 on 64 leaves: 2 segments, each folded into 2 pieces of 36.
+    fn folded_conv_plan() -> (ConvLayer, ConvPlan) {
+        let layer = ConvLayer::new("fold", 16, 8, 8, 4, 3, 3, 1, 1);
+        let mapping = ConvMapping {
+            channel_tile: 8,
+            max_vns: 64,
+            loop_order: LoopOrder::FilterMajor,
+        };
+        let plan = ConvMapper::new(MaeriConfig::paper_64())
+            .plan(&layer, VnPolicy::Explicit(mapping))
+            .unwrap();
+        assert_eq!((plan.segments, plan.subfold, plan.vn_size), (2, 2, 36));
+        assert_eq!(conv_ledger(&layer, &plan), Ok(layer.macs()));
+        (layer, plan)
+    }
+
+    #[test]
+    fn conv_ledger_flags_a_dropped_channel_segment() {
+        let (layer, mut plan) = folded_conv_plan();
+        plan.segments -= 1;
+        // 256 outputs × 9 taps × 8 of the 16 channels.
+        assert_eq!(
+            conv_ledger(&layer, &plan),
+            Err(VerifyError::MacMismatch {
+                expected: 36_864,
+                assigned: 18_432,
+                unit: "conv channel tiling",
+            })
+        );
+    }
+
+    #[test]
+    fn conv_ledger_flags_a_dropped_subfold_piece() {
+        let (layer, mut plan) = folded_conv_plan();
+        plan.subfold -= 1;
+        assert_eq!(
+            conv_ledger(&layer, &plan),
+            Err(VerifyError::MacMismatch {
+                expected: 72,
+                assigned: 36,
+                unit: "conv subfold pieces",
+            })
+        );
+    }
+
+    #[test]
+    fn conv_ledger_flags_a_missing_iteration() {
+        let (layer, mut plan) = folded_conv_plan();
+        assert_eq!(plan.num_vns, 1);
+        plan.iterations -= 1;
+        // 4 filters × 8 output rows × 4 fold passes, one VN per iteration.
+        assert_eq!(
+            conv_ledger(&layer, &plan),
+            Err(VerifyError::MacMismatch {
+                expected: 128,
+                assigned: 127,
+                unit: "conv work units",
+            })
+        );
+    }
+
+    #[test]
+    fn folded_ledger_flags_a_dropped_fold() {
+        let fc = FcLayer::new("f", 256, 16);
+        let mut plan = VectorPlan::new(&MaeriConfig::paper_64(), 256, 64, "vn_size").unwrap();
+        assert_eq!((plan.fold, plan.vn_size), (4, 64));
+        assert_eq!(
+            folded_ledger(&plan, 256, 16, fc.macs(), "fc folding"),
+            Ok(4096)
+        );
+        plan.fold -= 1;
+        assert_eq!(
+            folded_ledger(&plan, 256, 16, fc.macs(), "fc folding"),
+            Err(VerifyError::MacMismatch {
+                expected: 4096,
+                assigned: 3072,
+                unit: "fc folding",
+            })
+        );
     }
 }

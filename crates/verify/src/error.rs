@@ -3,13 +3,14 @@
 //! A violation is never reported as a bare boolean or prose string: each
 //! variant names the level, node ids, and conflicting VN pair (or the
 //! offending knob and its bounds) that demonstrate the illegality, so a
-//! failed verification is directly actionable and testable. Partition
-//! conflicts are the ART builder's own [`ArtError`], wrapped unchanged
-//! in [`VerifyError::Partition`].
+//! failed verification is directly actionable and testable. A candidate
+//! the mapper cannot plan is the mapper's own [`PlanError`], wrapped
+//! unchanged in [`VerifyError::Plan`]; a partition conflict inside it
+//! is the ART builder's [`maeri::ArtError`].
 
 use std::fmt;
 
-use maeri::art::ArtError;
+use maeri::PlanError;
 
 /// Which tree network a bandwidth finding refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,18 +41,14 @@ impl fmt::Display for Network {
 /// 4. MAC conservation ([`VerifyError::MacMismatch`]),
 /// 5. fault consistency.
 ///
-/// Invariants 1, 2 and 5 are the ART builder's own checks and surface
-/// as [`VerifyError::Partition`].
-///
-/// Knob/bounds violations that make a candidate unmappable before any
-/// partition exists surface as [`VerifyError::KnobOutOfRange`],
-/// [`VerifyError::Config`], [`VerifyError::NothingMappable`], or
-/// [`VerifyError::KindMismatch`].
+/// Invariants 1, 2 and 5 are the ART builder's own checks; inside a
+/// candidate they surface as [`PlanError::Partition`] under
+/// [`VerifyError::Plan`], as do the knob bounds and the fully faulty
+/// fabric the mapper refuses before any partition exists.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VerifyError {
-    /// Invariants 1, 2 and 5: the ART builder rejects the VN partition
-    /// with this conflict.
-    Partition(ArtError),
+    /// The mapper refuses to plan the candidate.
+    Plan(PlanError),
     /// Invariant 3 (strict form): `level` of `network` must move `load`
     /// words per cycle over links of width `capacity`.
     BandwidthInfeasible {
@@ -64,35 +61,22 @@ pub enum VerifyError {
         /// Words per cycle the link can carry.
         capacity: u64,
     },
-    /// Invariant 4: the mapping assigns `assigned` of the `expected`
+    /// Invariant 4: the plan assigns `assigned` of the `expected`
     /// units of work (each weight×input pair must be assigned exactly
     /// once; trailing idle switches drop none).
     MacMismatch {
         /// Units the layer defines.
         expected: u64,
-        /// Units the mapping assigns.
+        /// Units the plan assigns.
         assigned: u64,
         /// What is being counted (e.g. `"conv channel tiling"`).
         unit: &'static str,
-    },
-    /// A mapping knob sits outside its legal range.
-    KnobOutOfRange {
-        /// The knob's name (e.g. `"channel_tile"`).
-        knob: &'static str,
-        /// The supplied value.
-        value: usize,
-        /// Smallest legal value.
-        min: usize,
-        /// Largest legal value.
-        max: usize,
     },
     /// The candidate's fabric parameters fail configuration validation.
     Config {
         /// The builder's validation message.
         message: String,
     },
-    /// Every multiplier switch is faulty; no VN can be formed.
-    NothingMappable,
     /// The candidate kind does not match the layer kind.
     KindMismatch {
         /// The candidate's kind label.
@@ -105,7 +89,7 @@ pub enum VerifyError {
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VerifyError::Partition(err) => err.fmt(f),
+            VerifyError::Plan(err) => err.fmt(f),
             VerifyError::BandwidthInfeasible {
                 network,
                 level,
@@ -123,16 +107,7 @@ impl fmt::Display for VerifyError {
                 f,
                 "{unit} assigns {assigned} of {expected} weight-input pairs"
             ),
-            VerifyError::KnobOutOfRange {
-                knob,
-                value,
-                min,
-                max,
-            } => write!(f, "{knob} {value} out of range {min}..={max}"),
             VerifyError::Config { message } => write!(f, "fabric configuration invalid: {message}"),
-            VerifyError::NothingMappable => {
-                f.write_str("every multiplier switch is faulty; no virtual neuron can be formed")
-            }
             VerifyError::KindMismatch { candidate, layer } => {
                 write!(f, "candidate kind {candidate} does not match {layer} layer")
             }
@@ -142,47 +117,48 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-impl From<ArtError> for VerifyError {
-    fn from(err: ArtError) -> Self {
-        VerifyError::Partition(err)
+impl From<PlanError> for VerifyError {
+    fn from(err: PlanError) -> Self {
+        VerifyError::Plan(err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maeri::ArtError;
 
     #[test]
     fn displays_are_stable() {
         let cases: Vec<(VerifyError, &str)> = vec![
             (
-                VerifyError::Partition(ArtError::OutOfRange {
+                VerifyError::Plan(PlanError::Partition(ArtError::OutOfRange {
                     vn: 2,
                     start: 60,
                     end: 68,
                     leaves: 64,
-                }),
+                })),
                 "vn 2 covers leaves 60..68, out of range 0..64",
             ),
             (
-                VerifyError::Partition(ArtError::Overlap {
+                VerifyError::Plan(PlanError::Partition(ArtError::Overlap {
                     first_vn: 0,
                     second_vn: 1,
                     leaf: 4,
-                }),
+                })),
                 "vn 0 and vn 1 both cover leaf 4",
             ),
             (
-                VerifyError::Partition(ArtError::DeadLeaf { vn: 3, leaf: 17 }),
+                VerifyError::Plan(PlanError::Partition(ArtError::DeadLeaf { vn: 3, leaf: 17 })),
                 "vn 3 covers dead multiplier switch 17",
             ),
             (
-                VerifyError::KnobOutOfRange {
+                VerifyError::Plan(PlanError::KnobOutOfRange {
                     knob: "channel_tile",
                     value: 99,
                     min: 1,
                     max: 3,
-                },
+                }),
                 "channel_tile 99 out of range 1..=3",
             ),
             (

@@ -19,13 +19,16 @@
 //! 5. **fault consistency** (no VN cell on a dead multiplier, dead
 //!    adder subtree, or severed forwarding link).
 //!
-//! Violations come back as structured [`VerifyError`] values carrying a
-//! minimal counterexample — the level, node ids, and conflicting VN
-//! pair — never as a bare boolean.
+//! Violations come back as structured values carrying a minimal
+//! counterexample — the level, node ids, and conflicting VN pair —
+//! never as a bare boolean.
 //!
-//! Invariants 1, 2 and 5 are decided by building the ART with the one
-//! VN-construction walk ([`maeri::art::ArtConfig::build_with_faults`]),
-//! whose conflicts come back as [`VerifyError::Partition`].
+//! The crate keeps no copy of the mappers' algorithms: invariants 1, 2
+//! and 5 are decided by building the ART with the one VN-construction
+//! walk ([`maeri::art::ArtConfig::build_with_faults`]), whose conflicts
+//! come back as [`maeri::ArtError`], and a candidate is verified on the
+//! mapper's own plan, whose refusals come back as
+//! [`VerifyError::Plan`]. Invariant 4 is the ledger over that plan.
 //!
 //! The verifier is wired in three places: `maeri-mapspace` uses
 //! [`statically_reject`] as a pre-score prune gate, `maeri-runtime`
@@ -44,6 +47,5 @@ pub mod partition;
 pub use candidate::{statically_reject, verify_mapping, MappingReport, VerifyLayer};
 pub use error::{Network, VerifyError};
 pub use partition::{
-    verify_partition, verify_partition_with_faults, verify_reduction, LevelLoad, PartitionReport,
-    ReductionReport,
+    verify_partition, verify_reduction, LevelLoad, PartitionReport, ReductionReport,
 };

@@ -3,12 +3,14 @@
 //! [`verify_reduction`] builds the ART with the one VN-construction walk
 //! (`maeri::art::ArtConfig::build_with_faults`, Section 4.1 of the
 //! paper) without clocking a cycle: the builder's first conflict comes
-//! back as [`VerifyError::Partition`] with the conflicting VN pair, and
-//! an accepted build's accessors fill the report. `tests/differential.rs`
-//! checks the walk against an independent oracle (legality from the
-//! ranges and the fault plan alone, exact sums from the replay).
+//! back as its own [`ArtError`] with the conflicting VN pair, and an
+//! accepted build's accessors fill the report. A mapper's plan carries
+//! an ART that is already built, so [`PartitionReport::of`] reports it
+//! without a second build. `tests/differential.rs` checks the walk
+//! against an independent oracle (legality from the ranges and the
+//! fault plan alone, exact sums from the replay).
 
-use maeri::art::{ArtConfig, VnRange};
+use maeri::art::{ArtConfig, ArtError, VnRange};
 use maeri::fault::FaultPlan;
 use maeri::MaeriConfig;
 use maeri_noc::ChubbyTree;
@@ -55,6 +57,22 @@ pub struct ReductionReport {
     pub collection_loads: Vec<LevelLoad>,
 }
 
+impl ReductionReport {
+    /// The report of an ART built over the `collection` tree.
+    #[must_use]
+    pub fn of(collection: &ChubbyTree, art: &ArtConfig) -> Self {
+        ReductionReport {
+            num_vns: art.vns().len(),
+            busy_leaves: art.busy_leaves(),
+            forwarding_links: art.forwarding_links().len(),
+            active_adders: art.active_adders(),
+            collection_slowdown: art.throughput_slowdown(),
+            // Invariant 3, collection half.
+            collection_loads: level_loads(collection, art.worst_link_loads()),
+        }
+    }
+}
+
 /// A [`ReductionReport`] joined by the distribution network's per-level
 /// feasibility (the other half of invariant 3).
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +85,16 @@ pub struct PartitionReport {
 }
 
 impl PartitionReport {
+    /// The report of an ART built on `cfg`'s fabric: its reduction
+    /// forest plus the distribution loads of its VNs.
+    #[must_use]
+    pub fn of(cfg: &MaeriConfig, art: &ArtConfig) -> Self {
+        PartitionReport {
+            reduction: ReductionReport::of(&cfg.collection_chubby(), art),
+            distribution_loads: distribution_loads(&cfg.distribution_chubby(), art.vns()),
+        }
+    }
+
     /// Invariant 3 in strict form: every level of both networks must
     /// sustain full rate.
     ///
@@ -121,32 +149,11 @@ impl PartitionReport {
 ///
 /// # Errors
 ///
-/// Returns the first [`VerifyError`] violation with its counterexample.
-pub fn verify_partition(
-    cfg: &MaeriConfig,
-    vns: &[VnRange],
-) -> Result<PartitionReport, VerifyError> {
-    let plan = cfg.fault_plan();
-    verify_partition_with_faults(cfg, plan.as_ref(), vns)
-}
-
-/// Like [`verify_partition`], but over an explicit (possibly absent)
-/// fault plan instead of the configuration's own spec.
-///
-/// # Errors
-///
-/// Returns the first [`VerifyError`] violation with its counterexample.
-pub fn verify_partition_with_faults(
-    cfg: &MaeriConfig,
-    faults: Option<&FaultPlan>,
-    vns: &[VnRange],
-) -> Result<PartitionReport, VerifyError> {
-    let reduction = verify_reduction(&cfg.collection_chubby(), faults, vns)?;
-    let distribution_loads = distribution_loads(&cfg.distribution_chubby(), vns);
-    Ok(PartitionReport {
-        reduction,
-        distribution_loads,
-    })
+/// Returns the ART builder's first conflict.
+pub fn verify_partition(cfg: &MaeriConfig, vns: &[VnRange]) -> Result<PartitionReport, ArtError> {
+    let art =
+        ArtConfig::build_with_faults(cfg.collection_chubby(), vns, cfg.fault_plan().as_ref())?;
+    Ok(PartitionReport::of(cfg, &art))
 }
 
 /// Verifies the reduction forest a VN partition induces on the ART by
@@ -154,22 +161,14 @@ pub fn verify_partition_with_faults(
 ///
 /// # Errors
 ///
-/// Returns the builder's first conflict as [`VerifyError::Partition`].
+/// Returns the builder's first conflict.
 pub fn verify_reduction(
     collection: &ChubbyTree,
     faults: Option<&FaultPlan>,
     vns: &[VnRange],
-) -> Result<ReductionReport, VerifyError> {
+) -> Result<ReductionReport, ArtError> {
     let art = ArtConfig::build_with_faults(*collection, vns, faults)?;
-    Ok(ReductionReport {
-        num_vns: vns.len(),
-        busy_leaves: art.busy_leaves(),
-        forwarding_links: art.forwarding_links().len(),
-        active_adders: art.active_adders(),
-        collection_slowdown: art.throughput_slowdown(),
-        // Invariant 3, collection half.
-        collection_loads: level_loads(collection, art.worst_link_loads()),
-    })
+    Ok(ReductionReport::of(collection, &art))
 }
 
 /// Per-level worst busy-leaf demand of the distribution tree: a link at
@@ -222,7 +221,7 @@ fn level_loads(chubby: &ChubbyTree, loads: impl IntoIterator<Item = u64>) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maeri::art::{pack_vns, ArtError};
+    use maeri::art::pack_vns;
     use maeri_noc::BinaryTree;
 
     fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
@@ -250,11 +249,11 @@ mod tests {
         let err = verify_reduction(&chubby(16, 8), None, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::Partition(ArtError::Overlap {
+            ArtError::Overlap {
                 first_vn: 0,
                 second_vn: 1,
                 leaf: 4
-            })
+            }
         );
     }
 
@@ -263,12 +262,12 @@ mod tests {
         let err = verify_reduction(&chubby(16, 8), None, &[VnRange::new(10, 8)]).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::Partition(ArtError::OutOfRange {
+            ArtError::OutOfRange {
                 vn: 0,
                 start: 10,
                 end: 18,
                 leaves: 16
-            })
+            }
         );
     }
 
@@ -279,10 +278,7 @@ mod tests {
         let dead = *plan.dead_leaves().iter().next().unwrap();
         let err =
             verify_reduction(&chubby(16, 8), Some(&plan), &[VnRange::new(dead, 1)]).unwrap_err();
-        assert_eq!(
-            err,
-            VerifyError::Partition(ArtError::DeadLeaf { vn: 0, leaf: dead })
-        );
+        assert_eq!(err, ArtError::DeadLeaf { vn: 0, leaf: dead });
     }
 
     #[test]

@@ -24,7 +24,7 @@ use maeri::art::{ArtConfig, ArtError, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
 use maeri_noc::{BinaryTree, ChubbyTree};
 use maeri_sim::SimRng;
-use maeri_verify::{verify_reduction, VerifyError};
+use maeri_verify::verify_reduction;
 
 fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
     ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
@@ -90,11 +90,7 @@ fn check(leaves: usize, bw: usize, faults: Option<&FaultPlan>, vns: &[VnRange]) 
         Err(err) if legal => {
             let severed = faults.is_some_and(|plan| !plan.dead_links().is_empty());
             assert!(
-                severed
-                    && matches!(
-                        err,
-                        VerifyError::Partition(ArtError::AdderOverloaded { .. })
-                    ),
+                severed && matches!(err, ArtError::AdderOverloaded { .. }),
                 "rejected legal partition {vns:?} (leaves={leaves}, bw={bw}): {err}"
             );
             Verdict::SeveredLinkDefect
@@ -103,11 +99,9 @@ fn check(leaves: usize, bw: usize, faults: Option<&FaultPlan>, vns: &[VnRange]) 
             assert!(
                 matches!(
                     err,
-                    VerifyError::Partition(
-                        ArtError::OutOfRange { .. }
-                            | ArtError::Overlap { .. }
-                            | ArtError::DeadLeaf { .. }
-                    )
+                    ArtError::OutOfRange { .. }
+                        | ArtError::Overlap { .. }
+                        | ArtError::DeadLeaf { .. }
                 ),
                 "illegal partition {vns:?} rejected for the wrong reason: {err}"
             );
@@ -342,12 +336,12 @@ fn severed_link_climb_overloads_neighbouring_adder() {
     assert!(accepts(16, 8, None, &vns));
     assert_eq!(
         verify_reduction(&chubby(16, 8), Some(&plan), &vns).unwrap_err(),
-        VerifyError::Partition(ArtError::AdderOverloaded {
+        ArtError::AdderOverloaded {
             level: 2,
             node: 5,
             addends: 4,
             first_vn: 1,
             second_vn: 2,
-        })
+        }
     );
 }

@@ -7,7 +7,7 @@
 use maeri::art::{pack_vns, ArtError, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
 use maeri::mapper::{CandidateKind, ConvMapping, LoopOrder, MappingCandidate};
-use maeri::MaeriConfig;
+use maeri::{MaeriConfig, PlanError};
 use maeri_dnn::layer::{ConvLayer, FcLayer};
 use maeri_sim::SimRng;
 use maeri_verify::{verify_mapping, verify_partition, VerifyError, VerifyLayer};
@@ -40,11 +40,11 @@ fn single_cell_overlap_flags_exactly_that_pair() {
         let err = verify_partition(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::Partition(ArtError::Overlap {
+            ArtError::Overlap {
                 first_vn: victim - 1,
                 second_vn: victim,
                 leaf: v.start - 1,
-            })
+            }
         );
     }
 }
@@ -63,12 +63,12 @@ fn single_cell_out_of_range_flags_exact_bounds() {
         let err = verify_partition(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::Partition(ArtError::OutOfRange {
+            ArtError::OutOfRange {
                 vn: last,
                 start: v.start,
                 end: v.end() + grow,
                 leaves: 64,
-            })
+            }
         );
     }
 }
@@ -99,10 +99,10 @@ fn single_cell_onto_dead_leaf_flags_fault_inconsistency() {
         let err = verify_partition(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::Partition(ArtError::DeadLeaf {
+            ArtError::DeadLeaf {
                 vn: spans.len(),
                 leaf,
-            })
+            }
         );
     }
 }
@@ -132,12 +132,12 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
         let err = verify_mapping(&base, &VerifyLayer::Conv(&layer), &cand).unwrap_err();
         assert_eq!(
             err,
-            VerifyError::KnobOutOfRange {
+            VerifyError::Plan(PlanError::KnobOutOfRange {
                 knob: "channel_tile",
                 value,
                 min: 1,
                 max: 16,
-            }
+            })
         );
     }
 
@@ -152,12 +152,12 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
     assert!(
         matches!(
             err,
-            VerifyError::KnobOutOfRange {
+            VerifyError::Plan(PlanError::KnobOutOfRange {
                 knob: "max_vns",
                 value: 0,
                 min: 1,
                 ..
-            }
+            })
         ),
         "unexpected error: {err}"
     );
@@ -168,12 +168,12 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
     let err = verify_mapping(&base, &VerifyLayer::Fc(&fc), &cand).unwrap_err();
     assert_eq!(
         err,
-        VerifyError::KnobOutOfRange {
+        VerifyError::Plan(PlanError::KnobOutOfRange {
             knob: "vn_size",
             value: 65,
             min: 1,
             max: 64,
-        }
+        })
     );
 
     // Kind mismatch is structural, not a knob error.
@@ -203,11 +203,11 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
                 let err = verify_partition(&cfg, &vns).unwrap_err();
                 assert_eq!(
                     err,
-                    VerifyError::Partition(ArtError::Overlap {
+                    ArtError::Overlap {
                         first_vn: victim - 1,
                         second_vn: victim,
                         leaf: v.start - 1,
-                    })
+                    }
                 );
             }
             0 => {
@@ -216,12 +216,12 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
                 let err = verify_partition(&cfg, &vns).unwrap_err();
                 assert_eq!(
                     err,
-                    VerifyError::Partition(ArtError::OutOfRange {
+                    ArtError::OutOfRange {
                         vn: victim,
                         start: 64,
                         end: 65,
                         leaves: 64,
-                    })
+                    }
                 );
             }
             // Overlap with the successor by growing one cell (the
@@ -233,21 +233,21 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
                 if victim + 1 < vns.len() {
                     assert_eq!(
                         err,
-                        VerifyError::Partition(ArtError::Overlap {
+                        ArtError::Overlap {
                             first_vn: victim,
                             second_vn: victim + 1,
                             leaf: v.end(),
-                        })
+                        }
                     );
                 } else {
                     assert_eq!(
                         err,
-                        VerifyError::Partition(ArtError::OutOfRange {
+                        ArtError::OutOfRange {
                             vn: victim,
                             start: v.start,
                             end: v.end() + 1,
                             leaves: 64,
-                        })
+                        }
                     );
                 }
             }

@@ -13,8 +13,8 @@
 //! from the heuristic's point.
 //! `cargo run --example tune_layer -- --faulty` — the same search for
 //! an FC layer on a fabric with dead multiplier switches; the static
-//! verifier prunes every knob the faults make illegal before scoring
-//! (CI asserts the printed `statically rejected` count is nonzero).
+//! verifier prunes every VN size the mapper's plan refuses before
+//! scoring (CI asserts the printed count, `statically rejected: 60`).
 
 use maeri_repro::dnn::{ConvLayer, FcLayer};
 use maeri_repro::fabric::fault::FaultSpec;
