@@ -16,7 +16,9 @@ use maeri_sim::{Result, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::RunStats;
-use crate::mapper::{ConvMapper, FcMapper, LstmMapper, PoolMapper, SparseConvMapper, VnPolicy};
+use crate::mapper::{
+    ConvMapper, FcMapper, LstmMapper, PoolMapper, SparseConvMapper, VectorPlan, VnPolicy,
+};
 use crate::MaeriConfig;
 
 /// One entry of the compiled schedule.
@@ -32,6 +34,19 @@ pub struct LayerCommand {
     pub num_vns: usize,
     /// Iterations (reconfiguration epochs) over the layer.
     pub iterations: u64,
+}
+
+impl LayerCommand {
+    /// The command for a layer run on a folded-vector plan.
+    fn vector(layer: &str, kind: &str, plan: &VectorPlan, iterations: u64) -> Self {
+        LayerCommand {
+            layer: layer.to_owned(),
+            kind: kind.to_owned(),
+            vn_size: plan.vn_size,
+            num_vns: plan.art.vns().len(),
+            iterations,
+        }
+    }
 }
 
 /// Result of executing a whole model.
@@ -154,6 +169,7 @@ impl Controller {
             let (run, command, input_words, output_words) = match layer {
                 Layer::Conv(conv) => {
                     let mapper = ConvMapper::new(self.cfg);
+                    let plan = mapper.plan(conv, VnPolicy::Auto)?;
                     let run = match sparsity {
                         Some((fraction, seed)) if fraction > 0.0 => {
                             let mask =
@@ -162,9 +178,8 @@ impl Controller {
                             let ct = sparse.auto_channel_tile(conv, &mask);
                             sparse.run(conv, &mask, ct)?
                         }
-                        _ => mapper.run(conv, VnPolicy::Auto)?,
+                        _ => mapper.cost(conv, &plan),
                     };
-                    let plan = mapper.plan(conv, VnPolicy::Auto)?;
                     let command = LayerCommand {
                         layer: conv.name.clone(),
                         kind: "CONV".to_owned(),
@@ -180,29 +195,19 @@ impl Controller {
                     )
                 }
                 Layer::Fc(fc) => {
-                    let run = FcMapper::new(self.cfg).run(fc)?;
+                    let mapper = FcMapper::new(self.cfg);
+                    let run = mapper.run(fc)?;
+                    let plan = mapper.plan(fc, mapper.heuristic_vn_size(fc)?)?;
                     let iterations = run.extra.get("fc_iterations");
-                    let command = LayerCommand {
-                        layer: fc.name.clone(),
-                        kind: "FC".to_owned(),
-                        vn_size: self.cfg.num_mult_switches().min(fc.inputs),
-                        num_vns: (self.cfg.num_mult_switches()
-                            / self.cfg.num_mult_switches().min(fc.inputs))
-                        .max(1),
-                        iterations,
-                    };
+                    let command = LayerCommand::vector(&fc.name, "FC", &plan, iterations);
                     (run, command, fc.inputs as u64, fc.outputs as u64)
                 }
                 Layer::Pool(pool) => {
-                    let run = PoolMapper::new(self.cfg).run(pool)?;
-                    let window = pool.window * pool.window;
-                    let command = LayerCommand {
-                        layer: pool.name.clone(),
-                        kind: "POOL".to_owned(),
-                        vn_size: window.min(self.cfg.num_mult_switches()),
-                        num_vns: (self.cfg.num_mult_switches() / window).max(1),
-                        iterations: run.extra.get("pool_iterations"),
-                    };
+                    let mapper = PoolMapper::new(self.cfg);
+                    let run = mapper.run(pool)?;
+                    let iterations = run.extra.get("pool_iterations");
+                    let command =
+                        LayerCommand::vector(&pool.name, "POOL", &mapper.plan(pool)?, iterations);
                     (
                         run,
                         command,
@@ -211,16 +216,12 @@ impl Controller {
                     )
                 }
                 Layer::Lstm(lstm) => {
-                    let run = LstmMapper::new(self.cfg).run(lstm)?;
-                    let d = lstm.input_dim + lstm.hidden_dim;
-                    let vn = d.min(self.cfg.num_mult_switches());
-                    let command = LayerCommand {
-                        layer: lstm.name.clone(),
-                        kind: "LSTM".to_owned(),
-                        vn_size: vn,
-                        num_vns: (self.cfg.num_mult_switches() / vn).max(1),
-                        iterations: run.extra.get("gate_iterations"),
-                    };
+                    let mapper = LstmMapper::new(self.cfg);
+                    let run = mapper.run(lstm)?;
+                    let vn_size = mapper.heuristic_gate_vn_size(lstm)?;
+                    let plan = LstmMapper::gate_plan(&self.cfg, lstm, vn_size)?;
+                    let iterations = run.extra.get("gate_iterations");
+                    let command = LayerCommand::vector(&lstm.name, "LSTM", &plan, iterations);
                     (run, command, lstm.input_dim as u64, lstm.hidden_dim as u64)
                 }
                 other => {
@@ -286,6 +287,40 @@ mod tests {
             assert!(cmd.vn_size >= 1 && cmd.vn_size <= 64, "{cmd:?}");
             assert!(cmd.num_vns >= 1, "{cmd:?}");
             assert!(cmd.iterations >= 1, "{cmd:?}");
+        }
+    }
+
+    #[test]
+    fn vector_commands_report_the_mappers_plans() {
+        // Balanced folding and dead multipliers both shape these VNs:
+        // on 64 healthy switches the 100-input FC folds into VNs of 50.
+        use crate::FaultSpec;
+        use maeri_dnn::{FcLayer, LstmLayer, PoolLayer};
+        let fc = FcLayer::new("fc", 100, 10);
+        let pool = PoolLayer::new("pool", 4, 12, 12, 3, 2);
+        let lstm = LstmLayer::new("lstm", 30, 40);
+        let layers = vec![fc.clone().into(), pool.clone().into(), lstm.clone().into()];
+        let model = zoo::Model::new("vectors", layers);
+        let faulty = MaeriConfig::builder(64)
+            .faults(FaultSpec::new(3).dead_multipliers(250))
+            .build()
+            .unwrap();
+        for cfg in [MaeriConfig::paper_64(), faulty] {
+            let fc_mapper = FcMapper::new(cfg);
+            let gate_vn_size = LstmMapper::new(cfg).heuristic_gate_vn_size(&lstm).unwrap();
+            let plans = [
+                fc_mapper
+                    .plan(&fc, fc_mapper.heuristic_vn_size(&fc).unwrap())
+                    .unwrap(),
+                PoolMapper::new(cfg).plan(&pool).unwrap(),
+                LstmMapper::gate_plan(&cfg, &lstm, gate_vn_size).unwrap(),
+            ];
+            let run = Controller::new(cfg, 80).run_model(&model).unwrap();
+            assert_eq!(run.schedule.len(), plans.len());
+            for (cmd, plan) in run.schedule.iter().zip(&plans) {
+                let shape = (plan.vn_size, plan.art.vns().len());
+                assert_eq!((cmd.vn_size, cmd.num_vns), shape, "{cmd:?}");
+            }
         }
     }
 

@@ -1,42 +1,42 @@
-//! Functional (value-accurate) execution through the fabric.
+//! Functional (value-accurate) execution of the mappers' plans.
 //!
-//! The cycle models in [`crate::mapper`] account time and traffic; this
-//! module actually *computes* layers by driving values through
-//! [`crate::switch::MultSwitch`] instances and the
+//! The cycle models in [`crate::mapper`] account time and traffic on a
+//! plan; this module *computes* layers on the same plan, driving values
+//! through [`crate::switch::MultSwitch`] instances and the plan's
 //! [`crate::art::ArtConfig`] reduction interpreter, so tests can check
-//! the fabric's arithmetic against the `maeri-dnn` software reference.
-//! It is the simulator's answer to RTL simulation of the original
-//! Bluespec design.
+//! the fabric's arithmetic against the `maeri-dnn` software reference
+//! on exactly the partition the cost model costs and the verifier
+//! proves. It is the simulator's answer to RTL simulation of the
+//! original Bluespec design.
 
 use maeri_dnn::{ConvLayer, FcLayer, PoolLayer, Tensor};
-use maeri_sim::{Result, SimError};
+use maeri_sim::Result;
 
-use crate::art::{pack_vns_into_spans, ArtConfig, VnRange};
-use crate::mapper::{span_capacity, LstmMapper};
+use crate::mapper::{ConvPlan, LoopOrder, LstmMapper, VectorPlan};
 use crate::switch::MultSwitch;
 use crate::MaeriConfig;
 
-/// Runs a CONV layer through the fabric, returning `[K, P, Q]` outputs.
+/// Runs a CONV layer on a plan from
+/// [`ConvMapper::plan`](crate::ConvMapper::plan), returning `[K, P, Q]`
+/// outputs.
 ///
-/// Filters are processed in batches of simultaneous virtual neurons;
-/// channels beyond the array fold with software "adder-switch temporal
-/// registers" accumulating across segments, mirroring Section 6.3.
-///
-/// # Errors
-///
-/// Returns [`SimError::Unmappable`] when a single channel slice
-/// (`R*S` weights) exceeds the array (the functional model does not
-/// split below one channel slice).
+/// A work unit is one (filter, output row, fold pass); each iteration
+/// gives every VN of `plan.art` one unit, taken in `plan.loop_order`.
+/// Fold pass `p` covers channel segment `p / subfold`, piece
+/// `p % subfold`, and its partial sums accumulate across passes the way
+/// the adder-switch temporal registers of Section 6.3 keep them.
 ///
 /// # Panics
 ///
 /// Panics if tensor shapes do not match the layer.
+#[must_use]
 pub fn run_conv(
     cfg: &MaeriConfig,
     layer: &ConvLayer,
+    plan: &ConvPlan,
     input: &Tensor,
     weights: &Tensor,
-) -> Result<Tensor> {
+) -> Tensor {
     assert_eq!(
         input.shape(),
         &[layer.in_channels, layer.in_h, layer.in_w],
@@ -53,94 +53,63 @@ pub fn run_conv(
         "weight shape mismatch"
     );
     let n = cfg.num_mult_switches();
-    let spans = cfg.healthy_spans();
-    let (cap, _) = span_capacity(&spans)?;
-    let fault_plan = cfg.fault_plan();
-    let rs = layer.kernel_h * layer.kernel_w;
-    if rs > cap {
-        return Err(SimError::unmappable(format!(
-            "one channel slice needs {rs} multipliers, largest healthy span has {cap}"
-        )));
-    }
-    // Channels per VN: as many as fit in one healthy span.
-    let ct = (cap / rs).min(layer.in_channels).max(1);
-    let segments = layer.in_channels.div_ceil(ct);
-    let (p, q) = (layer.out_h(), layer.out_w());
-    let mut out = Tensor::zeros(&[layer.out_channels, p, q]);
-
-    // Lanes per filter batch: sized for the widest (first) segment so
-    // every segment of a batch covers the same filters. Each span
-    // hosts whole VNs only — a VN never straddles a dead switch.
-    let batch_lanes = spans
-        .iter()
-        .map(|s| s.len / (rs * ct))
-        .sum::<usize>()
-        .max(1);
-    let mut k0 = 0usize;
-    while k0 < layer.out_channels {
-        let lanes = batch_lanes.min(layer.out_channels - k0);
-        for seg in 0..segments {
-            let c_lo = seg * ct;
-            let c_hi = ((seg + 1) * ct).min(layer.in_channels);
-            let vn_size = rs * (c_hi - c_lo);
-            let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; lanes]);
-            debug_assert_eq!(ranges.len(), lanes, "lane budget must pack");
-            let art = ArtConfig::build_with_faults(
-                cfg.collection_chubby(),
-                &ranges,
-                fault_plan.as_ref(),
-            )?;
-
-            // Weight-stationary loading: VN leaf order is (c, r, s),
-            // matching the software reference accumulation order.
-            let mut switches: Vec<MultSwitch> = (0..n)
-                .map(|_| MultSwitch::new(cfg.ms_local_buffers()))
-                .collect();
-            for (lane, range) in ranges.iter().enumerate() {
-                let k = k0 + lane;
-                let mut leaf = range.start;
-                for c in c_lo..c_hi {
-                    for r in 0..layer.kernel_h {
-                        for s in 0..layer.kernel_w {
-                            switches[leaf].load_weight(weights.get(&[k, c, r, s]));
-                            leaf += 1;
-                        }
-                    }
-                }
-            }
-
-            for oy in 0..p {
-                for ox in 0..q {
-                    let mut leaf_values = vec![0.0f32; n];
-                    for (lane, range) in ranges.iter().enumerate() {
-                        let mut leaf = range.start;
-                        for c in c_lo..c_hi {
-                            for r in 0..layer.kernel_h {
-                                for s in 0..layer.kernel_w {
-                                    let x = padded_input(layer, input, c, oy, ox, r, s);
-                                    switches[leaf]
-                                        .push_input(x)
-                                        .expect("switch FIFO was drained");
-                                    leaf_values[leaf] =
-                                        switches[leaf].fire().expect("weight loaded");
-                                    leaf += 1;
-                                }
-                            }
-                        }
-                        let _ = lane;
-                    }
-                    let sums = art.reduce(&leaf_values);
-                    for (lane, sum) in sums.iter().enumerate() {
-                        let k = k0 + lane;
-                        let acc = out.get(&[k, oy, ox]) + sum;
-                        out.set(&[k, oy, ox], acc);
-                    }
-                }
+    let (k, p, q) = (layer.out_channels, layer.out_h(), layer.out_w());
+    let units: Vec<(usize, usize, usize)> = (0..plan.fold_factor())
+        .flat_map(|pass| {
+            (0..k * p).map(move |i| match plan.loop_order {
+                LoopOrder::FilterMajor => (i % k, i / k, pass),
+                LoopOrder::RowMajor => (i / p, i % p, pass),
+            })
+        })
+        .collect();
+    let vns = plan.art.vns();
+    let mut switches: Vec<MultSwitch> = (0..n)
+        .map(|_| MultSwitch::new(cfg.ms_local_buffers()))
+        .collect();
+    debug_assert_eq!(units.len().div_ceil(vns.len()) as u64, plan.iterations);
+    let mut out = Tensor::zeros(&[k, p, q]);
+    for batch in units.chunks(vns.len()) {
+        // Weight-stationary loading: each VN holds its piece for the
+        // whole output row.
+        for (vn, &(filter, _, pass)) in vns.iter().zip(batch) {
+            for (leaf, (c, r, s)) in (vn.start..).zip(conv_piece(layer, plan, pass)) {
+                switches[leaf].load_weight(weights.get(&[filter, c, r, s]));
             }
         }
-        k0 += lanes;
+        for ox in 0..q {
+            let mut leaf_values = vec![0.0f32; n];
+            for (vn, &(_, oy, pass)) in vns.iter().zip(batch) {
+                for (leaf, (c, r, s)) in (vn.start..).zip(conv_piece(layer, plan, pass)) {
+                    let x = padded_input(layer, input, c, oy, ox, r, s);
+                    switches[leaf]
+                        .push_input(x)
+                        .expect("switch FIFO was drained");
+                    leaf_values[leaf] = switches[leaf].fire().expect("weight loaded");
+                }
+            }
+            for (&(filter, oy, _), sum) in batch.iter().zip(plan.art.reduce(&leaf_values)) {
+                let acc = out.get(&[filter, oy, ox]) + sum;
+                out.set(&[filter, oy, ox], acc);
+            }
+        }
     }
-    Ok(out)
+    out
+}
+
+/// The `(c, r, s)` weights fold pass `pass` maps onto one VN: piece
+/// `pass % subfold` of channel segment `pass / subfold`, in flattened
+/// `(c, r, s)` order (the software reference's accumulation order).
+fn conv_piece(
+    layer: &ConvLayer,
+    plan: &ConvPlan,
+    pass: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (rs, kw) = (layer.kernel_h * layer.kernel_w, layer.kernel_w);
+    let c_lo = pass / plan.subfold * plan.channel_tile;
+    let len = rs * plan.channel_tile.min(layer.in_channels - c_lo);
+    let piece = pass % plan.subfold;
+    let (lo, hi) = (piece * plan.vn_size, (piece + 1) * plan.vn_size);
+    (lo.min(len)..hi.min(len)).map(move |w| (c_lo + w / rs, w % rs / kw, w % kw))
 }
 
 fn padded_input(
@@ -164,122 +133,117 @@ fn padded_input(
     input.get(&[c, iy, ix])
 }
 
-/// Runs a max-pool layer through the fabric (comparator-configured
-/// adder switches), returning `[C, P, Q]` outputs.
-///
-/// # Errors
-///
-/// Returns [`SimError::Unmappable`] when one window exceeds the array.
+/// Runs `units` length-`d` reductions on a folded-vector plan. Each
+/// iteration gives every VN of `plan.art` one (unit, pass); pass `p`
+/// fires `operands(unit, i)` (a weight and an input) for `i` in
+/// `p * vn_size..(p + 1) * vn_size`, clipped to `d`. Passes are summed,
+/// or max'd when `pool` configures the adders as comparators.
+fn run_folded(
+    cfg: &MaeriConfig,
+    plan: &VectorPlan,
+    units: usize,
+    d: usize,
+    pool: bool,
+    operands: impl Fn(usize, usize) -> (f32, f32),
+) -> Vec<f32> {
+    let (idle, combine): (f32, fn(f32, f32) -> f32) = if pool {
+        (f32::NEG_INFINITY, f32::max)
+    } else {
+        (0.0, |a, b| a + b)
+    };
+    // Pass-major, so each input segment is multicast once.
+    let work: Vec<(usize, usize)> = (0..plan.fold)
+        .flat_map(|pass| (0..units).map(move |unit| (unit, pass)))
+        .collect();
+    let vns = plan.art.vns();
+    let mut out = vec![idle; units];
+    for batch in work.chunks(vns.len()) {
+        let mut leaf_values = vec![idle; cfg.num_mult_switches()];
+        for (vn, &(unit, pass)) in vns.iter().zip(batch) {
+            let (lo, hi) = (pass * plan.vn_size, (pass + 1) * plan.vn_size);
+            for (leaf, i) in (vn.start..).zip(lo.min(d)..hi.min(d)) {
+                let (weight, x) = operands(unit, i);
+                leaf_values[leaf] = fire(weight, x);
+            }
+        }
+        let reduced = if pool {
+            plan.art.reduce_max(&leaf_values)
+        } else {
+            plan.art.reduce(&leaf_values)
+        };
+        for (&(unit, _), value) in batch.iter().zip(reduced) {
+            out[unit] = combine(out[unit], value);
+        }
+    }
+    out
+}
+
+/// One multiplier switch firing `weight * input`.
+fn fire(weight: f32, input: f32) -> f32 {
+    let mut ms = MultSwitch::new(1);
+    ms.load_weight(weight);
+    ms.push_input(input).expect("fresh FIFO");
+    ms.fire().expect("weight loaded")
+}
+
+/// Runs a max-pool layer on [`PoolMapper::plan`](crate::PoolMapper::plan)'s
+/// plan (comparator-configured adder switches; the multiplier switches
+/// pass values through), returning `[C, P, Q]` outputs.
 ///
 /// # Panics
 ///
 /// Panics if the input shape does not match the layer.
-pub fn run_pool(cfg: &MaeriConfig, layer: &PoolLayer, input: &Tensor) -> Result<Tensor> {
+#[must_use]
+pub fn run_pool(cfg: &MaeriConfig, layer: &PoolLayer, plan: &VectorPlan, input: &Tensor) -> Tensor {
     assert_eq!(
         input.shape(),
         &[layer.channels, layer.in_h, layer.in_w],
         "input shape mismatch"
     );
-    let n = cfg.num_mult_switches();
-    let spans = cfg.healthy_spans();
-    let (cap, _) = span_capacity(&spans)?;
-    let window = layer.window * layer.window;
-    if window > cap {
-        return Err(SimError::unmappable(format!(
-            "pooling window needs {window} switches, largest healthy span has {cap}"
-        )));
-    }
-    let want: usize = spans.iter().map(|s| s.len / window).sum();
-    let (ranges, _) = pack_vns_into_spans(&spans, &vec![window; want.max(1)]);
-    let lanes = ranges.len();
-    let art =
-        ArtConfig::build_with_faults(cfg.collection_chubby(), &ranges, cfg.fault_plan().as_ref())?;
-    let (p, q) = (layer.out_h(), layer.out_w());
-    let mut out = Tensor::zeros(&[layer.channels, p, q]);
-    // Enumerate outputs in lane-sized batches.
-    let outputs: Vec<(usize, usize, usize)> = (0..layer.channels)
-        .flat_map(|c| (0..p).flat_map(move |oy| (0..q).map(move |ox| (c, oy, ox))))
-        .collect();
-    for batch in outputs.chunks(lanes) {
-        let mut leaf_values = vec![f32::NEG_INFINITY; n];
-        for (lane, &(c, oy, ox)) in batch.iter().enumerate() {
-            let base = ranges[lane].start;
-            for r in 0..layer.window {
-                for s in 0..layer.window {
-                    leaf_values[base + r * layer.window + s] =
-                        input.get(&[c, oy * layer.stride + r, ox * layer.stride + s]);
-                }
-            }
-        }
-        let maxes = art.reduce_max(&leaf_values);
-        for (lane, &(c, oy, ox)) in batch.iter().enumerate() {
-            out.set(&[c, oy, ox], maxes[lane]);
-        }
-    }
-    Ok(out)
+    let (w, p, q) = (layer.window, layer.out_h(), layer.out_w());
+    let maxes = run_folded(cfg, plan, layer.channels * p * q, w * w, true, |unit, i| {
+        let (c, oy, ox) = (unit / (p * q), unit / q % p, unit % q);
+        let (iy, ix) = (oy * layer.stride + i / w, ox * layer.stride + i % w);
+        (1.0, input.get(&[c, iy, ix]))
+    });
+    Tensor::from_vec(&[layer.channels, p, q], maxes)
 }
 
-/// Runs an FC layer through the fabric, folding long input vectors.
-///
-/// # Errors
-///
-/// Propagates ART construction failures.
+/// Runs an FC layer on [`FcMapper::plan`](crate::FcMapper::plan)'s
+/// plan: one unit per neuron, folded `plan.fold` ways.
 ///
 /// # Panics
 ///
 /// Panics if shapes do not match the layer.
+#[must_use]
 pub fn run_fc(
     cfg: &MaeriConfig,
     layer: &FcLayer,
+    plan: &VectorPlan,
     input: &[f32],
     weights: &Tensor,
-) -> Result<Vec<f32>> {
+) -> Vec<f32> {
     assert_eq!(input.len(), layer.inputs, "input length mismatch");
     assert_eq!(
         weights.shape(),
         &[layer.outputs, layer.inputs],
         "weight shape mismatch"
     );
-    let n = cfg.num_mult_switches();
-    let spans = cfg.healthy_spans();
-    let (cap, _) = span_capacity(&spans)?;
-    let fault_plan = cfg.fault_plan();
-    // The single folded VN lives on the largest healthy span.
-    let base = spans.iter().max_by_key(|s| s.len).map_or(0, |s| s.start);
-    let seg_len = cap.min(layer.inputs);
-    let segments = layer.inputs.div_ceil(seg_len);
-    let mut out = vec![0.0f32; layer.outputs];
-    for (o, out_val) in out.iter_mut().enumerate() {
-        for seg in 0..segments {
-            let lo = seg * seg_len;
-            let hi = ((seg + 1) * seg_len).min(layer.inputs);
-            let art = ArtConfig::build_with_faults(
-                cfg.collection_chubby(),
-                &[VnRange::new(base, hi - lo)],
-                fault_plan.as_ref(),
-            )?;
-            let mut leaf_values = vec![0.0f32; n];
-            for (leaf, i) in (lo..hi).enumerate() {
-                let mut ms = MultSwitch::new(1);
-                ms.load_weight(weights.get(&[o, i]));
-                ms.push_input(input[i]).expect("fresh FIFO");
-                leaf_values[base + leaf] = ms.fire().expect("weight loaded");
-            }
-            *out_val += art.reduce(&leaf_values)[0];
-        }
-    }
-    Ok(out)
+    run_folded(cfg, plan, layer.outputs, layer.inputs, false, |o, i| {
+        (weights.get(&[o, i]), input[i])
+    })
 }
 
-/// Runs one LSTM time step through the fabric (Section 4.3 / Figure 9):
-/// phase 1 computes the four gate dot-products as FC reductions over
-/// `[x; h_prev]` and applies the LUT activation units at the ART root;
-/// phase 2 reconstructs tiny VNs for `s = f*s_prev + i*t` and
-/// `h = o*tanh(s)` using multiplier switches and 2-leaf reductions.
+/// Runs one LSTM time step (Section 4.3 / Figure 9) on the gate plan
+/// from [`LstmMapper::gate_plan`]: phase 1 computes all `4H` gate
+/// dot products over `[x; h_prev]` in one run and applies the LUT
+/// activation units at the ART root; phase 2 reconstructs the tiny VNs
+/// of [`LstmMapper::state_plan`] for `s = f*s_prev + i*t`, and a lone
+/// multiplier switch computes `h = o*tanh(s)`.
 ///
 /// # Errors
 ///
-/// Propagates ART construction failures.
+/// Returns the [`LstmMapper::state_plan`] refusal.
 ///
 /// # Panics
 ///
@@ -287,6 +251,7 @@ pub fn run_fc(
 pub fn run_lstm_step(
     cfg: &MaeriConfig,
     layer: &maeri_dnn::LstmLayer,
+    gate_plan: &VectorPlan,
     params: &maeri_dnn::reference::LstmParams,
     x: &[f32],
     h_prev: &[f32],
@@ -296,71 +261,60 @@ pub fn run_lstm_step(
     assert_eq!(x.len(), layer.input_dim, "input length mismatch");
     assert_eq!(h_prev.len(), layer.hidden_dim, "hidden length mismatch");
     assert_eq!(c_prev.len(), layer.hidden_dim, "cell length mismatch");
-    let concat: Vec<f32> = x.iter().chain(h_prev.iter()).copied().collect();
-    let d = layer.input_dim + layer.hidden_dim;
-    let as_fc = FcLayer::new(&format!("{}_gates", layer.name), d, layer.hidden_dim);
+    let h = layer.hidden_dim;
     let sigmoid = ActivationLut::default_for(ActivationKind::Sigmoid);
     let tanh = ActivationLut::default_for(ActivationKind::Tanh);
 
-    // Phase 1: four weight matrices stream through the same VNs; the
-    // activation units transform each collected dot product.
-    let gate = |w: &Tensor, b: &[f32], lut: &ActivationLut| -> Result<Vec<f32>> {
-        let dots = run_fc(cfg, &as_fc, &concat, w)?;
-        Ok(dots
-            .iter()
-            .zip(b)
-            .map(|(dot, bias)| lut.apply(dot + bias))
-            .collect())
-    };
-    let f = gate(&params.w_forget, &params.b_forget, &sigmoid)?;
-    let i = gate(&params.w_input, &params.b_input, &sigmoid)?;
-    let o = gate(&params.w_output, &params.b_output, &sigmoid)?;
-    let t = gate(&params.w_cell, &params.b_cell, &tanh)?;
-
-    // Phase 2: reconstructed 2-leaf VNs compute f*s_prev + i*t per
-    // neuron; the output gate multiplies through a lone switch.
-    let n = cfg.num_mult_switches();
-    let art = LstmMapper::state_plan(cfg)?.art;
-    let ranges = art.vns();
-    let state_lanes = ranges.len();
-    let mut cell = vec![0.0f32; layer.hidden_dim];
-    for chunk_start in (0..layer.hidden_dim).step_by(state_lanes) {
-        let chunk_end = (chunk_start + state_lanes).min(layer.hidden_dim);
-        let mut leaf_values = vec![0.0f32; n];
-        for (lane, neuron) in (chunk_start..chunk_end).enumerate() {
-            let mut ms_f = MultSwitch::new(1);
-            ms_f.load_weight(f[neuron]);
-            ms_f.push_input(c_prev[neuron]).expect("fresh FIFO");
-            let mut ms_i = MultSwitch::new(1);
-            ms_i.load_weight(i[neuron]);
-            ms_i.push_input(t[neuron]).expect("fresh FIFO");
-            leaf_values[ranges[lane].start] = ms_f.fire().expect("weight loaded");
-            leaf_values[ranges[lane].start + 1] = ms_i.fire().expect("weight loaded");
-        }
-        let sums = art.reduce(&leaf_values);
-        for (lane, neuron) in (chunk_start..chunk_end).enumerate() {
-            cell[neuron] = sums[lane];
-        }
-    }
-    let hidden: Vec<f32> = (0..layer.hidden_dim)
-        .map(|neuron| {
-            let mut ms = MultSwitch::new(1);
-            ms.load_weight(o[neuron]);
-            ms.push_input(tanh.apply(cell[neuron])).expect("fresh FIFO");
-            ms.fire().expect("weight loaded")
+    // Phase 1: the four weight matrices stream through the same VNs;
+    // the activation units transform each collected dot product.
+    let gates = [
+        (&params.w_forget, &params.b_forget, &sigmoid),
+        (&params.w_input, &params.b_input, &sigmoid),
+        (&params.w_output, &params.b_output, &sigmoid),
+        (&params.w_cell, &params.b_cell, &tanh),
+    ];
+    let concat: Vec<f32> = x.iter().chain(h_prev).copied().collect();
+    let dots = run_folded(cfg, gate_plan, 4 * h, concat.len(), false, |unit, i| {
+        (gates[unit / h].0.get(&[unit % h, i]), concat[i])
+    });
+    let act: Vec<f32> = (0..4 * h)
+        .map(|unit| {
+            let (_, bias, lut) = gates[unit / h];
+            lut.apply(dots[unit] + bias[unit % h])
         })
         .collect();
+    let (f, i, o, t) = (&act[..h], &act[h..2 * h], &act[2 * h..3 * h], &act[3 * h..]);
+
+    // Phase 2: two-leaf VNs compute f*s_prev + i*t per neuron; the
+    // output gate multiplies through a lone switch.
+    let state_plan = LstmMapper::state_plan(cfg)?;
+    let cell = run_folded(cfg, &state_plan, h, 2, false, |n, leaf| {
+        [(f[n], c_prev[n]), (i[n], t[n])][leaf]
+    });
+    let hidden = (0..h).map(|n| fire(o[n], tanh.apply(cell[n]))).collect();
     Ok((hidden, cell))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConvMapper, FcMapper, PoolMapper, VnPolicy};
     use maeri_dnn::reference;
     use maeri_sim::SimRng;
 
     fn cfg() -> MaeriConfig {
         MaeriConfig::paper_64()
+    }
+
+    /// `run_conv` on the auto policy's plan.
+    fn conv(layer: &ConvLayer, input: &Tensor, weights: &Tensor) -> Tensor {
+        let plan = ConvMapper::new(cfg()).plan(layer, VnPolicy::Auto).unwrap();
+        run_conv(&cfg(), layer, &plan, input, weights)
+    }
+
+    fn pool(layer: &PoolLayer, input: &Tensor) -> Tensor {
+        let plan = PoolMapper::new(cfg()).plan(layer).unwrap();
+        run_pool(&cfg(), layer, &plan, input)
     }
 
     #[test]
@@ -369,7 +323,7 @@ mod tests {
         let mut rng = SimRng::seed(1);
         let input = Tensor::random(&[1, 4, 4], &mut rng);
         let weights = Tensor::random(&[1, 1, 2, 2], &mut rng);
-        let fabric = run_conv(&cfg(), &layer, &input, &weights).unwrap();
+        let fabric = conv(&layer, &input, &weights);
         let reference = reference::conv2d(&layer, &input, &weights);
         assert!(fabric.max_abs_diff(&reference) < 1e-4);
     }
@@ -381,7 +335,7 @@ mod tests {
         let mut rng = SimRng::seed(2);
         let input = Tensor::random(&[3, 5, 5], &mut rng);
         let weights = Tensor::random(&[8, 3, 3, 3], &mut rng);
-        let fabric = run_conv(&cfg(), &layer, &input, &weights).unwrap();
+        let fabric = conv(&layer, &input, &weights);
         let reference = reference::conv2d(&layer, &input, &weights);
         assert!(fabric.max_abs_diff(&reference) < 1e-3);
     }
@@ -392,7 +346,7 @@ mod tests {
         let mut rng = SimRng::seed(3);
         let input = Tensor::random(&[2, 9, 9], &mut rng);
         let weights = Tensor::random(&[3, 2, 3, 3], &mut rng);
-        let fabric = run_conv(&cfg(), &layer, &input, &weights).unwrap();
+        let fabric = conv(&layer, &input, &weights);
         let reference = reference::conv2d(&layer, &input, &weights);
         assert!(fabric.max_abs_diff(&reference) < 1e-3);
     }
@@ -404,19 +358,23 @@ mod tests {
         let mut rng = SimRng::seed(4);
         let input = Tensor::random(&[16, 6, 6], &mut rng);
         let weights = Tensor::random(&[4, 16, 3, 3], &mut rng);
-        let fabric = run_conv(&cfg(), &layer, &input, &weights).unwrap();
+        let fabric = conv(&layer, &input, &weights);
         let reference = reference::conv2d(&layer, &input, &weights);
         assert!(fabric.max_abs_diff(&reference) < 1e-3);
     }
 
     #[test]
-    fn conv_rejects_oversized_slice() {
-        // 9x9 = 81 > 64 multipliers.
+    fn conv_subfolds_an_oversized_slice() {
+        // 9x9 = 81 > 64 multipliers: the slice splits into two pieces.
         let layer = ConvLayer::new("big", 1, 12, 12, 1, 9, 9, 1, 0);
+        let plan = ConvMapper::new(cfg()).plan(&layer, VnPolicy::Auto).unwrap();
+        assert_eq!(plan.subfold, 2);
         let mut rng = SimRng::seed(5);
         let input = Tensor::random(&[1, 12, 12], &mut rng);
         let weights = Tensor::random(&[1, 1, 9, 9], &mut rng);
-        assert!(run_conv(&cfg(), &layer, &input, &weights).is_err());
+        let fabric = run_conv(&cfg(), &layer, &plan, &input, &weights);
+        let reference = reference::conv2d(&layer, &input, &weights);
+        assert!(fabric.max_abs_diff(&reference) < 1e-3);
     }
 
     #[test]
@@ -424,9 +382,8 @@ mod tests {
         let layer = PoolLayer::new("p", 3, 6, 6, 2, 2);
         let mut rng = SimRng::seed(6);
         let input = Tensor::random(&[3, 6, 6], &mut rng);
-        let fabric = run_pool(&cfg(), &layer, &input).unwrap();
         let reference = reference::max_pool(&layer, &input);
-        assert!(fabric.max_abs_diff(&reference) < 1e-6);
+        assert!(pool(&layer, &input).max_abs_diff(&reference) < 1e-6);
     }
 
     #[test]
@@ -434,9 +391,34 @@ mod tests {
         let layer = PoolLayer::new("p", 2, 7, 7, 3, 2);
         let mut rng = SimRng::seed(7);
         let input = Tensor::random(&[2, 7, 7], &mut rng);
-        let fabric = run_pool(&cfg(), &layer, &input).unwrap();
         let reference = reference::max_pool(&layer, &input);
-        assert!(fabric.max_abs_diff(&reference) < 1e-6);
+        assert!(pool(&layer, &input).max_abs_diff(&reference) < 1e-6);
+    }
+
+    #[test]
+    fn pool_folds_an_oversized_window() {
+        // 9x9 = 81 > 64 multipliers: each window folds two ways.
+        let layer = PoolLayer::new("p", 2, 12, 12, 9, 3);
+        assert_eq!(PoolMapper::new(cfg()).plan(&layer).unwrap().fold, 2);
+        let mut rng = SimRng::seed(9);
+        let input = Tensor::random(&[2, 12, 12], &mut rng);
+        let reference = reference::max_pool(&layer, &input);
+        assert!(pool(&layer, &input).max_abs_diff(&reference) < 1e-6);
+    }
+
+    /// One LSTM step on the heuristic gate plan.
+    fn lstm_step(
+        layer: &maeri_dnn::LstmLayer,
+        params: &reference::LstmParams,
+        x: &[f32],
+        h0: &[f32],
+        c0: &[f32],
+    ) -> (Vec<f32>, Vec<f32>) {
+        let vn_size = LstmMapper::new(cfg())
+            .heuristic_gate_vn_size(layer)
+            .unwrap();
+        let plan = LstmMapper::gate_plan(&cfg(), layer, vn_size).unwrap();
+        run_lstm_step(&cfg(), layer, &plan, params, x, h0, c0).unwrap()
     }
 
     #[test]
@@ -447,7 +429,7 @@ mod tests {
         let x: Vec<f32> = (0..12).map(|_| rng.next_f32()).collect();
         let h0: Vec<f32> = (0..8).map(|_| rng.next_f32() * 0.5).collect();
         let c0: Vec<f32> = (0..8).map(|_| rng.next_f32()).collect();
-        let (h_fab, c_fab) = run_lstm_step(&cfg(), &layer, &params, &x, &h0, &c0).unwrap();
+        let (h_fab, c_fab) = lstm_step(&layer, &params, &x, &h0, &c0);
         let expected = reference::lstm_step(&layer, &params, &x, &h0, &c0);
         for (a, b) in c_fab.iter().zip(&expected.cell) {
             assert!((a - b).abs() < 5e-3, "cell {a} vs {b}");
@@ -466,7 +448,7 @@ mod tests {
         let x: Vec<f32> = (0..4).map(|_| rng.next_f32()).collect();
         let h0 = vec![0.0f32; 40];
         let c0: Vec<f32> = (0..40).map(|_| rng.next_f32()).collect();
-        let (h_fab, _) = run_lstm_step(&cfg(), &layer, &params, &x, &h0, &c0).unwrap();
+        let (h_fab, _) = lstm_step(&layer, &params, &x, &h0, &c0);
         let expected = reference::lstm_step(&layer, &params, &x, &h0, &c0);
         for (a, b) in h_fab.iter().zip(&expected.hidden) {
             assert!((a - b).abs() < 5e-3, "{a} vs {b}");
@@ -475,12 +457,17 @@ mod tests {
 
     #[test]
     fn fc_matches_reference_with_folding() {
-        // 100 inputs over 64 switches: two segments.
+        // 100 inputs over 64 switches: two balanced passes of 50.
         let layer = FcLayer::new("fc", 100, 7);
+        let mapper = FcMapper::new(cfg());
+        let plan = mapper
+            .plan(&layer, mapper.heuristic_vn_size(&layer).unwrap())
+            .unwrap();
+        assert_eq!((plan.fold, plan.vn_size), (2, 50));
         let mut rng = SimRng::seed(8);
         let input: Vec<f32> = (0..100).map(|_| rng.next_f32()).collect();
         let weights = Tensor::random(&[7, 100], &mut rng);
-        let fabric = run_fc(&cfg(), &layer, &input, &weights).unwrap();
+        let fabric = run_fc(&cfg(), &layer, &plan, &input, &weights);
         let reference = reference::fully_connected(&layer, &input, &weights);
         for (a, b) in fabric.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");

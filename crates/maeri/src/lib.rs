@@ -18,13 +18,14 @@
 //! ([`mapper::pool`]), fully-connected ([`mapper::fc`]) and cross-layer
 //! fusion ([`mapper::cross_layer`]), each producing a
 //! [`engine::RunStats`] with cycles, utilization, and SRAM traffic.
-//! The [`functional`] module executes layers value-by-value through the
-//! switches and the ART, so the fabric's arithmetic is validated
-//! against the `maeri-dnn` software reference. The [`fault`] module
-//! injects deterministic hard faults (dead multipliers, dead adders,
-//! severed forwarding links, flaky distribution links); the mappers
-//! carve virtual neurons around the dead regions so a degraded fabric
-//! keeps producing reference-exact outputs.
+//! The [`functional`] module executes the mappers' plans value-by-value
+//! through the switches and the ART, so the fabric's arithmetic is
+//! validated against the `maeri-dnn` software reference. The
+//! [`fault`] module injects deterministic hard faults (dead
+//! multipliers, dead adders, severed forwarding links, flaky
+//! distribution links); the mappers carve virtual neurons around the
+//! dead regions so a degraded fabric keeps producing reference-exact
+//! outputs.
 //!
 //! # Quick start
 //!

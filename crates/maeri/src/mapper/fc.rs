@@ -10,7 +10,7 @@ use maeri_dnn::FcLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
-use super::VectorPlan;
+use super::{PlanError, VectorPlan};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -59,18 +59,27 @@ impl FcMapper {
         Ok(VectorPlan::heuristic_vn_size(&self.cfg, layer.inputs)?)
     }
 
-    /// Costs an FC layer run with an explicit VN-size target: each
-    /// neuron's dot product folds `ceil(inputs / vn_size)` ways, so the
-    /// effective (balanced) VN may be slightly smaller than requested.
-    /// This is the knob the mapping-space search sweeps.
+    /// Plans an FC layer with an explicit VN-size target: each neuron's
+    /// dot product folds `ceil(inputs / vn_size)` ways, so the effective
+    /// (balanced) VN may be slightly smaller than requested. This is
+    /// the knob the mapping-space search sweeps.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`VectorPlan::new`] refusal for knob `vn_size`.
+    pub fn plan(&self, layer: &FcLayer, vn_size: usize) -> Result<VectorPlan, PlanError> {
+        VectorPlan::new(&self.cfg, layer.inputs, vn_size, "vn_size")
+    }
+
+    /// Costs an FC layer run on [`FcMapper::plan`]'s plan for
+    /// `vn_size`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unmappable`](maeri_sim::SimError::Unmappable)
-    /// when [`VectorPlan::new`] refuses `vn_size`.
+    /// when [`FcMapper::plan`] refuses `vn_size`.
     pub fn run_with_vn_size(&self, layer: &FcLayer, vn_size: usize) -> Result<RunStats> {
-        let plan = VectorPlan::new(&self.cfg, layer.inputs, vn_size, "vn_size")?;
-        Ok(self.cost(layer, &plan))
+        Ok(self.cost(layer, &self.plan(layer, vn_size)?))
     }
 
     /// The FC cost model over a folded-vector plan.

@@ -16,7 +16,7 @@
 //! FC neurons, LSTM gates, the LSTM state phase and pooling windows
 //! share one folded-vector plan, [`VectorPlan`]. A refused plan is a structured
 //! [`PlanError`], which the static verifier (`maeri-verify`) reports
-//! unchanged.
+//! unchanged; [`crate::functional`] executes the plans themselves.
 
 pub mod candidate;
 pub mod conv;

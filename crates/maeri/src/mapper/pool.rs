@@ -10,7 +10,7 @@ use maeri_dnn::PoolLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
-use super::VectorPlan;
+use super::{PlanError, VectorPlan};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -39,7 +39,20 @@ impl PoolMapper {
         PoolMapper { cfg }
     }
 
-    /// Costs a max-pool layer run.
+    /// Plans a max-pool layer: one VN per `w x w` window, folding a
+    /// window beyond the largest healthy span (AS registers keep
+    /// running maxima just as they keep partial sums).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`VectorPlan::new`] refusal.
+    pub fn plan(&self, layer: &PoolLayer) -> Result<VectorPlan, PlanError> {
+        let window = layer.window * layer.window;
+        let vn_size = VectorPlan::heuristic_vn_size(&self.cfg, window)?;
+        VectorPlan::new(&self.cfg, window, vn_size, "vn_size")
+    }
+
+    /// Costs a max-pool layer run on [`PoolMapper::plan`]'s plan.
     ///
     /// # Errors
     ///
@@ -47,11 +60,7 @@ impl PoolMapper {
     pub fn run(&self, layer: &PoolLayer) -> Result<RunStats> {
         let n = self.cfg.num_mult_switches();
         let dist = self.cfg.distributor();
-        let window = layer.window * layer.window;
-        // A window beyond the largest healthy span folds (AS registers
-        // keep running maxima just as they keep partial sums).
-        let vn_size = VectorPlan::heuristic_vn_size(&self.cfg, window)?;
-        let plan = VectorPlan::new(&self.cfg, window, vn_size, "vn_size")?;
+        let plan = self.plan(layer)?;
         let (fold, vn_size, num_vns) = (plan.fold as u64, plan.vn_size, plan.art.vns().len());
         let slowdown = plan.art.throughput_slowdown();
 

@@ -77,7 +77,6 @@ pub struct MultSwitch {
     weight: Option<f32>,
     fifo: std::collections::VecDeque<f32>,
     capacity: usize,
-    fired: u64,
 }
 
 impl MultSwitch {
@@ -93,19 +92,12 @@ impl MultSwitch {
             weight: None,
             fifo: std::collections::VecDeque::with_capacity(fifo_capacity),
             capacity: fifo_capacity,
-            fired: 0,
         }
     }
 
     /// Installs the stationary weight (weights stay for a whole layer).
     pub fn load_weight(&mut self, weight: f32) {
         self.weight = Some(weight);
-    }
-
-    /// The stationary weight, if loaded.
-    #[must_use]
-    pub fn weight(&self) -> Option<f32> {
-        self.weight
     }
 
     /// Enqueues an input activation.
@@ -133,34 +125,7 @@ impl MultSwitch {
     pub fn fire(&mut self) -> Option<f32> {
         let weight = self.weight?;
         let input = self.fifo.pop_front()?;
-        self.fired += 1;
         Some(weight * input)
-    }
-
-    /// Peeks at the head input and multiplies without consuming it —
-    /// used by the CONV sliding window, where an input is reused and
-    /// then forwarded to the left neighbor.
-    #[must_use]
-    pub fn fire_keep(&self) -> Option<f32> {
-        Some(self.weight? * *self.fifo.front()?)
-    }
-
-    /// Pops the head input (e.g. to forward it over the leaf
-    /// forwarding link to the left neighbor).
-    pub fn pop_input(&mut self) -> Option<f32> {
-        self.fifo.pop_front()
-    }
-
-    /// Total multiplies performed.
-    #[must_use]
-    pub fn fired_count(&self) -> u64 {
-        self.fired
-    }
-
-    /// Clears weight and FIFO for reconfiguration between phases.
-    pub fn reset(&mut self) {
-        self.weight = None;
-        self.fifo.clear();
     }
 }
 
@@ -191,7 +156,6 @@ mod tests {
         assert_eq!(ms.fire(), Some(3.0));
         assert_eq!(ms.fire(), Some(6.0));
         assert_eq!(ms.fire(), None);
-        assert_eq!(ms.fired_count(), 2);
     }
 
     #[test]
@@ -209,27 +173,6 @@ mod tests {
         assert_eq!(ms.fire(), None);
         ms.load_weight(2.0);
         assert_eq!(ms.fire(), Some(2.0));
-    }
-
-    #[test]
-    fn fire_keep_does_not_consume() {
-        let mut ms = MultSwitch::new(2);
-        ms.load_weight(2.0);
-        ms.push_input(5.0).unwrap();
-        assert_eq!(ms.fire_keep(), Some(10.0));
-        assert_eq!(ms.fire_keep(), Some(10.0));
-        assert_eq!(ms.pop_input(), Some(5.0));
-        assert_eq!(ms.fire_keep(), None);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut ms = MultSwitch::new(2);
-        ms.load_weight(1.0);
-        ms.push_input(1.0).unwrap();
-        ms.reset();
-        assert_eq!(ms.weight(), None);
-        assert_eq!(ms.occupancy(), 0);
     }
 
     #[test]

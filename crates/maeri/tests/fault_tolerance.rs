@@ -25,22 +25,15 @@ fn conv_matches_reference_up_to_25_percent_dead_multipliers() {
     let expected = reference::conv2d(&layer, &input, &weights);
     for permille in [50u16, 125, 250] {
         for seed in 0..4u64 {
+            // Every pair plans: a slice wider than the largest healthy
+            // span subfolds instead of being refused.
             let cfg = faulty_cfg(seed, permille);
-            match maeri::functional::run_conv(&cfg, &layer, &input, &weights) {
-                Ok(out) => assert!(
-                    out.max_abs_diff(&expected) < 1e-3,
-                    "seed {seed} rate {permille}: wrong values"
-                ),
-                Err(e) => {
-                    // Only a clean mapping error is acceptable, and
-                    // only when no healthy span can hold one slice.
-                    let plan = cfg.fault_plan().unwrap();
-                    assert!(
-                        plan.max_span_len() < 9,
-                        "seed {seed} rate {permille}: spurious error {e}"
-                    );
-                }
-            }
+            let plan = ConvMapper::new(cfg).plan(&layer, VnPolicy::Auto).unwrap();
+            let out = maeri::functional::run_conv(&cfg, &layer, &plan, &input, &weights);
+            assert!(
+                out.max_abs_diff(&expected) < 1e-3,
+                "seed {seed} rate {permille}: wrong values"
+            );
         }
     }
 }
@@ -54,7 +47,11 @@ fn fc_matches_reference_under_faults() {
     let expected = reference::fully_connected(&layer, &input, &weights);
     for seed in 0..4u64 {
         let cfg = faulty_cfg(seed, 250);
-        let out = maeri::functional::run_fc(&cfg, &layer, &input, &weights).unwrap();
+        let mapper = FcMapper::new(cfg);
+        let plan = mapper
+            .plan(&layer, mapper.heuristic_vn_size(&layer).unwrap())
+            .unwrap();
+        let out = maeri::functional::run_fc(&cfg, &layer, &plan, &input, &weights);
         for (a, b) in out.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-3, "seed {seed}: {a} vs {b}");
         }

@@ -2,7 +2,7 @@
 //! [`MappingCandidate`] against a layer, on the mapper's own plan.
 //!
 //! [`verify_mapping`] asks the mapper for its plan ([`ConvMapper::plan`],
-//! [`VectorPlan::new`], [`LstmMapper::state_plan`],
+//! [`FcMapper::plan`], [`LstmMapper::gate_plan`], [`LstmMapper::state_plan`],
 //! [`SparseConvMapper::vn_sizes`]), so a refused candidate comes back
 //! as the mapper's own [`maeri::PlanError`]. Building the plan built
 //! its ART, which decided invariants 1, 2 and 5; the report reads that
@@ -17,8 +17,8 @@
 
 use maeri::mapper::{span_capacity, ConvPlan};
 use maeri::{
-    CandidateKind, ConvMapper, LstmMapper, MaeriConfig, MappingCandidate, SparseConvMapper,
-    VectorPlan, VnPolicy,
+    CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, MappingCandidate,
+    SparseConvMapper, VectorPlan, VnPolicy,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 
@@ -89,7 +89,7 @@ pub fn verify_mapping(
             (Some(plan.art), macs)
         }
         (VerifyLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
-            let plan = VectorPlan::new(&cfg, l.inputs, vn_size, "vn_size")?;
+            let plan = FcMapper::new(cfg).plan(l, vn_size)?;
             let macs = folded_ledger(&plan, l.inputs, l.outputs, l.macs(), "fc folding")?;
             (Some(plan.art), macs)
         }

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.iterations
     );
 
-    // 2) Cost the run: cycles, utilization, SRAM traffic.
-    let run = mapper.run(&layer, VnPolicy::Auto)?;
+    // 2) Cost that plan: cycles, utilization, SRAM traffic.
+    let run = mapper.cost(&layer, &plan);
     println!(
         "cost: {} cycles, {:.1}% multiplier utilization, {} SRAM reads, {} writes",
         run.cycles.as_u64(),
@@ -46,13 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.sram_writes
     );
 
-    // 3) Prove the fabric computes the right values: drive synthetic
-    //    tensors through the multiplier switches and the ART, then
-    //    compare against a plain software convolution.
+    // 3) Prove the fabric computes the right values on the plan printed
+    //    in step 1: drive synthetic tensors through its multiplier
+    //    switches and ART, then compare against a plain software
+    //    convolution.
     let mut rng = SimRng::seed(2024);
     let input = Tensor::random(&[8, 16, 16], &mut rng);
     let weights = Tensor::random(&[16, 8, 3, 3], &mut rng);
-    let fabric_out = functional::run_conv(&cfg, &layer, &input, &weights)?;
+    let fabric_out = functional::run_conv(&cfg, &layer, &plan, &input, &weights);
     let reference_out = reference::conv2d(&layer, &input, &weights);
     let max_err = fabric_out.max_abs_diff(&reference_out);
     println!("functional check: max |fabric - reference| = {max_err:.2e}");

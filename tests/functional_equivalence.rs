@@ -1,10 +1,10 @@
 //! Property-based functional equivalence: layers executed through the
-//! fabric (multiplier switches + ART interpreter) must compute the same
-//! values as the plain software reference, over randomized shapes and
-//! tensors.
+//! fabric (multiplier switches + ART interpreter) on the mappers' plans
+//! must compute the same values as the plain software reference, over
+//! randomized shapes and tensors.
 
 use maeri_repro::dnn::{reference, ConvLayer, FcLayer, PoolLayer, Tensor};
-use maeri_repro::fabric::{functional, MaeriConfig};
+use maeri_repro::fabric::{functional, ConvMapper, FcMapper, MaeriConfig, PoolMapper, VnPolicy};
 use maeri_repro::sim::SimRng;
 use proptest::prelude::*;
 
@@ -30,8 +30,8 @@ proptest! {
         let mut rng = SimRng::seed(seed);
         let input = Tensor::random(&[in_c, hw, hw], &mut rng);
         let weights = Tensor::random(&[out_c, in_c, k, k], &mut rng);
-        let fabric = functional::run_conv(&cfg(), &layer, &input, &weights)
-            .expect("small conv is mappable");
+        let plan = ConvMapper::new(cfg()).plan(&layer, VnPolicy::Auto).expect("mappable");
+        let fabric = functional::run_conv(&cfg(), &layer, &plan, &input, &weights);
         let expected = reference::conv2d(&layer, &input, &weights);
         prop_assert!(
             fabric.max_abs_diff(&expected) < 1e-3,
@@ -51,7 +51,8 @@ proptest! {
         let layer = PoolLayer::new("prop_pool", channels, hw, hw, window, stride);
         let mut rng = SimRng::seed(seed);
         let input = Tensor::random(&[channels, hw, hw], &mut rng);
-        let fabric = functional::run_pool(&cfg(), &layer, &input).expect("mappable");
+        let plan = PoolMapper::new(cfg()).plan(&layer).expect("mappable");
+        let fabric = functional::run_pool(&cfg(), &layer, &plan, &input);
         let expected = reference::max_pool(&layer, &input);
         prop_assert!(fabric.max_abs_diff(&expected) < 1e-6);
     }
@@ -66,7 +67,10 @@ proptest! {
         let mut rng = SimRng::seed(seed);
         let x: Vec<f32> = (0..inputs).map(|_| rng.next_f32()).collect();
         let weights = Tensor::random(&[outputs, inputs], &mut rng);
-        let fabric = functional::run_fc(&cfg(), &layer, &x, &weights).expect("mappable");
+        let mapper = FcMapper::new(cfg());
+        let vn_size = mapper.heuristic_vn_size(&layer).expect("mappable");
+        let plan = mapper.plan(&layer, vn_size).expect("mappable");
+        let fabric = functional::run_fc(&cfg(), &layer, &plan, &x, &weights);
         let expected = reference::fully_connected(&layer, &x, &weights);
         for (a, b) in fabric.iter().zip(&expected) {
             prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -83,9 +87,12 @@ proptest! {
         let mut rng = SimRng::seed(seed);
         let input = Tensor::random(&[4, 6, 6], &mut rng);
         let weights = Tensor::random(&[3, 4, 3, 3], &mut rng);
-        let small = functional::run_conv(&cfg(), &layer, &input, &weights).unwrap();
-        let big_cfg = MaeriConfig::builder(256).build().unwrap();
-        let big = functional::run_conv(&big_cfg, &layer, &input, &weights).unwrap();
+        let run = |cfg: MaeriConfig| {
+            let plan = ConvMapper::new(cfg).plan(&layer, VnPolicy::Auto).unwrap();
+            functional::run_conv(&cfg, &layer, &plan, &input, &weights)
+        };
+        let small = run(cfg());
+        let big = run(MaeriConfig::builder(256).build().unwrap());
         prop_assert!(small.max_abs_diff(&big) < 1e-3);
     }
 }
