@@ -19,7 +19,7 @@ use super::conv::ConvMapping;
 use crate::MaeriConfig;
 
 /// The layer-kind-specific mapping knobs of one candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CandidateKind {
     /// Dense CONV: channel tile, replication cap, loop order.
     Conv(ConvMapping),
@@ -44,7 +44,7 @@ pub enum CandidateKind {
 
 /// One point in the mapping space: the partition knobs plus the fabric
 /// bandwidth pair the candidate runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MappingCandidate {
     /// Layer-kind-specific knobs.
     pub kind: CandidateKind,

@@ -33,7 +33,7 @@ use maeri_sim::{Cycle, Result, SimError};
 use serde::{Deserialize, Serialize};
 
 use super::{knob_in_range, span_capacity, PlanError};
-use crate::art::{pack_vns_into_spans, ArtConfig};
+use crate::art::{pack_vns_into_spans, ArtConfig, VnRange};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -53,7 +53,9 @@ pub enum FoldMode {
 
 /// Order in which output work units are tiled over the simultaneous
 /// VNs within one iteration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub enum LoopOrder {
     /// Lanes take distinct filters first (maximal input multicast:
     /// every lane shares one sliding window), spilling to further
@@ -66,11 +68,25 @@ pub enum LoopOrder {
     RowMajor,
 }
 
+impl LoopOrder {
+    /// Distinct output rows simultaneously resident across `num_vns`
+    /// VNs: [`LoopOrder::FilterMajor`] packs distinct filters first
+    /// (`ceil(num_vns / K)` rows), [`LoopOrder::RowMajor`] gives every
+    /// lane its own row (up to the `P` rows that exist).
+    #[must_use]
+    pub fn row_groups(self, num_vns: usize, layer: &ConvLayer) -> u64 {
+        match self {
+            LoopOrder::FilterMajor => ceil_div(num_vns as u64, layer.out_channels as u64),
+            LoopOrder::RowMajor => (num_vns as u64).min(layer.out_h() as u64),
+        }
+    }
+}
+
 /// An explicit CONV mapping point: every knob the mapping-space search
 /// (`maeri-mapspace`) enumerates. [`ConvMapper::heuristic_mapping`]
 /// resolves the [`VnPolicy::Auto`] heuristic to one of these, making
 /// the legacy mapper a named point in the same space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ConvMapping {
     /// Channels covered per VN (`1..=C`).
     pub channel_tile: usize,
@@ -98,7 +114,29 @@ pub enum VnPolicy {
     Explicit(ConvMapping),
 }
 
-/// A planned CONV mapping.
+/// A CONV mapping's shape: everything [`ConvMapper::plan`] decides
+/// before it builds the ART from `ranges`.
+#[derive(Debug, Clone)]
+pub struct ConvShape {
+    /// Leaves per VN after any sub-folding.
+    pub vn_size: usize,
+    /// VNs mapped simultaneously.
+    pub num_vns: usize,
+    /// Channels covered per VN.
+    pub channel_tile: usize,
+    /// Channel segments per filter (`ceil(C / ct)`).
+    pub segments: usize,
+    /// Extra folds when one segment exceeds the array (`>= 1`).
+    pub subfold: usize,
+    /// Iterations over the whole layer.
+    pub iterations: u64,
+    /// How work units tile over the simultaneous VNs.
+    pub loop_order: LoopOrder,
+    /// The VNs of one iteration, packed into the healthy spans.
+    pub ranges: Vec<VnRange>,
+}
+
+/// A planned CONV mapping: a [`ConvShape`] with its ART built.
 #[derive(Debug, Clone)]
 pub struct ConvPlan {
     /// Leaves per VN after any sub-folding.
@@ -126,16 +164,10 @@ impl ConvPlan {
         self.segments * self.subfold
     }
 
-    /// Distinct output rows simultaneously resident across the mapped
-    /// VNs: [`LoopOrder::FilterMajor`] packs distinct filters first
-    /// (`ceil(num_vns / K)` rows), [`LoopOrder::RowMajor`] gives every
-    /// lane its own row (up to the `P` rows that exist).
+    /// [`LoopOrder::row_groups`] of the mapped VNs.
     #[must_use]
     pub fn row_groups(&self, layer: &ConvLayer) -> u64 {
-        match self.loop_order {
-            LoopOrder::FilterMajor => ceil_div(self.num_vns as u64, layer.out_channels as u64),
-            LoopOrder::RowMajor => (self.num_vns as u64).min(layer.out_h() as u64),
-        }
+        self.loop_order.row_groups(self.num_vns, layer)
     }
 
     /// Input rows a steady-state window slide touches, clamped to the
@@ -250,7 +282,7 @@ impl ConvMapper {
         let iterations = ceil_div(row_units, num_vns);
         let q = layer.out_w() as u64;
         let stride = layer.stride as u64;
-        let row_groups = ceil_div(num_vns, layer.out_channels as u64);
+        let row_groups = LoopOrder::FilterMajor.row_groups(num_vns as usize, layer);
         let rows_piece = ceil_div(layer.kernel_h as u64, subfold);
         let rows_touched = row_groups * stride + rows_piece.saturating_sub(stride.min(rows_piece));
         let cols_new = stride.min(layer.kernel_w as u64);
@@ -264,15 +296,15 @@ impl ConvMapper {
         layer.macs() as f64 / (n as f64 * cycles)
     }
 
-    /// Plans the mapping without computing costs.
+    /// Plans the mapping up to its ART: every field of [`Self::plan`]
+    /// but the ART, and the packed VN ranges the ART is built from.
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::NothingMappable`] on a fully faulty fabric,
-    /// [`PlanError::KnobOutOfRange`] for a bad channel tile or a zero
-    /// `max_vns`, and [`PlanError::Partition`] when the ART refuses the
-    /// packing.
-    pub fn plan(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<ConvPlan, PlanError> {
+    /// Returns [`PlanError::NothingMappable`] on a fully faulty fabric
+    /// and [`PlanError::KnobOutOfRange`] for a bad channel tile or a
+    /// zero `max_vns`.
+    pub fn shape(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<ConvShape, PlanError> {
         let spans = self.cfg.healthy_spans();
         let (cap, budget) = span_capacity(&spans)?;
         let ct = self.channel_tile(layer, policy)?;
@@ -303,24 +335,43 @@ impl ConvMapper {
         let (ranges, _overflow) = pack_vns_into_spans(&spans, &sizes);
         debug_assert!(!ranges.is_empty(), "vn_size <= cap must fit");
         let num_vns = ranges.len();
-        let fault_plan = self.cfg.fault_plan();
-        let art = ArtConfig::build_with_faults(
-            self.cfg.collection_chubby(),
-            &ranges,
-            fault_plan.as_ref(),
-        )?;
         // Work units: one (filter, output row, segment, subfold pass).
         let row_units =
             layer.out_channels as u64 * layer.out_h() as u64 * (segments * subfold) as u64;
-        let iterations = ceil_div(row_units, num_vns as u64);
-        Ok(ConvPlan {
+        Ok(ConvShape {
             vn_size,
             num_vns,
             channel_tile: ct,
             segments,
             subfold,
-            iterations,
+            iterations: ceil_div(row_units, num_vns as u64),
             loop_order,
+            ranges,
+        })
+    }
+
+    /// Plans the mapping without computing costs: [`Self::shape`], then
+    /// the ART of its packed VNs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::shape`], and [`PlanError::Partition`] when the ART
+    /// refuses the packing.
+    pub fn plan(&self, layer: &ConvLayer, policy: VnPolicy) -> Result<ConvPlan, PlanError> {
+        let shape = self.shape(layer, policy)?;
+        let art = ArtConfig::build_with_faults(
+            self.cfg.collection_chubby(),
+            &shape.ranges,
+            self.cfg.fault_plan().as_ref(),
+        )?;
+        Ok(ConvPlan {
+            vn_size: shape.vn_size,
+            num_vns: shape.num_vns,
+            channel_tile: shape.channel_tile,
+            segments: shape.segments,
+            subfold: shape.subfold,
+            iterations: shape.iterations,
+            loop_order: shape.loop_order,
             art,
         })
     }

@@ -11,9 +11,13 @@
 //!    order, VN-size fold target, bandwidth pair — per layer kind),
 //! 2. **Prune** candidates the mapper refuses to plan (the static
 //!    verifier, `maeri-verify`, asks the mapper before scoring) and
-//!    shape duplicates,
+//!    shape duplicates. A dense CONV candidate's fingerprint is read
+//!    off its plan's shape (`maeri::ConvMapper::shape`, no ART) before
+//!    the gate, so the gate and scoring run once per shape and later
+//!    candidates of that shape replay its verdict into the counters,
 //! 3. **Score** the survivors with the mappers' closed-form cost models
-//!    (`maeri::ConvMapper::cost` on the plan the fingerprint read),
+//!    (`maeri::ConvMapper::cost` on the plan of each shape's first
+//!    candidate),
 //! 4. keep a **top-K frontier** (always joined by the legacy heuristic
 //!    mapper's named point, so tuning can never lose to it), and
 //! 5. **Validate** the frontier with the exact clocked trace

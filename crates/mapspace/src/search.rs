@@ -10,7 +10,7 @@ use maeri_sim::util::ceil_div;
 use maeri_sim::{Result, SimError, SimRng};
 use maeri_verify::{statically_reject, VerifyLayer};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::space::{enumerate, space_size, SearchLayer, SearchSpec};
 use crate::strategy::Strategy;
@@ -29,7 +29,8 @@ pub struct SearchCounters {
     /// (`maeri-verify`) before any analytic scoring ran. The gate is
     /// sound: it only rejects candidates scoring would reject too, so
     /// `pruned` and `scored` are unchanged by it — this counter just
-    /// records how much scoring work the verifier saved.
+    /// records how much scoring work the verifier saved. A repeat of a
+    /// rejected dense CONV shape counts here without running it again.
     pub statically_rejected: u64,
     /// Candidates scored with the analytic model.
     pub scored: u64,
@@ -160,17 +161,35 @@ impl SearchResult {
     }
 }
 
-/// A scored candidate with its stable position for tie-breaking.
+/// A scored candidate (stable sorts break `cycles` ties in consideration order).
 struct Scored {
-    idx: usize,
     candidate: MappingCandidate,
     cycles: u64,
 }
 
-/// Shape fingerprint for dedup: candidates that resolve to an
-/// identical effective mapping (e.g. two replication caps above the
-/// packable VN count) are scored once.
+/// Shape fingerprint, the verdict memo's key: candidates that resolve to
+/// one effective mapping (e.g. two replication caps above the packable
+/// VN count) share it. The dense CONV key is exact: VN size and count fix
+/// the packed ranges, and with the bandwidth pair and the fault plan the
+/// ART; the gate's ledger and `ConvMapper::cost` read nothing it omits.
 type Fingerprint = [u64; 8];
+
+/// What the gate and `score` decided for a shape's first candidate.
+enum Verdict {
+    Rejected,
+    Scored,
+}
+
+/// The candidate loop's counters, verdict memo and scored candidates.
+#[derive(Default)]
+struct Tally {
+    counters: SearchCounters,
+    verdicts: BTreeMap<Fingerprint, Verdict>,
+    scored: Vec<Scored>,
+}
+
+/// The candidate loop's body, one candidate at a time.
+type Consider = fn(&mut Tally, &SearchSpec, Option<&WeightMask>, MappingCandidate);
 
 /// Runs the full search for `spec`.
 ///
@@ -180,6 +199,11 @@ type Fingerprint = [u64; 8];
 /// sample random strategy, zero-width beam) and propagates failures
 /// evaluating the heuristic point (a layer that cannot map at all).
 pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
+    search_with(spec, Tally::consider)
+}
+
+/// [`search`] with the candidate loop's body given.
+fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
     if spec.top_k == 0 {
         return Err(SimError::invalid_config("search needs top_k >= 1"));
     }
@@ -199,49 +223,11 @@ pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
     let heuristic_candidate = heuristic_candidate(spec, mask)?;
     let (heuristic_cycles, _) = score(spec, mask, &heuristic_candidate)?;
 
-    let mut counters = SearchCounters::default();
-    let mut seen: BTreeSet<Fingerprint> = BTreeSet::new();
-    let mut scored: Vec<Scored> = Vec::new();
-    let consider = |cand: MappingCandidate,
-                    counters: &mut SearchCounters,
-                    seen: &mut BTreeSet<Fingerprint>,
-                    scored: &mut Vec<Scored>|
-     -> Option<u64> {
-        counters.enumerated += 1;
-        // Static pre-score gate: candidates the verifier proves illegal
-        // skip the analytic model entirely. Scoring would reject every
-        // one of them too, so `pruned`/`scored` (and the report text
-        // derived from them) are byte-identical with the gate off.
-        if statically_reject(&spec.base, &verify_layer(spec, mask), &cand).is_some() {
-            counters.pruned += 1;
-            counters.statically_rejected += 1;
-            return None;
-        }
-        match score(spec, mask, &cand) {
-            Err(_) => {
-                counters.pruned += 1;
-                None
-            }
-            Ok((cycles, fp)) => {
-                if seen.insert(fp) {
-                    counters.scored += 1;
-                    scored.push(Scored {
-                        idx: scored.len(),
-                        candidate: cand,
-                        cycles,
-                    });
-                } else {
-                    counters.pruned += 1;
-                }
-                Some(cycles)
-            }
-        }
-    };
-
+    let mut tally = Tally::default();
     match spec.strategy {
         Strategy::Exhaustive => {
             for cand in enumerate(spec) {
-                consider(cand, &mut counters, &mut seen, &mut scored);
+                consider(&mut tally, spec, mask, cand);
             }
         }
         Strategy::Random { seed, samples } => {
@@ -254,22 +240,21 @@ pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
             let count = samples.min(all.len());
             let picks = SimRng::seed(seed).choose_indices(all.len(), count);
             for i in picks {
-                consider(all[i], &mut counters, &mut seen, &mut scored);
+                consider(&mut tally, spec, mask, all[i]);
             }
         }
         Strategy::Beam { width, rounds } => {
             if width == 0 {
                 return Err(SimError::invalid_config("beam strategy needs width >= 1"));
             }
-            let mut visited: BTreeSet<[u64; 6]> = BTreeSet::new();
-            visited.insert(knob_key(&heuristic_candidate));
-            consider(heuristic_candidate, &mut counters, &mut seen, &mut scored);
+            let mut visited = BTreeSet::from([heuristic_candidate]);
+            consider(&mut tally, spec, mask, heuristic_candidate);
             let mut beam = vec![heuristic_candidate];
             for _ in 0..rounds {
                 let mut fresh = Vec::new();
                 for member in &beam {
                     for neighbor in neighbors(spec, member) {
-                        if visited.insert(knob_key(&neighbor)) {
+                        if visited.insert(neighbor) {
                             fresh.push(neighbor);
                         }
                     }
@@ -278,10 +263,10 @@ pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
                     break;
                 }
                 for cand in fresh {
-                    consider(cand, &mut counters, &mut seen, &mut scored);
+                    consider(&mut tally, spec, mask, cand);
                 }
-                let mut ranked: Vec<&Scored> = scored.iter().collect();
-                ranked.sort_by_key(|s| (s.cycles, s.idx));
+                let mut ranked: Vec<&Scored> = tally.scored.iter().collect();
+                ranked.sort_by_key(|s| s.cycles);
                 beam = ranked
                     .into_iter()
                     .take(width)
@@ -292,7 +277,8 @@ pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
     }
 
     // Top-K frontier by analytic rank, joined by the heuristic point.
-    scored.sort_by_key(|s| (s.cycles, s.idx));
+    let (mut counters, mut scored) = (tally.counters, tally.scored);
+    scored.sort_by_key(|s| s.cycles);
     let mut frontier: Vec<CandidateOutcome> = scored
         .iter()
         .take(spec.top_k)
@@ -347,6 +333,69 @@ pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
         frontier,
         counters,
     })
+}
+
+impl Tally {
+    /// Takes one candidate through the loop: a dense CONV shape's first
+    /// verdict is recorded, and its later candidates replay it.
+    fn consider(&mut self, spec: &SearchSpec, mask: Option<&WeightMask>, cand: MappingCandidate) {
+        let counters = &mut self.counters;
+        counters.enumerated += 1;
+        let key = shape_fingerprint(spec, &cand);
+        if let Some(verdict) = key.and_then(|k| self.verdicts.get(&k)) {
+            counters.pruned += 1;
+            counters.statically_rejected += u64::from(matches!(verdict, Verdict::Rejected));
+            return;
+        }
+        // Static pre-score gate, once per shape: candidates the verifier
+        // proves illegal skip the analytic model. Scoring would reject
+        // every one too, so `pruned`/`scored` (and the report text
+        // derived from them) are byte-identical with the gate off.
+        if statically_reject(&spec.base, &verify_layer(spec, mask), &cand).is_some() {
+            counters.pruned += 1;
+            counters.statically_rejected += 1;
+            if let Some(k) = key {
+                self.verdicts.insert(k, Verdict::Rejected);
+            }
+            return;
+        }
+        match score(spec, mask, &cand) {
+            Err(_) => counters.pruned += 1,
+            Ok((cycles, fp)) => {
+                debug_assert!(key.is_none_or(|k| k == fp), "shape {key:?}, plan {fp:?}");
+                if self.verdicts.insert(fp, Verdict::Scored).is_none() {
+                    counters.scored += 1;
+                    self.scored.push(Scored {
+                        candidate: cand,
+                        cycles,
+                    });
+                } else {
+                    counters.pruned += 1;
+                }
+            }
+        }
+    }
+}
+
+/// A dense CONV candidate's fingerprint, read off its shape before the
+/// gate and without an ART; `None` for other kinds and for candidates
+/// whose config or shape fails, which take the full path.
+fn shape_fingerprint(spec: &SearchSpec, cand: &MappingCandidate) -> Option<Fingerprint> {
+    let (SearchLayer::Conv(l), CandidateKind::Conv(m)) = (&spec.layer, cand.kind) else {
+        return None;
+    };
+    let mapper = ConvMapper::new(cand.config(&spec.base).ok()?);
+    let shape = mapper.shape(l, VnPolicy::Explicit(m)).ok()?;
+    Some([
+        shape.vn_size as u64,
+        shape.num_vns as u64,
+        shape.channel_tile as u64,
+        shape.subfold as u64,
+        shape.loop_order.row_groups(shape.num_vns, l),
+        0,
+        cand.dist_bandwidth as u64,
+        cand.collect_bandwidth as u64,
+    ])
 }
 
 /// Index of the minimum of `key` over `entries` (first on ties, so the
@@ -457,29 +506,6 @@ fn validate(spec: &SearchSpec, cand: &MappingCandidate) -> Option<u64> {
     } else {
         None
     }
-}
-
-/// Stable identity of a candidate's knobs (for the beam's visited set).
-fn knob_key(cand: &MappingCandidate) -> [u64; 6] {
-    let (tag, a, b, c) = match cand.kind {
-        CandidateKind::Conv(m) => (
-            0,
-            m.channel_tile as u64,
-            m.max_vns as u64,
-            matches!(m.loop_order, LoopOrder::RowMajor) as u64,
-        ),
-        CandidateKind::SparseConv { channel_tile } => (1, channel_tile as u64, 0, 0),
-        CandidateKind::Fc { vn_size } => (2, vn_size as u64, 0, 0),
-        CandidateKind::Lstm { gate_vn_size } => (3, gate_vn_size as u64, 0, 0),
-    };
-    [
-        tag,
-        a,
-        b,
-        c,
-        cand.dist_bandwidth as u64,
-        cand.collect_bandwidth as u64,
-    ]
 }
 
 /// Single-knob neighbors of a candidate within the spec's space.
@@ -597,4 +623,227 @@ fn neighbors(spec: &SearchSpec, cand: &MappingCandidate) -> Vec<MappingCandidate
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use maeri::fault::FaultSpec;
+    use maeri::{ArtConfig, MaeriConfig, PlanError};
+    use maeri_dnn::ConvLayer;
+    use maeri_verify::VerifyError;
+    use std::collections::btree_map::Entry;
+
+    /// The candidate loop before the verdict memo: the gate and `score`
+    /// on every candidate, with `verdicts` only as the set of scored
+    /// fingerprints (`seen`).
+    fn consider_unmemoized(
+        tally: &mut Tally,
+        spec: &SearchSpec,
+        mask: Option<&WeightMask>,
+        cand: MappingCandidate,
+    ) {
+        let counters = &mut tally.counters;
+        counters.enumerated += 1;
+        if statically_reject(&spec.base, &verify_layer(spec, mask), &cand).is_some() {
+            counters.pruned += 1;
+            counters.statically_rejected += 1;
+            return;
+        }
+        match score(spec, mask, &cand) {
+            Err(_) => counters.pruned += 1,
+            Ok((cycles, fp)) => {
+                if tally.verdicts.insert(fp, Verdict::Scored).is_none() {
+                    counters.scored += 1;
+                    tally.scored.push(Scored {
+                        candidate: cand,
+                        cycles,
+                    });
+                } else {
+                    counters.pruned += 1;
+                }
+            }
+        }
+    }
+
+    /// A seeded random dense CONV search. Fabrics have 16, 32 or 64
+    /// leaves; by `case % 4` they are healthy, lose 0–399‰ of their
+    /// multipliers, lose 100–599‰ of their forwarding links, or lose
+    /// 0–149‰ of their adders and 0–199‰ of their multipliers. Two in
+    /// five specs list 1–3 bandwidth pairs, some of which no fabric
+    /// accepts.
+    fn random_spec(rng: &mut SimRng, case: u64) -> SearchSpec {
+        let leaves = [16, 32, 64][rng.next_below(3)];
+        let permille =
+            |rng: &mut SimRng, lo: usize, hi: usize| (lo + rng.next_below(hi - lo)) as u16;
+        let faults = FaultSpec::new(case);
+        let faults = match case % 4 {
+            0 => None,
+            1 => Some(faults.dead_multipliers(permille(rng, 0, 400))),
+            2 => Some(faults.dead_forwarding_links(permille(rng, 100, 600))),
+            _ => Some(
+                faults
+                    .dead_adders(permille(rng, 0, 150))
+                    .dead_multipliers(permille(rng, 0, 200)),
+            ),
+        };
+        let mut base = MaeriConfig::builder(leaves);
+        if let Some(faults) = faults {
+            base = base.faults(faults);
+        }
+        let kernel = 1 + rng.next_below(5);
+        let side = kernel + rng.next_below(10);
+        let layer = ConvLayer::new(
+            "conv",
+            1 + rng.next_below(12),
+            side,
+            side,
+            1 + rng.next_below(16),
+            kernel,
+            kernel,
+            1 + rng.next_below(2),
+            rng.next_below(2),
+        );
+        let mut spec = SearchSpec::new(SearchLayer::Conv(layer), base.build().unwrap())
+            .with_top_k(1 + rng.next_below(6));
+        if rng.next_below(5) < 2 {
+            let pairs = (0..=rng.next_below(3))
+                .map(|_| {
+                    (
+                        [1, 2, 3, 4, 8][rng.next_below(5)],
+                        [1, 2, 4, 8, 16][rng.next_below(5)],
+                    )
+                })
+                .collect();
+            spec = spec.with_bandwidths(pairs);
+        }
+        spec.with_strategy(match rng.next_below(3) {
+            0 => Strategy::Exhaustive,
+            1 => Strategy::Random {
+                seed: case,
+                samples: 1 + rng.next_below(80),
+            },
+            _ => Strategy::Beam {
+                width: 1 + rng.next_below(4),
+                rounds: 1 + rng.next_below(6),
+            },
+        })
+    }
+
+    /// How many fingerprints the ART refuses that two or more of the
+    /// space's candidates share, so an exhaustive search replays the
+    /// refusal.
+    fn repeated_art_refusals(spec: &SearchSpec) -> usize {
+        let mut refused: BTreeMap<Fingerprint, usize> = BTreeMap::new();
+        for cand in enumerate(spec) {
+            let verdict = statically_reject(&spec.base, &verify_layer(spec, None), &cand);
+            if let (Some(key), Some(VerifyError::Plan(PlanError::Partition(_)))) =
+                (shape_fingerprint(spec, &cand), verdict)
+            {
+                *refused.entry(key).or_default() += 1;
+            }
+        }
+        refused.values().filter(|&&n| n > 1).count()
+    }
+
+    #[test]
+    fn memoized_search_equals_the_unmemoized_loop() {
+        let mut rng = SimRng::seed(2026);
+        let (mut rejecting_specs, mut replayed_refusals) = (0, 0);
+        for case in 0..600 {
+            let spec = random_spec(&mut rng, case);
+            let memoized = search(&spec);
+            assert_eq!(
+                memoized,
+                search_with(&spec, consider_unmemoized),
+                "case {case}: {spec:?}"
+            );
+            if memoized.is_ok_and(|r| r.counters.statically_rejected > 0) {
+                rejecting_specs += 1;
+            }
+            if spec.strategy == Strategy::Exhaustive {
+                replayed_refusals += repeated_art_refusals(&spec);
+            }
+        }
+        // The draw reaches the gate, and the memo replays ART refusals.
+        assert!(rejecting_specs > 0, "no spec rejects a candidate");
+        assert!(replayed_refusals > 0, "no ART refusal repeats");
+    }
+
+    #[test]
+    fn a_fingerprint_decides_the_verdict_and_the_cost() {
+        let mut rng = SimRng::seed(22);
+        let (mut repeats, mut refused) = (0, 0);
+        for case in 0..200 {
+            let spec = random_spec(&mut rng, case);
+            let SearchLayer::Conv(layer) = &spec.layer else {
+                unreachable!("random_spec draws dense CONV layers")
+            };
+            let mut groups = BTreeMap::new();
+            for cand in enumerate(&spec) {
+                let (CandidateKind::Conv(m), Ok(cfg)) = (cand.kind, cand.config(&spec.base)) else {
+                    continue;
+                };
+                let mapper = ConvMapper::new(cfg);
+                let policy = VnPolicy::Explicit(m);
+                let plan = mapper.plan(layer, policy);
+                // `plan` is `shape` plus the ART of its ranges.
+                match mapper.shape(layer, policy) {
+                    Err(err) => assert_eq!(plan.as_ref().err(), Some(&err)),
+                    Ok(shape) => {
+                        let art = ArtConfig::build_with_faults(
+                            cfg.collection_chubby(),
+                            &shape.ranges,
+                            cfg.fault_plan().as_ref(),
+                        );
+                        match (&plan, art) {
+                            (Ok(plan), Ok(_)) => {
+                                assert_eq!(
+                                    (plan.vn_size, plan.num_vns, plan.channel_tile, plan.segments),
+                                    (
+                                        shape.vn_size,
+                                        shape.num_vns,
+                                        shape.channel_tile,
+                                        shape.segments
+                                    )
+                                );
+                                assert_eq!(
+                                    (plan.subfold, plan.iterations, plan.loop_order),
+                                    (shape.subfold, shape.iterations, shape.loop_order)
+                                );
+                                assert_eq!(plan.art.vns(), shape.ranges.as_slice());
+                            }
+                            (Err(err), Err(art)) => {
+                                assert_eq!(err, &PlanError::Partition(art));
+                                refused += 1;
+                            }
+                            (plan, art) => panic!("case {case}: plan {plan:?}, ART {art:?}"),
+                        }
+                    }
+                }
+                let Some(key) = shape_fingerprint(&spec, &cand) else {
+                    continue;
+                };
+                // Everything the memo replays: the gate's verdict, and
+                // the cost whenever the candidate plans.
+                let outcome = (
+                    statically_reject(&spec.base, &VerifyLayer::Conv(layer), &cand),
+                    plan.ok().map(|plan| mapper.cost(layer, &plan)),
+                );
+                match groups.entry(key) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(outcome);
+                    }
+                    Entry::Occupied(first) => {
+                        assert_eq!(first.get(), &outcome, "case {case}: {cand:?}");
+                        repeats += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            repeats > 0 && refused > 0,
+            "{repeats} repeats, {refused} refused"
+        );
+    }
 }

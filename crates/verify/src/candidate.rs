@@ -17,7 +17,7 @@
 
 use maeri::mapper::{span_capacity, ConvPlan};
 use maeri::{
-    CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, MappingCandidate,
+    ArtConfig, CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, MappingCandidate,
     SparseConvMapper, VectorPlan, VnPolicy,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
@@ -79,6 +79,21 @@ pub fn verify_mapping(
     layer: &VerifyLayer<'_>,
     cand: &MappingCandidate,
 ) -> Result<MappingReport, VerifyError> {
+    let (cfg, art, macs) = check_mapping(base, layer, cand)?;
+    Ok(MappingReport {
+        partition: art.map(|art| PartitionReport::of(&cfg, &art)),
+        macs_expected: macs,
+        macs_assigned: macs,
+    })
+}
+
+/// [`verify_mapping`]'s checks, without its report: the candidate's
+/// config, its plan's ART (`None` for sparse) and the conserved MACs.
+fn check_mapping(
+    base: &MaeriConfig,
+    layer: &VerifyLayer<'_>,
+    cand: &MappingCandidate,
+) -> Result<(MaeriConfig, Option<ArtConfig>, u64), VerifyError> {
     let cfg = cand.config(base).map_err(|e| VerifyError::Config {
         message: e.to_string(),
     })?;
@@ -124,11 +139,7 @@ pub fn verify_mapping(
             })
         }
     };
-    Ok(MappingReport {
-        partition: art.map(|art| PartitionReport::of(&cfg, &art)),
-        macs_expected: macs,
-        macs_assigned: macs,
-    })
+    Ok((cfg, art, macs))
 }
 
 /// The mapping-space prune gate: `Some(violation)` exactly when the
@@ -137,14 +148,14 @@ pub fn verify_mapping(
 /// `LstmMapper::run_with_gate_vn_size`), and for a sparse candidate
 /// only when `SparseConvMapper::run` refuses it too (a later group's
 /// ART may still fail there). A statically rejected candidate can never
-/// have scored.
+/// have scored. Unlike [`verify_mapping`], it builds no report.
 #[must_use]
 pub fn statically_reject(
     base: &MaeriConfig,
     layer: &VerifyLayer<'_>,
     cand: &MappingCandidate,
 ) -> Option<VerifyError> {
-    verify_mapping(base, layer, cand).err()
+    check_mapping(base, layer, cand).err()
 }
 
 /// Invariant 4's books: the plan must assign exactly the `expected`
