@@ -1,115 +1,134 @@
-//! Property tests of the dataflow mappers' cost-model invariants:
+//! Randomized tests of the dataflow mappers' cost-model invariants:
 //! work conservation, causal utilization, and bandwidth monotonicity.
+//! Each property runs 64 cases from its own fixed seed, and every
+//! assertion names the case and its inputs.
+
+use std::ops::RangeInclusive;
 
 use maeri::{ConvMapper, FcMapper, LstmMapper, MaeriConfig, PoolMapper, VnPolicy};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, PoolLayer};
-use proptest::prelude::*;
+use maeri_sim::SimRng;
 
-fn arb_conv() -> impl Strategy<Value = ConvLayer> {
-    (
-        1usize..=32, // in channels
-        4usize..=32, // spatial
-        1usize..=32, // out channels
-        1usize..=5,  // kernel
-        1usize..=3,  // stride
-        0usize..=2,  // pad
-    )
-        .prop_filter_map("kernel must fit", |(c, hw, k_out, k, s, p)| {
-            (hw + 2 * p >= k).then(|| ConvLayer::new("prop", c, hw, hw, k_out, k, k, s, p))
-        })
+const CASES: usize = 64;
+
+/// A uniform draw from `range`.
+fn draw(rng: &mut SimRng, range: RangeInclusive<usize>) -> usize {
+    range.start() + rng.next_below(range.end() - range.start() + 1)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every dense CONV mapping conserves work, stays causal
-    /// (utilization in (0, 1]), and accounts at least the weights as
-    /// SRAM reads.
-    #[test]
-    fn conv_mapping_invariants(layer in arb_conv()) {
-        let run = ConvMapper::new(MaeriConfig::paper_64())
-            .run(&layer, VnPolicy::Auto)
-            .expect("mappable");
-        prop_assert_eq!(run.macs, layer.macs());
-        prop_assert!(run.cycles.as_u64() > 0);
-        let util = run.utilization();
-        prop_assert!(util > 0.0 && util <= 1.0 + 1e-9, "util {}", util);
-        prop_assert!(run.sram_reads >= layer.weight_count() as u64);
-        prop_assert_eq!(run.sram_writes, layer.output_count() as u64);
-    }
-
-    /// Widening both trees never slows a CONV layer down.
-    #[test]
-    fn conv_bandwidth_monotonicity(layer in arb_conv()) {
-        let mut prev = u64::MAX;
-        for bw in [2usize, 4, 8, 16] {
-            let cfg = MaeriConfig::builder(64)
-                .distribution_bandwidth(bw)
-                .collection_bandwidth(bw)
-                .build()
-                .unwrap();
-            let run = ConvMapper::new(cfg).run(&layer, VnPolicy::Auto).unwrap();
-            prop_assert!(
-                run.cycles.as_u64() <= prev,
-                "bw {bw} slower: {} > {prev}",
-                run.cycles.as_u64()
-            );
-            prev = run.cycles.as_u64();
+/// A random square CONV layer, redrawn until the kernel fits the
+/// padded input.
+fn arb_conv(rng: &mut SimRng) -> ConvLayer {
+    loop {
+        let c = draw(rng, 1..=32);
+        let hw = draw(rng, 4..=32);
+        let k_out = draw(rng, 1..=32);
+        let k = draw(rng, 1..=5);
+        let s = draw(rng, 1..=3);
+        let p = draw(rng, 0..=2);
+        if hw + 2 * p >= k {
+            return ConvLayer::new("prop", c, hw, hw, k_out, k, k, s, p);
         }
     }
+}
 
-    /// A larger array is never slower at matched bandwidth-per-switch.
-    #[test]
-    fn conv_scales_with_array(layer in arb_conv()) {
-        let small = ConvMapper::new(
-            MaeriConfig::builder(64)
-                .distribution_bandwidth(8)
-                .collection_bandwidth(8)
-                .build()
-                .unwrap(),
-        )
-        .run(&layer, VnPolicy::Auto)
+/// Cycles of `layer` on `switches` multipliers with both trees `bw`
+/// wide.
+fn conv_cycles(switches: usize, bw: usize, layer: &ConvLayer, what: &str) -> u64 {
+    let cfg = MaeriConfig::builder(switches)
+        .distribution_bandwidth(bw)
+        .collection_bandwidth(bw)
+        .build()
         .unwrap();
-        let big = ConvMapper::new(
-            MaeriConfig::builder(256)
-                .distribution_bandwidth(32)
-                .collection_bandwidth(32)
-                .build()
-                .unwrap(),
-        )
-        .run(&layer, VnPolicy::Auto)
-        .unwrap();
-        prop_assert!(
-            big.cycles.as_u64() <= small.cycles.as_u64() + 64,
-            "256 switches slower: {} vs {}",
-            big.cycles.as_u64(),
-            small.cycles.as_u64()
+    ConvMapper::new(cfg)
+        .run(layer, VnPolicy::Auto)
+        .expect(what)
+        .cycles
+        .as_u64()
+}
+
+/// Every dense CONV mapping conserves work, stays causal
+/// (utilization in (0, 1]), and accounts at least the weights as
+/// SRAM reads.
+#[test]
+fn conv_mapping_invariants() {
+    let mut rng = SimRng::seed(21);
+    for case in 0..CASES {
+        let layer = arb_conv(&mut rng);
+        let what = format!("case {case}: {layer}");
+        let run = ConvMapper::new(MaeriConfig::paper_64())
+            .run(&layer, VnPolicy::Auto)
+            .expect(&what);
+        assert_eq!(run.macs, layer.macs(), "{what}");
+        assert!(run.cycles.as_u64() > 0, "{what}");
+        let util = run.utilization();
+        assert!(util > 0.0 && util <= 1.0 + 1e-9, "{what}: util {util}");
+        assert!(run.sram_reads >= layer.weight_count() as u64, "{what}");
+        assert_eq!(run.sram_writes, layer.output_count() as u64, "{what}");
+    }
+}
+
+/// Widening both trees never slows a CONV layer down.
+#[test]
+fn conv_bandwidth_monotonicity() {
+    let mut rng = SimRng::seed(22);
+    for case in 0..CASES {
+        let layer = arb_conv(&mut rng);
+        let what = format!("case {case}: {layer}");
+        let mut prev = u64::MAX;
+        for bw in [2usize, 4, 8, 16] {
+            let cycles = conv_cycles(64, bw, &layer, &what);
+            assert!(cycles <= prev, "{what}: bw {bw} slower: {cycles} > {prev}");
+            prev = cycles;
+        }
+    }
+}
+
+/// A larger array is never slower at matched bandwidth-per-switch.
+#[test]
+fn conv_scales_with_array() {
+    let mut rng = SimRng::seed(23);
+    for case in 0..CASES {
+        let layer = arb_conv(&mut rng);
+        let what = format!("case {case}: {layer}");
+        let small = conv_cycles(64, 8, &layer, &what);
+        let big = conv_cycles(256, 32, &layer, &what);
+        assert!(
+            big <= small + 64,
+            "{what}: 256 switches slower: {big} vs {small}"
         );
     }
+}
 
-    /// FC and LSTM mappings conserve work and stay causal.
-    #[test]
-    fn fc_lstm_pool_invariants(
-        inputs in 1usize..=512,
-        outputs in 1usize..=64,
-        hidden in 1usize..=64,
-        channels in 1usize..=8,
-        window in 2usize..=3,
-    ) {
-        let cfg = MaeriConfig::paper_64();
+/// FC and LSTM mappings conserve work and stay causal.
+#[test]
+fn fc_lstm_pool_invariants() {
+    let mut rng = SimRng::seed(24);
+    let cfg = MaeriConfig::paper_64();
+    for case in 0..CASES {
+        let inputs = draw(&mut rng, 1..=512);
+        let outputs = draw(&mut rng, 1..=64);
+        let hidden = draw(&mut rng, 1..=64);
+        let channels = draw(&mut rng, 1..=8);
+        let window = draw(&mut rng, 2..=3);
+        let what = format!(
+            "case {case}: inputs {inputs}, outputs {outputs}, hidden {hidden}, \
+             channels {channels}, window {window}"
+        );
+
         let fc = FcLayer::new("fc", inputs, outputs);
-        let run = FcMapper::new(cfg).run(&fc).unwrap();
-        prop_assert_eq!(run.macs, fc.macs());
-        prop_assert!(run.utilization() <= 1.0 + 1e-9);
+        let run = FcMapper::new(cfg).run(&fc).expect(&what);
+        assert_eq!(run.macs, fc.macs(), "{what}");
+        assert!(run.utilization() <= 1.0 + 1e-9, "{what}");
 
         let lstm = LstmLayer::new("l", inputs, hidden);
-        let run = LstmMapper::new(cfg).run(&lstm).unwrap();
-        prop_assert_eq!(run.macs, lstm.gate_macs() + lstm.state_macs());
-        prop_assert!(run.utilization() <= 1.0 + 1e-9);
+        let run = LstmMapper::new(cfg).run(&lstm).expect(&what);
+        assert_eq!(run.macs, lstm.gate_macs() + lstm.state_macs(), "{what}");
+        assert!(run.utilization() <= 1.0 + 1e-9, "{what}");
 
         let pool = PoolLayer::new("p", channels, 8, 8, window, window);
-        let run = PoolMapper::new(cfg).run(&pool).unwrap();
-        prop_assert_eq!(run.macs, pool.comparisons());
-        prop_assert!(run.utilization() <= 1.0 + 1e-9);
+        let run = PoolMapper::new(cfg).run(&pool).expect(&what);
+        assert_eq!(run.macs, pool.comparisons(), "{what}");
+        assert!(run.utilization() <= 1.0 + 1e-9, "{what}");
     }
 }

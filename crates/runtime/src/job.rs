@@ -1,9 +1,7 @@
 //! Simulation job descriptions and their content-hash identity.
 
 use maeri::analytic;
-use maeri::cycle_sim::{
-    simulate_conv_iteration, simulate_conv_layer_telemetry, LaneSpec, TraceStats,
-};
+use maeri::cycle_sim::simulate_conv_layer_telemetry;
 use maeri::{
     CandidateKind, ConvMapper, CrossLayerMapper, FcMapper, LoopOrder, LstmMapper, MaeriConfig,
     MappingCandidate, PoolMapper, SparseConvMapper, VnPolicy,
@@ -15,15 +13,6 @@ use maeri_sim::SimRng;
 use maeri_verify::{statically_reject, VerifyLayer};
 
 use crate::output::{JobError, JobResult, SimOutput, TelemetryRun};
-
-/// The modelling fidelity a job runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Fidelity {
-    /// Closed-form cost model (mappers, baselines, walk-throughs).
-    Analytic,
-    /// Clocked cycle-by-cycle trace of the fabric.
-    CycleTrace,
-}
 
 /// One simulation request: everything needed to reproduce one point of
 /// a sweep, and nothing environment-dependent.
@@ -167,22 +156,9 @@ pub enum SimJob {
         /// Distribution bandwidth in words/cycle.
         dist_bw: usize,
     },
-    /// Clocked cycle-trace of one CONV mapping iteration
-    /// ([`Fidelity::CycleTrace`]).
-    ConvTrace {
-        /// Fabric configuration.
-        cfg: MaeriConfig,
-        /// The lanes (virtual neurons) of the iteration.
-        lanes: Vec<LaneSpec>,
-        /// Outputs per lane.
-        steps: u64,
-        /// Input words multicast to every lane per step.
-        shared_inputs: usize,
-    },
     /// Clocked cycle-trace of a full CONV layer with fabric telemetry
-    /// captured ([`Fidelity::CycleTrace`]): link utilization per tree
-    /// level, multiplier busy fraction, stall fractions, and the
-    /// VN-latency histogram.
+    /// captured: link utilization per tree level, multiplier busy
+    /// fraction, stall fractions, and the VN-latency histogram.
     TelemetryConv {
         /// Fabric configuration.
         cfg: MaeriConfig,
@@ -325,21 +301,6 @@ impl SimJob {
         }
     }
 
-    /// The fidelity level this job models at.
-    #[must_use]
-    pub fn fidelity(&self) -> Fidelity {
-        match self {
-            SimJob::ConvTrace { .. } | SimJob::TelemetryConv { .. } => Fidelity::CycleTrace,
-            // A dense-CONV search trace-validates its frontier; the
-            // other layer kinds are scored purely closed-form.
-            SimJob::MapSearch { spec } => match spec.layer {
-                SearchLayer::Conv(_) => Fidelity::CycleTrace,
-                _ => Fidelity::Analytic,
-            },
-            _ => Fidelity::Analytic,
-        }
-    }
-
     /// A short label for logs and progress reporting.
     #[must_use]
     pub fn label(&self) -> String {
@@ -363,7 +324,6 @@ impl SimJob {
             SimJob::ClusterFusedChain { layers, .. } => format!("cluster/fused/{}x", layers.len()),
             SimJob::AnalyticSystolic { layer, .. } => format!("analytic/systolic/{}", layer.name),
             SimJob::AnalyticMaeri { layer, .. } => format!("analytic/maeri/{}", layer.name),
-            SimJob::ConvTrace { lanes, .. } => format!("trace/conv/{}lanes", lanes.len()),
             SimJob::TelemetryConv { layer, .. } => format!("telemetry/conv/{}", layer.name),
             SimJob::MapSearch { spec } => {
                 format!("search/{}/{}", spec.layer.kind_label(), spec.layer.name())
@@ -409,14 +369,6 @@ impl SimJob {
                 let mask = regenerate_mask(layer, *zero_fraction, *mask_seed);
                 return verify_sparse(cfg, layer, &mask, *channel_tile);
             }
-            // Trace lanes carry raw VN sizes; bounds-check them against
-            // the fabric before building any flit stream.
-            SimJob::ConvTrace { cfg, lanes, .. } => lanes
-                .iter()
-                .find_map(|lane| cfg.validate_vn_size(lane.vn_size).err())
-                .map(|err| maeri_verify::VerifyError::Config {
-                    message: err.to_string(),
-                }),
             _ => None,
         };
         match violation {
@@ -525,16 +477,6 @@ impl SimJob {
             } => Ok(SimOutput::Analytic(analytic::maeri_example(
                 layer, *num_ms, *dist_bw,
             ))),
-            SimJob::ConvTrace {
-                cfg,
-                lanes,
-                steps,
-                shared_inputs,
-            } => {
-                let trace: TraceStats =
-                    simulate_conv_iteration(cfg, lanes, *steps, *shared_inputs)?;
-                Ok(SimOutput::Trace(trace))
-            }
             SimJob::TelemetryConv { cfg, layer, policy } => {
                 let (trace, fabric) = simulate_conv_layer_telemetry(cfg, layer, *policy)?;
                 Ok(SimOutput::Telemetry(Box::new(TelemetryRun {
@@ -711,22 +653,8 @@ impl SimJob {
                 enc.usize(*num_ms);
                 enc.usize(*dist_bw);
             }
-            SimJob::ConvTrace {
-                cfg,
-                lanes,
-                steps,
-                shared_inputs,
-            } => {
-                enc.tag(13);
-                enc.config(cfg);
-                enc.usize(lanes.len());
-                for lane in lanes {
-                    enc.usize(lane.vn_size);
-                    enc.usize(lane.fresh_inputs_per_step);
-                }
-                enc.u64(*steps);
-                enc.usize(*shared_inputs);
-            }
+            // Tag 13 stays unused: it keyed a retired job kind, and tags
+            // never change meaning (see `JobKey::as_bytes`).
             SimJob::TelemetryConv { cfg, layer, policy } => {
                 enc.tag(15);
                 enc.config(cfg);
@@ -1010,7 +938,6 @@ mod tests {
         let fc = maeri_dnn::FcLayer::new("fc6", 256, 64);
         let job = SimJob::systolic_fc(8, 8, 8, fc.clone());
         assert_eq!(job.label(), "systolic/fc/fc6");
-        assert_eq!(job.fidelity(), Fidelity::Analytic);
         assert_eq!(job.key(), SimJob::systolic_fc(8, 8, 8, fc.clone()).key());
         // The job must report exactly what the baseline reports.
         let direct = SystolicArray::new(8, 8, 8).run_fc(&fc);
@@ -1094,7 +1021,6 @@ mod tests {
         let dense = SimJob::dense_conv(MaeriConfig::paper_64(), layer(), VnPolicy::Auto);
         let telemetry = SimJob::telemetry_conv(MaeriConfig::paper_64(), layer(), VnPolicy::Auto);
         assert_ne!(dense.key(), telemetry.key());
-        assert_eq!(telemetry.fidelity(), Fidelity::CycleTrace);
         assert_eq!(telemetry.label(), "telemetry/conv/k");
     }
 
@@ -1106,7 +1032,6 @@ mod tests {
         assert!(run.trace.cycles.as_u64() > 0);
         assert!(run.fabric.cycles > 0);
         assert!(run.fabric.total_events() > 0);
-        assert_eq!(out.trace_stats(), Some(&run.trace));
         let again = job.execute().unwrap();
         assert_eq!(out.canonical_text(), again.canonical_text());
     }
@@ -1116,7 +1041,6 @@ mod tests {
         let spec = SearchSpec::new(SearchLayer::Conv(layer()), MaeriConfig::paper_64());
         let job = SimJob::map_search(spec.clone());
         assert_eq!(job.label(), "search/conv/k");
-        assert_eq!(job.fidelity(), Fidelity::CycleTrace);
         assert_eq!(job.key(), SimJob::map_search(spec.clone()).key());
         // Every spec knob participates in the cache identity.
         let other_strategy = SimJob::map_search(spec.clone().with_strategy(Strategy::Random {
@@ -1138,12 +1062,11 @@ mod tests {
     }
 
     #[test]
-    fn map_search_fidelity_tracks_layer_kind() {
+    fn map_search_labels_its_layer_kind() {
         let fc = SimJob::map_search(SearchSpec::new(
             SearchLayer::Fc(maeri_dnn::FcLayer::new("fc", 64, 8)),
             MaeriConfig::paper_64(),
         ));
-        assert_eq!(fc.fidelity(), Fidelity::Analytic);
         assert_eq!(fc.label(), "search/fc/fc");
     }
 
@@ -1175,23 +1098,5 @@ mod tests {
             SimJob::dense_conv(MaeriConfig::paper_64(), layer(), VnPolicy::Auto).key()
         );
         assert!(a.execute().is_ok());
-    }
-
-    #[test]
-    fn fidelity_classification() {
-        assert_eq!(
-            SimJob::dense_conv(MaeriConfig::paper_64(), layer(), VnPolicy::Auto).fidelity(),
-            Fidelity::Analytic
-        );
-        let trace = SimJob::ConvTrace {
-            cfg: MaeriConfig::paper_64(),
-            lanes: vec![LaneSpec {
-                vn_size: 9,
-                fresh_inputs_per_step: 3,
-            }],
-            steps: 4,
-            shared_inputs: 1,
-        };
-        assert_eq!(trace.fidelity(), Fidelity::CycleTrace);
     }
 }

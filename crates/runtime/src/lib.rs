@@ -6,8 +6,7 @@
 //! service-shaped execution engine:
 //!
 //! * [`SimJob`] describes one simulation request — fabric config,
-//!   workload, mapper policy, and fidelity level (closed-form analytic
-//!   vs clocked cycle-trace, see [`Fidelity`]);
+//!   workload and mapper policy;
 //! * a worker pool built on `std::thread` + channels runs jobs behind a
 //!   bounded queue with graceful shutdown and **panic isolation**: a
 //!   panicking job is reported as a failed [`JobResult`], never a
@@ -69,7 +68,7 @@ mod runtime;
 mod supervise;
 
 pub use cache::ResultCache;
-pub use job::{Fidelity, JobKey, SimJob};
+pub use job::{JobKey, SimJob};
 pub use metrics::{MetricsSnapshot, PhaseStats, RuntimeMetrics};
 pub use output::{canonical_result_text, JobError, JobResult, SimOutput, TelemetryRun};
 pub use runtime::Runtime;

@@ -27,8 +27,6 @@ pub enum SimOutput {
     Run(RunStats),
     /// A closed-form analytic walk-through (Figure 17 style).
     Analytic(AnalyticResult),
-    /// A clocked cycle-trace of one mapping iteration.
-    Trace(TraceStats),
     /// A clocked cycle-trace with fabric telemetry attached (boxed:
     /// telemetry carries a histogram and per-kind event counts, much
     /// larger than the other outputs).
@@ -83,17 +81,6 @@ impl SimOutput {
         }
     }
 
-    /// The trace statistics, if this output is a cycle-trace (with or
-    /// without telemetry attached).
-    #[must_use]
-    pub fn trace_stats(&self) -> Option<&TraceStats> {
-        match self {
-            SimOutput::Trace(stats) => Some(stats),
-            SimOutput::Telemetry(run) => Some(&run.trace),
-            _ => None,
-        }
-    }
-
     /// The telemetry run, if this output carries fabric telemetry.
     #[must_use]
     pub fn telemetry(&self) -> Option<&TelemetryRun> {
@@ -129,7 +116,6 @@ impl SimOutput {
         match self {
             SimOutput::Run(_) => "run statistics",
             SimOutput::Analytic(_) => "analytic result",
-            SimOutput::Trace(_) => "trace statistics",
             SimOutput::Telemetry(_) => "telemetry run",
             SimOutput::Search(_) => "search result",
         }
@@ -168,18 +154,15 @@ impl SimOutput {
                 result.sram_reads,
                 result.breakdown.len(),
             ),
-            SimOutput::Trace(trace) => format!(
-                "trace cycles={} waves={} busy={} dist_stalls={} coll_stalls={} extra=[{}]",
-                trace.cycles.as_u64(),
-                trace.waves_completed,
-                trace.busy_cycles,
-                trace.distribution_stall_cycles,
-                trace.collection_stall_cycles,
-                extras(&trace.extra),
-            ),
             SimOutput::Telemetry(run) => format!(
-                "telemetry trace=[{}] fabric=[{}]",
-                SimOutput::Trace(run.trace.clone()).canonical_text(),
+                "telemetry trace=[trace cycles={} waves={} busy={} dist_stalls={} \
+                 coll_stalls={} extra=[{}]] fabric=[{}]",
+                run.trace.cycles.as_u64(),
+                run.trace.waves_completed,
+                run.trace.busy_cycles,
+                run.trace.distribution_stall_cycles,
+                run.trace.collection_stall_cycles,
+                extras(&run.trace.extra),
                 // The fabric rendering is multi-line for human output;
                 // flatten it so the canonical form stays one line.
                 run.fabric.canonical_text().trim_end().replace('\n', "; "),

@@ -2,13 +2,12 @@
 //! one worker is byte-identical to the same batch with many workers,
 //! and one panicking job never poisons the rest.
 
-use maeri::cycle_sim::LaneSpec;
 use maeri::{MaeriConfig, VnPolicy};
 use maeri_dnn::{zoo, FcLayer};
 use maeri_runtime::{canonical_result_text, JobError, Runtime, SimJob};
 
-/// A mixed CONV / FC / sparse / fused / baseline / trace batch — one of
-/// every fidelity and design the runtime schedules.
+/// A mixed CONV / FC / sparse / fused / baseline / trace batch — every
+/// design the runtime schedules, closed-form and clocked.
 fn mixed_jobs() -> Vec<SimJob> {
     let cfg = MaeriConfig::paper_64();
     let quarter = MaeriConfig::builder(64)
@@ -66,18 +65,7 @@ fn mixed_jobs() -> Vec<SimJob> {
             num_ms: 64,
             dist_bw: 8,
         },
-        SimJob::ConvTrace {
-            cfg,
-            lanes: vec![
-                LaneSpec {
-                    vn_size: 9,
-                    fresh_inputs_per_step: 3,
-                };
-                7
-            ],
-            steps: 25,
-            shared_inputs: 1,
-        },
+        SimJob::telemetry_conv(cfg, small.clone(), VnPolicy::Auto),
         // An unmappable point: channel tile larger than the channels.
         SimJob::sparse_conv(cfg, small, 0.0, 99, 1),
     ]

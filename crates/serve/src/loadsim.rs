@@ -174,7 +174,12 @@ fn replay(
     for arrival in arrivals {
         let now = arrival.at_us;
         let tenant = arrival.tenant.as_str();
-        let Ok(job) = arrival.spec.to_sim_job() else {
+        let Some(job) = arrival
+            .spec
+            .to_sim_job()
+            .ok()
+            .filter(|job| job.verify().is_ok())
+        else {
             outcome.invalid += 1;
             if let Some(out) = spans.as_mut() {
                 out.push(SpanRecord::between(
@@ -188,20 +193,6 @@ fn replay(
             }
             continue;
         };
-        if job.verify().is_err() {
-            outcome.invalid += 1;
-            if let Some(out) = spans.as_mut() {
-                out.push(SpanRecord::between(
-                    0,
-                    tenant,
-                    SpanKind::Verify,
-                    now,
-                    now,
-                    "rejected_invalid",
-                ));
-            }
-            continue;
-        }
         let tenant_jobs = inflight.entry(arrival.tenant.clone()).or_default();
         while tenant_jobs.front().is_some_and(|&done| done <= now) {
             tenant_jobs.pop_front();

@@ -87,8 +87,8 @@ pub struct RecoveryReport {
 pub struct StoredResult {
     /// Whether the job succeeded.
     pub ok: bool,
-    /// Output kind: `run`, `analytic`, `trace`, `telemetry`, `search`,
-    /// or `error`.
+    /// Output kind: `run`, `analytic`, `telemetry`, `search`, or
+    /// `error`.
     pub kind: String,
     /// The job's display label.
     pub label: String,
@@ -170,7 +170,6 @@ fn output_kind(output: &SimOutput) -> &'static str {
     match output {
         SimOutput::Run(_) => "run",
         SimOutput::Analytic(_) => "analytic",
-        SimOutput::Trace(_) => "trace",
         SimOutput::Telemetry(_) => "telemetry",
         SimOutput::Search(_) => "search",
     }
@@ -181,7 +180,6 @@ fn output_cycles(output: &SimOutput) -> u64 {
     match output {
         SimOutput::Run(stats) => stats.cycles.as_u64(),
         SimOutput::Analytic(result) => result.cycles,
-        SimOutput::Trace(trace) => trace.cycles.as_u64(),
         SimOutput::Telemetry(run) => run.trace.cycles.as_u64(),
         SimOutput::Search(search) => search.best_cycles(),
     }

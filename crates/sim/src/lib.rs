@@ -9,8 +9,6 @@
 //!   every experiment is reproducible bit-for-bit,
 //! * [`table::Table`] — plain-text table rendering used by the figure
 //!   binaries in `maeri-bench`,
-//! * [`series::Series`] — labelled numeric series with summary statistics,
-//!   used to report figure curves,
 //! * [`catalog!`] — closed enum catalogs whose `ALL` list and stable
 //!   names are complete by construction.
 //!
@@ -39,7 +37,6 @@ mod rng;
 mod stats;
 
 pub mod histogram;
-pub mod series;
 pub mod table;
 pub mod util;
 

@@ -1,4 +1,4 @@
-//! Property-based tests of the Augmented Reduction Tree's two formal
+//! Randomized tests of the Augmented Reduction Tree's two formal
 //! properties (Section 3.2.2):
 //!
 //! * **Property 1 (Configurability):** an ART with N leaves can map any
@@ -6,68 +6,82 @@
 //! * **Property 2 (Non-Blocking):** multiple such adder trees map
 //!   simultaneously without sharing links when their leaf sets are
 //!   disjoint.
+//!
+//! Each property draws its cases from its own fixed seed, and every
+//! assertion names the case and its inputs.
 
 use maeri_repro::fabric::art::{pack_vns, ArtConfig, VnRange};
 use maeri_repro::noc::{BinaryTree, ChubbyTree};
-use proptest::prelude::*;
+use maeri_repro::sim::SimRng;
 
 fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
     ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
 }
 
-proptest! {
-    /// Property 1: every contiguous range reduces to the exact sum.
-    #[test]
-    fn any_contiguous_vn_reduces_correctly(
-        log_leaves in 2usize..=8,
-        start_frac in 0.0f64..1.0,
-        len_frac in 0.0f64..=1.0,
-        seed in 0u64..1000,
-    ) {
-        let leaves = 1usize << log_leaves;
-        let start = ((leaves - 1) as f64 * start_frac) as usize;
-        let max_len = leaves - start;
-        let len = (1.0 + (max_len - 1) as f64 * len_frac) as usize;
-        let range = VnRange::new(start, len);
+/// One value per leaf, drawn from `seed`.
+fn leaf_values(leaves: usize, seed: u64) -> Vec<f32> {
+    let mut rng = SimRng::seed(seed);
+    (0..leaves).map(|_| rng.next_f32()).collect()
+}
 
-        let config = ArtConfig::build(chubby(leaves, (leaves / 2).clamp(2, 16)), &[range])
-            .expect("single contiguous VN always maps (Property 1)");
+/// Property 1: every contiguous range reduces to the exact sum.
+#[test]
+fn any_contiguous_vn_reduces_correctly() {
+    let mut rng = SimRng::seed(1);
+    for case in 0..256 {
+        let leaves = 1usize << (2 + rng.next_below(7));
+        let start = rng.next_below(leaves);
+        let len = 1 + rng.next_below(leaves - start);
+        let seed = rng.next_below(1000) as u64;
+        let what = format!("case {case}: {leaves} leaves, VN at {start} of {len}, seed {seed}");
 
-        let mut rng = maeri_repro::sim::SimRng::seed(seed);
-        let values: Vec<f32> = (0..leaves).map(|_| rng.next_f32()).collect();
+        let config = ArtConfig::build(
+            chubby(leaves, (leaves / 2).clamp(2, 16)),
+            &[VnRange::new(start, len)],
+        )
+        .expect(&what);
+
+        let values = leaf_values(leaves, seed);
         let sums = config.reduce(&values);
-        prop_assert_eq!(sums.len(), 1);
+        assert_eq!(sums.len(), 1, "{what}");
         let expected: f32 = values[start..start + len].iter().sum();
-        prop_assert!(
+        assert!(
             (sums[0] - expected).abs() <= 1e-3 * (1.0 + expected.abs()),
-            "got {} want {}", sums[0], expected
+            "{what}: got {} want {}",
+            sums[0],
+            expected
         );
     }
+}
 
-    /// Property 2: disjoint VN packings all reduce correctly and claim
-    /// each forwarding link at most once.
-    #[test]
-    fn disjoint_vns_are_non_blocking(
-        log_leaves in 3usize..=7,
-        sizes in prop::collection::vec(1usize..=20, 1..20),
-        seed in 0u64..1000,
-    ) {
-        let leaves = 1usize << log_leaves;
+/// Property 2: disjoint VN packings all reduce correctly and claim
+/// each forwarding link at most once.
+#[test]
+fn disjoint_vns_are_non_blocking() {
+    let mut rng = SimRng::seed(2);
+    let mut case = 0;
+    while case < 256 {
+        let leaves = 1usize << (3 + rng.next_below(5));
+        let count = 1 + rng.next_below(19);
+        let sizes: Vec<usize> = (0..count).map(|_| 1 + rng.next_below(20)).collect();
+        let seed = rng.next_below(1000) as u64;
         let (ranges, _) = pack_vns(leaves, &sizes);
-        prop_assume!(!ranges.is_empty());
+        // Redraw until at least one VN fits.
+        if ranges.is_empty() {
+            continue;
+        }
+        let what = format!("case {case}: {leaves} leaves, VN sizes {sizes:?}, seed {seed}");
 
-        let config = ArtConfig::build(chubby(leaves, (leaves / 4).max(2)), &ranges)
-            .expect("disjoint contiguous VNs always map (Property 2)");
+        let config = ArtConfig::build(chubby(leaves, (leaves / 4).max(2)), &ranges).expect(&what);
 
         // Functional correctness of every VN at once.
-        let mut rng = maeri_repro::sim::SimRng::seed(seed);
-        let values: Vec<f32> = (0..leaves).map(|_| rng.next_f32()).collect();
+        let values = leaf_values(leaves, seed);
         let sums = config.reduce(&values);
         for (range, sum) in ranges.iter().zip(&sums) {
             let expected: f32 = values[range.start..range.end()].iter().sum();
-            prop_assert!(
+            assert!(
                 (sum - expected).abs() <= 1e-3 * (1.0 + expected.abs()),
-                "vn {:?}: got {} want {}", range, sum, expected
+                "{what}: vn {range:?}: got {sum} want {expected}"
             );
         }
 
@@ -75,22 +89,26 @@ proptest! {
         let mut seen = std::collections::BTreeSet::new();
         for fl in config.forwarding_links() {
             let key = (fl.from.min(fl.to), fl.from.max(fl.to));
-            prop_assert!(seen.insert(key), "link {key:?} claimed twice");
+            assert!(seen.insert(key), "{what}: link {key:?} claimed twice");
         }
+        case += 1;
     }
+}
 
-    /// Max-reduction (POOL comparator mode) is as correct as addition.
-    #[test]
-    fn pool_mode_reduces_to_maximum(
-        sizes in prop::collection::vec(1usize..=16, 1..8),
-        seed in 0u64..1000,
-    ) {
-        let leaves = 64;
+/// Max-reduction (POOL comparator mode) is as correct as addition.
+#[test]
+fn pool_mode_reduces_to_maximum() {
+    let mut rng = SimRng::seed(3);
+    let leaves = 64;
+    for case in 0..256 {
+        // At most 7 VNs of at most 16 leaves: the first always fits.
+        let count = 1 + rng.next_below(7);
+        let sizes: Vec<usize> = (0..count).map(|_| 1 + rng.next_below(16)).collect();
+        let seed = rng.next_below(1000) as u64;
+        let what = format!("case {case}: VN sizes {sizes:?}, seed {seed}");
         let (ranges, _) = pack_vns(leaves, &sizes);
-        prop_assume!(!ranges.is_empty());
-        let config = ArtConfig::build(chubby(leaves, 8), &ranges).expect("mappable");
-        let mut rng = maeri_repro::sim::SimRng::seed(seed);
-        let values: Vec<f32> = (0..leaves).map(|_| rng.next_f32()).collect();
+        let config = ArtConfig::build(chubby(leaves, 8), &ranges).expect(&what);
+        let values = leaf_values(leaves, seed);
         let maxes = config.reduce_max(&values);
         for (range, max) in ranges.iter().zip(&maxes) {
             let expected = values[range.start..range.end()]
@@ -99,32 +117,37 @@ proptest! {
                 .fold(f32::NEG_INFINITY, f32::max);
             // Exact comparison is intended: max-reduction returns one
             // of the inputs verbatim, bit for bit.
-            prop_assert_eq!(max.to_bits(), expected.to_bits());
+            assert_eq!(max.to_bits(), expected.to_bits(), "{what}: vn {range:?}");
         }
     }
+}
 
-    /// Chubby-link claim of Figure 6(c): when the VNs span the whole
-    /// array and the root is wide enough for their outputs, collection
-    /// is fully non-blocking (slowdown 1.0). Smaller VNs crammed under
-    /// one subtree legitimately funnel — that is the 0.25x-bandwidth
-    /// effect of Figure 13 — but the slowdown can never exceed the
-    /// output count.
-    #[test]
-    fn chubby_root_collection_bounds(
-        vn_size in 1usize..=16,
-    ) {
-        let leaves = 64;
+/// Chubby-link claim of Figure 6(c): when the VNs span the whole
+/// array and the root is wide enough for their outputs, collection
+/// is fully non-blocking (slowdown 1.0). Smaller VNs crammed under
+/// one subtree legitimately funnel — that is the 0.25x-bandwidth
+/// effect of Figure 13 — but the slowdown can never exceed the
+/// output count. Every VN size from 1 to 16 is checked.
+#[test]
+fn chubby_root_collection_bounds() {
+    let leaves = 64;
+    for vn_size in 1..=16 {
         let count = leaves / vn_size;
         let (ranges, _) = pack_vns(leaves, &vec![vn_size; count]);
-        let config = ArtConfig::build(chubby(leaves, 16), &ranges).expect("mappable");
+        let config = ArtConfig::build(chubby(leaves, 16), &ranges)
+            .unwrap_or_else(|err| panic!("vn_size {vn_size}: {err}"));
         let slowdown = config.throughput_slowdown();
-        prop_assert!(slowdown <= count as f64 + 1e-9,
-            "slowdown {} exceeds {} outputs", slowdown, count);
+        assert!(
+            slowdown <= count as f64 + 1e-9,
+            "vn_size {vn_size}: slowdown {slowdown} exceeds {count} outputs"
+        );
         if vn_size >= 4 && count <= 16 {
             // Full-array spread with <= root-bandwidth outputs: fully
             // non-blocking.
-            prop_assert!((slowdown - 1.0).abs() < 1e-9,
-                "slowdown {} for {} spread VNs of {}", slowdown, count, vn_size);
+            assert!(
+                (slowdown - 1.0).abs() < 1e-9,
+                "vn_size {vn_size}: slowdown {slowdown} for {count} spread VNs"
+            );
         }
     }
 }
