@@ -64,18 +64,29 @@ impl WeightMask {
         );
         let volume = layer.filter_volume();
         let zeros_per_filter = ((zero_fraction * volume as f64).round() as usize).min(volume);
-        Self::from_pruned(layer, || rng.choose_indices(volume, zeros_per_filter))
+        // Each filter draws as `SimRng::choose_indices(volume, zeros)`
+        // would, into one pool refilled per filter; the pruned set is
+        // the same, and clearing its bits needs no sorted copy.
+        let mut pool = Vec::with_capacity(volume);
+        Self::from_pruned(layer, |filter| {
+            pool.clear();
+            pool.extend(0..volume);
+            rng.partial_shuffle(&mut pool, zeros_per_filter);
+            for &j in &pool[..zeros_per_filter] {
+                filter[j / 64] &= !(1u64 << (j % 64));
+            }
+        })
     }
 
     /// A dense (no-op) mask for the layer.
     #[must_use]
     pub fn dense(layer: &ConvLayer) -> Self {
-        Self::from_pruned(layer, Vec::new)
+        Self::from_pruned(layer, |_| {})
     }
 
-    /// Builds the mask filter by filter; `pruned` yields the pruned
-    /// weight indices of the next filter.
-    fn from_pruned(layer: &ConvLayer, mut pruned: impl FnMut() -> Vec<usize>) -> Self {
+    /// Builds the mask filter by filter; `prune` clears the pruned
+    /// weights' bits in the next filter's words, which start all set.
+    fn from_pruned(layer: &ConvLayer, mut prune: impl FnMut(&mut [u64])) -> Self {
         let volume = layer.filter_volume();
         assert!(
             u32::try_from(volume).is_ok(),
@@ -98,9 +109,7 @@ impl WeightMask {
                 }
             }));
             let filter = &mut bits[first..];
-            for j in pruned() {
-                filter[j / 64] &= !(1u64 << (j % 64));
-            }
+            prune(filter);
             let mut kept = 0u32;
             prefix.push(0);
             for c in 0..layer.in_channels {
@@ -305,6 +314,62 @@ mod tests {
             }
             assert_eq!(masks[0].total_nonzeros(), 5 * 7 * rs);
             assert_eq!(masks[4].total_nonzeros(), 0);
+        }
+    }
+
+    #[test]
+    fn generate_prunes_what_choose_indices_chooses() {
+        // Filter volumes below, at and across 64-bit word boundaries.
+        let shapes = [
+            (1, 63),
+            (1, 64),
+            (1, 65),
+            (1, 128),
+            (3, 7),
+            (3, 8),
+            (5, 2),
+            (5, 3),
+        ];
+        for (kernel, channels) in shapes {
+            let l = ConvLayer::new("w", channels, 5, 5, 2, kernel, kernel, 1, 0);
+            let volume = l.filter_volume();
+            let rs = kernel * kernel;
+            for zero_fraction in [0.0, 0.1, 0.5, 0.6, 0.99, 1.0] {
+                let seed = (volume * 100) as u64 + (zero_fraction * 100.0) as u64;
+                let case = format!(
+                    "{volume} weights ({kernel}x{kernel}), {zero_fraction} zeros, seed {seed}"
+                );
+                let (mut ours, mut theirs) = (SimRng::seed(seed), SimRng::seed(seed));
+                let mask = WeightMask::generate(&l, zero_fraction, &mut ours);
+                let zeros = ((zero_fraction * volume as f64).round() as usize).min(volume);
+                for k in 0..l.out_channels {
+                    let mut kept = vec![true; volume];
+                    for j in theirs.choose_indices(volume, zeros) {
+                        kept[j] = false;
+                    }
+                    for (j, &want) in kept.iter().enumerate() {
+                        assert_eq!(mask.is_kept(k, j), want, "{case}: filter {k}, weight {j}");
+                    }
+                    for c in 0..channels {
+                        let want = kept[c * rs..(c + 1) * rs].iter().filter(|&&b| b).count();
+                        assert_eq!(
+                            mask.kept_in_channels(k, c, c + 1),
+                            want,
+                            "{case}: filter {k}, channel {c}"
+                        );
+                    }
+                    assert_eq!(
+                        mask.nonzeros_per_filter()[k],
+                        volume - zeros,
+                        "{case}: filter {k}"
+                    );
+                }
+                assert_eq!(
+                    ours.next_below(1 << 30),
+                    theirs.next_below(1 << 30),
+                    "{case}: the next draw after the mask differs"
+                );
+            }
         }
     }
 

@@ -8,14 +8,17 @@
 //! so each VN's partial sums reduce without interfering — the
 //! VN-construction algorithm of Section 4.1.
 //!
-//! [`ArtConfig::build`] runs that algorithm. It produces, per VN, an
-//! ordered operation list that can be *replayed on real values*
-//! ([`ArtConfig::reduce`]), plus structural bookkeeping: the mode of
-//! every adder switch, which FLs were activated in which direction, and
-//! the per-link flow load. The flow load against the chubby capacity
-//! profile yields [`ArtConfig::throughput_slowdown`] — 1.0 means fully
-//! non-blocking (Property 2); thinner links (e.g. the 0.25x
-//! configuration of Figure 13) yield a proportional slowdown.
+//! The algorithm is one walk, a reusable pass that clears and refills
+//! its own buffers for each partition. [`ArtConfig::build`] runs it
+//! once and keeps what it produced: per VN, an ordered operation list
+//! that can be *replayed on real values* ([`ArtConfig::reduce`]), plus
+//! structural bookkeeping: the mode of every adder switch, which FLs
+//! were activated in which direction, and the per-link flow load. The
+//! flow load against the chubby capacity profile yields
+//! [`ArtConfig::throughput_slowdown`] — 1.0 means fully non-blocking
+//! (Property 2); thinner links (e.g. the 0.25x configuration of
+//! Figure 13) yield a proportional slowdown. The sparse mapper keeps
+//! one walk for all its groups and reads only that slowdown.
 //!
 //! A partition the walk cannot build comes back as an [`ArtError`]
 //! naming the first conflict and the VNs behind it. This walk is the
@@ -238,7 +241,10 @@ pub struct ArtConfig {
     tree: BinaryTree,
     chubby: ChubbyTree,
     vns: Vec<VnRange>,
-    ops: Vec<Vec<Op>>,
+    /// Every VN's reduction steps, VN after VN; VN `i`'s steps end at
+    /// `op_ends[i]`.
+    ops: Vec<Op>,
+    op_ends: Vec<usize>,
     output_nodes: Vec<NodeId>,
     node_uses: Vec<NodeUse>,
     fl_activations: Vec<FlActivation>,
@@ -281,255 +287,28 @@ impl ArtConfig {
         vns: &[VnRange],
         faults: Option<&FaultPlan>,
     ) -> Result<Self, ArtError> {
-        let tree = *chubby.tree();
-        let leaves = tree.num_leaves();
-        if let Some(plan) = faults {
-            debug_assert_eq!(plan.num_leaves(), leaves, "fault plan / tree mismatch");
-        }
-        // Validate: in range, pairwise disjoint, and on healthy leaves.
-        let mut sorted: Vec<(usize, &VnRange)> = vns.iter().enumerate().collect();
-        sorted.sort_by_key(|(_, r)| r.start);
-        let mut prev: Option<(usize, usize)> = None;
-        for &(vn, range) in &sorted {
-            if range.end() > leaves {
-                return Err(ArtError::OutOfRange {
-                    vn,
-                    start: range.start,
-                    end: range.end(),
-                    leaves,
-                });
-            }
-            if let Some((first_vn, prev_end)) = prev {
-                if range.start < prev_end {
-                    return Err(ArtError::Overlap {
-                        first_vn,
-                        second_vn: vn,
-                        leaf: range.start,
-                    });
-                }
-            }
-            prev = Some((vn, range.end()));
-            if let Some(plan) = faults {
-                if let Some(leaf) = (range.start..range.end()).find(|&l| plan.is_leaf_dead(l)) {
-                    return Err(ArtError::DeadLeaf { vn, leaf });
-                }
-            }
-        }
-
-        let mut config = ArtConfig {
+        let mut walk = ArtWalk::new(*chubby.tree());
+        walk.run(vns, faults)?;
+        let ArtWalk {
+            tree,
+            ops,
+            op_ends,
+            output_nodes,
+            node_uses,
+            fl_activations,
+            edge_loads,
+            ..
+        } = walk;
+        Ok(ArtConfig {
             tree,
             chubby,
             vns: vns.to_vec(),
-            ops: Vec::with_capacity(vns.len()),
-            output_nodes: Vec::with_capacity(vns.len()),
-            node_uses: vec![NodeUse::default(); tree.num_internal()],
-            fl_activations: Vec::new(),
-            edge_loads: vec![0; tree.num_nodes()],
-        };
-        for (vn_idx, range) in vns.iter().enumerate() {
-            config.construct_vn(vn_idx, range, faults);
-        }
-        config.check_link_exclusivity()?;
-        Ok(config)
-    }
-
-    /// The VN-construction walk for one range (Section 4.1): fragments
-    /// rise level by level; lone fragments prefer an active forwarding
-    /// link toward the VN interior over climbing through an otherwise
-    /// idle parent.
-    fn construct_vn(&mut self, vn_idx: usize, range: &VnRange, faults: Option<&FaultPlan>) {
-        let leaf_level = self.tree.levels() - 1;
-        let mut ops = Vec::new();
-        // Fragment positions at the current level.
-        let mut frags: Vec<usize> = (range.start..range.end()).collect();
-        let mut level = leaf_level;
-        while frags.len() > 1 {
-            debug_assert!(level > 0, "multiple fragments cannot reach the root");
-            // Lateral resolution: only internal levels have FLs.
-            if level < leaf_level {
-                frags = self.resolve_laterals(vn_idx, level, &frags, faults, &mut ops);
-            }
-            // Pair fragments up to their parents.
-            let mut next: Vec<usize> = Vec::with_capacity(frags.len() / 2 + 1);
-            let mut i = 0;
-            while i < frags.len() {
-                let pos = frags[i];
-                let sibling = pos ^ 1;
-                let parent_pos = pos / 2;
-                let parent = self.tree.node_at(level - 1, parent_pos);
-                if i + 1 < frags.len() && frags[i + 1] == sibling {
-                    // Both children present: 2:1 add at the parent.
-                    let a = self.tree.node_at(level, pos);
-                    let b = self.tree.node_at(level, sibling);
-                    ops.push(Op::Combine {
-                        node: parent,
-                        children: [a, b],
-                    });
-                    self.node_uses[parent].addends += 2;
-                    self.edge_loads[a] += 1;
-                    self.edge_loads[b] += 1;
-                    i += 2;
-                } else {
-                    // Lone fragment: pass through the parent.
-                    let from = self.tree.node_at(level, pos);
-                    ops.push(Op::Up { from, to: parent });
-                    self.node_uses[parent].passes += 1;
-                    self.edge_loads[from] += 1;
-                    i += 1;
-                }
-                next.push(parent_pos);
-            }
-            frags = next;
-            level -= 1;
-        }
-        // Single fragment left: the VN output. Collection from here to
-        // the root rides the chubby links; record the loads.
-        let out_pos = frags[0];
-        let output_node = self.tree.node_at(level, out_pos);
-        let mut node = output_node;
-        while let Some(parent) = self.tree.parent(node) {
-            self.edge_loads[node] += 1;
-            self.node_uses[parent].passes += 1;
-            node = parent;
-        }
-        self.ops.push(ops);
-        self.output_nodes.push(output_node);
-    }
-
-    /// Applies the Step 1/Step 2 forwarding-link rules among the lone
-    /// fragments at one level, returning the surviving fragments.
-    /// `frags` holds the fragment positions in ascending order.
-    fn resolve_laterals(
-        &mut self,
-        vn_idx: usize,
-        level: usize,
-        frags: &[usize],
-        faults: Option<&FaultPlan>,
-        ops: &mut Vec<Op>,
-    ) -> Vec<usize> {
-        debug_assert!(frags.windows(2).all(|w| w[0] < w[1]));
-        let index_of = |pos: usize| frags.binary_search(&pos).ok();
-        let is_lone = |pos: usize| index_of(pos ^ 1).is_none();
-        // The FL partner of `pos`: links exist between (odd, odd + 1).
-        let fl_partner = |pos: usize| -> Option<usize> {
-            if pos % 2 == 1 {
-                let p = pos + 1;
-                (p < self.tree.nodes_at_level(level)).then_some(p)
-            } else {
-                pos.checked_sub(1)
-            }
-        };
-        // `removed[i]`: fragment `frags[i]` merged laterally into its
-        // partner at this level (only ever set for the fragment being
-        // visited, so a visited fragment is never already removed).
-        let mut removed = vec![false; frags.len()];
-        for (i, &pos) in frags.iter().enumerate() {
-            if !is_lone(pos) {
-                continue;
-            }
-            let Some(partner) = fl_partner(pos) else {
-                continue;
-            };
-            if index_of(partner).is_none_or(|j| removed[j]) {
-                continue;
-            }
-            // Step 1: direction from the smaller span to the larger.
-            // Span = fragments on each side of the FL boundary.
-            let boundary = pos.min(partner);
-            // A severed link is never activated: the fragment climbs
-            // through its parent instead (graceful degradation).
-            if faults.is_some_and(|plan| plan.is_fl_dead(level, boundary)) {
-                continue;
-            }
-            let live = || frags.iter().zip(&removed).filter(|&(_, &r)| !r);
-            let left_span = live().filter(|&(&p, _)| p <= boundary).count();
-            let right_span = live().filter(|&(&p, _)| p > boundary).count();
-            let (from, to) = if (pos < partner && left_span <= right_span)
-                || (pos > partner && right_span <= left_span)
-            {
-                (pos, partner)
-            } else {
-                // Step 2: the partner side would need its parent anyway;
-                // keep this fragment climbing instead.
-                continue;
-            };
-            // Only merge if the receiver keeps an addend slot free
-            // (at most 3:1) and neither endpoint already uses its FL.
-            let from_node = self.tree.node_at(level, from);
-            let to_node = self.tree.node_at(level, to);
-            if self.node_uses[to_node].addends >= 3
-                || self.node_uses[to_node].lateral_in
-                || self.node_uses[from_node].lateral_out
-            {
-                continue;
-            }
-            ops.push(Op::Lateral {
-                from: from_node,
-                to: to_node,
-            });
-            self.fl_activations.push(FlActivation {
-                level,
-                from: from_node,
-                to: to_node,
-                vn: vn_idx,
-            });
-            self.node_uses[from_node].lateral_out = true;
-            let to_use = &mut self.node_uses[to_node];
-            to_use.lateral_in = true;
-            // The receiver's adder absorbs one extra addend; if it was
-            // a pure passthrough it becomes a 2:1 add (child + lateral).
-            if to_use.addends == 0 {
-                to_use.addends = 2;
-                to_use.passes = to_use.passes.saturating_sub(1);
-            } else {
-                to_use.addends += 1;
-            }
-            removed[i] = true;
-        }
-        frags
-            .iter()
-            .zip(&removed)
-            .filter_map(|(&p, &r)| (!r).then_some(p))
-            .collect()
-    }
-
-    /// Verifies that no forwarding link is claimed twice and no adder
-    /// switch exceeds its port budget, naming the VNs behind the first
-    /// conflict.
-    fn check_link_exclusivity(&self) -> Result<(), ArtError> {
-        let mut claims = BTreeMap::new();
-        for fl in &self.fl_activations {
-            let key = (fl.from.min(fl.to), fl.from.max(fl.to));
-            if let Some(first_vn) = claims.insert(key, fl.vn) {
-                return Err(ArtError::LinkClaimedTwice {
-                    level: fl.level,
-                    from: fl.from,
-                    to: fl.to,
-                    first_vn,
-                    second_vn: fl.vn,
-                });
-            }
-        }
-        let Some(node) = self.node_uses.iter().position(|u| u.addends > 3) else {
-            return Ok(());
-        };
-        // Claimants in construction order: VNs that combine at the
-        // adder or send a lateral into it.
-        let mut claimants = self.ops.iter().enumerate().filter_map(|(vn, ops)| {
-            ops.iter()
-                .any(|op| match *op {
-                    Op::Combine { node: n, .. } | Op::Lateral { to: n, .. } => n == node,
-                    Op::Up { .. } => false,
-                })
-                .then_some(vn)
-        });
-        let first_vn = claimants.next().unwrap_or(0);
-        Err(ArtError::AdderOverloaded {
-            level: self.tree.level_of(node),
-            node,
-            addends: usize::from(self.node_uses[node].addends),
-            first_vn,
-            second_vn: claimants.next_back().unwrap_or(first_vn),
+            ops,
+            op_ends,
+            output_nodes,
+            node_uses,
+            fl_activations,
+            edge_loads,
         })
     }
 
@@ -615,32 +394,17 @@ impl ArtConfig {
     /// the root port. `1.0` means fully non-blocking.
     #[must_use]
     pub fn throughput_slowdown(&self) -> f64 {
-        let mut worst: f64 = 1.0;
-        for (child, &load) in self.edge_loads.iter().enumerate() {
-            if load == 0 {
-                continue;
-            }
-            let level = self.tree.level_of(child);
-            let capacity = self.chubby.link_bandwidth(level) as f64;
-            worst = worst.max(load as f64 / capacity);
-        }
-        // Root port: every VN output leaves through the root.
-        let root_load = self.vns.len() as f64;
-        worst = worst.max(root_load / self.chubby.root_bandwidth() as f64);
-        worst
+        collection_slowdown(&self.chubby, &self.edge_loads, self.vns.len())
     }
 
     /// Worst flow count on one up-link of each level, indexed by level:
     /// entry 0 is the root port, which carries one output per VN.
     #[must_use]
     pub fn worst_link_loads(&self) -> Vec<u64> {
-        let mut worst = vec![0; self.tree.levels()];
-        worst[0] = self.vns.len() as u64;
-        for (child, &load) in self.edge_loads.iter().enumerate().skip(1) {
-            let level = self.tree.level_of(child);
-            worst[level] = worst[level].max(u64::from(load));
-        }
-        worst
+        let links = level_worst_loads(self.tree, &self.edge_loads).map(|(_, l)| u64::from(l));
+        std::iter::once(self.vns.len() as u64)
+            .chain(links)
+            .collect()
     }
 
     /// Replays the configuration on multiplier outputs, returning one
@@ -672,7 +436,7 @@ impl ArtConfig {
             "expected one value per multiplier switch"
         );
         let mut outputs = Vec::with_capacity(self.vns.len());
-        for (vn_idx, ops) in self.ops.iter().enumerate() {
+        for (vn_idx, ops) in ops_per_vn(&self.ops, &self.op_ends).enumerate() {
             let mut held: BTreeMap<NodeId, f32> = BTreeMap::new();
             let range = self.vns[vn_idx];
             for (leaf, &value) in leaf_values
@@ -726,6 +490,358 @@ impl ArtConfig {
         }
         outputs
     }
+}
+
+/// The VN-construction walk (Section 4.1) over one tree, as a reusable
+/// pass: each [`Self::run`] clears and refills the same buffers, so
+/// configuring many partitions allocates only while the buffers grow.
+/// [`ArtConfig::build_with_faults`] is one fresh run whose result
+/// buffers the config keeps; the sparse mapper keeps one walk for all
+/// the groups of a run.
+#[derive(Debug)]
+pub(crate) struct ArtWalk {
+    tree: BinaryTree,
+    // Results, as `ArtConfig` keeps them.
+    ops: Vec<Op>,
+    op_ends: Vec<usize>,
+    output_nodes: Vec<NodeId>,
+    node_uses: Vec<NodeUse>,
+    fl_activations: Vec<FlActivation>,
+    edge_loads: Vec<u32>,
+    // Scratch.
+    /// VN indices in ascending start order.
+    by_start: Vec<usize>,
+    /// Fragment positions at the current level, ascending.
+    frags: Vec<usize>,
+    /// Parent positions of `frags`, built while pairing.
+    next: Vec<usize>,
+    /// `removed[i]`: fragment `frags[i]` merged laterally into its
+    /// partner at this level (only ever set for the fragment being
+    /// visited, so a visited fragment is never already removed).
+    removed: Vec<bool>,
+}
+
+impl ArtWalk {
+    /// A walk over `tree` that has not run yet.
+    pub(crate) fn new(tree: BinaryTree) -> Self {
+        ArtWalk {
+            tree,
+            ops: Vec::new(),
+            op_ends: Vec::new(),
+            output_nodes: Vec::new(),
+            node_uses: Vec::new(),
+            fl_activations: Vec::new(),
+            edge_loads: Vec::new(),
+            by_start: Vec::new(),
+            frags: Vec::new(),
+            next: Vec::new(),
+            removed: Vec::new(),
+        }
+    }
+
+    /// Builds `vns`, replacing everything the previous run left,
+    /// including the partial state of a run that failed.
+    ///
+    /// # Errors
+    ///
+    /// As [`ArtConfig::build_with_faults`].
+    pub(crate) fn run(
+        &mut self,
+        vns: &[VnRange],
+        faults: Option<&FaultPlan>,
+    ) -> Result<(), ArtError> {
+        self.ops.clear();
+        self.op_ends.clear();
+        self.output_nodes.clear();
+        self.fl_activations.clear();
+        self.node_uses.clear();
+        self.node_uses
+            .resize(self.tree.num_internal(), NodeUse::default());
+        self.edge_loads.clear();
+        self.edge_loads.resize(self.tree.num_nodes(), 0);
+        self.validate(vns, faults)?;
+        for (vn_idx, &range) in vns.iter().enumerate() {
+            self.construct_vn(vn_idx, range, faults);
+        }
+        self.check_link_exclusivity()
+    }
+
+    /// [`ArtConfig::throughput_slowdown`] of the last run, which must
+    /// have succeeded, under the collection profile `chubby`.
+    pub(crate) fn throughput_slowdown(&self, chubby: &ChubbyTree) -> f64 {
+        debug_assert_eq!(*chubby.tree(), self.tree, "chubby tree / walk mismatch");
+        collection_slowdown(chubby, &self.edge_loads, self.output_nodes.len())
+    }
+
+    /// Checks that every range is in range, pairwise disjoint and on
+    /// healthy leaves, in ascending start order.
+    fn validate(&mut self, vns: &[VnRange], faults: Option<&FaultPlan>) -> Result<(), ArtError> {
+        let leaves = self.tree.num_leaves();
+        if let Some(plan) = faults {
+            debug_assert_eq!(plan.num_leaves(), leaves, "fault plan / tree mismatch");
+        }
+        self.by_start.clear();
+        self.by_start.extend(0..vns.len());
+        self.by_start.sort_by_key(|&vn| vns[vn].start);
+        let mut prev: Option<(usize, usize)> = None;
+        for &vn in &self.by_start {
+            let range = vns[vn];
+            if range.end() > leaves {
+                return Err(ArtError::OutOfRange {
+                    vn,
+                    start: range.start,
+                    end: range.end(),
+                    leaves,
+                });
+            }
+            if let Some((first_vn, prev_end)) = prev {
+                if range.start < prev_end {
+                    return Err(ArtError::Overlap {
+                        first_vn,
+                        second_vn: vn,
+                        leaf: range.start,
+                    });
+                }
+            }
+            prev = Some((vn, range.end()));
+            if let Some(plan) = faults {
+                if let Some(leaf) = (range.start..range.end()).find(|&l| plan.is_leaf_dead(l)) {
+                    return Err(ArtError::DeadLeaf { vn, leaf });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The VN-construction walk for one range (Section 4.1): fragments
+    /// rise level by level; lone fragments prefer an active forwarding
+    /// link toward the VN interior over climbing through an otherwise
+    /// idle parent.
+    fn construct_vn(&mut self, vn_idx: usize, range: VnRange, faults: Option<&FaultPlan>) {
+        let tree = self.tree;
+        let leaf_level = tree.levels() - 1;
+        self.frags.clear();
+        self.frags.extend(range.start..range.end());
+        let mut level = leaf_level;
+        while self.frags.len() > 1 {
+            debug_assert!(level > 0, "multiple fragments cannot reach the root");
+            // Lateral resolution: only internal levels have FLs.
+            if level < leaf_level {
+                self.resolve_laterals(vn_idx, level, faults);
+            }
+            // Pair fragments up to their parents.
+            self.next.clear();
+            let mut i = 0;
+            while i < self.frags.len() {
+                let pos = self.frags[i];
+                let sibling = pos ^ 1;
+                let parent_pos = pos / 2;
+                let parent = tree.node_at(level - 1, parent_pos);
+                if i + 1 < self.frags.len() && self.frags[i + 1] == sibling {
+                    // Both children present: 2:1 add at the parent.
+                    let a = tree.node_at(level, pos);
+                    let b = tree.node_at(level, sibling);
+                    self.ops.push(Op::Combine {
+                        node: parent,
+                        children: [a, b],
+                    });
+                    self.node_uses[parent].addends += 2;
+                    self.edge_loads[a] += 1;
+                    self.edge_loads[b] += 1;
+                    i += 2;
+                } else {
+                    // Lone fragment: pass through the parent.
+                    let from = tree.node_at(level, pos);
+                    self.ops.push(Op::Up { from, to: parent });
+                    self.node_uses[parent].passes += 1;
+                    self.edge_loads[from] += 1;
+                    i += 1;
+                }
+                self.next.push(parent_pos);
+            }
+            std::mem::swap(&mut self.frags, &mut self.next);
+            level -= 1;
+        }
+        // Single fragment left: the VN output. Collection from here to
+        // the root rides the chubby links; record the loads.
+        let output_node = tree.node_at(level, self.frags[0]);
+        let mut node = output_node;
+        while let Some(parent) = tree.parent(node) {
+            self.edge_loads[node] += 1;
+            self.node_uses[parent].passes += 1;
+            node = parent;
+        }
+        self.op_ends.push(self.ops.len());
+        self.output_nodes.push(output_node);
+    }
+
+    /// Applies the Step 1/Step 2 forwarding-link rules among the lone
+    /// fragments at one level, leaving the surviving fragments in
+    /// `frags`, which holds the fragment positions in ascending order.
+    fn resolve_laterals(&mut self, vn_idx: usize, level: usize, faults: Option<&FaultPlan>) {
+        let tree = self.tree;
+        let frags = &self.frags;
+        debug_assert!(frags.windows(2).all(|w| w[0] < w[1]));
+        let index_of = |pos: usize| frags.binary_search(&pos).ok();
+        let is_lone = |pos: usize| index_of(pos ^ 1).is_none();
+        // The FL partner of `pos`: links exist between (odd, odd + 1).
+        let fl_partner = |pos: usize| -> Option<usize> {
+            if pos % 2 == 1 {
+                let p = pos + 1;
+                (p < tree.nodes_at_level(level)).then_some(p)
+            } else {
+                pos.checked_sub(1)
+            }
+        };
+        let removed = &mut self.removed;
+        removed.clear();
+        removed.resize(frags.len(), false);
+        for (i, &pos) in frags.iter().enumerate() {
+            if !is_lone(pos) {
+                continue;
+            }
+            let Some(partner) = fl_partner(pos) else {
+                continue;
+            };
+            if index_of(partner).is_none_or(|j| removed[j]) {
+                continue;
+            }
+            // Step 1: direction from the smaller span to the larger.
+            // Span = fragments on each side of the FL boundary.
+            let boundary = pos.min(partner);
+            // A severed link is never activated: the fragment climbs
+            // through its parent instead (graceful degradation).
+            if faults.is_some_and(|plan| plan.is_fl_dead(level, boundary)) {
+                continue;
+            }
+            let live = || frags.iter().zip(removed.iter()).filter(|&(_, &r)| !r);
+            let left_span = live().filter(|&(&p, _)| p <= boundary).count();
+            let right_span = live().filter(|&(&p, _)| p > boundary).count();
+            let (from, to) = if (pos < partner && left_span <= right_span)
+                || (pos > partner && right_span <= left_span)
+            {
+                (pos, partner)
+            } else {
+                // Step 2: the partner side would need its parent anyway;
+                // keep this fragment climbing instead.
+                continue;
+            };
+            // Only merge if the receiver keeps an addend slot free
+            // (at most 3:1) and neither endpoint already uses its FL.
+            let from_node = tree.node_at(level, from);
+            let to_node = tree.node_at(level, to);
+            if self.node_uses[to_node].addends >= 3
+                || self.node_uses[to_node].lateral_in
+                || self.node_uses[from_node].lateral_out
+            {
+                continue;
+            }
+            self.ops.push(Op::Lateral {
+                from: from_node,
+                to: to_node,
+            });
+            self.fl_activations.push(FlActivation {
+                level,
+                from: from_node,
+                to: to_node,
+                vn: vn_idx,
+            });
+            self.node_uses[from_node].lateral_out = true;
+            let to_use = &mut self.node_uses[to_node];
+            to_use.lateral_in = true;
+            // The receiver's adder absorbs one extra addend; if it was
+            // a pure passthrough it becomes a 2:1 add (child + lateral).
+            if to_use.addends == 0 {
+                to_use.addends = 2;
+                to_use.passes = to_use.passes.saturating_sub(1);
+            } else {
+                to_use.addends += 1;
+            }
+            removed[i] = true;
+        }
+        let mut removed = self.removed.iter();
+        self.frags.retain(|_| removed.next().is_some_and(|&r| !r));
+    }
+
+    /// Verifies that no forwarding link is claimed twice and no adder
+    /// switch exceeds its port budget, naming the VNs behind the first
+    /// conflict.
+    fn check_link_exclusivity(&self) -> Result<(), ArtError> {
+        let link = |fl: &FlActivation| (fl.from.min(fl.to), fl.from.max(fl.to));
+        for (k, fl) in self.fl_activations.iter().enumerate() {
+            let earlier = &self.fl_activations[..k];
+            if let Some(first) = earlier.iter().find(|e| link(e) == link(fl)) {
+                return Err(ArtError::LinkClaimedTwice {
+                    level: fl.level,
+                    from: fl.from,
+                    to: fl.to,
+                    first_vn: first.vn,
+                    second_vn: fl.vn,
+                });
+            }
+        }
+        let Some(node) = self.node_uses.iter().position(|u| u.addends > 3) else {
+            return Ok(());
+        };
+        // Claimants in construction order: VNs that combine at the
+        // adder or send a lateral into it.
+        let claims = |ops: &[Op]| {
+            ops.iter().any(|op| match *op {
+                Op::Combine { node: n, .. } | Op::Lateral { to: n, .. } => n == node,
+                Op::Up { .. } => false,
+            })
+        };
+        let mut claimants = ops_per_vn(&self.ops, &self.op_ends)
+            .enumerate()
+            .filter_map(|(vn, ops)| claims(ops).then_some(vn));
+        let first_vn = claimants.next().unwrap_or(0);
+        Err(ArtError::AdderOverloaded {
+            level: self.tree.level_of(node),
+            node,
+            addends: usize::from(self.node_uses[node].addends),
+            first_vn,
+            second_vn: claimants.last().unwrap_or(first_vn),
+        })
+    }
+}
+
+/// Each VN's reduction steps, in VN order, from the flat `ops` and the
+/// per-VN ends.
+fn ops_per_vn<'a>(ops: &'a [Op], op_ends: &'a [usize]) -> impl Iterator<Item = &'a [Op]> {
+    op_ends.iter().scan(0, move |start, &end| {
+        let vn_ops = &ops[*start..end];
+        *start = end;
+        Some(vn_ops)
+    })
+}
+
+/// The worst flow count on one up-link of each level below the root,
+/// as `(level, load)` from level 1 down. Nodes are numbered level by
+/// level, so each level's links are one slice of `edge_loads`.
+fn level_worst_loads(
+    tree: BinaryTree,
+    edge_loads: &[u32],
+) -> impl Iterator<Item = (usize, u32)> + '_ {
+    (1..tree.levels()).map(move |level| {
+        let first = tree.node_at(level, 0);
+        let links = &edge_loads[first..first + tree.nodes_at_level(level)];
+        (level, links.iter().copied().max().unwrap_or(0))
+    })
+}
+
+/// The steady-state slowdown of a walk's flows: the worst load over
+/// capacity of any up-link, or of the root port, which carries one
+/// output per VN, and at least 1.0. Capacity is uniform within a
+/// level and correctly rounded division is monotone, so dividing each
+/// level's worst load once gives the bits a division per link would.
+fn collection_slowdown(chubby: &ChubbyTree, edge_loads: &[u32], vns: usize) -> f64 {
+    let mut worst: f64 = 1.0;
+    for (level, load) in level_worst_loads(*chubby.tree(), edge_loads) {
+        if load > 0 {
+            worst = worst.max(f64::from(load) / chubby.link_bandwidth(level) as f64);
+        }
+    }
+    worst.max(vns as f64 / chubby.root_bandwidth() as f64)
 }
 
 /// Packs VNs of the given sizes left to right over `leaves` leaves,
@@ -825,6 +941,7 @@ impl<'a> SpanCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maeri_sim::SimRng;
 
     fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
         ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
@@ -1072,6 +1189,149 @@ mod tests {
         let values = leaf_values(16);
         let sums = cfg.reduce(&values);
         assert!((sums[0] - direct_sum(&range, &values)).abs() < 1e-3);
+    }
+
+    /// The slowdown as one float division per loaded up-link.
+    fn per_link_slowdown(chubby: &ChubbyTree, edge_loads: &[u32], vns: usize) -> f64 {
+        let mut worst: f64 = 1.0;
+        for (child, &load) in edge_loads.iter().enumerate() {
+            if load > 0 {
+                let capacity = chubby.link_bandwidth(chubby.tree().level_of(child)) as f64;
+                worst = worst.max(f64::from(load) / capacity);
+            }
+        }
+        worst.max(vns as f64 / chubby.root_bandwidth() as f64)
+    }
+
+    /// Runs `vns` on the reused `walk` and checks its outcome against a
+    /// fresh build: the same error, or the same walk results and the
+    /// same slowdown bits, which also equal a division per link. `case`
+    /// names the case index and the drawn fabric.
+    fn check_reused_walk(
+        case: &str,
+        walk: &mut ArtWalk,
+        chubby: ChubbyTree,
+        vns: &[VnRange],
+        faults: Option<&FaultPlan>,
+    ) -> Result<(), ArtError> {
+        let got = walk.run(vns, faults);
+        match (&got, ArtConfig::build_with_faults(chubby, vns, faults)) {
+            (Err(err), Err(want)) => assert_eq!(*err, want, "{case}: {vns:?}"),
+            (Ok(()), Ok(cfg)) => {
+                assert_eq!(walk.edge_loads, cfg.edge_loads, "{case}: {vns:?}");
+                assert_eq!(walk.node_uses, cfg.node_uses, "{case}: {vns:?}");
+                assert_eq!(walk.ops, cfg.ops, "{case}: {vns:?}");
+                assert_eq!(walk.op_ends, cfg.op_ends, "{case}: {vns:?}");
+                assert_eq!(walk.output_nodes, cfg.output_nodes, "{case}: {vns:?}");
+                assert_eq!(walk.fl_activations, cfg.fl_activations, "{case}: {vns:?}");
+                let slowdown = walk.throughput_slowdown(&chubby).to_bits();
+                assert_eq!(
+                    slowdown,
+                    cfg.throughput_slowdown().to_bits(),
+                    "{case}: {vns:?}"
+                );
+                let per_link = per_link_slowdown(&chubby, &cfg.edge_loads, vns.len());
+                assert_eq!(slowdown, per_link.to_bits(), "{case}: {vns:?}");
+            }
+            (got, fresh) => {
+                panic!("{case}: reused walk {got:?}, fresh build {fresh:?} for {vns:?}")
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn a_reused_walk_equals_fresh_builds() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let sizes = [16, 32, 64];
+        let mut walks = sizes.map(|leaves| ArtWalk::new(BinaryTree::with_leaves(leaves).unwrap()));
+
+        // The smallest severed-link counterexample of
+        // `crates/verify/tests/differential.rs` fails mid-walk; the
+        // healthy build after it must not see its partial state.
+        let severed = FaultPlan::materialize(FaultSpec::new(2).dead_forwarding_links(250), 16);
+        let vns = [VnRange::new(0, 2), VnRange::new(2, 7), VnRange::new(9, 7)];
+        let overloaded = ArtError::AdderOverloaded {
+            level: 2,
+            node: 5,
+            addends: 4,
+            first_vn: 1,
+            second_vn: 2,
+        };
+        let case = "case 0: 16 leaves, bw 8, severed links (seed 2, 250 permille)";
+        let err = check_reused_walk(case, &mut walks[0], chubby(16, 8), &vns, Some(&severed));
+        assert_eq!(err, Err(overloaded), "{case}");
+        let case = "case 1: 16 leaves, bw 8, healthy";
+        let ok = check_reused_walk(case, &mut walks[0], chubby(16, 8), &vns, None);
+        assert_eq!(ok, Ok(()), "{case}");
+
+        let mut rng = SimRng::seed(24);
+        // Outcomes: built, out of range, overlap, dead leaf, overloaded,
+        // link claimed twice. Two VNs cannot both hold fragments at
+        // both ends of one link (their leaves would overlap), so the
+        // last never occurs.
+        let mut seen = [0usize; 6];
+        for case in 2..2000 {
+            let which = rng.next_below(sizes.len());
+            let leaves = sizes[which];
+            let bw = 1 << rng.next_below(leaves.trailing_zeros() as usize + 1);
+            let seed = rng.next_below(1 << 16) as u64;
+            let spec = match rng.next_below(3) {
+                0 => None,
+                1 => Some(FaultSpec::new(seed).dead_multipliers(rng.next_below(401) as u16)),
+                _ => Some(
+                    FaultSpec::new(seed).dead_forwarding_links(120 + rng.next_below(381) as u16),
+                ),
+            };
+            let plan = spec.map(|spec| FaultPlan::materialize(spec, leaves));
+            let spans = plan
+                .as_ref()
+                .map_or_else(|| vec![VnRange::new(0, leaves)], FaultPlan::healthy_spans);
+            let draws: Vec<usize> = (0..=rng.next_below(leaves))
+                .map(|_| 1 + rng.next_below(9))
+                .collect();
+            let (mut vns, _) = pack_vns_into_spans(&spans, &draws);
+            // Most partitions stay gapless packings; the rest gain an
+            // illegal VN: overlapping, out of range or on a dead leaf.
+            match rng.next_below(6) {
+                0 if !vns.is_empty() => {
+                    let host = vns[rng.next_below(vns.len())];
+                    let start = host.start + rng.next_below(host.len);
+                    vns.push(VnRange::new(start, 1 + rng.next_below(4)));
+                }
+                1 => {
+                    let start = leaves - rng.next_below(3);
+                    vns.push(VnRange::new(start, leaves - start + 1 + rng.next_below(3)));
+                }
+                2 => {
+                    let dead: Vec<usize> =
+                        plan.iter().flat_map(|p| p.dead_leaves().clone()).collect();
+                    if !dead.is_empty() {
+                        vns.push(VnRange::new(dead[rng.next_below(dead.len())], 1));
+                    }
+                }
+                _ => {}
+            }
+            if rng.next_bool(0.25) {
+                let len = vns.len();
+                rng.partial_shuffle(&mut vns, len);
+            }
+            let case = format!("case {case}: {leaves} leaves, bw {bw}, {spec:?}");
+            let chubby = chubby(leaves, bw);
+            let outcome = check_reused_walk(&case, &mut walks[which], chubby, &vns, plan.as_ref());
+            seen[match outcome {
+                Ok(()) => 0,
+                Err(ArtError::OutOfRange { .. }) => 1,
+                Err(ArtError::Overlap { .. }) => 2,
+                Err(ArtError::DeadLeaf { .. }) => 3,
+                Err(ArtError::AdderOverloaded { .. }) => 4,
+                Err(ArtError::LinkClaimedTwice { .. }) => 5,
+            }] += 1;
+        }
+        assert!(
+            seen[..5].iter().all(|&n| n >= 20),
+            "outcome counts {seen:?}"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
 use super::{knob_in_range, span_capacity, PlanError};
-use crate::art::{ArtConfig, SpanCursor};
+use crate::art::{ArtWalk, SpanCursor};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -139,7 +139,8 @@ impl SparseConvMapper {
     /// A group's ART slowdown depends only on its piece sizes (the
     /// ranges follow from the sizes and the healthy spans, and the
     /// chubby tree and fault plan are fixed for the run), so each
-    /// distinct size sequence configures the ART once per run.
+    /// distinct size sequence configures the ART at most once between
+    /// memo clears, all through one reused ART walk.
     ///
     /// # Errors
     ///
@@ -164,6 +165,7 @@ impl SparseConvMapper {
         );
         let chubby = self.cfg.collection_chubby();
         let fault_plan = self.cfg.fault_plan();
+        let mut walk = ArtWalk::new(*chubby.tree());
         // Oversized sparse VNs fold like dense ones; split them here so
         // packing sees mappable pieces (no piece may exceed the largest
         // healthy span). Each piece remembers its fold factor: a piece
@@ -218,8 +220,8 @@ impl SparseConvMapper {
             let slowdown = if let Some(&slowdown) = memo.get(key.as_slice()) {
                 slowdown
             } else {
-                let art = ArtConfig::build_with_faults(chubby, &ranges, fault_plan.as_ref())?;
-                let slowdown = art.throughput_slowdown();
+                walk.run(&ranges, fault_plan.as_ref())?;
+                let slowdown = walk.throughput_slowdown(&chubby);
                 if memo.len() >= SLOWDOWN_MEMO_CAP {
                     memo.clear();
                 }
@@ -270,7 +272,7 @@ impl SparseConvMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::art::pack_vns_into_spans;
+    use crate::art::{pack_vns_into_spans, ArtConfig};
     use crate::fault::FaultSpec;
     use maeri_sim::SimRng;
     use std::collections::BTreeSet;

@@ -66,16 +66,30 @@ impl SimRng {
     ///
     /// Panics if `count > len`.
     pub fn choose_indices(&mut self, len: usize, count: usize) -> Vec<usize> {
-        assert!(count <= len, "cannot choose {count} indices from {len}");
-        // Partial Fisher-Yates over an index vector.
         let mut pool: Vec<usize> = (0..len).collect();
+        self.partial_shuffle(&mut pool, count);
+        pool.truncate(count);
+        pool.sort_unstable();
+        pool
+    }
+
+    /// Moves `count` uniformly chosen entries of `pool` to its front, in
+    /// draw order (a partial Fisher-Yates shuffle), drawing exactly as
+    /// [`Self::choose_indices`] does. Over a pool holding `0..len` in
+    /// order, `pool[..count]` is then that call's choice before sorting,
+    /// so a caller drawing many sets can refill one pool instead of
+    /// allocating and sorting each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > pool.len()`.
+    pub fn partial_shuffle<T>(&mut self, pool: &mut [T], count: usize) {
+        let len = pool.len();
+        assert!(count <= len, "cannot choose {count} indices from {len}");
         for i in 0..count {
             let j = i + self.next_below(len - i);
             pool.swap(i, j);
         }
-        let mut chosen = pool[..count].to_vec();
-        chosen.sort_unstable();
-        chosen
     }
 }
 
@@ -131,6 +145,45 @@ mod tests {
             assert_eq!(picks.len(), 9);
             assert!(picks.windows(2).all(|w| w[0] < w[1]));
             assert!(picks.iter().all(|&i| i < 20));
+        }
+    }
+
+    /// `choose_indices` as it was before it shared
+    /// [`SimRng::partial_shuffle`]: its own pool, shuffle and sort.
+    fn choose_indices_reference(rng: &mut SimRng, len: usize, count: usize) -> Vec<usize> {
+        assert!(count <= len, "cannot choose {count} indices from {len}");
+        let mut pool: Vec<usize> = (0..len).collect();
+        for i in 0..count {
+            let j = i + rng.next_below(len - i);
+            pool.swap(i, j);
+        }
+        let mut chosen = pool[..count].to_vec();
+        chosen.sort_unstable();
+        chosen
+    }
+
+    #[test]
+    fn choose_indices_matches_its_reference() {
+        let mut cases = SimRng::seed(31);
+        for case in 0..300 {
+            let len = cases.next_below(80);
+            let count = match case % 3 {
+                0 => 0,
+                1 => len,
+                _ => cases.next_below(len + 1),
+            };
+            let seed = cases.next_below(1 << 20) as u64;
+            let (mut new, mut old) = (SimRng::seed(seed), SimRng::seed(seed));
+            assert_eq!(
+                new.choose_indices(len, count),
+                choose_indices_reference(&mut old, len, count),
+                "case {case}: len {len}, count {count}, seed {seed}"
+            );
+            assert_eq!(
+                new.next_below(1 << 30),
+                old.next_below(1 << 30),
+                "case {case}: len {len}, count {count}, seed {seed}: stream diverged"
+            );
         }
     }
 
