@@ -17,8 +17,11 @@
 //! flow load against the chubby capacity profile yields
 //! [`ArtConfig::throughput_slowdown`] — 1.0 means fully non-blocking
 //! (Property 2); thinner links (e.g. the 0.25x configuration of
-//! Figure 13) yield a proportional slowdown. The sparse mapper keeps
-//! one walk for all its groups and reads only that slowdown.
+//! Figure 13) yield a proportional slowdown. The sparse mapper reads
+//! only that slowdown, and for a group of disjoint VNs it sums what
+//! each VN loads when walked alone: the walk runs once per distinct VN
+//! range, and on a whole group only when the sums cannot rule out a
+//! conflict.
 //!
 //! A partition the walk cannot build comes back as an [`ArtError`]
 //! naming the first conflict and the VNs behind it. This walk is the
@@ -496,8 +499,9 @@ impl ArtConfig {
 /// pass: each [`Self::run`] clears and refills the same buffers, so
 /// configuring many partitions allocates only while the buffers grow.
 /// [`ArtConfig::build_with_faults`] is one fresh run whose result
-/// buffers the config keeps; the sparse mapper keeps one walk for all
-/// the groups of a run.
+/// buffers the config keeps; the sparse mapper's [`SoloLoads`] keeps one
+/// for a whole run, to walk each distinct VN range alone and a whole
+/// group only when the summed solo loads cannot rule out a conflict.
 #[derive(Debug)]
 pub(crate) struct ArtWalk {
     tree: BinaryTree,
@@ -802,6 +806,167 @@ impl ArtWalk {
             first_vn,
             second_vn: claimants.last().unwrap_or(first_vn),
         })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Group walks [`SoloLoads::group_slowdown`] fell back to on this
+    /// thread, and how many of them failed.
+    pub(crate) static FALLBACKS: std::cell::Cell<(usize, usize)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
+/// What each VN range loads when walked alone, for one tree and fault
+/// plan: the sparse mapper's per-run table. Each distinct range is
+/// walked once, by [`ArtWalk::run`] on that range alone, and its
+/// up-link loads and adder addends are kept.
+///
+/// A group of ascending, disjoint ranges loads the sum of its VNs'
+/// solo loads. A VN's walk reads state another VN may share only at a
+/// forwarding-link step: the receiver's addends and both endpoints'
+/// lateral flags. Each node has one forwarding-link partner, so another
+/// VN could set those flags only by holding fragments at both ends of
+/// the same link, and the two VNs would overlap. Another VN adds
+/// addends at a node only by combining there, which adds 2 and needs
+/// it to span the node's midpoint, so the `>= 3` check answers as it
+/// does alone. Every VN thus makes its solo decisions and the loads
+/// add up. The addends may overcount: a lateral into an idle adder
+/// counts 2 alone but 1 beside a neighbour's combine. So while no
+/// summed adder exceeds its 3 ports, no adder overloads, the only
+/// conflict disjoint VNs can cause. Otherwise [`Self::group_slowdown`]
+/// walks the whole group, as it does when a solo walk fails or the
+/// ranges are not ascending and disjoint.
+///
+/// Node ids and entry numbers are stored as `u32`. Neither passes
+/// `u32::MAX` before memory runs out: the walk keeps a `u32` load per
+/// node, and every entry keeps at least one loaded link.
+#[derive(Debug)]
+pub(crate) struct SoloLoads<'a> {
+    faults: Option<&'a FaultPlan>,
+    walk: ArtWalk,
+    /// `slots[start][len]`: the range's entry in `ends`, or 0 before
+    /// its first walk. Indexed by start, then length, so memory grows
+    /// with the ranges seen rather than with the leaf count squared.
+    slots: Vec<Vec<u32>>,
+    /// Entry `k`'s links are `links[ends[k - 1].0..ends[k].0]` and its
+    /// adders `adders[ends[k - 1].1..ends[k].1]`; `ends[0]` is `(0, 0)`.
+    ends: Vec<(usize, usize)>,
+    /// Loaded up-links as (child node, load), entry after entry.
+    links: Vec<(u32, u32)>,
+    /// Adder switches that add, as (node, addends), entry after entry.
+    adders: Vec<(u32, u8)>,
+    /// The last summed group's loads, indexed like the walk's.
+    loads: Vec<u32>,
+    /// The last summed group's addends per adder switch.
+    addends: Vec<u8>,
+}
+
+impl<'a> SoloLoads<'a> {
+    /// An empty table over `tree` under `faults`.
+    pub(crate) fn new(tree: BinaryTree, faults: Option<&'a FaultPlan>) -> Self {
+        SoloLoads {
+            faults,
+            walk: ArtWalk::new(tree),
+            slots: Vec::new(),
+            ends: vec![(0, 0)],
+            links: Vec::new(),
+            adders: Vec::new(),
+            loads: vec![0; tree.num_nodes()],
+            addends: vec![0; tree.num_internal()],
+        }
+    }
+
+    /// The slowdown under `chubby` of the group `vns`, bit for bit what
+    /// a walk of the whole group gives, or that walk's error.
+    ///
+    /// # Errors
+    ///
+    /// As [`ArtConfig::build_with_faults`].
+    pub(crate) fn group_slowdown(
+        &mut self,
+        chubby: &ChubbyTree,
+        vns: &[VnRange],
+    ) -> Result<f64, ArtError> {
+        debug_assert_eq!(
+            *chubby.tree(),
+            self.walk.tree,
+            "chubby tree / table mismatch"
+        );
+        if self.sum(vns) {
+            return Ok(collection_slowdown(chubby, &self.loads, vns.len()));
+        }
+        let walked = self.walk.run(vns, self.faults);
+        #[cfg(test)]
+        FALLBACKS.with(|count| {
+            let (walks, failed) = count.get();
+            count.set((walks + 1, failed + usize::from(walked.is_err())));
+        });
+        walked?;
+        Ok(self.walk.throughput_slowdown(chubby))
+    }
+
+    /// Sums the solo loads and addends of `vns` into `loads` and
+    /// `addends`. Returns whether the sums rule out a conflict: every
+    /// range built alone, the ranges ascend without overlap, and no
+    /// adder's summed addends exceed 3.
+    fn sum(&mut self, vns: &[VnRange]) -> bool {
+        self.loads.fill(0);
+        self.addends.fill(0);
+        let mut within_ports = true;
+        let mut prev_end = 0;
+        for &range in vns {
+            if range.start < prev_end {
+                return false;
+            }
+            prev_end = range.end();
+            let Some(entry) = self.entry(range) else {
+                return false;
+            };
+            let (from, to) = (self.ends[entry - 1], self.ends[entry]);
+            for &(node, load) in &self.links[from.0..to.0] {
+                self.loads[node as usize] += load;
+            }
+            for &(node, addends) in &self.adders[from.1..to.1] {
+                let sum = &mut self.addends[node as usize];
+                *sum += addends;
+                within_ports &= *sum <= 3;
+            }
+        }
+        within_ports
+    }
+
+    /// The entry of `range`, walking it alone on first sight; `None`
+    /// when it leaves the tree or its walk fails.
+    fn entry(&mut self, range: VnRange) -> Option<usize> {
+        if range.end() > self.walk.tree.num_leaves() {
+            return None;
+        }
+        if self.slots.len() <= range.start {
+            self.slots.resize_with(range.start + 1, Vec::new);
+        }
+        let by_len = &mut self.slots[range.start];
+        if by_len.len() <= range.len {
+            by_len.resize(range.len + 1, 0);
+        }
+        if by_len[range.len] == 0 {
+            self.walk.run(&[range], self.faults).ok()?;
+            let loaded = self.walk.edge_loads.iter().enumerate();
+            self.links.extend(
+                loaded
+                    .filter(|&(_, &load)| load > 0)
+                    .map(|(node, &load)| (node as u32, load)),
+            );
+            let adding = self.walk.node_uses.iter().enumerate();
+            self.adders.extend(
+                adding
+                    .filter(|(_, usage)| usage.addends > 0)
+                    .map(|(node, usage)| (node as u32, usage.addends)),
+            );
+            by_len[range.len] = self.ends.len() as u32;
+            self.ends.push((self.links.len(), self.adders.len()));
+        }
+        Some(by_len[range.len] as usize)
     }
 }
 
@@ -1331,6 +1496,149 @@ mod tests {
         assert!(
             seen[..5].iter().all(|&n| n >= 20),
             "outcome counts {seen:?}"
+        );
+    }
+
+    /// Checks `table`'s summed solo loads for the ascending, disjoint
+    /// `vns` against `walk` run on the whole group. Where the walk
+    /// builds, the sums equal its up-link loads and rule out a conflict
+    /// (no summed addends exceed 3, so the table takes no fallback),
+    /// and the table gives the walk's slowdown bits under each of
+    /// `bandwidths`. Where it fails, some summed addends exceed 3 and
+    /// the table returns the walk's error through one fallback. Returns
+    /// whether the walk built; `case` names the case.
+    fn check_solo_sums(
+        case: impl Fn() -> String,
+        table: &mut SoloLoads,
+        walk: &mut ArtWalk,
+        bandwidths: &[ChubbyTree],
+        vns: &[VnRange],
+    ) -> bool {
+        let clear = table.sum(vns);
+        let overloaded = table.addends.iter().any(|&a| a > 3);
+        match walk.run(vns, table.faults) {
+            Ok(()) => {
+                assert!(
+                    clear && !overloaded,
+                    "{}: {vns:?} builds, but the sums do not rule out a conflict: {:?}",
+                    case(),
+                    table.addends
+                );
+                assert_eq!(table.loads, walk.edge_loads, "{}: {vns:?}", case());
+                for chubby in bandwidths {
+                    assert_eq!(
+                        table.group_slowdown(chubby, vns).map(f64::to_bits),
+                        Ok(walk.throughput_slowdown(chubby).to_bits()),
+                        "{}, root bandwidth {}: {vns:?}",
+                        case(),
+                        chubby.root_bandwidth()
+                    );
+                }
+                true
+            }
+            Err(err) => {
+                assert!(
+                    overloaded,
+                    "{}: {vns:?} fails with {err:?}, but no summed addends exceed 3: {:?}",
+                    case(),
+                    table.addends
+                );
+                let fallbacks = || FALLBACKS.with(std::cell::Cell::get).0;
+                let before = fallbacks();
+                let got = table.group_slowdown(&ChubbyTree::new(walk.tree, 1).unwrap(), vns);
+                assert_eq!(fallbacks() - before, 1, "{}: {vns:?}", case());
+                assert_eq!(got, Err(err), "{}: {vns:?}", case());
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn solo_sums_equal_the_walk_and_flag_exactly_its_rejections() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        use std::collections::{BTreeMap, BTreeSet};
+        // 16 leaves have 4 forwarding links (one at level 2, three at
+        // level 3); the FaultSpec seeds reach all 16 severed patterns.
+        let tree = BinaryTree::with_leaves(16).unwrap();
+        let mut patterns: BTreeMap<BTreeSet<(usize, usize)>, FaultPlan> = BTreeMap::new();
+        for permille in [0, 250, 500, 750, 1000] {
+            for seed in 0..32 {
+                let plan = FaultPlan::materialize(
+                    FaultSpec::new(seed).dead_forwarding_links(permille),
+                    16,
+                );
+                patterns.entry(plan.dead_links().clone()).or_insert(plan);
+            }
+        }
+        assert_eq!(patterns.len(), 16, "severed patterns {:?}", patterns.keys());
+        // The loads, asserted equal in every case, decide the slowdown;
+        // its bits are compared at root bandwidths 1–16 in every 64th.
+        let bandwidths = [1, 2, 4, 8, 16].map(|bw| chubby(16, bw));
+        let mut walk = ArtWalk::new(tree);
+        let mut outcomes = [0usize; 2];
+        let mut vns = Vec::new();
+        for (severed, plan) in &patterns {
+            let mut table = SoloLoads::new(tree, Some(plan));
+            // Every composition of the 16 leaves: bit `b` of `cuts`
+            // ends a VN after leaf `b`.
+            for cuts in 0u32..1 << 15 {
+                vns.clear();
+                let mut start = 0;
+                for end in 1..=16 {
+                    if end == 16 || cuts & 1 << (end - 1) != 0 {
+                        vns.push(VnRange::new(start, end - start));
+                        start = end;
+                    }
+                }
+                let case = || format!("16 leaves, severed {severed:?}, cuts {cuts:#06x}");
+                let slowdowns = if cuts % 64 == 0 { &bandwidths[..] } else { &[] };
+                let built = check_solo_sums(case, &mut table, &mut walk, slowdowns, &vns);
+                outcomes[usize::from(built)] += 1;
+            }
+        }
+        // Severed links make the walk reject some of these legal
+        // packings (see `crates/verify/tests/differential.rs`).
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "rejected, built: {outcomes:?}"
+        );
+
+        // Seeded fabrics at 32 and 64 leaves, several packings each
+        // through one table, some with VNs left out so gaps separate
+        // the rest.
+        let mut rng = SimRng::seed(25);
+        let mut outcomes = [0usize; 2];
+        for fabric in 0..120 {
+            let leaves = [32, 64][rng.next_below(2)];
+            let seed = rng.next_below(1 << 16) as u64;
+            let spec = match rng.next_below(3) {
+                0 => None,
+                1 => Some(FaultSpec::new(seed).dead_multipliers(rng.next_below(401) as u16)),
+                _ => Some(FaultSpec::new(seed).dead_forwarding_links(rng.next_below(1001) as u16)),
+            };
+            let plan = spec.map(|spec| FaultPlan::materialize(spec, leaves));
+            let spans = plan
+                .as_ref()
+                .map_or_else(|| vec![VnRange::new(0, leaves)], FaultPlan::healthy_spans);
+            let bandwidths = [1, 2, 4, 8, 16].map(|bw| chubby(leaves, bw));
+            let tree = *bandwidths[0].tree();
+            let mut table = SoloLoads::new(tree, plan.as_ref());
+            let mut walk = ArtWalk::new(tree);
+            for packing in 0..25 {
+                let draws: Vec<usize> = (0..leaves).map(|_| 1 + rng.next_below(9)).collect();
+                let (mut vns, _) = pack_vns_into_spans(&spans, &draws);
+                if packing % 2 == 1 {
+                    vns.retain(|_| rng.next_bool(0.8));
+                }
+                let case =
+                    || format!("fabric {fabric}, packing {packing}: {leaves} leaves, {spec:?}");
+                let built = check_solo_sums(case, &mut table, &mut walk, &bandwidths, &vns);
+                outcomes[usize::from(built)] += 1;
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "rejected, built: {outcomes:?}"
         );
     }
 

@@ -22,7 +22,7 @@ use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
 use super::{knob_in_range, span_capacity, PlanError};
-use crate::art::{ArtWalk, SpanCursor};
+use crate::art::{SoloLoads, SpanCursor};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -139,8 +139,11 @@ impl SparseConvMapper {
     /// A group's ART slowdown depends only on its piece sizes (the
     /// ranges follow from the sizes and the healthy spans, and the
     /// chubby tree and fault plan are fixed for the run), so each
-    /// distinct size sequence configures the ART at most once between
-    /// memo clears, all through one reused ART walk.
+    /// distinct size sequence is costed at most once between memo
+    /// clears. A group's ART loads are the sum of what each of its VNs
+    /// loads alone, so the ART walk runs once per distinct VN range in
+    /// the run, and on a whole group only when those sums cannot rule
+    /// out a conflict; the slowdown and any error are the group walk's.
     ///
     /// # Errors
     ///
@@ -157,15 +160,9 @@ impl SparseConvMapper {
         }
         let spans = self.cfg.healthy_spans();
         let (cap, _budget) = span_capacity(&spans)?;
-        // The slowdown memo keys groups by their piece sizes as `u16`;
-        // no piece exceeds `cap`, so the key is lossless.
-        assert!(
-            u16::try_from(cap).is_ok(),
-            "healthy span of {cap} leaves exceeds the slowdown memo's key range"
-        );
         let chubby = self.cfg.collection_chubby();
         let fault_plan = self.cfg.fault_plan();
-        let mut walk = ArtWalk::new(*chubby.tree());
+        let mut solo = SoloLoads::new(*chubby.tree(), fault_plan.as_ref());
         // Oversized sparse VNs fold like dense ones; split them here so
         // packing sees mappable pieces (no piece may exceed the largest
         // healthy span). Each piece remembers its fold factor: a piece
@@ -194,8 +191,10 @@ impl SparseConvMapper {
         let mut input_reads = 0u64;
         let mut groups = 0u64;
         let mut idx = 0usize;
-        let mut memo: BTreeMap<Box<[u16]>, f64> = BTreeMap::new();
-        let mut key: Vec<u16> = Vec::new();
+        // The memo keys groups by their piece sizes as `u32`; no piece
+        // exceeds the leaf count, so the key is lossless.
+        let mut memo: BTreeMap<Box<[u32]>, f64> = BTreeMap::new();
+        let mut key: Vec<u32> = Vec::new();
         let mut ranges = Vec::new();
         while idx < pieces.len() {
             key.clear();
@@ -212,7 +211,7 @@ impl SparseConvMapper {
                     break;
                 };
                 ranges.push(range);
-                key.push(size as u16);
+                key.push(size as u32);
                 max_folds = max_folds.max(folds);
                 idx += 1;
             }
@@ -220,8 +219,7 @@ impl SparseConvMapper {
             let slowdown = if let Some(&slowdown) = memo.get(key.as_slice()) {
                 slowdown
             } else {
-                walk.run(&ranges, fault_plan.as_ref())?;
-                let slowdown = walk.throughput_slowdown(&chubby);
+                let slowdown = solo.group_slowdown(&chubby, &ranges)?;
                 if memo.len() >= SLOWDOWN_MEMO_CAP {
                     memo.clear();
                 }
@@ -272,10 +270,26 @@ impl SparseConvMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::art::{pack_vns_into_spans, ArtConfig};
+    use crate::art::{pack_vns_into_spans, ArtConfig, FALLBACKS};
     use crate::fault::FaultSpec;
     use maeri_sim::SimRng;
     use std::collections::BTreeSet;
+
+    /// `m.run(layer, mask, ct)`, with the group walks its table fell
+    /// back to and how many of them failed (at most the last one, since
+    /// a failure ends the run).
+    fn run_counting_fallbacks(
+        m: &SparseConvMapper,
+        layer: &ConvLayer,
+        mask: &WeightMask,
+        ct: usize,
+    ) -> (Result<RunStats>, (usize, usize)) {
+        let count = || FALLBACKS.with(std::cell::Cell::get);
+        let before = count();
+        let run = m.run(layer, mask, ct);
+        let after = count();
+        (run, (after.0 - before.0, after.1 - before.1))
+    }
 
     /// The straightforward `run`: survivor counts from per-weight mask
     /// lookups, each group re-packed from the left on every push, and
@@ -452,21 +466,35 @@ mod tests {
     fn run_matches_reference_over_masks_tiles_and_fabrics() {
         let l = ConvLayer::new("diff", 20, 5, 5, 12, 3, 3, 1, 1);
         let c = l.in_channels;
+        // Group walks the runs' tables fell back to, and the runs whose
+        // error came back through one.
+        let (mut fallbacks, mut failed_through_fallback) = (0, 0);
         for (f, zero_fraction) in [0.0, 0.3, 0.6, 0.9, 1.0].into_iter().enumerate() {
             let mask = WeightMask::generate(&l, zero_fraction, &mut SimRng::seed(40 + f as u64));
             for (name, cfg) in fabrics() {
                 let m = SparseConvMapper::new(cfg);
                 let auto = m.auto_channel_tile(&l, &mask);
                 for ct in [1, 2, 3, auto, c - 1, c, 0, c + 1] {
+                    let case = format!("{name}, zero fraction {zero_fraction}, tile {ct}");
                     let (want, _) = reference_run(&m, &l, &mask, ct);
-                    let got = m.run(&l, &mask, ct);
-                    assert_eq!(
-                        got, want,
-                        "{name}, zero fraction {zero_fraction}, tile {ct}"
-                    );
+                    let (got, (walks, failed)) = run_counting_fallbacks(&m, &l, &mask, ct);
+                    assert_eq!(got, want, "{case}");
+                    if cfg.faults().is_none() {
+                        assert_eq!(walks, 0, "{case}: a healthy fabric fell back");
+                    }
+                    fallbacks += walks;
+                    failed_through_fallback += failed;
                 }
             }
         }
+        assert!(
+            failed_through_fallback > 0,
+            "no run's error came through the fallback ({fallbacks} fallbacks)"
+        );
+        assert_eq!(
+            failed_through_fallback, fallbacks,
+            "a fallback walk built a group whose sums flagged a conflict"
+        );
     }
 
     #[test]
@@ -488,7 +516,9 @@ mod tests {
             "only {distinct} distinct groups; the memo never evicts"
         );
         assert!(want.is_ok());
-        assert_eq!(healthy.run(&l, &mask, 1), want);
+        let (got, fallbacks) = run_counting_fallbacks(&healthy, &l, &mask, 1);
+        assert_eq!(got, want);
+        assert_eq!(fallbacks, (0, 0), "a healthy fabric fell back");
 
         // On this faulty fabric a later group's ART configuration is
         // illegal: the memo must not hide the build error.
@@ -507,7 +537,27 @@ mod tests {
         assert!(want
             .as_ref()
             .is_err_and(|e| e.to_string().contains("addends")));
-        assert_eq!(faulty.run(&l, &mask, 1), want);
+        let (got, (walks, failed)) = run_counting_fallbacks(&faulty, &l, &mask, 1);
+        assert_eq!(got, want);
+        assert_eq!(
+            failed, 1,
+            "the error must come through the fallback ({walks} fallbacks)"
+        );
+    }
+
+    #[test]
+    fn run_past_u16_leaves_matches_reference() {
+        // 131,072 leaves: spans and leaf positions past `u16::MAX`, and
+        // a (start, length) table dense over the leaves would need about
+        // 17 billion slots; the table holds only the ranges it sees.
+        let m = SparseConvMapper::new(MaeriConfig::builder(1 << 17).build().unwrap());
+        let l = ConvLayer::new("wide", 6, 4, 4, 8, 3, 3, 1, 1);
+        let mask = WeightMask::generate(&l, 0.5, &mut SimRng::seed(17));
+        for ct in [1, 6] {
+            let (want, _) = reference_run(&m, &l, &mask, ct);
+            assert!(want.is_ok(), "tile {ct}: {want:?}");
+            assert_eq!(m.run(&l, &mask, ct), want, "tile {ct}");
+        }
     }
 
     fn layer() -> ConvLayer {
