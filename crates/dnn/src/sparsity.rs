@@ -113,9 +113,7 @@ impl WeightMask {
             let mut kept = 0u32;
             prefix.push(0);
             for c in 0..layer.in_channels {
-                for j in c * kernel_area..(c + 1) * kernel_area {
-                    kept += u32::from(filter[j / 64] >> (j % 64) & 1 == 1);
-                }
+                kept += ones_in(filter, c * kernel_area..(c + 1) * kernel_area);
                 prefix.push(kept);
             }
             nonzeros.push(kept as usize);
@@ -226,6 +224,20 @@ impl WeightMask {
     }
 }
 
+/// The set bits of `words` in the bit range `bits`, counted one word
+/// slice at a time.
+fn ones_in(words: &[u64], bits: std::ops::Range<usize>) -> u32 {
+    let mut ones = 0;
+    let mut bit = bits.start;
+    while bit < bits.end {
+        let end = bits.end.min((bit / 64 + 1) * 64);
+        let slice = u64::MAX >> (64 - (end - bit)) << (bit % 64);
+        ones += (words[bit / 64] & slice).count_ones();
+        bit = end;
+    }
+    ones
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,7 +331,9 @@ mod tests {
 
     #[test]
     fn generate_prunes_what_choose_indices_chooses() {
-        // Filter volumes below, at and across 64-bit word boundaries.
+        // Filter volumes below, at and across 64-bit word boundaries,
+        // and channels that straddle one (25 weights from 50 and 125,
+        // 9 weights from 63).
         let shapes = [
             (1, 63),
             (1, 64),
@@ -329,6 +343,8 @@ mod tests {
             (3, 8),
             (5, 2),
             (5, 3),
+            (5, 6),
+            (3, 15),
         ];
         for (kernel, channels) in shapes {
             let l = ConvLayer::new("w", channels, 5, 5, 2, kernel, kernel, 1, 0);

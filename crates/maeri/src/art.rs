@@ -818,9 +818,12 @@ thread_local! {
 }
 
 /// What each VN range loads when walked alone, for one tree and fault
-/// plan: the sparse mapper's per-run table. Each distinct range is
-/// walked once, by [`ArtWalk::run`] on that range alone, and its
-/// up-link loads and adder addends are kept.
+/// plan: the sparse mapper's per-run table for its multi-piece groups.
+/// Each distinct range is walked once, by [`ArtWalk::run`] on that
+/// range alone, and its up-link loads and adder addends are kept. A
+/// one-piece group never asks: a lone VN on healthy leaves builds and
+/// loads each up-link at most once, so its slowdown is 1.0
+/// (DESIGN.md §10).
 ///
 /// A group of ascending, disjoint ranges loads the sum of its VNs'
 /// solo loads. A VN's walk reads state another VN may share only at a
@@ -1640,6 +1643,115 @@ mod tests {
             outcomes.iter().all(|&n| n > 0),
             "rejected, built: {outcomes:?}"
         );
+    }
+
+    /// Checks that the lone VN `range` builds under `faults`, loads no
+    /// up-link (nor the root port) more than once, and gives a
+    /// slowdown of exactly 1.0 at every root bandwidth of the tree.
+    fn check_lone_vn(
+        case: impl Fn() -> String,
+        leaves: usize,
+        range: VnRange,
+        faults: Option<&FaultPlan>,
+    ) {
+        let mut cfg = ArtConfig::build_with_faults(chubby(leaves, 1), &[range], faults)
+            .unwrap_or_else(|err| panic!("{}: {range:?} fails with {err:?}", case()));
+        let loads = cfg.worst_link_loads();
+        assert!(
+            loads.iter().all(|&load| load <= 1),
+            "{}: {range:?} loads {loads:?}",
+            case()
+        );
+        // The build reads nothing of the chubby profile, so swapping it
+        // in gives the slowdown of a build at that bandwidth.
+        for bw in (0..=leaves.trailing_zeros()).map(|k| 1 << k) {
+            cfg.chubby = chubby(leaves, bw);
+            assert_eq!(
+                cfg.throughput_slowdown().to_bits(),
+                1f64.to_bits(),
+                "{}, root bandwidth {bw}: {range:?}",
+                case()
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_vn_on_healthy_leaves_builds_and_never_slows_the_art() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        use std::collections::{BTreeMap, BTreeSet};
+        // Every range at 16 leaves under all 16 severed-link patterns,
+        // which the FaultSpec seeds reach.
+        let mut patterns: BTreeMap<BTreeSet<(usize, usize)>, FaultPlan> = BTreeMap::new();
+        for permille in [0, 250, 500, 750, 1000] {
+            for seed in 0..32 {
+                let plan = FaultPlan::materialize(
+                    FaultSpec::new(seed).dead_forwarding_links(permille),
+                    16,
+                );
+                patterns.entry(plan.dead_links().clone()).or_insert(plan);
+            }
+        }
+        assert_eq!(patterns.len(), 16, "severed patterns {:?}", patterns.keys());
+        for (severed, plan) in &patterns {
+            for start in 0..16 {
+                for len in 1..=16 - start {
+                    let case = || format!("16 leaves, severed {severed:?}");
+                    check_lone_vn(case, 16, VnRange::new(start, len), Some(plan));
+                }
+            }
+        }
+
+        // Every range at 32 and 64 leaves under dead multipliers and
+        // severed links: a range on healthy leaves builds, and any other
+        // covers a dead leaf.
+        let mut rng = SimRng::seed(26);
+        let mut dead = 0;
+        for fabric in 0..12 {
+            let leaves = [32, 64][fabric % 2];
+            let spec = FaultSpec::new(rng.next_below(1 << 16) as u64)
+                .dead_multipliers(rng.next_below(301) as u16)
+                .dead_forwarding_links(rng.next_below(1001) as u16);
+            let plan = FaultPlan::materialize(spec, leaves);
+            for start in 0..leaves {
+                for len in 1..=leaves - start {
+                    let range = VnRange::new(start, len);
+                    let case = || format!("fabric {fabric}: {leaves} leaves, {spec:?}");
+                    if (start..range.end()).any(|leaf| plan.is_leaf_dead(leaf)) {
+                        let built =
+                            ArtConfig::build_with_faults(chubby(leaves, 1), &[range], Some(&plan));
+                        assert!(
+                            matches!(built, Err(ArtError::DeadLeaf { .. })),
+                            "{}: {range:?} gives {built:?}",
+                            case()
+                        );
+                        dead += 1;
+                    } else {
+                        check_lone_vn(case, leaves, range, Some(&plan));
+                    }
+                }
+            }
+        }
+        assert!(dead > 0, "no range covered a dead leaf");
+
+        // Seeded random ranges inside healthy spans at 128-4096 leaves.
+        for case in 0..1000 {
+            let leaves = 128 << rng.next_below(6);
+            let seed = rng.next_below(1 << 16) as u64;
+            let spec = match rng.next_below(3) {
+                0 => None,
+                1 => Some(FaultSpec::new(seed).dead_multipliers(rng.next_below(301) as u16)),
+                _ => Some(FaultSpec::new(seed).dead_forwarding_links(rng.next_below(1001) as u16)),
+            };
+            let plan = spec.map(|spec| FaultPlan::materialize(spec, leaves));
+            let spans = plan
+                .as_ref()
+                .map_or_else(|| vec![VnRange::new(0, leaves)], FaultPlan::healthy_spans);
+            let span = spans[rng.next_below(spans.len())];
+            let start = span.start + rng.next_below(span.len);
+            let range = VnRange::new(start, 1 + rng.next_below(span.end() - start));
+            let case = || format!("case {case}: {leaves} leaves, {spec:?}");
+            check_lone_vn(case, leaves, range, plan.as_ref());
+        }
     }
 
     #[test]

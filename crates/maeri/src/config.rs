@@ -140,10 +140,17 @@ impl MaeriConfig {
     /// into these spans.
     #[must_use]
     pub fn healthy_spans(&self) -> Vec<VnRange> {
-        match self.fault_plan() {
-            Some(plan) => plan.healthy_spans(),
-            None => vec![VnRange::new(0, self.num_mult_switches)],
-        }
+        self.healthy_spans_under(self.fault_plan().as_ref())
+    }
+
+    /// [`Self::healthy_spans`] from `plan`, which must be this fabric's
+    /// [`Self::fault_plan`], so a caller that needs both materializes
+    /// the plan once.
+    pub(crate) fn healthy_spans_under(&self, plan: Option<&FaultPlan>) -> Vec<VnRange> {
+        plan.map_or_else(
+            || vec![VnRange::new(0, self.num_mult_switches)],
+            FaultPlan::healthy_spans,
+        )
     }
 
     /// The distribution-tree cost model for this fabric, derated by the

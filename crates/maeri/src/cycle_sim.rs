@@ -120,7 +120,8 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
     }
     // Build the real ART configuration so the trace honors the same
     // structure the mapper verified; lanes land on healthy spans only.
-    let spans = cfg.healthy_spans();
+    let fault_plan = cfg.fault_plan();
+    let spans = cfg.healthy_spans_under(fault_plan.as_ref());
     let sizes: Vec<usize> = lanes.iter().map(|l| l.vn_size).collect();
     let (ranges, overflow) = pack_vns_into_spans(&spans, &sizes);
     if !overflow.is_empty() {
@@ -130,7 +131,6 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
             spans.iter().map(|s| s.len).sum::<usize>()
         )));
     }
-    let fault_plan = cfg.fault_plan();
     let art = ArtConfig::build_with_faults(cfg.collection_chubby(), &ranges, fault_plan.as_ref())?;
     art.probe_configuration(sink);
 

@@ -157,17 +157,15 @@ impl VectorPlan {
         vn_size: usize,
         knob: &'static str,
     ) -> Result<Self, PlanError> {
-        let spans = cfg.healthy_spans();
+        let fault_plan = cfg.fault_plan();
+        let spans = cfg.healthy_spans_under(fault_plan.as_ref());
         let (cap, budget) = span_capacity(&spans)?;
         let fold = d.div_ceil(knob_in_range(knob, vn_size, d.min(cap))?);
         let vn_size = d.div_ceil(fold);
         let want = (budget / vn_size).max(1);
         let (ranges, _) = pack_vns_into_spans(&spans, &vec![vn_size; want]);
-        let art = ArtConfig::build_with_faults(
-            cfg.collection_chubby(),
-            &ranges,
-            cfg.fault_plan().as_ref(),
-        )?;
+        let art =
+            ArtConfig::build_with_faults(cfg.collection_chubby(), &ranges, fault_plan.as_ref())?;
         Ok(VectorPlan { fold, vn_size, art })
     }
 

@@ -14,6 +14,12 @@
 //!   ([`crate::art::ArtConfig::throughput_slowdown`]),
 //! * the fixed-cluster baseline instead rounds every VN up to a whole
 //!   4x4 cluster (see `maeri-baselines`), wasting multipliers.
+//!
+//! Of a group's cost, only its ART slowdown needs the tree. A group of
+//! one piece never slows the ART, so a tile whose every group is one
+//! piece is costed in closed form from its VN count per fold count;
+//! any other tile is packed group by group, and the slowdowns of its
+//! multi-piece groups are memoized by their piece sizes.
 
 use std::collections::BTreeMap;
 
@@ -22,13 +28,15 @@ use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result};
 
 use super::{knob_in_range, span_capacity, PlanError};
-use crate::art::{SoloLoads, SpanCursor};
+use crate::art::{SoloLoads, SpanCursor, VnRange};
 use crate::engine::RunStats;
+use crate::fault::FaultPlan;
 use crate::MaeriConfig;
 
 /// Entries the per-run slowdown memo of [`SparseConvMapper::run`] holds
 /// before it is cleared, so a run's memory stays flat however many
-/// distinct groups it packs.
+/// distinct groups it packs. Only multi-piece groups reach the memo: a
+/// one-piece group's slowdown is 1.0 without a lookup.
 const SLOWDOWN_MEMO_CAP: usize = 1024;
 
 /// Maps weight-sparse CONV layers onto a MAERI instance.
@@ -136,14 +144,21 @@ impl SparseConvMapper {
 
     /// Plans and costs a sparse CONV run with `ct` channels per VN.
     ///
-    /// A group's ART slowdown depends only on its piece sizes (the
-    /// ranges follow from the sizes and the healthy spans, and the
-    /// chubby tree and fault plan are fixed for the run), so each
-    /// distinct size sequence is costed at most once between memo
-    /// clears. A group's ART loads are the sum of what each of its VNs
-    /// loads alone, so the ART walk runs once per distinct VN range in
-    /// the run, and on a whole group only when those sums cannot rule
-    /// out a conflict; the slowdown and any error are the group walk's.
+    /// A lone VN never slows the ART (DESIGN.md §10), so a group of one
+    /// piece has slowdown 1.0 and is costed without a walk. When every
+    /// group must hold one piece (one healthy span, every piece larger
+    /// than half of it), the tile is costed in closed form from its VN
+    /// count per fold count, with no piece list and no group loop,
+    /// whenever that sum is exact in `f64`. Otherwise the pieces are
+    /// grouped one by one. A multi-piece group's slowdown depends only
+    /// on its piece sizes (the ranges follow from the sizes and the
+    /// healthy spans, and the chubby tree and fault plan are fixed for
+    /// the run), so each distinct size sequence is costed at most once
+    /// between memo clears. Its ART loads are the sum of what each of
+    /// its VNs loads alone, so the ART walk runs once per distinct VN
+    /// range in the run, and on a whole group only when those sums
+    /// cannot rule out a conflict; the slowdown and any error are the
+    /// group walk's.
     ///
     /// # Errors
     ///
@@ -158,16 +173,101 @@ impl SparseConvMapper {
             run.extra.add("groups", 0);
             return Ok(run);
         }
-        let spans = self.cfg.healthy_spans();
-        let (cap, _budget) = span_capacity(&spans)?;
-        let chubby = self.cfg.collection_chubby();
         let fault_plan = self.cfg.fault_plan();
-        let mut solo = SoloLoads::new(*chubby.tree(), fault_plan.as_ref());
-        // Oversized sparse VNs fold like dense ones; split them here so
-        // packing sees mappable pieces (no piece may exceed the largest
-        // healthy span). Each piece remembers its fold factor: a piece
-        // covering 1/f of a slice also only touches ~1/f of the filter
-        // rows per step.
+        let spans = self.cfg.healthy_spans_under(fault_plan.as_ref());
+        let (cap, _budget) = span_capacity(&spans)?;
+        // Oversized sparse VNs fold like dense ones, into pieces no
+        // larger than the largest healthy span.
+        let mut vns_by_folds: Vec<u64> = Vec::new();
+        let mut smallest_piece = usize::MAX;
+        for &size in &sizes {
+            let folds = ceil_div(size as u64, cap as u64) as usize;
+            if vns_by_folds.len() < folds {
+                vns_by_folds.resize(folds, 0);
+            }
+            vns_by_folds[folds - 1] += 1;
+            smallest_piece = smallest_piece.min(size / folds);
+        }
+        let total_weights: u64 = sizes.iter().map(|&v| v as u64).sum();
+        let costs = self.group_costs(layer, ct, vns_by_folds.len());
+        let (p, q) = (layer.out_h() as u64, layer.out_w() as u64);
+        // No two pieces larger than half of the only span fit together.
+        let one_piece_groups = spans.len() == 1 && 2 * smallest_piece > cap;
+        let closed = one_piece_groups
+            .then(|| closed_form(&costs, &vns_by_folds, p, q, dist.bandwidth()))
+            .flatten();
+        #[cfg(test)]
+        PATHS.with(|paths| {
+            let (closed_forms, loops) = paths.get();
+            let now = usize::from(closed.is_some());
+            paths.set((closed_forms + now, loops + 1 - now));
+        });
+        let tile = if let Some(tile) = closed {
+            tile
+        } else {
+            let pq = p as f64 * q as f64;
+            self.group_loop(sizes, &spans, cap, fault_plan.as_ref(), &costs, pq)?
+        };
+
+        let weight_cycles = dist.multicast_cycles(total_weights).as_u64();
+        let mut run = RunStats::new(
+            &layer.name,
+            n,
+            Cycle::new(tile.cycles.ceil() as u64 + weight_cycles),
+            total_weights * p * q,
+        );
+        run.sram_reads = total_weights + tile.input_reads;
+        run.sram_writes = layer.output_count() as u64;
+        run.extra.add("groups", tile.groups);
+        run.extra.add("nonzero_weights", total_weights);
+        Ok(run)
+    }
+
+    /// The cost of a group whose widest piece folds `f` times, at index
+    /// `f - 1`, for every `f` up to `max_folds`.
+    ///
+    /// Input traffic: segment-major packing means the lanes of a group
+    /// share one channel segment (groups straddling a segment boundary
+    /// are rare with K >> lanes), so one input slice multicast feeds
+    /// every lane. A folded piece covers only ~1/folds of the filter
+    /// rows per pass.
+    fn group_costs(&self, layer: &ConvLayer, ct: usize, max_folds: usize) -> Vec<GroupCost> {
+        let dist = self.cfg.distributor();
+        let (p, q) = (layer.out_h() as u64, layer.out_w() as u64);
+        let (r, stride) = (layer.kernel_h as u64, layer.stride as u64);
+        let cols_new = stride.min(layer.kernel_w as u64);
+        let channels_active = (ct as u64).min(layer.in_channels as u64);
+        (1..=max_folds as u64)
+            .map(|folds| {
+                let rows_piece = ceil_div(r, folds);
+                let step_inputs = rows_piece * cols_new * channels_active;
+                let fill_inputs = rows_piece * layer.kernel_w as u64 * channels_active;
+                GroupCost {
+                    step_inputs,
+                    steady: (step_inputs as f64 / dist.bandwidth() as f64).max(1.0),
+                    startup: 1
+                        + self.cfg.art_depth() as u64
+                        + dist.multicast_cycles(fill_inputs).as_u64(),
+                    input_reads: p * (fill_inputs + q.saturating_sub(1) * step_inputs),
+                }
+            })
+            .collect()
+    }
+
+    /// Splits `sizes` into pieces of at most `cap` leaves, groups them
+    /// greedily (fill the array, run a group for all `pq` output
+    /// pixels, move on) and sums the groups' costs.
+    fn group_loop(
+        &self,
+        sizes: Vec<usize>,
+        spans: &[VnRange],
+        cap: usize,
+        fault_plan: Option<&FaultPlan>,
+        costs: &[GroupCost],
+        pq: f64,
+    ) -> Result<TileCost> {
+        // Each piece remembers its fold factor: a piece covering 1/f of
+        // a slice also only touches ~1/f of the filter rows per step.
         let mut pieces: Vec<(usize, usize)> = Vec::with_capacity(sizes.len());
         for size in sizes {
             let folds = ceil_div(size as u64, cap as u64) as usize;
@@ -179,17 +279,9 @@ impl SparseConvMapper {
                 pieces.push((base + extra, folds));
             }
         }
-
-        // Greedy grouping: fill the array, run a group for all P rows,
-        // move on.
-        let q = layer.out_w() as u64;
-        let p = layer.out_h() as u64;
-        let (r, stride) = (layer.kernel_h as u64, layer.stride as u64);
-        let cols_new = stride.min(layer.kernel_w as u64);
-        let mut total_cycles = 0f64;
-        let mut total_macs = 0u64;
-        let mut input_reads = 0u64;
-        let mut groups = 0u64;
+        let chubby = self.cfg.collection_chubby();
+        let mut solo = SoloLoads::new(*chubby.tree(), fault_plan);
+        let mut tile = TileCost::default();
         let mut idx = 0usize;
         // The memo keys groups by their piece sizes as `u32`; no piece
         // exceeds the leaf count, so the key is lossless.
@@ -197,9 +289,8 @@ impl SparseConvMapper {
         let mut key: Vec<u32> = Vec::new();
         let mut ranges = Vec::new();
         while idx < pieces.len() {
-            key.clear();
             ranges.clear();
-            let mut cursor = SpanCursor::new(&spans);
+            let mut cursor = SpanCursor::new(spans);
             let mut max_folds = 1usize;
             // Grow the group while every piece still lands on a healthy
             // span; the first piece that no longer fits starts the next
@@ -211,60 +302,102 @@ impl SparseConvMapper {
                     break;
                 };
                 ranges.push(range);
-                key.push(size as u32);
                 max_folds = max_folds.max(folds);
                 idx += 1;
             }
             debug_assert!(!ranges.is_empty(), "one VN must always fit");
-            let slowdown = if let Some(&slowdown) = memo.get(key.as_slice()) {
-                slowdown
+            // A lone VN on healthy leaves builds and never slows the ART.
+            let slowdown = if ranges.len() == 1 {
+                1.0
             } else {
-                let slowdown = solo.group_slowdown(&chubby, &ranges)?;
-                if memo.len() >= SLOWDOWN_MEMO_CAP {
-                    memo.clear();
+                key.clear();
+                key.extend(ranges.iter().map(|vn| vn.len as u32));
+                if let Some(&slowdown) = memo.get(key.as_slice()) {
+                    slowdown
+                } else {
+                    let slowdown = solo.group_slowdown(&chubby, &ranges)?;
+                    if memo.len() >= SLOWDOWN_MEMO_CAP {
+                        memo.clear();
+                    }
+                    memo.insert(key.as_slice().into(), slowdown);
+                    slowdown
                 }
-                memo.insert(key.as_slice().into(), slowdown);
-                slowdown
             };
-
-            // Input traffic: segment-major packing means the lanes of a
-            // group share one channel segment (groups straddling a
-            // segment boundary are rare with K >> lanes), so one input
-            // slice multicast feeds every lane. A folded piece covers
-            // only ~1/folds of the filter rows per pass.
-            let channels_active = (ct as u64).min(layer.in_channels as u64);
-            let rows_piece = ceil_div(r, max_folds as u64);
-            let step_inputs = rows_piece * cols_new * channels_active;
-            let fill_inputs = rows_piece * layer.kernel_w as u64 * channels_active;
-            let steady = (step_inputs as f64 / dist.bandwidth() as f64)
-                .max(1.0)
-                .max(slowdown);
             // One-time group startup (configure, ART fill, first
             // window); rows pipeline thereafter.
-            let startup = 1.0
-                + self.cfg.art_depth() as f64
-                + dist.multicast_cycles(fill_inputs).as_u64() as f64;
-            total_cycles += startup + p as f64 * q as f64 * steady;
-            let group_weights: u64 = ranges.iter().map(|vn| vn.len as u64).sum();
-            total_macs += group_weights * p * q;
-            input_reads += p * (fill_inputs + q.saturating_sub(1) * step_inputs);
-            groups += 1;
+            let cost = &costs[max_folds - 1];
+            tile.cycles += cost.startup as f64 + pq * cost.steady.max(slowdown);
+            tile.groups += 1;
+            tile.input_reads += cost.input_reads;
         }
-
-        let total_weights: u64 = pieces.iter().map(|&(v, _)| v as u64).sum();
-        let weight_cycles = dist.multicast_cycles(total_weights).as_u64();
-        let mut run = RunStats::new(
-            &layer.name,
-            n,
-            Cycle::new(total_cycles.ceil() as u64 + weight_cycles),
-            total_macs,
-        );
-        run.sram_reads = total_weights + input_reads;
-        run.sram_writes = layer.output_count() as u64;
-        run.extra.add("groups", groups);
-        run.extra.add("nonzero_weights", total_weights);
-        Ok(run)
+        Ok(tile)
     }
+}
+
+/// What a group costs apart from its ART slowdown, which is fixed by
+/// how many times its widest piece folds.
+#[derive(Debug)]
+struct GroupCost {
+    /// Input words each output step fetches.
+    step_inputs: u64,
+    /// Cycles per output step before the ART's slowdown: the step's
+    /// input delivery at the distribution bandwidth, and at least 1.
+    steady: f64,
+    /// One-time startup cycles: configure, ART fill, first window.
+    startup: u64,
+    /// Input words the group reads over all output rows.
+    input_reads: u64,
+}
+
+/// A tile's cycles before the weight load, its group count and its
+/// input reads: the sums over its groups.
+#[derive(Debug, Default)]
+struct TileCost {
+    cycles: f64,
+    groups: u64,
+    input_reads: u64,
+}
+
+/// The cost of a tile whose every group holds one piece, from its VN
+/// count per fold count, bit for bit what the group loop sums; `None`
+/// when that is not certain.
+///
+/// Every group term `startup + P·Q·max(step / bw, 1)` is a multiple of
+/// `1/bw` (the distribution bandwidth `bw` is a power of two, the
+/// startup an integer), so the total is an integer count of `1/bw`
+/// units. Below 2^53 units every term and partial sum of the loop is
+/// exact in `f64`, in any order, and equals this count over `bw`.
+fn closed_form(
+    costs: &[GroupCost],
+    vns_by_folds: &[u64],
+    p: u64,
+    q: u64,
+    bw: usize,
+) -> Option<TileCost> {
+    let bw = bw as u64;
+    debug_assert!(bw.is_power_of_two(), "bandwidth {bw}");
+    let pq = p.checked_mul(q)?;
+    let mut units = 0u64;
+    let mut tile = TileCost::default();
+    for ((folds, &vns), cost) in (1u64..).zip(vns_by_folds).zip(costs) {
+        let pieces = vns * folds;
+        let per_piece = (cost.startup.checked_mul(bw)?)
+            .checked_add(pq.checked_mul(cost.step_inputs.max(bw))?)?;
+        units = units.checked_add(pieces.checked_mul(per_piece)?)?;
+        tile.groups += pieces;
+        tile.input_reads += pieces * cost.input_reads;
+    }
+    (units < 1 << f64::MANTISSA_DIGITS).then(|| TileCost {
+        cycles: units as f64 / bw as f64,
+        ..tile
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs on this thread costed in closed form, and runs that grouped
+    /// their pieces one by one.
+    static PATHS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 #[cfg(test)]
@@ -294,8 +427,8 @@ mod tests {
     /// The straightforward `run`: survivor counts from per-weight mask
     /// lookups, each group re-packed from the left on every push, and
     /// one ART build per group. The optimized `run` must agree with it
-    /// exactly. Also returns the number of distinct group size
-    /// sequences, the memo's key count without eviction.
+    /// exactly. Also returns the number of distinct size sequences of
+    /// multi-piece groups, the memo's key count without eviction.
     fn reference_run(
         m: &SparseConvMapper,
         layer: &ConvLayer,
@@ -394,7 +527,9 @@ mod tests {
                 fault_plan.as_ref(),
             )?;
             let slowdown = art.throughput_slowdown();
-            distinct.insert(group.clone());
+            if group.len() > 1 {
+                distinct.insert(group.clone());
+            }
             let channels_active = (ct as u64).min(layer.in_channels as u64);
             let rows_piece = ceil_div(r, max_folds as u64);
             let step_inputs = rows_piece * cols_new * channels_active;
@@ -558,6 +693,150 @@ mod tests {
             assert!(want.is_ok(), "tile {ct}: {want:?}");
             assert_eq!(m.run(&l, &mask, ct), want, "tile {ct}");
         }
+    }
+
+    /// `m.run(layer, mask, ct)`, and whether it was costed in closed
+    /// form (`Some(true)`), by the group loop (`Some(false)`), or took
+    /// neither (an error or a layer with no surviving weight).
+    fn run_noting_path(
+        m: &SparseConvMapper,
+        layer: &ConvLayer,
+        mask: &WeightMask,
+        ct: usize,
+    ) -> (Result<RunStats>, Option<bool>) {
+        let paths = || PATHS.with(std::cell::Cell::get);
+        let before = paths();
+        let run = m.run(layer, mask, ct);
+        let after = paths();
+        let path = match (after.0 - before.0, after.1 - before.1) {
+            (0, 0) => None,
+            (1, 0) => Some(true),
+            (0, 1) => Some(false),
+            counts => panic!("one run took {counts:?} paths"),
+        };
+        (run, path)
+    }
+
+    #[test]
+    fn run_matches_reference_on_both_paths_over_random_cases() {
+        let mut rng = SimRng::seed(26);
+        // Runs costed in closed form, by the group loop, and runs that
+        // failed.
+        let mut outcomes = [0usize; 3];
+        for case in 0..200 {
+            let leaves = [16, 32, 64, 128][rng.next_below(4)];
+            let seed = rng.next_below(1 << 16) as u64;
+            let faults = match rng.next_below(3) {
+                0 => None,
+                1 => Some(FaultSpec::new(seed).dead_multipliers(rng.next_below(301) as u16)),
+                _ => Some(FaultSpec::new(seed).dead_forwarding_links(rng.next_below(1001) as u16)),
+            };
+            let mut fabric = MaeriConfig::builder(leaves)
+                .distribution_bandwidth(1 << rng.next_below(4))
+                .collection_bandwidth(1 << rng.next_below(4));
+            if let Some(spec) = faults {
+                fabric = fabric.faults(spec);
+            }
+            let cfg = fabric.build().unwrap();
+            let kernel = 1 + rng.next_below(5);
+            let channels = 1 + rng.next_below(24);
+            let hw = kernel + rng.next_below(6);
+            let layer = ConvLayer::new(
+                &format!("rand{case}"),
+                channels,
+                hw,
+                hw,
+                1 + rng.next_below(24),
+                kernel,
+                kernel,
+                1 + rng.next_below(2),
+                kernel / 2,
+            );
+            let zero_fraction = rng.next_below(101) as f64 / 100.0;
+            let mask = WeightMask::generate(&layer, zero_fraction, &mut rng);
+            // Large tiles make large VNs, which the closed form needs.
+            let ct = 1 + rng.next_below(channels).max(rng.next_below(channels));
+            let m = SparseConvMapper::new(cfg);
+            let case = format!(
+                "case {case}: {layer}, {zero_fraction} zeros, tile {ct}, {leaves} leaves, \
+                 bandwidths {}/{}, {faults:?}",
+                cfg.dist_bandwidth(),
+                cfg.collect_bandwidth()
+            );
+            let (want, _) = reference_run(&m, &layer, &mask, ct);
+            let (got, path) = run_noting_path(&m, &layer, &mask, ct);
+            assert_eq!(got, want, "{case}");
+            match (path, &got) {
+                (Some(closed), Ok(_)) => outcomes[usize::from(!closed)] += 1,
+                (_, Err(_)) => outcomes[2] += 1,
+                (None, Ok(run)) => assert_eq!(run.macs, 0, "{case}: no path taken"),
+            }
+        }
+        // Only multi-piece groups on severed links fail, so failures are
+        // the rarest outcome.
+        assert!(
+            outcomes[0] >= 20 && outcomes[1] >= 20 && outcomes[2] > 0,
+            "closed form, group loop, failed: {outcomes:?}"
+        );
+    }
+
+    #[test]
+    fn closed_form_takes_the_loop_past_exact_f64_sums() {
+        // 2^24 x 2^24 output pixels: each one-piece group costs about
+        // 3 * 2^48 cycles at distribution bandwidth 1, so 8 filters
+        // stay below 2^53 and 16 pass it.
+        let m = SparseConvMapper::new(
+            MaeriConfig::builder(16)
+                .distribution_bandwidth(1)
+                .collection_bandwidth(1)
+                .build()
+                .unwrap(),
+        );
+        for (filters, closed) in [(8, true), (16, false)] {
+            let l = ConvLayer::new("huge", 1, 1 << 24, 1 << 24, filters, 3, 3, 1, 1);
+            let mask = WeightMask::dense(&l);
+            let (want, _) = reference_run(&m, &l, &mask, 1);
+            assert!(want.is_ok(), "{filters} filters: {want:?}");
+            let (got, path) = run_noting_path(&m, &l, &mask, 1);
+            assert_eq!(got, want, "{filters} filters");
+            assert_eq!(path, Some(closed), "{filters} filters");
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn every_vgg16_c8_tile_matches_its_golden_digest() {
+        // The sparse mapping search's layer, mask and fabric. Its report
+        // prints only the frontier, so this digest of every channel
+        // tile's cycles, MACs, SRAM reads and groups, recorded before
+        // the closed form existed, also pins the tiles it leaves out.
+        let layer = maeri_dnn::zoo::vgg16_c8();
+        let mask = WeightMask::generate(&layer, 0.6, &mut SimRng::seed(42));
+        let m = SparseConvMapper::new(MaeriConfig::paper_64());
+        let mut paths = [0usize; 2];
+        let mut words = Vec::new();
+        for ct in 1..=layer.in_channels {
+            let (run, path) = run_noting_path(&m, &layer, &mask, ct);
+            let run = run.unwrap();
+            paths[usize::from(path == Some(false))] += 1;
+            let groups = run.extra.get("groups");
+            words.extend([run.cycles.as_u64(), run.macs, run.sram_reads, groups]);
+        }
+        assert_eq!(fnv1a(words), 0xde5c_40fc_5401_8263);
+        assert!(
+            paths.iter().all(|&n| n > 0),
+            "closed form, group loop: {paths:?}"
+        );
     }
 
     fn layer() -> ConvLayer {
