@@ -591,7 +591,8 @@ fn partial_cmp_sort(file: &FileAst, flags: &[bool]) -> Vec<Finding> {
 
 /// Trees whose probed entry points need plain twins: the fabric models
 /// (multiplier switches, distribution tree, cycle simulator, mappers)
-/// and the NoC packet simulator.
+/// and the NoC substrate, which has no probed entry point today but
+/// stays policed so a future one gets its twin.
 const PROBE_TWIN_TREES: &[&str] = &["crates/maeri/src/", "crates/noc/src/"];
 
 /// Rule 7: every `pub fn NAME_probed` has a plain `fn NAME` in the same

@@ -1,9 +1,13 @@
 //! Service load: the batch-inference service under seeded Poisson
 //! traffic, on a virtual clock.
 //!
-//! Three replays through the real admission control, verifier,
-//! persistent store, and runtime — timed virtually so every number is
-//! deterministic (see `maeri_serve::loadsim`):
+//! Three replays through the real verifier, persistent store, and
+//! runtime — timed virtually so every number is deterministic. Their
+//! admission is `maeri_serve::loadsim`'s re-implementation of the
+//! per-tenant bound, not the live `Service::admit`: it checks the
+//! bound before the store lookup (a store hit takes a tenant slot and
+//! can be refused), serves arrivals in arrival order rather than
+//! round-robin across tenants, and has no circuit breaker.
 //!
 //! * **cold** — an empty store; every distinct job simulates once;
 //! * **warm restart** — the same traffic against a *new* runtime on

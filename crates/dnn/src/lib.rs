@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fixed;
 pub mod gemm;
 pub mod layer;
 pub mod reference;

@@ -256,85 +256,6 @@ pub fn lstm_step(
     }
 }
 
-/// Parameters of a GRU layer (DeepSpeech2's actual recurrent unit):
-/// update and reset gates plus the candidate transform, each a
-/// `[hidden, input + hidden]` matrix with a bias.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GruParams {
-    /// Update-gate weights.
-    pub w_update: Tensor,
-    /// Reset-gate weights.
-    pub w_reset: Tensor,
-    /// Candidate weights.
-    pub w_cand: Tensor,
-    /// Update-gate bias.
-    pub b_update: Vec<f32>,
-    /// Reset-gate bias.
-    pub b_reset: Vec<f32>,
-    /// Candidate bias.
-    pub b_cand: Vec<f32>,
-}
-
-impl GruParams {
-    /// Creates random parameters for the given layer shape.
-    #[must_use]
-    pub fn random(layer: &LstmLayer, rng: &mut maeri_sim::SimRng) -> Self {
-        let cols = layer.input_dim + layer.hidden_dim;
-        let shape = [layer.hidden_dim, cols];
-        let bias =
-            |rng: &mut maeri_sim::SimRng| (0..layer.hidden_dim).map(|_| rng.next_f32()).collect();
-        GruParams {
-            w_update: Tensor::random(&shape, rng),
-            w_reset: Tensor::random(&shape, rng),
-            w_cand: Tensor::random(&shape, rng),
-            b_update: bias(rng),
-            b_reset: bias(rng),
-            b_cand: bias(rng),
-        }
-    }
-}
-
-/// One GRU time step:
-/// `z = sigma(W_z [x; h])`, `r = sigma(W_r [x; h])`,
-/// `c = tanh(W_c [x; r*h])`, `h' = (1 - z)*h + z*c`.
-///
-/// GRUs have the same mapping shape as LSTMs on MAERI (dot products
-/// over `[x; h]` plus tiny elementwise steps), which is why the zoo
-/// models DeepSpeech2's GRUs with [`LstmLayer`] descriptors.
-///
-/// # Panics
-///
-/// Panics if vector lengths do not match the descriptor.
-#[must_use]
-pub fn gru_step(layer: &LstmLayer, params: &GruParams, x: &[f32], h_prev: &[f32]) -> Vec<f32> {
-    assert_eq!(x.len(), layer.input_dim, "input length mismatch");
-    assert_eq!(h_prev.len(), layer.hidden_dim, "hidden length mismatch");
-    let concat: Vec<f32> = x.iter().chain(h_prev.iter()).copied().collect();
-    let dot = |w: &Tensor, v: &[f32], n: usize| -> f32 {
-        v.iter()
-            .enumerate()
-            .map(|(i, &val)| w.get(&[n, i]) * val)
-            .sum()
-    };
-    let z: Vec<f32> = (0..layer.hidden_dim)
-        .map(|n| sigmoid(dot(&params.w_update, &concat, n) + params.b_update[n]))
-        .collect();
-    let r: Vec<f32> = (0..layer.hidden_dim)
-        .map(|n| sigmoid(dot(&params.w_reset, &concat, n) + params.b_reset[n]))
-        .collect();
-    let gated: Vec<f32> = x
-        .iter()
-        .copied()
-        .chain(h_prev.iter().zip(&r).map(|(&h, &rg)| h * rg))
-        .collect();
-    let cand: Vec<f32> = (0..layer.hidden_dim)
-        .map(|n| (dot(&params.w_cand, &gated, n) + params.b_cand[n]).tanh())
-        .collect();
-    (0..layer.hidden_dim)
-        .map(|n| (1.0 - z[n]) * h_prev[n] + z[n] * cand[n])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,64 +383,6 @@ mod tests {
         let p2 = LstmParams::random(&layer, &mut SimRng::seed(11));
         assert_eq!(p1, p2);
         assert_eq!(p1.w_forget.shape(), &[3, 7]);
-    }
-
-    #[test]
-    fn gru_zero_update_gate_keeps_state() {
-        // Large negative update bias -> z ~ 0 -> h' ~ h_prev.
-        let layer = LstmLayer::new("g", 2, 2);
-        let zero = Tensor::zeros(&[2, 4]);
-        let params = GruParams {
-            w_update: zero.clone(),
-            w_reset: zero.clone(),
-            w_cand: zero,
-            b_update: vec![-100.0; 2],
-            b_reset: vec![0.0; 2],
-            b_cand: vec![0.0; 2],
-        };
-        let h = gru_step(&layer, &params, &[1.0, -1.0], &[0.3, -0.7]);
-        assert!((h[0] - 0.3).abs() < 1e-4);
-        assert!((h[1] + 0.7).abs() < 1e-4);
-    }
-
-    #[test]
-    fn gru_full_update_gate_takes_candidate() {
-        // Large positive update bias -> z ~ 1 -> h' ~ tanh(candidate).
-        let layer = LstmLayer::new("g", 1, 1);
-        let zero = Tensor::zeros(&[1, 2]);
-        let params = GruParams {
-            w_update: zero.clone(),
-            w_reset: zero.clone(),
-            w_cand: zero,
-            b_update: vec![100.0],
-            b_reset: vec![0.0],
-            b_cand: vec![0.5],
-        };
-        let h = gru_step(&layer, &params, &[0.0], &[0.9]);
-        assert!((h[0] - 0.5f32.tanh()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn gru_output_is_bounded() {
-        // h' is a convex combination of h_prev (bounded by induction)
-        // and tanh(c) in [-1, 1].
-        let layer = LstmLayer::new("g", 4, 3);
-        let mut rng = SimRng::seed(31);
-        let params = GruParams::random(&layer, &mut rng);
-        let mut h = vec![0.0f32; 3];
-        for _ in 0..20 {
-            let x: Vec<f32> = (0..4).map(|_| rng.next_f32()).collect();
-            h = gru_step(&layer, &params, &x, &h);
-            assert!(h.iter().all(|v| v.abs() <= 1.0 + 1e-6), "{h:?}");
-        }
-    }
-
-    #[test]
-    fn gru_params_deterministic() {
-        let layer = LstmLayer::new("g", 4, 3);
-        let a = GruParams::random(&layer, &mut SimRng::seed(8));
-        let b = GruParams::random(&layer, &mut SimRng::seed(8));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -37,6 +37,13 @@ use crate::MaeriConfig;
 /// before it is cleared, so a run's memory stays flat however many
 /// distinct groups it packs. Only multi-piece groups reach the memo: a
 /// one-piece group's slowdown is 1.0 without a lookup.
+///
+/// Measured on a build without the memo (2-core host, DESIGN.md §10):
+/// `figure13`, whose tile-3 groups repeat, took 0.120 s instead of
+/// 0.100 s traced, and `regen`'s `latency_p50_ms` rose from 99 to
+/// 120 ms over 12 pairs. The groups of the sparse search's tiles 1–6
+/// are nearly all distinct, and there the memo costs about 10 ms
+/// (0.102 instead of 0.091 s traced).
 const SLOWDOWN_MEMO_CAP: usize = 1024;
 
 /// Maps weight-sparse CONV layers onto a MAERI instance.

@@ -29,10 +29,8 @@
 #![warn(missing_docs)]
 
 pub mod chubby;
-pub mod packet_sim;
 pub mod ppa;
 pub mod reduction;
-pub mod routing;
 pub mod topology;
 
 pub use chubby::ChubbyTree;

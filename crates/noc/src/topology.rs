@@ -27,7 +27,7 @@ pub type NodeId = usize;
 /// let t = BinaryTree::with_leaves(8)?;
 /// assert_eq!(t.num_nodes(), 15);
 /// assert_eq!(t.parent(3), Some(1));
-/// assert_eq!(t.children(0), Some((1, 2)));
+/// assert_eq!(t.leaf_span(1), (0, 3));
 /// assert_eq!(t.leaf_node(0), 7);
 /// # Ok::<(), maeri_sim::SimError>(())
 /// ```
@@ -139,32 +139,6 @@ impl BinaryTree {
         }
     }
 
-    /// Children of a node, or `None` for a leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn children(&self, node: NodeId) -> Option<(NodeId, NodeId)> {
-        assert!(node < self.num_nodes(), "node {node} out of range");
-        if self.is_leaf(node) {
-            None
-        } else {
-            Some((2 * node + 1, 2 * node + 2))
-        }
-    }
-
-    /// Whether a node is a leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        assert!(node < self.num_nodes(), "node {node} out of range");
-        node >= self.leaves - 1
-    }
-
     /// Node id of the `index`-th leaf (0-based, left to right).
     ///
     /// # Panics
@@ -174,17 +148,6 @@ impl BinaryTree {
     pub fn leaf_node(&self, index: usize) -> NodeId {
         assert!(index < self.leaves, "leaf index {index} out of range");
         self.leaves - 1 + index
-    }
-
-    /// Leaf index of a leaf node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a leaf.
-    #[must_use]
-    pub fn leaf_index(&self, node: NodeId) -> usize {
-        assert!(self.is_leaf(node), "node {node} is not a leaf");
-        node - (self.leaves - 1)
     }
 
     /// The inclusive leaf-index range `[lo, hi]` covered by the subtree
@@ -221,25 +184,6 @@ impl BinaryTree {
         }
         links
     }
-
-    /// The lowest common ancestor of two leaf indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[must_use]
-    pub fn lca_of_leaves(&self, a: usize, b: usize) -> NodeId {
-        let mut x = self.leaf_node(a);
-        let mut y = self.leaf_node(b);
-        while x != y {
-            if x > y {
-                x = (x - 1) / 2;
-            } else {
-                y = (y - 1) / 2;
-            }
-        }
-        x
-    }
 }
 
 #[cfg(test)]
@@ -270,9 +214,8 @@ mod tests {
     fn parent_child_are_inverse() {
         let t = BinaryTree::with_leaves(32).unwrap();
         for node in 0..t.num_internal() {
-            let (l, r) = t.children(node).unwrap();
-            assert_eq!(t.parent(l), Some(node));
-            assert_eq!(t.parent(r), Some(node));
+            assert_eq!(t.parent(2 * node + 1), Some(node));
+            assert_eq!(t.parent(2 * node + 2), Some(node));
         }
         assert_eq!(t.parent(0), None);
     }
@@ -299,11 +242,9 @@ mod tests {
         let t = BinaryTree::with_leaves(8).unwrap();
         for i in 0..8 {
             let node = t.leaf_node(i);
-            assert!(t.is_leaf(node));
-            assert_eq!(t.leaf_index(node), i);
-            assert_eq!(t.children(node), None);
+            assert_eq!(t.level_of(node), t.levels() - 1);
+            assert_eq!(t.leaf_span(node), (i, i));
         }
-        assert!(!t.is_leaf(0));
     }
 
     #[test]
@@ -336,7 +277,10 @@ mod tests {
             assert_eq!(t.level_of(a), t.level_of(b));
             assert_ne!(t.parent(a), t.parent(b));
             assert_eq!(t.position_in_level(b), t.position_in_level(a) + 1);
-            assert!(!t.is_leaf(a), "no forwarding links between leaves");
+            assert!(
+                t.level_of(a) < t.levels() - 1,
+                "no forwarding links between leaves"
+            );
         }
     }
 
@@ -350,16 +294,6 @@ mod tests {
                 .sum();
             assert_eq!(t.art_forwarding_links().len(), expected);
         }
-    }
-
-    #[test]
-    fn lca_examples() {
-        let t = BinaryTree::with_leaves(8).unwrap();
-        assert_eq!(t.lca_of_leaves(0, 7), 0);
-        assert_eq!(t.lca_of_leaves(0, 1), t.node_at(2, 0));
-        assert_eq!(t.lca_of_leaves(2, 3), t.node_at(2, 1));
-        assert_eq!(t.lca_of_leaves(3, 3), t.leaf_node(3));
-        assert_eq!(t.lca_of_leaves(3, 4), 0);
     }
 
     #[test]

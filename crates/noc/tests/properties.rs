@@ -1,62 +1,28 @@
-//! Randomized and exhaustive tests for the NoC substrate: topology
-//! arithmetic, chubby bandwidth profiles, multicast routing, and the
-//! reduction models. Small domains are enumerated; the rest run 256
-//! cases from their own fixed seed. Every assertion names its inputs.
+//! Exhaustive tests for the NoC substrate: topology arithmetic,
+//! chubby bandwidth profiles and the reduction models. Every domain is
+//! small enough to enumerate, and every assertion names its inputs.
 
 use maeri_noc::reduction::ReductionKind;
-use maeri_noc::routing::{multicast_tree, unicast_route};
 use maeri_noc::{BinaryTree, ChubbyTree};
-use maeri_sim::SimRng;
 
-const CASES: usize = 256;
-
-/// Parent/child arithmetic is consistent for every node of every
-/// tree size from 2 to 1024 leaves.
+/// Parent, level and leaf-span arithmetic agree for every node of
+/// every tree size from 2 to 1024 leaves.
 #[test]
 fn tree_structure_is_consistent() {
     for log_leaves in 1..=10 {
-        let tree = BinaryTree::with_leaves(1 << log_leaves).unwrap();
-        for node in 0..tree.num_nodes() {
-            if let Some((l, r)) = tree.children(node) {
-                let what = format!("{} leaves, node {node}", 1 << log_leaves);
-                assert_eq!(tree.parent(l), Some(node), "{what}");
-                assert_eq!(tree.parent(r), Some(node), "{what}");
-                assert_eq!(tree.level_of(l), tree.level_of(node) + 1, "{what}");
-                // A node's leaf span is the union of its children's.
-                let (lo, hi) = tree.leaf_span(node);
-                let (llo, lhi) = tree.leaf_span(l);
-                let (rlo, rhi) = tree.leaf_span(r);
-                assert_eq!(lo, llo, "{what}");
-                assert_eq!(hi, rhi, "{what}");
-                assert_eq!(lhi + 1, rlo, "{what}");
-            }
-        }
-    }
-}
-
-/// The LCA of two leaves covers both in its span, and no deeper
-/// node does.
-#[test]
-fn lca_is_the_deepest_covering_node() {
-    let mut rng = SimRng::seed(41);
-    for case in 0..CASES {
-        let leaves = 1usize << (2 + rng.next_below(7));
-        let a = rng.next_below(leaves);
-        let b = rng.next_below(leaves);
-        let what = format!("case {case}: {leaves} leaves, leaves {a} and {b}");
+        let leaves = 1usize << log_leaves;
         let tree = BinaryTree::with_leaves(leaves).unwrap();
-        let lca = tree.lca_of_leaves(a, b);
-        let (lo, hi) = tree.leaf_span(lca);
-        assert!(lo <= a && a <= hi, "{what}");
-        assert!(lo <= b && b <= hi, "{what}");
-        if let Some((l, r)) = tree.children(lca) {
-            for child in [l, r] {
-                let (clo, chi) = tree.leaf_span(child);
-                assert!(
-                    !(clo <= a && a <= chi && clo <= b && b <= chi),
-                    "{what}: child {child} also covers both"
-                );
-            }
+        assert_eq!(tree.parent(0), None, "{leaves} leaves");
+        assert_eq!(tree.leaf_span(0), (0, leaves - 1), "{leaves} leaves");
+        for node in 1..tree.num_nodes() {
+            let what = format!("{leaves} leaves, node {node}");
+            let parent = tree.parent(node).unwrap();
+            assert_eq!(tree.level_of(node), tree.level_of(parent) + 1, "{what}");
+            // A left child (odd id) spans the lower half of its
+            // parent's leaves, a right child the upper half.
+            let width = leaves >> tree.level_of(node);
+            let lo = tree.leaf_span(parent).0 + if node % 2 == 1 { 0 } else { width };
+            assert_eq!(tree.leaf_span(node), (lo, lo + width - 1), "{what}");
         }
     }
 }
@@ -83,36 +49,6 @@ fn chubby_profile_monotone() {
                 prev_link = link;
                 prev_agg = agg;
             }
-        }
-    }
-}
-
-/// A multicast tree is never larger than the union of unicasts and
-/// never smaller than the largest single unicast.
-#[test]
-fn multicast_bounded_by_unicasts() {
-    let mut rng = SimRng::seed(42);
-    for case in 0..CASES {
-        let leaves = 1usize << (2 + rng.next_below(7));
-        // 1 to 11 distinct picks from 0..256, folded onto the leaves.
-        let count = 1 + rng.next_below(11);
-        let picks = rng.choose_indices(256, count);
-        let dests: Vec<usize> = picks.iter().map(|&p| p % leaves).collect();
-        let what = format!("case {case}: {leaves} leaves, destinations {dests:?}");
-        let tree = BinaryTree::with_leaves(leaves).unwrap();
-        let m = multicast_tree(&tree, &dests);
-        let depth = tree.levels() - 1;
-        let unique: std::collections::BTreeSet<usize> = dests.iter().copied().collect();
-        assert!(m.total_links() >= depth, "{what}");
-        assert!(m.total_links() <= depth * unique.len(), "{what}");
-        // Replication points are at most destinations - 1.
-        assert!(
-            m.replication_points.len() <= unique.len().saturating_sub(1),
-            "{what}"
-        );
-        // Route length always equals the depth.
-        for &d in &unique {
-            assert_eq!(unicast_route(&tree, d).len(), depth, "{what}: leaf {d}");
         }
     }
 }

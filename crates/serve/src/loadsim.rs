@@ -2,15 +2,25 @@
 //!
 //! Wall-clock service latency depends on host speed and thread
 //! scheduling, so it can never appear in a byte-stable report. This
-//! module replays a traffic trace through the *real* admission-control
-//! policy, verifier, store, and runtime — but accounts time on a
-//! virtual clock: each job's service cost is a pure function of its
-//! simulated result (cycles simulated / a fixed drain rate), arrivals
-//! come from the trace's virtual timestamps, and an M/G/c queue of
-//! `virtual_workers` servers yields completion times. Latency
-//! percentiles, hit rates, and reject counts are then exact integers,
-//! identical on every machine and at every `MAERI_RUNTIME_WORKERS`
-//! setting.
+//! module replays a traffic trace through the real verifier, store,
+//! and runtime — but accounts time on a virtual clock: each job's
+//! service cost is a pure function of its simulated result (cycles
+//! simulated / a fixed drain rate), arrivals come from the trace's
+//! virtual timestamps, and an M/G/c queue of `virtual_workers` servers
+//! yields completion times. Latency percentiles, hit rates, and reject
+//! counts are then exact integers, identical on every machine and at
+//! every `MAERI_RUNTIME_WORKERS` setting.
+//!
+//! Admission is not `Service::admit`: the replay re-implements its
+//! per-tenant in-flight bound over virtual completion times, and
+//! differs from the live path in three ways:
+//!
+//! * it checks the bound *before* the store lookup, so a store hit
+//!   takes a tenant slot and [`HIT_COST_US`] on a virtual server, and
+//!   can be refused; the live service answers a hit without a slot;
+//! * it serves arrivals in arrival order on the earliest-free server;
+//!   the live workers drain the per-tenant queues round-robin;
+//! * it has no circuit breaker.
 //!
 //! [`simulate_traced`] additionally emits the same request-path span
 //! vocabulary the live service records ([`maeri_telemetry::span`]),

@@ -19,8 +19,8 @@ const FABRIC_TID: u32 = 0;
 /// thread per lane (`tid = lane + 1`); fabric-wide events live on
 /// `tid 0`. [`TraceEvent::VnReduceComplete`] becomes a complete (`"X"`)
 /// slice spanning the wave's time in the ART, [`TraceEvent::DistIssue`]
-/// and [`TraceEvent::LinkHop`] become counter (`"C"`) tracks, and
-/// everything else becomes instants.
+/// becomes a counter (`"C"`) track, and everything else becomes
+/// instants.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChromeTraceSink {
     events: Vec<TraceEvent>,
@@ -131,21 +131,6 @@ fn trace_event_json(event: &TraceEvent) -> JsonValue {
                 .with("unique_words", JsonValue::UInt(unique_words))
                 .with("cycles", JsonValue::UInt(cycles)),
         ),
-        TraceEvent::LinkHop {
-            cycle,
-            level,
-            links,
-        } => counter(
-            &format!("level{level}_links"),
-            cycle,
-            JsonValue::object().with("links", JsonValue::UInt(links)),
-        ),
-        TraceEvent::PacketDelivered { cycle, id } => instant(
-            "packet_delivered",
-            cycle,
-            FABRIC_TID,
-            JsonValue::object().with("packet", JsonValue::UInt(u64::from(id))),
-        ),
         TraceEvent::DistStall { cycle, lane } => instant(
             "dist_stall",
             cycle,
@@ -240,14 +225,11 @@ mod tests {
     #[test]
     fn counter_events_use_counter_phase() {
         let mut sink = ChromeTraceSink::new();
-        sink.emit(|| TraceEvent::LinkHop {
-            cycle: 4,
-            level: 2,
-            links: 3,
-        });
+        sink.emit(|| TraceEvent::DistIssue { cycle: 4, words: 3 });
         let text = sink.render();
         validate(&text).unwrap();
-        assert!(text.contains("\"name\":\"level2_links\""));
+        assert!(text.contains("\"name\":\"dist_issue_words\""));
         assert!(text.contains("\"ph\":\"C\""));
+        assert!(text.contains("\"words\":3"));
     }
 }

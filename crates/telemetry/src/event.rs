@@ -36,23 +36,6 @@ pub enum TraceEvent {
         /// Cycles the delivery cost.
         cycles: u64,
     },
-    /// A packet moved into a tree level, occupying `links` links there
-    /// (recorded by the packet-level NoC simulation).
-    LinkHop {
-        /// Simulation cycle.
-        cycle: u64,
-        /// Tree level entered (1 = just below the root).
-        level: u32,
-        /// Links of that level occupied by the move.
-        links: u64,
-    },
-    /// A packet reached its last destination leaf.
-    PacketDelivered {
-        /// Simulation cycle.
-        cycle: u64,
-        /// Packet id.
-        id: u32,
-    },
     /// A lane (virtual neuron) sat idle this cycle waiting for inputs —
     /// distribution was the limiter.
     DistStall {
@@ -109,8 +92,6 @@ impl TraceEvent {
             TraceEvent::DistIssue { .. } => "dist_issue",
             TraceEvent::FlitDropped { .. } => "flit_dropped",
             TraceEvent::DistDelivery { .. } => "dist_delivery",
-            TraceEvent::LinkHop { .. } => "link_hop",
-            TraceEvent::PacketDelivered { .. } => "packet_delivered",
             TraceEvent::DistStall { .. } => "dist_stall",
             TraceEvent::CollectStall { .. } => "collect_stall",
             TraceEvent::VnReduceStart { .. } => "vn_reduce_start",
@@ -127,8 +108,6 @@ impl TraceEvent {
         match *self {
             TraceEvent::DistIssue { cycle, .. }
             | TraceEvent::FlitDropped { cycle }
-            | TraceEvent::LinkHop { cycle, .. }
-            | TraceEvent::PacketDelivered { cycle, .. }
             | TraceEvent::DistStall { cycle, .. }
             | TraceEvent::CollectStall { cycle, .. }
             | TraceEvent::VnReduceStart { cycle, .. }
@@ -152,12 +131,6 @@ mod tests {
                 unique_words: 4,
                 cycles: 1,
             },
-            TraceEvent::LinkHop {
-                cycle: 1,
-                level: 1,
-                links: 2,
-            },
-            TraceEvent::PacketDelivered { cycle: 3, id: 0 },
             TraceEvent::DistStall { cycle: 1, lane: 0 },
             TraceEvent::CollectStall { cycle: 1, lane: 0 },
             TraceEvent::VnReduceStart { cycle: 1, lane: 0 },

@@ -9,7 +9,7 @@
 //!
 //! * [`TraceEvent`] is the event vocabulary — everything a clocked
 //!   simulation can say about one cycle (words injected, flits dropped,
-//!   reduction waves started/completed, stalls, link hops);
+//!   reduction waves started/completed, stalls);
 //! * [`TraceSink`] is the consumer interface. Simulation hot loops are
 //!   generic over `S: TraceSink` and call [`TraceSink::emit`], which
 //!   checks the sink's compile-time [`TraceSink::ENABLED`] flag
