@@ -104,13 +104,6 @@ impl ChubbyTree {
         self.link_bandwidth(level) * self.tree.nodes_at_level(level)
     }
 
-    /// The level at and below which links are 1x ("tapered").
-    #[must_use]
-    pub fn taper_level(&self) -> usize {
-        // root_bandwidth >> level == 1 when level == log2(root_bandwidth).
-        maeri_sim::util::log2(self.root_bandwidth) as usize
-    }
-
     /// Total wire width summed over every link of the tree, in words.
     /// Used by the PPA model: chubby trees cost little more than a plain
     /// binary tree because only the top `log2(bw)` levels are wide.
@@ -155,16 +148,6 @@ mod tests {
         assert_eq!(c.level_aggregate_bandwidth(1), 8);
         assert_eq!(c.level_aggregate_bandwidth(3), 8);
         assert_eq!(c.level_aggregate_bandwidth(6), 64);
-    }
-
-    #[test]
-    fn taper_level_matches_bandwidth_one() {
-        let c = chubby(64, 8);
-        assert_eq!(c.taper_level(), 3);
-        assert_eq!(c.link_bandwidth(c.taper_level()), 1);
-        let wide = chubby(64, 64);
-        // Fully fat tree: taper only at the leaf level.
-        assert_eq!(wide.taper_level(), 6);
     }
 
     #[test]

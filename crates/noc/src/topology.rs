@@ -27,7 +27,7 @@ pub type NodeId = usize;
 /// let t = BinaryTree::with_leaves(8)?;
 /// assert_eq!(t.num_nodes(), 15);
 /// assert_eq!(t.parent(3), Some(1));
-/// assert_eq!(t.leaf_span(1), (0, 3));
+/// assert_eq!(t.node_at(1, 1), 2);
 /// assert_eq!(t.leaf_node(0), 7);
 /// # Ok::<(), maeri_sim::SimError>(())
 /// ```
@@ -113,17 +113,6 @@ impl BinaryTree {
         (1 << level) - 1 + pos
     }
 
-    /// The left-to-right position of a node within its level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn position_in_level(&self, node: NodeId) -> usize {
-        let level = self.level_of(node);
-        node - ((1 << level) - 1)
-    }
-
     /// Parent of a node, or `None` for the root.
     ///
     /// # Panics
@@ -148,20 +137,6 @@ impl BinaryTree {
     pub fn leaf_node(&self, index: usize) -> NodeId {
         assert!(index < self.leaves, "leaf index {index} out of range");
         self.leaves - 1 + index
-    }
-
-    /// The inclusive leaf-index range `[lo, hi]` covered by the subtree
-    /// rooted at `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn leaf_span(&self, node: NodeId) -> (usize, usize) {
-        let level = self.level_of(node);
-        let pos = self.position_in_level(node);
-        let width = self.leaves >> level;
-        (pos * width, pos * width + width - 1)
     }
 
     /// Enumerates the ART forwarding links: pairs of adjacent same-level
@@ -230,9 +205,7 @@ mod tests {
         assert_eq!(t.level_of(14), 3);
         for level in 0..t.levels() {
             for pos in 0..t.nodes_at_level(level) {
-                let node = t.node_at(level, pos);
-                assert_eq!(t.level_of(node), level);
-                assert_eq!(t.position_in_level(node), pos);
+                assert_eq!(t.level_of(t.node_at(level, pos)), level);
             }
         }
     }
@@ -243,18 +216,8 @@ mod tests {
         for i in 0..8 {
             let node = t.leaf_node(i);
             assert_eq!(t.level_of(node), t.levels() - 1);
-            assert_eq!(t.leaf_span(node), (i, i));
+            assert_eq!(t.node_at(t.levels() - 1, i), node);
         }
-    }
-
-    #[test]
-    fn leaf_span_of_subtrees() {
-        let t = BinaryTree::with_leaves(8).unwrap();
-        assert_eq!(t.leaf_span(0), (0, 7));
-        assert_eq!(t.leaf_span(1), (0, 3));
-        assert_eq!(t.leaf_span(2), (4, 7));
-        assert_eq!(t.leaf_span(t.leaf_node(5)), (5, 5));
-        assert_eq!(t.leaf_span(t.node_at(2, 1)), (2, 3));
     }
 
     #[test]
@@ -276,7 +239,7 @@ mod tests {
         for (a, b) in t.art_forwarding_links() {
             assert_eq!(t.level_of(a), t.level_of(b));
             assert_ne!(t.parent(a), t.parent(b));
-            assert_eq!(t.position_in_level(b), t.position_in_level(a) + 1);
+            assert_eq!(b, a + 1, "adjacent positions of one level");
             assert!(
                 t.level_of(a) < t.levels() - 1,
                 "no forwarding links between leaves"

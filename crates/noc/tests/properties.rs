@@ -5,24 +5,25 @@
 use maeri_noc::reduction::ReductionKind;
 use maeri_noc::{BinaryTree, ChubbyTree};
 
-/// Parent, level and leaf-span arithmetic agree for every node of
+/// Position, level and parent arithmetic agree for every node of
 /// every tree size from 2 to 1024 leaves.
 #[test]
 fn tree_structure_is_consistent() {
     for log_leaves in 1..=10 {
         let leaves = 1usize << log_leaves;
         let tree = BinaryTree::with_leaves(leaves).unwrap();
+        assert_eq!(tree.node_at(0, 0), 0, "{leaves} leaves");
         assert_eq!(tree.parent(0), None, "{leaves} leaves");
-        assert_eq!(tree.leaf_span(0), (0, leaves - 1), "{leaves} leaves");
-        for node in 1..tree.num_nodes() {
-            let what = format!("{leaves} leaves, node {node}");
-            let parent = tree.parent(node).unwrap();
-            assert_eq!(tree.level_of(node), tree.level_of(parent) + 1, "{what}");
-            // A left child (odd id) spans the lower half of its
-            // parent's leaves, a right child the upper half.
-            let width = leaves >> tree.level_of(node);
-            let lo = tree.leaf_span(parent).0 + if node % 2 == 1 { 0 } else { width };
-            assert_eq!(tree.leaf_span(node), (lo, lo + width - 1), "{what}");
+        for level in 1..tree.levels() {
+            for pos in 0..tree.nodes_at_level(level) {
+                let what = format!("{leaves} leaves, level {level}, position {pos}");
+                let node = tree.node_at(level, pos);
+                assert_eq!(tree.level_of(node), level, "{what}");
+                // Positions 2p and 2p + 1 are the children of position p
+                // one level up.
+                let parent = tree.node_at(level - 1, pos / 2);
+                assert_eq!(tree.parent(node), Some(parent), "{what}");
+            }
         }
     }
 }

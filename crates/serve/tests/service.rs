@@ -1,8 +1,8 @@
 //! End-to-end service tests: warm-restart store hits across service
-//! instances, a runtime phase log that serving never grows, cache rows
-//! that read the runtime's own counters, and the full socket round trip
-//! (client → framed wire → server → scheduler → runtime → store →
-//! client).
+//! instances, a store hit admitted past the tenant bound, a runtime
+//! phase log that serving never grows, cache rows that read the
+//! runtime's own counters, and the full socket round trip (client →
+//! framed wire → server → scheduler → runtime → store → client).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +12,7 @@ use maeri::{MaeriConfig, VnPolicy};
 use maeri_dnn::ConvLayer;
 use maeri_runtime::{Runtime, SimJob};
 use maeri_serve::server::Server;
-use maeri_serve::service::{ServeConfig, Service};
+use maeri_serve::service::{JobStatus, ServeConfig, Service, SubmitError};
 use maeri_serve::wire::{Client, FabricSpec, JobSpec};
 use maeri_telemetry::json::JsonValue;
 
@@ -72,6 +72,45 @@ fn warm_restart_answers_from_the_store() {
     let snap = service.stats();
     assert_eq!(snap.store_hits, 1);
     assert_eq!(snap.cache_misses, 0, "the runtime never saw the job");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Only the persistent store answers at admission, before the breaker
+/// and depth checks: with the one worker wedged and the tenant at its
+/// bound, a new key is refused while a stored key comes back `Done`.
+#[test]
+fn a_store_hit_needs_no_tenant_slot() {
+    let path = temp_store("slot");
+    let service = Service::start(
+        ServeConfig {
+            workers: 1,
+            per_tenant_depth: 2,
+            store_path: Some(path.clone()),
+            ..ServeConfig::default()
+        },
+        Arc::new(Runtime::new(1)),
+    )
+    .expect("start");
+    let id = service
+        .submit("t0", conv_job("slot_stored"))
+        .expect("submit");
+    assert!(service.wait(id).expect("wait").ok);
+    // One job holds the worker and one waits behind it: t0 is full.
+    service.submit("t0", SimJob::wedge(2_000)).expect("wedge");
+    service.submit("t0", SimJob::wedge(1)).expect("queue");
+    assert_eq!(
+        service.submit("t0", conv_job("slot_new")),
+        Err(SubmitError::Backpressure {
+            tenant: "t0".to_owned(),
+            depth: 2,
+        })
+    );
+    let id = service
+        .submit("t0", conv_job("slot_stored"))
+        .expect("a store hit takes no slot");
+    assert_eq!(service.status(id).expect("ticket").status, JobStatus::Done);
+    assert_eq!(service.stats().store_hits, 1);
+    drop(service);
     let _ = std::fs::remove_file(&path);
 }
 

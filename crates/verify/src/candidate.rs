@@ -1,29 +1,28 @@
 //! Invariant 4 and the pre-score prune gate: static verification of a
 //! [`MappingCandidate`] against a layer, on the mapper's own plan.
 //!
-//! [`verify_mapping`] asks the mapper for its plan ([`ConvMapper::plan`],
-//! [`FcMapper::plan`], [`LstmMapper::gate_plan`], [`LstmMapper::state_plan`],
-//! [`SparseConvMapper::vn_sizes`]), so a refused candidate comes back
-//! as the mapper's own [`maeri::PlanError`]. Building the plan built
-//! its ART, which decided invariants 1, 2 and 5; the report reads that
-//! ART, and a MAC-conservation ledger checks the plan's fields against
-//! the layer: every weight×input pair must be assigned exactly once,
-//! and trailing idle switches drop none.
+//! [`statically_reject`] asks the mapper for its plan
+//! ([`ConvMapper::plan`], [`FcMapper::plan`], [`LstmMapper::gate_plan`],
+//! [`LstmMapper::state_plan`], [`SparseConvMapper::vn_sizes`]), so a
+//! refused candidate comes back as the mapper's own
+//! [`maeri::PlanError`]. Building the plan built its ART, which decided
+//! invariants 1, 2 and 5, and a MAC-conservation ledger checks the
+//! plan's fields against the layer: every weight×input pair must be
+//! assigned exactly once, and trailing idle switches drop none.
 //!
-//! [`statically_reject`] is the wrapper the mapping-space search uses as
-//! a prune gate. It rejects exactly the dense CONV, FC and LSTM
-//! candidates the mapper refuses, and only sparse candidates the mapper
-//! refuses too, so pruning before scoring changes no search outcome.
+//! The mapping-space search uses it as a prune gate. It rejects exactly
+//! the dense CONV, FC and LSTM candidates the mapper refuses, and only
+//! sparse candidates the mapper refuses too, so pruning before scoring
+//! changes no search outcome.
 
 use maeri::mapper::{span_capacity, ConvPlan};
 use maeri::{
-    ArtConfig, CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, MappingCandidate,
+    CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, MappingCandidate,
     SparseConvMapper, VectorPlan, VnPolicy,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 
 use crate::error::VerifyError;
-use crate::partition::PartitionReport;
 
 /// The layer a candidate is verified against.
 #[derive(Debug, Clone, Copy)]
@@ -54,66 +53,29 @@ impl VerifyLayer<'_> {
     }
 }
 
-/// What a successful mapping verification proves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MappingReport {
-    /// The plan's VN partition of one steady-state iteration (`None`
-    /// for sparse layers, whose grouping is re-packed dynamically per
-    /// group; the LSTM gate phase's for LSTM).
-    pub partition: Option<PartitionReport>,
-    /// Work units the layer defines (MACs; gate-phase MACs for LSTM).
-    pub macs_expected: u64,
-    /// Work units the plan assigns.
-    pub macs_assigned: u64,
-}
-
-/// Statically verifies a mapping candidate against a layer.
-///
-/// # Errors
-///
-/// Returns the first [`VerifyError`] violation: fabric-configuration
-/// failures, kind mismatches, the mapper's refusal to plan, or a
-/// MAC-conservation mismatch in the plan.
-pub fn verify_mapping(
-    base: &MaeriConfig,
-    layer: &VerifyLayer<'_>,
-    cand: &MappingCandidate,
-) -> Result<MappingReport, VerifyError> {
-    let (cfg, art, macs) = check_mapping(base, layer, cand)?;
-    Ok(MappingReport {
-        partition: art.map(|art| PartitionReport::of(&cfg, &art)),
-        macs_expected: macs,
-        macs_assigned: macs,
-    })
-}
-
-/// [`verify_mapping`]'s checks, without its report: the candidate's
-/// config, its plan's ART (`None` for sparse) and the conserved MACs.
+/// [`statically_reject`]'s checks, as a `Result`.
 fn check_mapping(
     base: &MaeriConfig,
     layer: &VerifyLayer<'_>,
     cand: &MappingCandidate,
-) -> Result<(MaeriConfig, Option<ArtConfig>, u64), VerifyError> {
+) -> Result<(), VerifyError> {
     let cfg = cand.config(base).map_err(|e| VerifyError::Config {
         message: e.to_string(),
     })?;
-    let (art, macs) = match (layer, cand.kind) {
+    match (layer, cand.kind) {
         (VerifyLayer::Conv(l), CandidateKind::Conv(m)) => {
             let plan = ConvMapper::new(cfg).plan(l, VnPolicy::Explicit(m))?;
-            let macs = conv_ledger(l, &plan)?;
-            (Some(plan.art), macs)
+            conv_ledger(l, &plan)
         }
         (VerifyLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
             let plan = FcMapper::new(cfg).plan(l, vn_size)?;
-            let macs = folded_ledger(&plan, l.inputs, l.outputs, l.macs(), "fc folding")?;
-            (Some(plan.art), macs)
+            folded_ledger(&plan, l.inputs, l.outputs, l.macs(), "fc folding")
         }
         (VerifyLayer::Lstm(l), CandidateKind::Lstm { gate_vn_size }) => {
             let plan = LstmMapper::gate_plan(&cfg, l, gate_vn_size)?;
             LstmMapper::state_plan(&cfg)?;
             let (d, gates) = (l.input_dim + l.hidden_dim, 4 * l.hidden_dim);
-            let macs = folded_ledger(&plan, d, gates, l.gate_macs(), "lstm gate folding")?;
-            (Some(plan.art), macs)
+            folded_ledger(&plan, d, gates, l.gate_macs(), "lstm gate folding")
         }
         (VerifyLayer::SparseConv { layer, mask }, CandidateKind::SparseConv { channel_tile }) => {
             let sizes = SparseConvMapper::new(cfg).vn_sizes(layer, mask, channel_tile)?;
@@ -125,21 +87,18 @@ fn check_mapping(
             let positions = (layer.out_h() * layer.out_w()) as u64;
             let expected = mask.total_nonzeros() as u64 * positions;
             let assigned = sizes.iter().sum::<usize>() as u64 * positions;
-            (None, conserve(expected, assigned, "sparse survivors")?)
+            conserve(expected, assigned, "sparse survivors")
         }
-        (layer, kind) => {
-            return Err(VerifyError::KindMismatch {
-                candidate: match kind {
-                    CandidateKind::Conv(_) => "conv",
-                    CandidateKind::SparseConv { .. } => "sparse",
-                    CandidateKind::Fc { .. } => "fc",
-                    CandidateKind::Lstm { .. } => "lstm",
-                },
-                layer: layer.kind_label(),
-            })
-        }
-    };
-    Ok((cfg, art, macs))
+        (layer, kind) => Err(VerifyError::KindMismatch {
+            candidate: match kind {
+                CandidateKind::Conv(_) => "conv",
+                CandidateKind::SparseConv { .. } => "sparse",
+                CandidateKind::Fc { .. } => "fc",
+                CandidateKind::Lstm { .. } => "lstm",
+            },
+            layer: layer.kind_label(),
+        }),
+    }
 }
 
 /// The mapping-space prune gate: `Some(violation)` exactly when the
@@ -148,7 +107,11 @@ fn check_mapping(
 /// `LstmMapper::run_with_gate_vn_size`), and for a sparse candidate
 /// only when `SparseConvMapper::run` refuses it too (a later group's
 /// ART may still fail there). A statically rejected candidate can never
-/// have scored. Unlike [`verify_mapping`], it builds no report.
+/// have scored.
+///
+/// The violation is the first of: a fabric-configuration failure, a
+/// kind mismatch, the mapper's refusal to plan, or a MAC-conservation
+/// mismatch in the plan.
 #[must_use]
 pub fn statically_reject(
     base: &MaeriConfig,
@@ -159,10 +122,10 @@ pub fn statically_reject(
 }
 
 /// Invariant 4's books: the plan must assign exactly the `expected`
-/// units the layer defines. Returns the conserved count.
-fn conserve(expected: u64, assigned: u64, unit: &'static str) -> Result<u64, VerifyError> {
+/// units the layer defines.
+fn conserve(expected: u64, assigned: u64, unit: &'static str) -> Result<(), VerifyError> {
     if assigned == expected {
-        Ok(assigned)
+        Ok(())
     } else {
         Err(VerifyError::MacMismatch {
             expected,
@@ -176,12 +139,12 @@ fn conserve(expected: u64, assigned: u64, unit: &'static str) -> Result<u64, Ver
 /// `segments` channel tiles cover every input channel once, its
 /// `subfold` pieces cover every weight of one tile once (trailing idle
 /// switches pad the last piece but drop nothing), and its iterations
-/// cover every work unit at least once. Returns the layer's MACs.
-fn conv_ledger(layer: &ConvLayer, plan: &ConvPlan) -> Result<u64, VerifyError> {
+/// cover every work unit at least once.
+fn conv_ledger(layer: &ConvLayer, plan: &ConvPlan) -> Result<(), VerifyError> {
     let rs = layer.kernel_h * layer.kernel_w;
     let covered = (plan.segments * plan.channel_tile).min(layer.in_channels);
     let assigned = layer.output_count() as u64 * (rs * covered) as u64;
-    let macs = conserve(layer.macs(), assigned, "conv channel tiling")?;
+    conserve(layer.macs(), assigned, "conv channel tiling")?;
     let tile = rs * plan.channel_tile;
     let pieces = (plan.subfold * plan.vn_size).min(tile);
     conserve(tile as u64, pieces as u64, "conv subfold pieces")?;
@@ -194,19 +157,19 @@ fn conv_ledger(layer: &ConvLayer, plan: &ConvPlan) -> Result<u64, VerifyError> {
             unit: "conv work units",
         });
     }
-    Ok(macs)
+    Ok(())
 }
 
 /// Invariant 4 over a folded-vector plan: `plan.fold` segments of
 /// `plan.vn_size` switches cover all `d` inputs of each of the
-/// `outputs` dot products, `expected` MACs in all. Returns them.
+/// `outputs` dot products, `expected` MACs in all.
 fn folded_ledger(
     plan: &VectorPlan,
     d: usize,
     outputs: usize,
     expected: u64,
     unit: &'static str,
-) -> Result<u64, VerifyError> {
+) -> Result<(), VerifyError> {
     let covered = (plan.fold * plan.vn_size).min(d);
     conserve(expected, (outputs * covered) as u64, unit)
 }
@@ -233,10 +196,11 @@ mod tests {
             }),
             &base,
         );
-        let report = verify_mapping(&base, &VerifyLayer::Conv(&layer), &cand).unwrap();
-        assert_eq!(report.macs_assigned, layer.macs());
-        assert_eq!(report.macs_expected, layer.macs());
-        assert!(report.partition.is_some());
+        // The plan builds and its ledger assigns every MAC once.
+        assert_eq!(
+            statically_reject(&base, &VerifyLayer::Conv(&layer), &cand),
+            None
+        );
     }
 
     #[test]
@@ -303,7 +267,7 @@ mod tests {
         let fc = FcLayer::new("f", 16, 4);
         let cand =
             MappingCandidate::with_base_bandwidth(CandidateKind::Lstm { gate_vn_size: 4 }, &base);
-        let err = verify_mapping(&base, &VerifyLayer::Fc(&fc), &cand).unwrap_err();
+        let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &cand).unwrap();
         assert_eq!(
             err,
             VerifyError::KindMismatch {
@@ -326,7 +290,7 @@ mod tests {
             dist_bandwidth: 3,
             collect_bandwidth: 8,
         };
-        let err = verify_mapping(&base, &VerifyLayer::Conv(&layer), &cand).unwrap_err();
+        let err = statically_reject(&base, &VerifyLayer::Conv(&layer), &cand).unwrap();
         assert!(matches!(err, VerifyError::Config { .. }), "{err}");
     }
 
@@ -343,7 +307,7 @@ mod tests {
             .plan(&layer, VnPolicy::Explicit(mapping))
             .unwrap();
         assert_eq!((plan.segments, plan.subfold, plan.vn_size), (2, 2, 36));
-        assert_eq!(conv_ledger(&layer, &plan), Ok(layer.macs()));
+        assert_eq!(conv_ledger(&layer, &plan), Ok(()));
         (layer, plan)
     }
 
@@ -397,9 +361,10 @@ mod tests {
         let fc = FcLayer::new("f", 256, 16);
         let mut plan = VectorPlan::new(&MaeriConfig::paper_64(), 256, 64, "vn_size").unwrap();
         assert_eq!((plan.fold, plan.vn_size), (4, 64));
+        assert_eq!(fc.macs(), 4096);
         assert_eq!(
             folded_ledger(&plan, 256, 16, fc.macs(), "fc folding"),
-            Ok(4096)
+            Ok(())
         );
         plan.fold -= 1;
         assert_eq!(

@@ -12,55 +12,25 @@ use std::fmt;
 
 use maeri::PlanError;
 
-/// Which tree network a bandwidth finding refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Network {
-    /// The chubby distribution tree (prefetch buffer to multipliers).
-    Distribution,
-    /// The ART / collection network (multipliers back to the buffer).
-    Collection,
-}
-
-impl fmt::Display for Network {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Network::Distribution => f.write_str("distribution"),
-            Network::Collection => f.write_str("collection"),
-        }
-    }
-}
-
 /// A statically proven legality violation.
 ///
-/// The variants map onto the five invariants of the paper that
-/// `maeri-verify` checks (see DESIGN.md section 11):
+/// The variants cover the four invariants of the paper that decide
+/// legality (see DESIGN.md section 11):
 ///
-/// 1. VN contiguity/disjointness over the multiplier leaves,
-/// 2. ART link exclusivity for the induced reduction forest,
-/// 3. per-level bandwidth feasibility ([`VerifyError::BandwidthInfeasible`]),
-/// 4. MAC conservation ([`VerifyError::MacMismatch`]),
-/// 5. fault consistency.
+/// - VN contiguity and disjointness over the multiplier leaves (1), ART
+///   link exclusivity for the induced reduction forest (2) and fault
+///   consistency (5) are the ART builder's own checks. Inside a
+///   candidate they surface as [`PlanError::Partition`] under
+///   [`VerifyError::Plan`], as do the knob bounds and the fully faulty
+///   fabric the mapper refuses before any partition exists.
+/// - MAC conservation (4) is [`VerifyError::MacMismatch`].
 ///
-/// Invariants 1, 2 and 5 are the ART builder's own checks; inside a
-/// candidate they surface as [`PlanError::Partition`] under
-/// [`VerifyError::Plan`], as do the knob bounds and the fully faulty
-/// fabric the mapper refuses before any partition exists.
+/// Per-level bandwidth (3) is a cost the mappers charge, not a legality
+/// test, so no variant reports it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VerifyError {
     /// The mapper refuses to plan the candidate.
     Plan(PlanError),
-    /// Invariant 3 (strict form): `level` of `network` must move `load`
-    /// words per cycle over links of width `capacity`.
-    BandwidthInfeasible {
-        /// Which tree network is the bottleneck.
-        network: Network,
-        /// Tree level of the bottleneck link (0 = root port).
-        level: usize,
-        /// Worst per-cycle word demand on one link of the level.
-        load: u64,
-        /// Words per cycle the link can carry.
-        capacity: u64,
-    },
     /// Invariant 4: the plan assigns `assigned` of the `expected`
     /// units of work (each weight×input pair must be assigned exactly
     /// once; trailing idle switches drop none).
@@ -90,15 +60,6 @@ impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyError::Plan(err) => err.fmt(f),
-            VerifyError::BandwidthInfeasible {
-                network,
-                level,
-                load,
-                capacity,
-            } => write!(
-                f,
-                "{network} level {level} load {load} out of range 0..={capacity} words/cycle"
-            ),
             VerifyError::MacMismatch {
                 expected,
                 assigned,
@@ -160,15 +121,6 @@ mod tests {
                     max: 3,
                 }),
                 "channel_tile 99 out of range 1..=3",
-            ),
-            (
-                VerifyError::BandwidthInfeasible {
-                    network: Network::Collection,
-                    level: 0,
-                    load: 8,
-                    capacity: 1,
-                },
-                "collection level 0 load 8 out of range 0..=1 words/cycle",
             ),
         ];
         for (err, want) in cases {

@@ -1,19 +1,18 @@
 //! Oracle test: the one VN-construction walk against an independent
 //! reference.
 //!
-//! `maeri_verify::verify_reduction` builds the ART with
-//! `maeri::art::ArtConfig::build_with_faults`, so comparing the two
-//! would compare the walk with itself. The oracle here knows nothing of
-//! the walk: a partition is legal exactly when every VN is in range, no
-//! leaf is covered twice and no VN sits on a dead leaf, which it reads
-//! off the ranges and `FaultPlan::is_leaf_dead` alone. For every
-//! partition on fabrics up to 8 multipliers (exhaustive) and for
-//! seeded-random samples at 16 and 64 multipliers (fault-free and
-//! faulty), the verifier must accept exactly the legal partitions, the
-//! replay must return each VN's exact sum, the report must equal the
-//! ART's accessors, and an illegal partition must be rejected as out of
-//! range, overlapping or on a dead leaf. The 32,768 gapless partitions
-//! of 16 leaves are built and reduced by
+//! The verifier decides invariants 1, 2 and 5 by building the plan's
+//! ART with `maeri::art::ArtConfig::build_with_faults`, so this test
+//! builds with it directly. The oracle here knows nothing of the walk:
+//! a partition is legal exactly when every VN is in range, no leaf is
+//! covered twice and no VN sits on a dead leaf, which it reads off the
+//! ranges and `FaultPlan::is_leaf_dead` alone. For every partition on
+//! fabrics up to 8 multipliers (exhaustive) and for seeded-random
+//! samples at 16 and 64 multipliers (fault-free and faulty), the walk
+//! must build exactly the legal partitions, the replay must return
+//! each VN's exact sum, and an illegal partition must be rejected as
+//! out of range, overlapping or on a dead leaf. The 32,768 gapless
+//! partitions of 16 leaves are built and reduced by
 //! `crates/maeri/tests/art_exhaustive.rs`.
 //!
 //! One disagreement is known and pinned: with forwarding links severed,
@@ -24,7 +23,6 @@ use maeri::art::{ArtConfig, ArtError, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
 use maeri_noc::{BinaryTree, ChubbyTree};
 use maeri_sim::SimRng;
-use maeri_verify::verify_reduction;
 
 fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
     ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
@@ -65,26 +63,18 @@ enum Verdict {
 /// disagreement other than the known severed-link defect.
 fn check(leaves: usize, bw: usize, faults: Option<&FaultPlan>, vns: &[VnRange]) -> Verdict {
     let legal = is_legal(leaves, faults, vns);
-    match verify_reduction(&chubby(leaves, bw), faults, vns) {
-        Ok(report) => {
+    match ArtConfig::build_with_faults(chubby(leaves, bw), vns, faults) {
+        Ok(art) => {
             assert!(
                 legal,
                 "accepted illegal partition {vns:?} (leaves={leaves})"
             );
-            let art = ArtConfig::build_with_faults(chubby(leaves, bw), vns, faults).unwrap();
             // Small integers: every sum is exact in f32 in any order.
             let values: Vec<f32> = (1..=leaves).map(|v| v as f32).collect();
             for (vn, sum) in vns.iter().zip(art.reduce(&values)) {
                 let expected: f32 = values[vn.start..vn.end()].iter().sum();
                 assert_eq!(sum, expected, "wrong sum for {vn:?} in {vns:?}");
             }
-            assert_eq!(report.num_vns, art.output_nodes().len());
-            assert_eq!(report.busy_leaves, art.busy_leaves());
-            assert_eq!(report.forwarding_links, art.forwarding_links().len());
-            assert_eq!(report.active_adders, art.active_adders());
-            assert_eq!(report.collection_slowdown, art.throughput_slowdown());
-            let loads: Vec<u64> = report.collection_loads.iter().map(|ll| ll.load).collect();
-            assert_eq!(loads, art.worst_link_loads());
             Verdict::Accepted
         }
         Err(err) if legal => {
@@ -293,8 +283,8 @@ fn seeded_random_partitions_at_64_leaves_with_faults() {
             .dead_forwarding_links(120);
         let plan = FaultPlan::materialize(spec, 64);
         let spans = plan.healthy_spans();
-        // Partitions built from the plan's own healthy spans must
-        // verify: the fault-aware remapper depends on this.
+        // The plan's own healthy spans must build: the fault-aware
+        // remapper depends on this.
         assert!(accepts(64, 8, Some(&plan), &spans));
         for trial in 0..300 {
             // Alternate between span-confined draws (dead-leaf-free,
@@ -335,7 +325,7 @@ fn severed_link_climb_overloads_neighbouring_adder() {
     assert!(is_legal(16, Some(&plan), &vns));
     assert!(accepts(16, 8, None, &vns));
     assert_eq!(
-        verify_reduction(&chubby(16, 8), Some(&plan), &vns).unwrap_err(),
+        ArtConfig::build_with_faults(chubby(16, 8), &vns, Some(&plan)).unwrap_err(),
         ArtError::AdderOverloaded {
             level: 2,
             node: 5,

@@ -8,8 +8,7 @@
 //! fails, with the mapper's own text. A sparse mapper can still fail
 //! after the gate accepts (a later group's ART can be refused on
 //! severed links), so for sparse candidates a rejection only implies
-//! the mapper fails, with the same text. For every kind the gate's
-//! verdict is `verify_mapping`'s error: it skips only the report.
+//! the mapper fails, with the same text.
 
 use maeri::fault::FaultSpec;
 use maeri::{
@@ -18,7 +17,7 @@ use maeri::{
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 use maeri_sim::{SimError, SimRng};
-use maeri_verify::{statically_reject, verify_mapping, VerifyError, VerifyLayer};
+use maeri_verify::{statically_reject, VerifyError, VerifyLayer};
 
 /// Accept/reject tallies for one candidate kind.
 #[derive(Debug, Default)]
@@ -53,17 +52,6 @@ impl Tally {
     }
 }
 
-/// The prune gate's verdict, asserted equal to `verify_mapping`'s error.
-fn gate(
-    cfg: &MaeriConfig,
-    layer: &VerifyLayer<'_>,
-    cand: &MappingCandidate,
-) -> Option<VerifyError> {
-    let verdict = statically_reject(cfg, layer, cand);
-    assert_eq!(verdict, verify_mapping(cfg, layer, cand).err(), "{cand:?}");
-    verdict
-}
-
 #[test]
 fn gate_rejects_exactly_what_the_mapper_refuses() {
     let mut rng = SimRng::seed(99);
@@ -96,7 +84,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
             loop_order: [LoopOrder::FilterMajor, LoopOrder::RowMajor][rng.next_below(2)],
         };
         conv.check(
-            gate(
+            statically_reject(
                 &cfg,
                 &VerifyLayer::Conv(&layer),
                 &candidate(CandidateKind::Conv(mapping)),
@@ -109,7 +97,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
         let fc_layer = FcLayer::new("fc", 1 + rng.next_below(200), 1 + rng.next_below(16));
         let vn_size = rng.next_below(leaves + 2);
         fc.check(
-            gate(
+            statically_reject(
                 &cfg,
                 &VerifyLayer::Fc(&fc_layer),
                 &candidate(CandidateKind::Fc { vn_size }),
@@ -122,7 +110,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
         let lstm_layer = LstmLayer::new("lstm", 1 + rng.next_below(40), 1 + rng.next_below(40));
         let gate_vn_size = rng.next_below(leaves + 2);
         lstm.check(
-            gate(
+            statically_reject(
                 &cfg,
                 &VerifyLayer::Lstm(&lstm_layer),
                 &candidate(CandidateKind::Lstm { gate_vn_size }),
@@ -136,7 +124,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
         let mask = WeightMask::generate(&layer, zeros, &mut SimRng::seed(case));
         let channel_tile = rng.next_below(c + 2);
         sparse.check(
-            gate(
+            statically_reject(
                 &cfg,
                 &VerifyLayer::SparseConv {
                     layer: &layer,

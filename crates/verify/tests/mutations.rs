@@ -2,15 +2,23 @@
 //! the paper's 64-multiplier fabric, break exactly one cell (or one
 //! knob) at a time, and assert the verifier flags exactly the broken
 //! invariant with the correct counterexample fields — never a
-//! neighbouring invariant, never a bare rejection.
+//! neighbouring invariant, never a bare rejection. A broken cell is
+//! judged by the ART walk every plan runs, a broken knob by
+//! `statically_reject`.
 
-use maeri::art::{pack_vns, ArtError, VnRange};
+use maeri::art::{pack_vns, ArtConfig, ArtError, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
 use maeri::mapper::{CandidateKind, ConvMapping, LoopOrder, MappingCandidate};
 use maeri::{MaeriConfig, PlanError};
 use maeri_dnn::layer::{ConvLayer, FcLayer};
 use maeri_sim::SimRng;
-use maeri_verify::{verify_mapping, verify_partition, VerifyError, VerifyLayer};
+use maeri_verify::{statically_reject, VerifyError, VerifyLayer};
+
+/// Builds `vns` on `cfg`'s collection tree under its own fault plan,
+/// as every mapper's plan does.
+fn build(cfg: &MaeriConfig, vns: &[VnRange]) -> Result<ArtConfig, ArtError> {
+    ArtConfig::build_with_faults(cfg.collection_chubby(), vns, cfg.fault_plan().as_ref())
+}
 
 /// A legal mixed-size packing covering all 64 leaves without gaps.
 fn legal_partition() -> Vec<VnRange> {
@@ -23,7 +31,7 @@ fn legal_partition() -> Vec<VnRange> {
 #[test]
 fn baseline_partition_is_legal() {
     let cfg = MaeriConfig::paper_64();
-    verify_partition(&cfg, &legal_partition()).unwrap();
+    build(&cfg, &legal_partition()).unwrap();
 }
 
 #[test]
@@ -37,7 +45,7 @@ fn single_cell_overlap_flags_exactly_that_pair() {
         let victim = 1 + rng.next_below(vns.len() - 1);
         let v = vns[victim];
         vns[victim] = VnRange::new(v.start - 1, v.len + 1);
-        let err = verify_partition(&cfg, &vns).unwrap_err();
+        let err = build(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
             ArtError::Overlap {
@@ -60,7 +68,7 @@ fn single_cell_out_of_range_flags_exact_bounds() {
         let grow = 1 + rng.next_below(4);
         let v = vns[last];
         vns[last] = VnRange::new(v.start, v.len + grow);
-        let err = verify_partition(&cfg, &vns).unwrap_err();
+        let err = build(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
             ArtError::OutOfRange {
@@ -87,7 +95,7 @@ fn single_cell_onto_dead_leaf_flags_fault_inconsistency() {
         .unwrap();
     // Legal on the degraded fabric: pack into the healthy spans.
     let spans = plan.healthy_spans();
-    verify_partition(&cfg, &spans).unwrap();
+    build(&cfg, &spans).unwrap();
     let mut rng = SimRng::seed(22);
     for _ in 0..40 {
         // Drop a fresh single-cell VN onto a random dead leaf. Dead
@@ -96,7 +104,7 @@ fn single_cell_onto_dead_leaf_flags_fault_inconsistency() {
         let mut vns = spans.clone();
         let leaf = dead[rng.next_below(dead.len())];
         vns.push(VnRange::new(leaf, 1));
-        let err = verify_partition(&cfg, &vns).unwrap_err();
+        let err = build(&cfg, &vns).unwrap_err();
         assert_eq!(
             err,
             ArtError::DeadLeaf {
@@ -119,7 +127,10 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
         }),
         &base,
     );
-    verify_mapping(&base, &VerifyLayer::Conv(&layer), &good).unwrap();
+    assert_eq!(
+        statically_reject(&base, &VerifyLayer::Conv(&layer), &good),
+        None
+    );
 
     // channel_tile pushed one past either end of its range.
     for (ct, value) in [(0usize, 0usize), (17, 17)] {
@@ -129,7 +140,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
             max_vns: 64,
             loop_order: LoopOrder::FilterMajor,
         });
-        let err = verify_mapping(&base, &VerifyLayer::Conv(&layer), &cand).unwrap_err();
+        let err = statically_reject(&base, &VerifyLayer::Conv(&layer), &cand).unwrap();
         assert_eq!(
             err,
             VerifyError::Plan(PlanError::KnobOutOfRange {
@@ -148,7 +159,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
         max_vns: 0,
         loop_order: LoopOrder::FilterMajor,
     });
-    let err = verify_mapping(&base, &VerifyLayer::Conv(&layer), &cand).unwrap_err();
+    let err = statically_reject(&base, &VerifyLayer::Conv(&layer), &cand).unwrap();
     assert!(
         matches!(
             err,
@@ -165,7 +176,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
     // FC vn_size past the healthy-span capacity.
     let fc = FcLayer::new("mut-fc", 128, 10);
     let cand = MappingCandidate::with_base_bandwidth(CandidateKind::Fc { vn_size: 65 }, &base);
-    let err = verify_mapping(&base, &VerifyLayer::Fc(&fc), &cand).unwrap_err();
+    let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &cand).unwrap();
     assert_eq!(
         err,
         VerifyError::Plan(PlanError::KnobOutOfRange {
@@ -177,7 +188,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
     );
 
     // Kind mismatch is structural, not a knob error.
-    let err = verify_mapping(&base, &VerifyLayer::Fc(&fc), &good).unwrap_err();
+    let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &good).unwrap();
     assert_eq!(
         err,
         VerifyError::KindMismatch {
@@ -200,7 +211,7 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
             // the victim is VN 0, which starts at leaf 0).
             0 if victim > 0 => {
                 vns[victim] = VnRange::new(v.start - 1, v.len + 1);
-                let err = verify_partition(&cfg, &vns).unwrap_err();
+                let err = build(&cfg, &vns).unwrap_err();
                 assert_eq!(
                     err,
                     ArtError::Overlap {
@@ -213,7 +224,7 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
             0 => {
                 // VN 0 teleported past the end instead.
                 vns[victim] = VnRange::new(64, 1);
-                let err = verify_partition(&cfg, &vns).unwrap_err();
+                let err = build(&cfg, &vns).unwrap_err();
                 assert_eq!(
                     err,
                     ArtError::OutOfRange {
@@ -229,7 +240,7 @@ fn seeded_mutation_sweep_flags_one_invariant_per_mutation() {
             // VN runs out of range instead).
             _ => {
                 vns[victim] = VnRange::new(v.start, v.len + 1);
-                let err = verify_partition(&cfg, &vns).unwrap_err();
+                let err = build(&cfg, &vns).unwrap_err();
                 if victim + 1 < vns.len() {
                     assert_eq!(
                         err,

@@ -18,7 +18,7 @@
 //! * [`mapspace`] — mapping-space exploration: per-layer auto-tuning of
 //!   VN partitions, replication, and bandwidth ([`maeri_mapspace`]),
 //! * [`verify`] — static mapping verification: proves VN-partition
-//!   legality, bandwidth feasibility, and MAC conservation without
+//!   legality, fault consistency, and MAC conservation without
 //!   clocking a cycle ([`maeri_verify`]),
 //! * [`runtime`] — parallel batch execution: simulation jobs, the
 //!   worker-pool scheduler, result caching ([`maeri_runtime`]),
