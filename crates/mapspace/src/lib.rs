@@ -1,5 +1,5 @@
 //! Mapping-space exploration for MAERI: an auto-tuner over VN
-//! partitions, replication, loop order, and chubby-bandwidth configs.
+//! partitions, replication and loop order on one fabric.
 //!
 //! MAERI's reconfigurable distribution tree and ART make the *mapping*
 //! a free variable — a layer can run under many different virtual-
@@ -7,8 +7,9 @@
 //! trade-off. This crate turns that freedom into a search problem:
 //!
 //! 1. **Enumerate** every candidate [`MappingCandidate`](maeri::MappingCandidate)
-//!    a [`SearchSpec`] allows (channel tile, replication cap, loop
-//!    order, VN-size fold target, bandwidth pair — per layer kind),
+//!    of a [`SearchSpec`]'s layer on its fabric (channel tile,
+//!    replication cap, loop order, VN-size fold target — per layer
+//!    kind; every candidate keeps the fabric's bandwidth pair),
 //! 2. **Prune** candidates the mapper refuses to plan (the static
 //!    verifier, `maeri-verify`, asks the mapper before scoring) and
 //!    shape duplicates. A dense CONV candidate's fingerprint is read
@@ -18,16 +19,15 @@
 //! 3. **Score** the survivors with the mappers' closed-form cost models
 //!    (`maeri::ConvMapper::cost` on the plan of each shape's first
 //!    candidate),
-//! 4. keep a **top-K frontier** (always joined by the legacy heuristic
-//!    mapper's named point, so tuning can never lose to it), and
+//! 4. keep the 8 analytically best as the **frontier** (always joined
+//!    by the legacy heuristic mapper's named point, so tuning can never
+//!    lose to it), and
 //! 5. **Validate** the frontier with the exact clocked trace
 //!    (`maeri::cycle_sim`) where one exists (dense CONV), picking the
 //!    winner by validated cycles.
 //!
-//! The whole pipeline is deterministic: exhaustive enumeration is
-//! ordered, the random strategy draws from a seeded
-//! [`SimRng`](maeri_sim::SimRng), beam expansion is breadth-first with
-//! stable tie-breaks, and [`SearchResult::canonical_text`] is
+//! The whole pipeline is deterministic: enumeration is ordered, the
+//! frontier sort is stable, and [`SearchResult::canonical_text`] is
 //! byte-stable across runs and worker counts. `maeri-runtime` wraps
 //! [`search`] in its `SimJob::MapSearch` variant so whole-network
 //! tuning fans out across the worker pool with content-hash caching
@@ -53,8 +53,6 @@
 
 mod search;
 mod space;
-mod strategy;
 
 pub use search::{search, CandidateOutcome, SearchCounters, SearchResult};
 pub use space::{enumerate, space_size, SearchLayer, SearchSpec};
-pub use strategy::Strategy;

@@ -2,25 +2,26 @@
 
 use maeri::cycle_sim::simulate_conv_layer;
 use maeri::{
-    CandidateKind, ConvMapper, ConvMapping, FcMapper, LoopOrder, LstmMapper, MappingCandidate,
-    SparseConvMapper, VnPolicy,
+    CandidateKind, ConvMapper, FcMapper, LstmMapper, MappingCandidate, SparseConvMapper, VnPolicy,
 };
 use maeri_dnn::WeightMask;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Result, SimError, SimRng};
 use maeri_verify::{statically_reject, VerifyLayer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::space::{enumerate, space_size, SearchLayer, SearchSpec};
-use crate::strategy::Strategy;
+
+/// How many analytically best candidates survive to exact validation
+/// (the heuristic point always joins them).
+const FRONTIER: usize = 8;
 
 /// Per-search telemetry: how much of the space was looked at and how
 /// well the analytic ranking agreed with the exact trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchCounters {
-    /// Candidates the strategy considered (exhaustive: the whole
-    /// space; random: the sample; beam: every visited point).
+    /// Candidates considered: the whole space.
     pub enumerated: u64,
     /// Considered candidates dropped as infeasible or as duplicates of
     /// an already-scored mapping shape.
@@ -70,8 +71,6 @@ pub struct SearchResult {
     pub layer: String,
     /// Layer kind label (`conv`, `sparse`, `fc`, `lstm`).
     pub kind: String,
-    /// Strategy label.
-    pub strategy: String,
     /// Closed-form size of the exhaustive space.
     pub space: u64,
     /// The legacy heuristic mapper's named point, evaluated with the
@@ -118,10 +117,9 @@ impl SearchResult {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "search {} ({}, {}): space={} considered={} pruned={} scored={} validated={}",
+            "search {} ({}, exhaustive): space={} considered={} pruned={} scored={} validated={}",
             self.layer,
             self.kind,
-            self.strategy,
             self.space,
             self.counters.enumerated,
             self.counters.pruned,
@@ -170,9 +168,10 @@ struct Scored {
 /// Shape fingerprint, the verdict memo's key: candidates that resolve to
 /// one effective mapping (e.g. two replication caps above the packable
 /// VN count) share it. The dense CONV key is exact: VN size and count fix
-/// the packed ranges, and with the bandwidth pair and the fault plan the
-/// ART; the gate's ledger and `ConvMapper::cost` read nothing it omits.
-type Fingerprint = [u64; 8];
+/// the packed ranges, and with the fault plan the ART; the gate's ledger
+/// and `ConvMapper::cost` read nothing it omits. Every candidate of one
+/// search carries the spec's bandwidth pair, so the key leaves it out.
+type Fingerprint = [u64; 6];
 
 /// What the gate and `score` decided for a shape's first candidate.
 enum Verdict {
@@ -195,18 +194,14 @@ type Consider = fn(&mut Tally, &SearchSpec, Option<&WeightMask>, MappingCandidat
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for a degenerate spec (zero `top_k`, zero-
-/// sample random strategy, zero-width beam) and propagates failures
-/// evaluating the heuristic point (a layer that cannot map at all).
+/// Propagates failures evaluating the heuristic point (a layer that
+/// cannot map at all).
 pub fn search(spec: &SearchSpec) -> Result<SearchResult> {
     search_with(spec, Tally::consider)
 }
 
 /// [`search`] with the candidate loop's body given.
 fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
-    if spec.top_k == 0 {
-        return Err(SimError::invalid_config("search needs top_k >= 1"));
-    }
     let mask = match &spec.layer {
         SearchLayer::SparseConv {
             layer,
@@ -224,64 +219,16 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
     let (heuristic_cycles, _) = score(spec, mask, &heuristic_candidate)?;
 
     let mut tally = Tally::default();
-    match spec.strategy {
-        Strategy::Exhaustive => {
-            for cand in enumerate(spec) {
-                consider(&mut tally, spec, mask, cand);
-            }
-        }
-        Strategy::Random { seed, samples } => {
-            if samples == 0 {
-                return Err(SimError::invalid_config(
-                    "random strategy needs samples >= 1",
-                ));
-            }
-            let all = enumerate(spec);
-            let count = samples.min(all.len());
-            let picks = SimRng::seed(seed).choose_indices(all.len(), count);
-            for i in picks {
-                consider(&mut tally, spec, mask, all[i]);
-            }
-        }
-        Strategy::Beam { width, rounds } => {
-            if width == 0 {
-                return Err(SimError::invalid_config("beam strategy needs width >= 1"));
-            }
-            let mut visited = BTreeSet::from([heuristic_candidate]);
-            consider(&mut tally, spec, mask, heuristic_candidate);
-            let mut beam = vec![heuristic_candidate];
-            for _ in 0..rounds {
-                let mut fresh = Vec::new();
-                for member in &beam {
-                    for neighbor in neighbors(spec, member) {
-                        if visited.insert(neighbor) {
-                            fresh.push(neighbor);
-                        }
-                    }
-                }
-                if fresh.is_empty() {
-                    break;
-                }
-                for cand in fresh {
-                    consider(&mut tally, spec, mask, cand);
-                }
-                let mut ranked: Vec<&Scored> = tally.scored.iter().collect();
-                ranked.sort_by_key(|s| s.cycles);
-                beam = ranked
-                    .into_iter()
-                    .take(width)
-                    .map(|s| s.candidate)
-                    .collect();
-            }
-        }
+    for cand in enumerate(spec) {
+        consider(&mut tally, spec, mask, cand);
     }
 
-    // Top-K frontier by analytic rank, joined by the heuristic point.
+    // The frontier by analytic rank, joined by the heuristic point.
     let (mut counters, mut scored) = (tally.counters, tally.scored);
     scored.sort_by_key(|s| s.cycles);
     let mut frontier: Vec<CandidateOutcome> = scored
         .iter()
-        .take(spec.top_k)
+        .take(FRONTIER)
         .map(|s| CandidateOutcome {
             candidate: s.candidate,
             analytic_cycles: s.cycles,
@@ -326,7 +273,6 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
     Ok(SearchResult {
         layer: spec.layer.name().to_owned(),
         kind: spec.layer.kind_label().to_owned(),
-        strategy: spec.strategy.label(),
         space: space_size(spec),
         heuristic,
         best,
@@ -393,8 +339,6 @@ fn shape_fingerprint(spec: &SearchSpec, cand: &MappingCandidate) -> Option<Finge
         shape.subfold as u64,
         shape.loop_order.row_groups(shape.num_vns, l),
         0,
-        cand.dist_bandwidth as u64,
-        cand.collect_bandwidth as u64,
     ])
 }
 
@@ -450,8 +394,6 @@ fn score(
     cand: &MappingCandidate,
 ) -> Result<(u64, Fingerprint)> {
     let cfg = cand.config(&spec.base)?;
-    let bwd = cand.dist_bandwidth as u64;
-    let bwc = cand.collect_bandwidth as u64;
     match (&spec.layer, cand.kind) {
         (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
             let mapper = ConvMapper::new(cfg);
@@ -465,8 +407,6 @@ fn score(
                     plan.subfold as u64,
                     plan.row_groups(l),
                     0,
-                    bwd,
-                    bwc,
                 ],
             ))
         }
@@ -476,20 +416,17 @@ fn score(
                 mask.expect("sparse search carries a mask"),
                 channel_tile,
             )?;
-            Ok((
-                run.cycles.as_u64(),
-                [channel_tile as u64, 0, 0, 0, 0, 1, bwd, bwc],
-            ))
+            Ok((run.cycles.as_u64(), [channel_tile as u64, 0, 0, 0, 0, 1]))
         }
         (SearchLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
             let run = FcMapper::new(cfg).run_with_vn_size(l, vn_size)?;
             let fold = ceil_div(l.inputs as u64, vn_size as u64);
-            Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 2, bwd, bwc]))
+            Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 2]))
         }
         (SearchLayer::Lstm(l), CandidateKind::Lstm { gate_vn_size }) => {
             let run = LstmMapper::new(cfg).run_with_gate_vn_size(l, gate_vn_size)?;
             let fold = ceil_div((l.input_dim + l.hidden_dim) as u64, gate_vn_size as u64);
-            Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 3, bwd, bwc]))
+            Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 3]))
         }
         _ => Err(SimError::invalid_config(
             "candidate kind does not match the search layer",
@@ -506,123 +443,6 @@ fn validate(spec: &SearchSpec, cand: &MappingCandidate) -> Option<u64> {
     } else {
         None
     }
-}
-
-/// Single-knob neighbors of a candidate within the spec's space.
-fn neighbors(spec: &SearchSpec, cand: &MappingCandidate) -> Vec<MappingCandidate> {
-    let n = spec.base.num_mult_switches();
-    let pairs = spec.bandwidth_pairs();
-    let mut out = Vec::new();
-    let push_kind = |kind: CandidateKind, out: &mut Vec<MappingCandidate>| {
-        out.push(MappingCandidate {
-            kind,
-            dist_bandwidth: cand.dist_bandwidth,
-            collect_bandwidth: cand.collect_bandwidth,
-        });
-    };
-    match cand.kind {
-        CandidateKind::Conv(m) => {
-            let c = match &spec.layer {
-                SearchLayer::Conv(l) => l.in_channels,
-                _ => m.channel_tile,
-            };
-            for ct in [m.channel_tile.saturating_sub(1), m.channel_tile + 1] {
-                if (1..=c).contains(&ct) && ct != m.channel_tile {
-                    push_kind(
-                        CandidateKind::Conv(ConvMapping {
-                            channel_tile: ct,
-                            ..m
-                        }),
-                        &mut out,
-                    );
-                }
-            }
-            for max_vns in [m.max_vns / 2, m.max_vns * 2] {
-                if (1..=n).contains(&max_vns) && max_vns != m.max_vns {
-                    push_kind(CandidateKind::Conv(ConvMapping { max_vns, ..m }), &mut out);
-                }
-            }
-            let flipped = match m.loop_order {
-                LoopOrder::FilterMajor => LoopOrder::RowMajor,
-                LoopOrder::RowMajor => LoopOrder::FilterMajor,
-            };
-            push_kind(
-                CandidateKind::Conv(ConvMapping {
-                    loop_order: flipped,
-                    ..m
-                }),
-                &mut out,
-            );
-        }
-        CandidateKind::SparseConv { channel_tile } => {
-            let c = match &spec.layer {
-                SearchLayer::SparseConv { layer, .. } => layer.in_channels,
-                _ => channel_tile,
-            };
-            for ct in [channel_tile.saturating_sub(1), channel_tile + 1] {
-                if (1..=c).contains(&ct) && ct != channel_tile {
-                    push_kind(CandidateKind::SparseConv { channel_tile: ct }, &mut out);
-                }
-            }
-        }
-        CandidateKind::Fc { vn_size } => {
-            let d = match &spec.layer {
-                SearchLayer::Fc(l) => l.inputs.min(n),
-                _ => vn_size,
-            };
-            for vn in [
-                vn_size.saturating_sub(1),
-                vn_size + 1,
-                vn_size / 2,
-                vn_size * 2,
-            ] {
-                if (1..=d).contains(&vn) && vn != vn_size {
-                    push_kind(CandidateKind::Fc { vn_size: vn }, &mut out);
-                }
-            }
-        }
-        CandidateKind::Lstm { gate_vn_size } => {
-            let d = match &spec.layer {
-                SearchLayer::Lstm(l) => (l.input_dim + l.hidden_dim).min(n),
-                _ => gate_vn_size,
-            };
-            for vn in [
-                gate_vn_size.saturating_sub(1),
-                gate_vn_size + 1,
-                gate_vn_size / 2,
-                gate_vn_size * 2,
-            ] {
-                if (1..=d).contains(&vn) && vn != gate_vn_size {
-                    push_kind(CandidateKind::Lstm { gate_vn_size: vn }, &mut out);
-                }
-            }
-        }
-    }
-    // Bandwidth moves: adjacent pairs in the spec's list (or every
-    // listed pair when the current one is off-list, e.g. a beam seeded
-    // from the base config while exploring a custom bandwidth set).
-    let cur = (cand.dist_bandwidth, cand.collect_bandwidth);
-    let bw_moves: Vec<(usize, usize)> = match pairs.iter().position(|p| *p == cur) {
-        Some(i) => {
-            let mut moves = Vec::new();
-            if i > 0 {
-                moves.push(pairs[i - 1]);
-            }
-            if i + 1 < pairs.len() {
-                moves.push(pairs[i + 1]);
-            }
-            moves
-        }
-        None => pairs,
-    };
-    for (dist_bandwidth, collect_bandwidth) in bw_moves {
-        out.push(MappingCandidate {
-            kind: cand.kind,
-            dist_bandwidth,
-            collect_bandwidth,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -667,11 +487,10 @@ mod tests {
     }
 
     /// A seeded random dense CONV search. Fabrics have 16, 32 or 64
-    /// leaves; by `case % 4` they are healthy, lose 0–399‰ of their
+    /// leaves and distribution and collection bandwidths of 1, 2, 4 or
+    /// 8; by `case % 4` they are healthy, lose 0–399‰ of their
     /// multipliers, lose 100–599‰ of their forwarding links, or lose
-    /// 0–149‰ of their adders and 0–199‰ of their multipliers. Two in
-    /// five specs list 1–3 bandwidth pairs, some of which no fabric
-    /// accepts.
+    /// 0–149‰ of their adders and 0–199‰ of their multipliers.
     fn random_spec(rng: &mut SimRng, case: u64) -> SearchSpec {
         let leaves = [16, 32, 64][rng.next_below(3)];
         let permille =
@@ -687,7 +506,9 @@ mod tests {
                     .dead_multipliers(permille(rng, 0, 200)),
             ),
         };
-        let mut base = MaeriConfig::builder(leaves);
+        let mut base = MaeriConfig::builder(leaves)
+            .distribution_bandwidth(1 << rng.next_below(4))
+            .collection_bandwidth(1 << rng.next_below(4));
         if let Some(faults) = faults {
             base = base.faults(faults);
         }
@@ -704,35 +525,11 @@ mod tests {
             1 + rng.next_below(2),
             rng.next_below(2),
         );
-        let mut spec = SearchSpec::new(SearchLayer::Conv(layer), base.build().unwrap())
-            .with_top_k(1 + rng.next_below(6));
-        if rng.next_below(5) < 2 {
-            let pairs = (0..=rng.next_below(3))
-                .map(|_| {
-                    (
-                        [1, 2, 3, 4, 8][rng.next_below(5)],
-                        [1, 2, 4, 8, 16][rng.next_below(5)],
-                    )
-                })
-                .collect();
-            spec = spec.with_bandwidths(pairs);
-        }
-        spec.with_strategy(match rng.next_below(3) {
-            0 => Strategy::Exhaustive,
-            1 => Strategy::Random {
-                seed: case,
-                samples: 1 + rng.next_below(80),
-            },
-            _ => Strategy::Beam {
-                width: 1 + rng.next_below(4),
-                rounds: 1 + rng.next_below(6),
-            },
-        })
+        SearchSpec::new(SearchLayer::Conv(layer), base.build().unwrap())
     }
 
     /// How many fingerprints the ART refuses that two or more of the
-    /// space's candidates share, so an exhaustive search replays the
-    /// refusal.
+    /// space's candidates share, so the search replays the refusal.
     fn repeated_art_refusals(spec: &SearchSpec) -> usize {
         let mut refused: BTreeMap<Fingerprint, usize> = BTreeMap::new();
         for cand in enumerate(spec) {
@@ -761,9 +558,7 @@ mod tests {
             if memoized.is_ok_and(|r| r.counters.statically_rejected > 0) {
                 rejecting_specs += 1;
             }
-            if spec.strategy == Strategy::Exhaustive {
-                replayed_refusals += repeated_art_refusals(&spec);
-            }
+            replayed_refusals += repeated_art_refusals(&spec);
         }
         // The draw reaches the gate, and the memo replays ART refusals.
         assert!(rejecting_specs > 0, "no spec rejects a candidate");

@@ -1,9 +1,9 @@
 //! Mapping-space search guarantees: provable exhaustive coverage,
 //! tuned-never-loses, and byte-stable determinism.
 
-use maeri::{CandidateKind, MaeriConfig};
+use maeri::{CandidateKind, FaultSpec, MaeriConfig};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer};
-use maeri_mapspace::{enumerate, search, space_size, SearchLayer, SearchSpec, Strategy};
+use maeri_mapspace::{enumerate, search, space_size, SearchLayer, SearchSpec};
 
 fn small_conv() -> ConvLayer {
     ConvLayer::new("small_conv", 6, 10, 10, 4, 3, 3, 1, 1)
@@ -60,9 +60,12 @@ fn conv_space_closed_form_is_c_times_caps_times_orders() {
     let cfg = MaeriConfig::paper_64(); // 64 MS -> log2(64)+1 = 7 caps
     let spec = conv_spec(cfg);
     assert_eq!(space_size(&spec), 6 * 7 * 2);
-    let with_bw = spec.with_bandwidths(vec![(4, 4), (8, 8), (16, 16)]);
-    assert_eq!(space_size(&with_bw), 6 * 7 * 2 * 3);
-    assert_eq!(enumerate(&with_bw).len() as u64, 6 * 7 * 2 * 3);
+    let space = enumerate(&spec);
+    assert_eq!(space.len() as u64, 6 * 7 * 2);
+    // Every candidate runs on the base fabric's bandwidth pair.
+    assert!(space
+        .iter()
+        .all(|c| (c.dist_bandwidth, c.collect_bandwidth) == (8, 8)));
 }
 
 #[test]
@@ -126,83 +129,7 @@ fn search_is_deterministic() {
 }
 
 #[test]
-fn random_strategy_reproduces_from_its_seed() {
-    let base = conv_spec(MaeriConfig::paper_64());
-    let seeded = |seed| {
-        base.clone()
-            .with_strategy(Strategy::Random { seed, samples: 20 })
-    };
-    let a = search(&seeded(42)).unwrap();
-    let b = search(&seeded(42)).unwrap();
-    assert_eq!(a, b, "same seed must reproduce byte-identically");
-    assert_eq!(a.counters.enumerated, 20);
-    // A different seed may pick different candidates, but tuning still
-    // never loses (the heuristic joins the frontier regardless).
-    let c = search(&seeded(43)).unwrap();
-    assert!(c.best_cycles() <= c.heuristic_cycles());
-}
-
-#[test]
-fn beam_matches_or_beats_the_heuristic_cheaply() {
-    let spec = conv_spec(MaeriConfig::paper_64()).with_strategy(Strategy::Beam {
-        width: 4,
-        rounds: 6,
-    });
-    let result = search(&spec).unwrap();
-    assert!(result.best_cycles() <= result.heuristic_cycles());
-    // Beam visits a strict subset of the space.
-    assert!(result.counters.enumerated < space_size(&spec));
-}
-
-#[test]
-fn beam_approaches_the_exhaustive_optimum() {
-    let exhaustive = search(&conv_spec(MaeriConfig::paper_64())).unwrap();
-    let beam = search(
-        &conv_spec(MaeriConfig::paper_64()).with_strategy(Strategy::Beam {
-            width: 8,
-            rounds: 12,
-        }),
-    )
-    .unwrap();
-    // Beam can only do as well as the full sweep, and never worse than
-    // the heuristic it starts from.
-    assert!(beam.best_cycles() >= exhaustive.best_cycles());
-    assert!(beam.best_cycles() <= beam.heuristic_cycles());
-}
-
-#[test]
-fn degenerate_specs_are_rejected() {
-    let cfg = MaeriConfig::paper_64();
-    assert!(search(&conv_spec(cfg).with_top_k(0)).is_err());
-    assert!(search(&conv_spec(cfg).with_strategy(Strategy::Random {
-        seed: 1,
-        samples: 0
-    }))
-    .is_err());
-    assert!(search(&conv_spec(cfg).with_strategy(Strategy::Beam {
-        width: 0,
-        rounds: 3
-    }))
-    .is_err());
-}
-
-#[test]
-fn bandwidth_exploration_keeps_the_heuristic_comparable() {
-    // Exploring bandwidth pairs widens the space; the heuristic stays
-    // at the base pair, so the comparison shows what extra (or less)
-    // bandwidth buys.
-    let spec = conv_spec(MaeriConfig::paper_64()).with_bandwidths(vec![(2, 2), (8, 8), (16, 16)]);
-    let result = search(&spec).unwrap();
-    assert!(result.best_cycles() <= result.heuristic_cycles());
-    assert_eq!(
-        result.heuristic.candidate.dist_bandwidth, 8,
-        "heuristic keeps the base config's bandwidth"
-    );
-}
-
-#[test]
 fn search_works_on_a_faulty_fabric() {
-    use maeri::FaultSpec;
     let cfg = MaeriConfig::builder(64)
         .faults(FaultSpec::new(11).dead_multipliers(60))
         .build()
@@ -217,4 +144,39 @@ fn candidate_kinds_match_their_layers() {
     let result = search(&conv_spec(MaeriConfig::paper_64())).unwrap();
     assert!(matches!(result.best.candidate.kind, CandidateKind::Conv(_)));
     assert_eq!(result.kind, "conv");
+}
+
+/// FNV-1a over the bytes of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn search_text_matches_its_golden_digest() {
+    // Two searches whose full text no other digest covers: the
+    // `mapping_search` report's sparse layer (the report prints only
+    // its best mapping) and `tune_layer --faulty`'s FC layer, where the
+    // static verifier refuses 60 of the 64 VN sizes.
+    let sparse = SearchSpec::new(
+        SearchLayer::SparseConv {
+            layer: maeri_dnn::zoo::vgg16_c8(),
+            zero_fraction: 0.6,
+            mask_seed: 42,
+        },
+        MaeriConfig::paper_64(),
+    );
+    let faulty = MaeriConfig::builder(64)
+        .faults(FaultSpec::new(5).dead_multipliers(500))
+        .build()
+        .unwrap();
+    let faulty_fc = SearchSpec::new(SearchLayer::Fc(FcLayer::new("fc6", 256, 64)), faulty);
+    for (spec, want) in [
+        (sparse, 0x7715_c069_24d5_8094),
+        (faulty_fc, 0x2d9d_2d1d_b452_f712),
+    ] {
+        let text = search(&spec).unwrap().canonical_text();
+        assert_eq!(fnv1a(&text), want, "{text}");
+    }
 }

@@ -8,7 +8,7 @@ use maeri::{
 };
 use maeri_baselines::{FixedClusterArray, RowStationary, SystolicArray};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, PoolLayer, WeightMask};
-use maeri_mapspace::{SearchLayer, SearchSpec, Strategy};
+use maeri_mapspace::{SearchLayer, SearchSpec};
 use maeri_sim::SimRng;
 use maeri_verify::{statically_reject, VerifyLayer};
 
@@ -692,25 +692,10 @@ impl SimJob {
                         enc.usize(layer.hidden_dim);
                     }
                 }
-                enc.usize(spec.bandwidths.len());
-                for (dist, collect) in &spec.bandwidths {
-                    enc.usize(*dist);
-                    enc.usize(*collect);
-                }
-                match spec.strategy {
-                    Strategy::Exhaustive => enc.tag(0),
-                    Strategy::Random { seed, samples } => {
-                        enc.tag(1);
-                        enc.u64(seed);
-                        enc.usize(samples);
-                    }
-                    Strategy::Beam { width, rounds } => {
-                        enc.tag(2);
-                        enc.usize(width);
-                        enc.usize(rounds);
-                    }
-                }
-                enc.usize(spec.top_k);
+                // Old defaults (no pairs, exhaustive, top 8) keep stored results addressable.
+                enc.usize(0);
+                enc.tag(0);
+                enc.usize(8);
             }
             SimJob::Probe {
                 panic_with,
@@ -1041,17 +1026,7 @@ mod tests {
         let spec = SearchSpec::new(SearchLayer::Conv(layer()), MaeriConfig::paper_64());
         let job = SimJob::map_search(spec.clone());
         assert_eq!(job.label(), "search/conv/k");
-        assert_eq!(job.key(), SimJob::map_search(spec.clone()).key());
-        // Every spec knob participates in the cache identity.
-        let other_strategy = SimJob::map_search(spec.clone().with_strategy(Strategy::Random {
-            seed: 1,
-            samples: 5,
-        }));
-        let other_top_k = SimJob::map_search(spec.clone().with_top_k(3));
-        let other_bw = SimJob::map_search(spec.clone().with_bandwidths(vec![(4, 4)]));
-        assert_ne!(job.key(), other_strategy.key());
-        assert_ne!(job.key(), other_top_k.key());
-        assert_ne!(job.key(), other_bw.key());
+        assert_eq!(job.key(), SimJob::map_search(spec).key());
         let result = job.execute().unwrap();
         let search = result.search().expect("search output");
         assert!(search.best_cycles() <= search.heuristic_cycles());
@@ -1059,6 +1034,26 @@ mod tests {
             result.canonical_text(),
             job.execute().unwrap().canonical_text()
         );
+    }
+
+    #[test]
+    fn map_search_keys_keep_their_stored_bytes() {
+        // The persistent store addresses results by these bytes, so a
+        // change to the spec must leave stored tag 16 keys where they are.
+        let dense = SimJob::map_search(SearchSpec::new(
+            SearchLayer::Conv(layer()),
+            MaeriConfig::paper_64(),
+        ));
+        let sparse = SimJob::map_search(SearchSpec::new(
+            SearchLayer::SparseConv {
+                layer: layer(),
+                zero_fraction: 0.5,
+                mask_seed: 7,
+            },
+            MaeriConfig::paper_64(),
+        ));
+        assert_eq!(dense.key().fingerprint(), 0x89a1_a771_2893_d54c);
+        assert_eq!(sparse.key().fingerprint(), 0x5d35_a549_8493_72d1);
     }
 
     #[test]

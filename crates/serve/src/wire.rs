@@ -24,6 +24,8 @@
 //! runtime's [`SimJob`] vocabulary (dense conv, fc, lstm, telemetry
 //! conv, mapping search, and seeded random layers), each with an
 //! optional `fabric` override (`{"ms":64,"dist_bw":8,"collect_bw":8}`).
+//! Decoding refuses a fabric field above [`MAX_WIRE_MULTIPLIERS`] and a
+//! layer dimension above [`MAX_WIRE_LAYER_DIM`] with `bad_request`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,6 +38,18 @@ use maeri_telemetry::json::{self, JsonValue};
 
 /// Frames larger than this are rejected as malformed.
 pub const MAX_FRAME_BYTES: u32 = 1024 * 1024;
+
+/// The most multiplier switches a wire fabric may have, and so the most
+/// bandwidth: 32x the largest wire fabric the repo sends (128, in the
+/// round-trip tests). A fabric's mapping tables grow with its leaves,
+/// and an allocation that fails aborts the process, which no worker
+/// pool can contain.
+pub const MAX_WIRE_MULTIPLIERS: usize = 4096;
+
+/// The largest layer dimension a wire job may carry: about 2.6x the
+/// zoo's largest (`vgg16_fc14`'s 25,088 inputs). It bounds every
+/// field on its own, not their products.
+pub const MAX_WIRE_LAYER_DIM: usize = 65_536;
 
 /// Fabric geometry carried on the wire; defaults to the paper's
 /// 64-switch configuration.
@@ -87,14 +101,16 @@ impl FabricSpec {
             return Ok(default);
         };
         let dim = |name: &str, fallback: usize| -> Result<usize, String> {
-            match value.get(name) {
-                None => Ok(fallback),
-                Some(v) => usize::try_from(
-                    v.as_u64()
-                        .ok_or_else(|| format!("fabric field `{name}` is not an integer"))?,
-                )
-                .map_err(|_| format!("fabric field `{name}` out of range")),
-            }
+            let Some(v) = value.get(name) else {
+                return Ok(fallback);
+            };
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("fabric field `{name}` is not an integer"))?;
+            usize::try_from(v)
+                .ok()
+                .filter(|&v| v <= MAX_WIRE_MULTIPLIERS)
+                .ok_or_else(|| format!("fabric field `{name}` exceeds {MAX_WIRE_MULTIPLIERS}"))
         };
         Ok(FabricSpec {
             num_ms: dim("ms", default.num_ms)?,
@@ -251,7 +267,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown kinds or missing/mistyped fields.
+    /// Returns a message for unknown kinds, missing/mistyped fields, a
+    /// layer dimension above [`MAX_WIRE_LAYER_DIM`] or a fabric field
+    /// above [`MAX_WIRE_MULTIPLIERS`].
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let str_field = |name: &str| -> Result<String, String> {
             value
@@ -261,11 +279,14 @@ impl JobSpec {
                 .ok_or_else(|| format!("job field `{name}` missing or not a string"))
         };
         let dim_field = |name: &str| -> Result<usize, String> {
-            value
+            let v = value
                 .get(name)
                 .and_then(JsonValue::as_u64)
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or_else(|| format!("job field `{name}` missing or not an integer"))
+                .ok_or_else(|| format!("job field `{name}` missing or not an integer"))?;
+            usize::try_from(v)
+                .ok()
+                .filter(|&v| v <= MAX_WIRE_LAYER_DIM)
+                .ok_or_else(|| format!("job field `{name}` exceeds {MAX_WIRE_LAYER_DIM}"))
         };
         let fabric = FabricSpec::from_json(value.get("fabric"))?;
         let kind = str_field("kind")?;

@@ -7,7 +7,10 @@
 //! reproduces exactly.
 
 use maeri_dnn::{ConvLayer, FcLayer};
-use maeri_serve::wire::{read_frame, write_frame, FabricSpec, JobSpec, Request, MAX_FRAME_BYTES};
+use maeri_serve::wire::{
+    read_frame, write_frame, FabricSpec, JobSpec, Request, MAX_FRAME_BYTES, MAX_WIRE_LAYER_DIM,
+    MAX_WIRE_MULTIPLIERS,
+};
 use maeri_sim::SimRng;
 
 fn base_frames() -> Vec<Vec<u8>> {
@@ -163,4 +166,54 @@ fn mutated_json_bodies_error_structurally() {
     write_frame(&mut frame, &good).unwrap();
     let doc = read_frame(&mut &frame[..]).unwrap().unwrap();
     assert_eq!(doc.render(), good.render());
+}
+
+#[test]
+fn oversized_jobs_are_refused_at_decode() {
+    // Run, a 2^40-multiplier fabric aborts the process on a failed
+    // allocation in `ConvMapper::shape`, which no worker pool contains,
+    // and 2^40 input channels keep a search running for minutes. So
+    // decoding refuses both, and the server answers `bad_request`.
+    let layer = |channels| ConvLayer::new("big", channels, 8, 8, 4, 3, 3, 1, 1);
+    let fabric = |num_ms| FabricSpec {
+        num_ms,
+        ..FabricSpec::default()
+    };
+    let submit = |spec| {
+        let mut frame = Vec::new();
+        let request = Request::Submit {
+            tenant: "t0".to_owned(),
+            spec,
+            deadline_ms: None,
+        };
+        write_frame(&mut frame, &request.to_json()).expect("valid frame encodes");
+        Request::from_json(&read_frame(&mut &frame[..]).unwrap().unwrap())
+    };
+    for (spec, cap) in [
+        (
+            JobSpec::Conv {
+                layer: layer(3),
+                fabric: fabric(1 << 40),
+            },
+            MAX_WIRE_MULTIPLIERS,
+        ),
+        (
+            JobSpec::MapSearch {
+                layer: layer(1 << 40),
+                fabric: fabric(64),
+            },
+            MAX_WIRE_LAYER_DIM,
+        ),
+    ] {
+        let err = submit(spec).expect_err("an oversized job is refused");
+        assert!(
+            err.contains(&cap.to_string()),
+            "the refusal names the cap: {err}"
+        );
+    }
+    let at_caps = JobSpec::Conv {
+        layer: layer(MAX_WIRE_LAYER_DIM),
+        fabric: fabric(MAX_WIRE_MULTIPLIERS),
+    };
+    assert!(submit(at_caps).is_ok(), "a job at both caps decodes");
 }

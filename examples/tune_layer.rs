@@ -5,12 +5,7 @@
 //! validates the analytic frontier against the clocked simulator, and
 //! prints the tuned-vs-heuristic outcome.
 //!
-//! `cargo run --example tune_layer` — exhaustive search (the default).
-//! `cargo run --example tune_layer -- --strategy random --seed 7` —
-//! seeded random sampling; the same seed always prints the same bytes
-//! (CI diffs two runs to prove it).
-//! `cargo run --example tune_layer -- --strategy beam` — beam search
-//! from the heuristic's point.
+//! `cargo run --example tune_layer` — the exhaustive search.
 //! `cargo run --example tune_layer -- --faulty` — the same search for
 //! an FC layer on a fabric with dead multiplier switches; the static
 //! verifier prunes every VN size the mapper's plan refuses before
@@ -19,34 +14,16 @@
 use maeri_repro::dnn::{ConvLayer, FcLayer};
 use maeri_repro::fabric::fault::FaultSpec;
 use maeri_repro::fabric::MaeriConfig;
-use maeri_repro::mapspace::{search, SearchLayer, SearchSpec, Strategy};
+use maeri_repro::mapspace::{search, SearchLayer, SearchSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut strategy = "exhaustive".to_owned();
-    let mut seed: u64 = 42;
     let mut faulty = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--strategy" => {
-                strategy = args.next().ok_or("--strategy needs a value")?;
-            }
-            "--seed" => {
-                seed = args.next().ok_or("--seed needs a value")?.parse()?;
-            }
             "--faulty" => faulty = true,
             other => return Err(format!("unknown argument {other:?}").into()),
         }
     }
-    let strategy = match strategy.as_str() {
-        "exhaustive" => Strategy::Exhaustive,
-        "random" => Strategy::Random { seed, samples: 64 },
-        "beam" => Strategy::Beam {
-            width: 4,
-            rounds: 8,
-        },
-        other => return Err(format!("unknown strategy {other:?}").into()),
-    };
 
     let spec = if faulty {
         // Dead multipliers shrink the largest healthy span below 64, so
@@ -55,10 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .faults(FaultSpec::new(5).dead_multipliers(500))
             .build()?;
         let layer = FcLayer::new("fc6", 256, 64);
-        SearchSpec::new(SearchLayer::Fc(layer), base).with_strategy(strategy)
+        SearchSpec::new(SearchLayer::Fc(layer), base)
     } else {
         let layer = ConvLayer::new("alexnet_c3", 256, 13, 13, 384, 3, 3, 1, 1);
-        SearchSpec::new(SearchLayer::Conv(layer), MaeriConfig::paper_64()).with_strategy(strategy)
+        SearchSpec::new(SearchLayer::Conv(layer), MaeriConfig::paper_64())
     };
     let result = search(&spec)?;
 

@@ -16,7 +16,7 @@
 //!   ([`maeri_baselines`]),
 //! * [`ppa`] — the calibrated 28 nm area/power model ([`maeri_ppa`]),
 //! * [`mapspace`] — mapping-space exploration: per-layer auto-tuning of
-//!   VN partitions, replication, and bandwidth ([`maeri_mapspace`]),
+//!   VN partitions, replication, and loop order ([`maeri_mapspace`]),
 //! * [`verify`] — static mapping verification: proves VN-partition
 //!   legality, fault consistency, and MAC conservation without
 //!   clocking a cycle ([`maeri_verify`]),
