@@ -122,9 +122,6 @@ pub struct Fig13Row {
     pub cluster: RunStats,
 }
 
-/// Runs the Figure 13 sweep: VGG-16 conv8 with 0-50 % zero weights on
-/// MAERI (1x and 0.25x root bandwidth) and the fixed-cluster baseline,
-/// 27-weight neuron slices (3 channels x 3x3) as in the paper.
 /// The fixed-cluster baseline shape: 4 clusters of 16 PEs on an 8-word
 /// bus (kept in sync with `FixedClusterArray::paper_baseline`).
 const CLUSTER_BASELINE: (usize, usize, usize) = (4, 16, 8);

@@ -7,6 +7,8 @@
 //! cluster occupancy of the fixed-cluster baseline. This module
 //! generates seeded masks with an exact zero fraction per filter.
 
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use maeri_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +51,62 @@ pub struct WeightMask {
     nonzeros: Vec<usize>,
 }
 
+/// What [`WeightMask::generate`] reads: the layer's input channels,
+/// kernel height and width and filters, the zero fraction's bits and
+/// the seed.
+type Recipe = ([usize; 4], u64, u64);
+
+/// The masks [`WeightMask::seeded`] has handed out, by recipe. It holds
+/// no mask alive: once a mask's last holder drops it, its entry is
+/// dead, and the next call prunes it.
+static SHELF: Mutex<Vec<(Recipe, Weak<WeightMask>)>> = Mutex::new(Vec::new());
+
+#[cfg(test)]
+thread_local! {
+    /// Masks [`WeightMask::seeded`] built on this thread.
+    static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl WeightMask {
+    /// The mask `generate(layer, zero_fraction, &mut SimRng::seed(seed))`
+    /// returns, shared: while one caller holds the mask of a recipe (the
+    /// shape `generate` reads, the zero fraction and the seed; not the
+    /// layer's name), every other caller gets that same mask. A mask is
+    /// built under the shelf's lock, so concurrent callers with one
+    /// recipe wait for it instead of building it twice, and no mask
+    /// outlives its last holder.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::generate`].
+    #[must_use]
+    pub fn seeded(layer: &ConvLayer, zero_fraction: f64, seed: u64) -> Arc<Self> {
+        let shape = [
+            layer.in_channels,
+            layer.kernel_h,
+            layer.kernel_w,
+            layer.out_channels,
+        ];
+        let recipe = (shape, zero_fraction.to_bits(), seed);
+        // A caller that panicked in `generate` left the shelf whole: it
+        // pushes only after building.
+        let mut shelf = SHELF.lock().unwrap_or_else(PoisonError::into_inner);
+        shelf.retain(|(_, mask)| mask.strong_count() > 0);
+        let held = shelf.iter().find(|(r, _)| *r == recipe);
+        if let Some(mask) = held.and_then(|(_, mask)| mask.upgrade()) {
+            return mask;
+        }
+        let mask = Arc::new(Self::generate(
+            layer,
+            zero_fraction,
+            &mut SimRng::seed(seed),
+        ));
+        #[cfg(test)]
+        BUILDS.with(|builds| builds.set(builds.get() + 1));
+        shelf.push((recipe, Arc::downgrade(&mask)));
+        mask
+    }
+
     /// Generates a mask that prunes `round(zero_fraction * filter_volume)`
     /// weights in every filter, chosen uniformly at random.
     ///
@@ -393,6 +450,71 @@ mod tests {
     #[should_panic(expected = "channel range")]
     fn channel_range_past_the_mask_panics() {
         let _ = WeightMask::dense(&layer()).kept_in_channels(0, 0, 4);
+    }
+
+    #[test]
+    fn seeded_shares_one_generated_mask_while_it_is_held() {
+        let l = ConvLayer::new("s", 2, 4, 4, 3, 3, 3, 1, 0);
+        let builds = || BUILDS.with(std::cell::Cell::get);
+        let before = builds();
+        let first = WeightMask::seeded(&l, 0.4, 101);
+        assert_eq!(
+            *first,
+            WeightMask::generate(&l, 0.4, &mut SimRng::seed(101))
+        );
+        // The name is not part of the recipe; the shape, zero fraction
+        // and seed are.
+        let renamed = ConvLayer::new("other", 2, 4, 4, 3, 3, 3, 1, 0);
+        let second = WeightMask::seeded(&renamed, 0.4, 101);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(builds() - before, 1);
+        for (layer, zero_fraction, seed) in [(&l, 0.4, 102), (&l, 0.5, 101)] {
+            let other = WeightMask::seeded(layer, zero_fraction, seed);
+            assert!(!Arc::ptr_eq(&first, &other), "{zero_fraction}, seed {seed}");
+        }
+        let wider = ConvLayer::new("s", 2, 4, 4, 4, 3, 3, 1, 0);
+        assert!(!Arc::ptr_eq(&first, &WeightMask::seeded(&wider, 0.4, 101)));
+        assert_eq!(builds() - before, 4);
+
+        // Once both holders drop it, the shelf keeps nothing of it, and
+        // the next call builds the mask again.
+        let recipe = ([2, 3, 3, 3], 0.4f64.to_bits(), 101);
+        drop((first, second));
+        let live = |shelf: &[(Recipe, Weak<WeightMask>)]| {
+            shelf
+                .iter()
+                .any(|(r, mask)| *r == recipe && mask.strong_count() > 0)
+        };
+        assert!(!live(&SHELF.lock().unwrap_or_else(PoisonError::into_inner)));
+        let again = WeightMask::seeded(&l, 0.4, 101);
+        assert_eq!(builds() - before, 5);
+        assert!(live(&SHELF.lock().unwrap_or_else(PoisonError::into_inner)));
+        assert_eq!(
+            *again,
+            WeightMask::generate(&l, 0.4, &mut SimRng::seed(101))
+        );
+    }
+
+    #[test]
+    fn seeded_builds_once_for_two_threads_with_one_recipe() {
+        let l = ConvLayer::new("t", 3, 4, 4, 2, 3, 3, 1, 0);
+        // Both threads hold their mask until both have one, so the
+        // second caller always finds the first one's.
+        let both = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let take = || {
+                let before = BUILDS.with(std::cell::Cell::get);
+                let mask = WeightMask::seeded(&l, 0.6, 202);
+                both.wait();
+                (mask, BUILDS.with(std::cell::Cell::get) - before)
+            };
+            let a = scope.spawn(take);
+            let b = scope.spawn(take);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a.1 + b.1, 1, "builds per thread: {}, {}", a.1, b.1);
+        assert_eq!(*a.0, WeightMask::generate(&l, 0.6, &mut SimRng::seed(202)));
     }
 
     #[test]

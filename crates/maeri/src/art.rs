@@ -231,7 +231,9 @@ pub struct FlActivation {
 struct NodeUse {
     /// Inputs consumed by this switch's adder (0, 2 or 3).
     addends: u8,
-    /// Values routed through without being added.
+    /// Values routed through without being added, saturating: a mode
+    /// reads only whether there are none, one or more, and every VN
+    /// output past the 255th may climb through the root.
     passes: u8,
     /// Whether the switch receives a lateral input.
     lateral_in: bool,
@@ -386,7 +388,8 @@ impl ArtConfig {
     /// the root port. `1.0` means fully non-blocking.
     #[must_use]
     pub fn throughput_slowdown(&self) -> f64 {
-        collection_slowdown(&self.chubby, &self.edge_loads, self.vns.len())
+        let worst = level_worst_loads(self.tree, &self.edge_loads);
+        collection_slowdown(&self.chubby, worst, self.vns.len())
     }
 
     /// Replays the configuration on multiplier outputs, returning one
@@ -553,7 +556,8 @@ impl ArtWalk {
     /// have succeeded, under the collection profile `chubby`.
     pub(crate) fn throughput_slowdown(&self, chubby: &ChubbyTree) -> f64 {
         debug_assert_eq!(*chubby.tree(), self.tree, "chubby tree / walk mismatch");
-        collection_slowdown(chubby, &self.edge_loads, self.output_nodes.len())
+        let worst = level_worst_loads(self.tree, &self.edge_loads);
+        collection_slowdown(chubby, worst, self.output_nodes.len())
     }
 
     /// Checks that every range is in range, pairwise disjoint and on
@@ -636,7 +640,8 @@ impl ArtWalk {
                     // Lone fragment: pass through the parent.
                     let from = tree.node_at(level, pos);
                     self.ops.push(Op::Up { from, to: parent });
-                    self.node_uses[parent].passes += 1;
+                    let passes = &mut self.node_uses[parent].passes;
+                    *passes = passes.saturating_add(1);
                     self.edge_loads[from] += 1;
                     i += 1;
                 }
@@ -651,7 +656,8 @@ impl ArtWalk {
         let mut node = output_node;
         while let Some(parent) = tree.parent(node) {
             self.edge_loads[node] += 1;
-            self.node_uses[parent].passes += 1;
+            let passes = &mut self.node_uses[parent].passes;
+            *passes = passes.saturating_add(1);
             node = parent;
         }
         self.op_ends.push(self.ops.len());
@@ -799,10 +805,9 @@ thread_local! {
 /// What each VN range loads when walked alone, for one tree and fault
 /// plan: the sparse mapper's per-run table for its multi-piece groups.
 /// Each distinct range is walked once, by [`ArtWalk::run`] on that
-/// range alone, and its up-link loads and adder addends are kept. A
-/// one-piece group never asks: a lone VN on healthy leaves builds and
-/// loads each up-link at most once, so its slowdown is 1.0
-/// (DESIGN.md §10).
+/// range alone. A one-piece group never asks: a lone VN on healthy
+/// leaves builds and loads each up-link at most once, so its slowdown
+/// is 1.0 (DESIGN.md §10).
 ///
 /// A group of ascending, disjoint ranges loads the sum of its VNs'
 /// solo loads. A VN's walk reads state another VN may share only at a
@@ -820,9 +825,25 @@ thread_local! {
 /// walks the whole group, as it does when a solo walk fails or the
 /// ranges are not ascending and disjoint.
 ///
+/// An entry keeps only what a second VN could share. A node whose leaf
+/// span lies inside the range is *interior* to it, and no other VN of
+/// a group ever loads its up-link or adds at it (the interior-link
+/// lemma, DESIGN.md §10): the range's own load there is at most 1,
+/// which no link width is below, and its own addends are at most 3.
+/// Neither can change the slowdown or the port verdict, so an entry
+/// keeps the loaded links and adding switches of the nodes holding the
+/// range's first or last leaf, at most two per level. Every solo load
+/// is 1, so a link is kept as its node alone.
+///
+/// Summing a group stamps each node's slot with the group's number
+/// instead of clearing the tree-sized buffers first; a slot stamped
+/// with another number holds zero. The buffers are cleared only when
+/// the number wraps. Each level's worst summed load is tracked while
+/// adding, so the slowdown reads one load per level.
+///
 /// Node ids and entry numbers are stored as `u32`. Neither passes
 /// `u32::MAX` before memory runs out: the walk keeps a `u32` load per
-/// node, and every entry keeps at least one loaded link.
+/// node, and each entry a pair of `usize` ends.
 #[derive(Debug)]
 pub(crate) struct SoloLoads<'a> {
     faults: Option<&'a FaultPlan>,
@@ -834,14 +855,21 @@ pub(crate) struct SoloLoads<'a> {
     /// Entry `k`'s links are `links[ends[k - 1].0..ends[k].0]` and its
     /// adders `adders[ends[k - 1].1..ends[k].1]`; `ends[0]` is `(0, 0)`.
     ends: Vec<(usize, usize)>,
-    /// Loaded up-links as (child node, load), entry after entry.
-    links: Vec<(u32, u32)>,
-    /// Adder switches that add, as (node, addends), entry after entry.
+    /// Loaded up-links that are not interior, as child nodes, entry
+    /// after entry.
+    links: Vec<u32>,
+    /// Adding switches that are not interior, as (node, addends), entry
+    /// after entry.
     adders: Vec<(u32, u8)>,
-    /// The last summed group's loads, indexed like the walk's.
-    loads: Vec<u32>,
-    /// The last summed group's addends per adder switch.
-    addends: Vec<u8>,
+    /// The number of the group being summed; 0 stamps no group.
+    group: u32,
+    /// Per up-link, indexed like the walk's loads: (group, summed load).
+    loads: Vec<(u32, u32)>,
+    /// Per adder switch: (group, summed addends).
+    addends: Vec<(u32, u8)>,
+    /// The summed group's worst load on one up-link of each level,
+    /// indexed by level (the root, level 0, has no up-link).
+    worst: Vec<u32>,
 }
 
 impl<'a> SoloLoads<'a> {
@@ -854,8 +882,19 @@ impl<'a> SoloLoads<'a> {
             ends: vec![(0, 0)],
             links: Vec::new(),
             adders: Vec::new(),
-            loads: vec![0; tree.num_nodes()],
-            addends: vec![0; tree.num_internal()],
+            group: 0,
+            loads: vec![(0, 0); tree.num_nodes()],
+            addends: vec![(0, 0); tree.num_internal()],
+            worst: vec![0; tree.levels()],
+        }
+    }
+
+    /// [`Self::new`], with the next group numbered `group + 1`.
+    #[cfg(test)]
+    fn starting_at_group(tree: BinaryTree, faults: Option<&'a FaultPlan>, group: u32) -> Self {
+        SoloLoads {
+            group,
+            ..Self::new(tree, faults)
         }
     }
 
@@ -876,7 +915,8 @@ impl<'a> SoloLoads<'a> {
             "chubby tree / table mismatch"
         );
         if self.sum(vns) {
-            return Ok(collection_slowdown(chubby, &self.loads, vns.len()));
+            let worst = self.worst.iter().copied().enumerate().skip(1);
+            return Ok(collection_slowdown(chubby, worst, vns.len()));
         }
         let walked = self.walk.run(vns, self.faults);
         #[cfg(test)]
@@ -888,13 +928,21 @@ impl<'a> SoloLoads<'a> {
         Ok(self.walk.throughput_slowdown(chubby))
     }
 
-    /// Sums the solo loads and addends of `vns` into `loads` and
-    /// `addends`. Returns whether the sums rule out a conflict: every
-    /// range built alone, the ranges ascend without overlap, and no
-    /// adder's summed addends exceed 3.
+    /// Sums the kept solo loads and addends of `vns` into the slots
+    /// stamped with a new group number, and each level's worst load
+    /// into `worst`. Returns whether the sums rule out a conflict:
+    /// every range built alone, the ranges ascend without overlap, and
+    /// no adder's summed addends exceed 3.
     fn sum(&mut self, vns: &[VnRange]) -> bool {
-        self.loads.fill(0);
-        self.addends.fill(0);
+        self.group = self.group.wrapping_add(1);
+        if self.group == 0 {
+            // Forget every earlier group's stamp before reusing them.
+            self.loads.fill((0, 0));
+            self.addends.fill((0, 0));
+            self.group = 1;
+        }
+        self.worst.fill(0);
+        let group = self.group;
         let mut within_ports = true;
         let mut prev_end = 0;
         for &range in vns {
@@ -906,13 +954,22 @@ impl<'a> SoloLoads<'a> {
                 return false;
             };
             let (from, to) = (self.ends[entry - 1], self.ends[entry]);
-            for &(node, load) in &self.links[from.0..to.0] {
-                self.loads[node as usize] += load;
+            for &node in &self.links[from.0..to.0] {
+                let slot = &mut self.loads[node as usize];
+                if slot.0 != group {
+                    *slot = (group, 0);
+                }
+                slot.1 += 1;
+                let worst = &mut self.worst[self.walk.tree.level_of(node as usize)];
+                *worst = (*worst).max(slot.1);
             }
             for &(node, addends) in &self.adders[from.1..to.1] {
-                let sum = &mut self.addends[node as usize];
-                *sum += addends;
-                within_ports &= *sum <= 3;
+                let slot = &mut self.addends[node as usize];
+                if slot.0 != group {
+                    *slot = (group, 0);
+                }
+                slot.1 += addends;
+                within_ports &= slot.1 <= 3;
             }
         }
         within_ports
@@ -921,7 +978,8 @@ impl<'a> SoloLoads<'a> {
     /// The entry of `range`, walking it alone on first sight; `None`
     /// when it leaves the tree or its walk fails.
     fn entry(&mut self, range: VnRange) -> Option<usize> {
-        if range.end() > self.walk.tree.num_leaves() {
+        let tree = self.walk.tree;
+        if range.end() > tree.num_leaves() {
             return None;
         }
         if self.slots.len() <= range.start {
@@ -933,18 +991,31 @@ impl<'a> SoloLoads<'a> {
         }
         if by_len[range.len] == 0 {
             self.walk.run(&[range], self.faults).ok()?;
-            let loaded = self.walk.edge_loads.iter().enumerate();
-            self.links.extend(
-                loaded
-                    .filter(|&(_, &load)| load > 0)
-                    .map(|(node, &load)| (node as u32, load)),
-            );
-            let adding = self.walk.node_uses.iter().enumerate();
-            self.adders.extend(
-                adding
-                    .filter(|(_, usage)| usage.addends > 0)
-                    .map(|(node, usage)| (node as u32, usage.addends)),
-            );
+            // The walk touches only nodes whose span meets the range, so
+            // a node it uses that is not interior holds the range's first
+            // or last leaf: one of two candidates per level.
+            let leaf_level = tree.levels() - 1;
+            for level in 0..=leaf_level {
+                let shift = leaf_level - level;
+                let (first, last) = (range.start >> shift, (range.end() - 1) >> shift);
+                for pos in std::iter::once(first).chain((last > first).then_some(last)) {
+                    let inside = pos << shift >= range.start && (pos + 1) << shift <= range.end();
+                    if inside {
+                        continue;
+                    }
+                    let node = tree.node_at(level, pos);
+                    let load = self.walk.edge_loads[node];
+                    debug_assert!(load <= 1, "a lone VN loads {node} {load} times");
+                    if load > 0 {
+                        self.links.push(node as u32);
+                    }
+                    if let Some(usage) = self.walk.node_uses.get(node) {
+                        if usage.addends > 0 {
+                            self.adders.push((node as u32, usage.addends));
+                        }
+                    }
+                }
+            }
             by_len[range.len] = self.ends.len() as u32;
             self.ends.push((self.links.len(), self.adders.len()));
         }
@@ -976,14 +1047,19 @@ fn level_worst_loads(
     })
 }
 
-/// The steady-state slowdown of a walk's flows: the worst load over
+/// The steady-state slowdown of a group's flows, from the worst load on
+/// one up-link of each level as `(level, load)`: the worst load over
 /// capacity of any up-link, or of the root port, which carries one
-/// output per VN, and at least 1.0. Capacity is uniform within a
-/// level and correctly rounded division is monotone, so dividing each
-/// level's worst load once gives the bits a division per link would.
-fn collection_slowdown(chubby: &ChubbyTree, edge_loads: &[u32], vns: usize) -> f64 {
+/// output per VN, and at least 1.0. Capacity is uniform within a level
+/// and correctly rounded division is monotone, so dividing each level's
+/// worst load once gives the bits a division per link would.
+fn collection_slowdown(
+    chubby: &ChubbyTree,
+    worst_loads: impl IntoIterator<Item = (usize, u32)>,
+    vns: usize,
+) -> f64 {
     let mut worst: f64 = 1.0;
-    for (level, load) in level_worst_loads(*chubby.tree(), edge_loads) {
+    for (level, load) in worst_loads {
         if load > 0 {
             worst = worst.max(f64::from(load) / chubby.link_bandwidth(level) as f64);
         }
@@ -1089,6 +1165,7 @@ impl<'a> SpanCursor<'a> {
 mod tests {
     use super::*;
     use maeri_sim::SimRng;
+    use std::collections::BTreeSet;
 
     fn chubby(leaves: usize, bw: usize) -> ChubbyTree {
         ChubbyTree::new(BinaryTree::with_leaves(leaves).unwrap(), bw).unwrap()
@@ -1479,14 +1556,66 @@ mod tests {
         );
     }
 
+    /// Every severed-link pattern of a 16-leaf tree, which has 4
+    /// forwarding links (one at level 2, three at level 3), each with a
+    /// fault plan that severs exactly it; the `FaultSpec` seeds reach
+    /// all 16.
+    fn severed_patterns_at_16_leaves() -> BTreeMap<BTreeSet<(usize, usize)>, FaultPlan> {
+        use crate::fault::FaultSpec;
+        let mut patterns = BTreeMap::new();
+        for permille in [0, 250, 500, 750, 1000] {
+            for seed in 0..32 {
+                let plan = FaultPlan::materialize(
+                    FaultSpec::new(seed).dead_forwarding_links(permille),
+                    16,
+                );
+                patterns.entry(plan.dead_links().clone()).or_insert(plan);
+            }
+        }
+        assert_eq!(patterns.len(), 16, "severed patterns {:?}", patterns.keys());
+        patterns
+    }
+
+    /// The composition of 16 leaves that `cuts` names: bit `b` ends a VN
+    /// after leaf `b`.
+    fn composition_of_16(cuts: u32, vns: &mut Vec<VnRange>) {
+        vns.clear();
+        let mut start = 0;
+        for end in 1..=16 {
+            if end == 16 || cuts & 1 << (end - 1) != 0 {
+                vns.push(VnRange::new(start, end - start));
+                start = end;
+            }
+        }
+    }
+
+    /// For every node of `tree`, the index of the VN of `vns` (disjoint
+    /// ranges) whose range holds the node's whole leaf span, if any.
+    fn interior_owners(tree: BinaryTree, vns: &[VnRange]) -> Vec<Option<usize>> {
+        let mut owners = vec![None; tree.num_nodes()];
+        let leaf_level = tree.levels() - 1;
+        for (vn, range) in vns.iter().enumerate() {
+            for level in 0..=leaf_level {
+                let shift = leaf_level - level;
+                let first = range.start.div_ceil(1 << shift);
+                for pos in first..range.end() >> shift {
+                    owners[tree.node_at(level, pos)] = Some(vn);
+                }
+            }
+        }
+        owners
+    }
+
     /// Checks `table`'s summed solo loads for the ascending, disjoint
     /// `vns` against `walk` run on the whole group. Where the walk
-    /// builds, the sums equal its up-link loads and rule out a conflict
-    /// (no summed addends exceed 3, so the table takes no fallback),
-    /// and the table gives the walk's slowdown bits under each of
-    /// `bandwidths`. Where it fails, some summed addends exceed 3 and
-    /// the table returns the walk's error through one fallback. Returns
-    /// whether the walk built; `case` names the case.
+    /// builds, the sums rule out a conflict (no summed addends exceed 3,
+    /// so the table takes no fallback), equal the walk's load on every
+    /// up-link interior to no VN, and give the walk's slowdown bits
+    /// under each of `bandwidths`; the walk loads every link interior
+    /// to a VN, which the sums leave out, at most once. Where it fails,
+    /// some summed addends exceed 3 and the table returns the walk's
+    /// error through one fallback. Returns whether the walk built;
+    /// `case` names the case.
     fn check_solo_sums(
         case: impl Fn() -> String,
         table: &mut SoloLoads,
@@ -1495,7 +1624,9 @@ mod tests {
         vns: &[VnRange],
     ) -> bool {
         let clear = table.sum(vns);
-        let overloaded = table.addends.iter().any(|&a| a > 3);
+        let group = table.group;
+        let summed = |slot: (u32, u32)| if slot.0 == group { slot.1 } else { 0 };
+        let overloaded = table.addends.iter().any(|&(g, a)| g == group && a > 3);
         match walk.run(vns, table.faults) {
             Ok(()) => {
                 assert!(
@@ -1504,7 +1635,16 @@ mod tests {
                     case(),
                     table.addends
                 );
-                assert_eq!(table.loads, walk.edge_loads, "{}: {vns:?}", case());
+                let owners = interior_owners(walk.tree, vns);
+                for (node, &load) in walk.edge_loads.iter().enumerate() {
+                    let got = summed(table.loads[node]);
+                    let kept = if owners[node].is_some() { 0 } else { load };
+                    assert!(
+                        got == kept && load <= kept.max(1),
+                        "{}: link {node} loaded {load} times, summed {got}: {vns:?}",
+                        case()
+                    );
+                }
                 for chubby in bandwidths {
                     assert_eq!(
                         table.group_slowdown(chubby, vns).map(f64::to_bits),
@@ -1535,41 +1675,18 @@ mod tests {
 
     #[test]
     fn solo_sums_equal_the_walk_and_flag_exactly_its_rejections() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        use std::collections::{BTreeMap, BTreeSet};
-        // 16 leaves have 4 forwarding links (one at level 2, three at
-        // level 3); the FaultSpec seeds reach all 16 severed patterns.
+        use crate::fault::FaultSpec;
         let tree = BinaryTree::with_leaves(16).unwrap();
-        let mut patterns: BTreeMap<BTreeSet<(usize, usize)>, FaultPlan> = BTreeMap::new();
-        for permille in [0, 250, 500, 750, 1000] {
-            for seed in 0..32 {
-                let plan = FaultPlan::materialize(
-                    FaultSpec::new(seed).dead_forwarding_links(permille),
-                    16,
-                );
-                patterns.entry(plan.dead_links().clone()).or_insert(plan);
-            }
-        }
-        assert_eq!(patterns.len(), 16, "severed patterns {:?}", patterns.keys());
         // The loads, asserted equal in every case, decide the slowdown;
         // its bits are compared at root bandwidths 1–16 in every 64th.
         let bandwidths = [1, 2, 4, 8, 16].map(|bw| chubby(16, bw));
         let mut walk = ArtWalk::new(tree);
         let mut outcomes = [0usize; 2];
         let mut vns = Vec::new();
-        for (severed, plan) in &patterns {
+        for (severed, plan) in &severed_patterns_at_16_leaves() {
             let mut table = SoloLoads::new(tree, Some(plan));
-            // Every composition of the 16 leaves: bit `b` of `cuts`
-            // ends a VN after leaf `b`.
             for cuts in 0u32..1 << 15 {
-                vns.clear();
-                let mut start = 0;
-                for end in 1..=16 {
-                    if end == 16 || cuts & 1 << (end - 1) != 0 {
-                        vns.push(VnRange::new(start, end - start));
-                        start = end;
-                    }
-                }
+                composition_of_16(cuts, &mut vns);
                 let case = || format!("16 leaves, severed {severed:?}, cuts {cuts:#06x}");
                 let slowdowns = if cuts % 64 == 0 { &bandwidths[..] } else { &[] };
                 let built = check_solo_sums(case, &mut table, &mut walk, slowdowns, &vns);
@@ -1622,6 +1739,167 @@ mod tests {
         );
     }
 
+    #[test]
+    fn solo_sums_survive_the_group_number_wrapping() {
+        use crate::fault::FaultSpec;
+        // Groups summed on both sides of the wrap, on severed links so
+        // that some fall back; the slots cleared at the wrap hold no
+        // stamp from before it.
+        let plan = FaultPlan::materialize(FaultSpec::new(9).dead_forwarding_links(500), 64);
+        let bandwidths = [1, 4, 16].map(|bw| chubby(64, bw));
+        let tree = *bandwidths[0].tree();
+        let mut table = SoloLoads::starting_at_group(tree, Some(&plan), u32::MAX - 5);
+        let mut walk = ArtWalk::new(tree);
+        let mut rng = SimRng::seed(27);
+        let mut outcomes = [0usize; 2];
+        for packing in 0..12 {
+            let draws: Vec<usize> = (0..64).map(|_| 1 + rng.next_below(9)).collect();
+            let (vns, _) = pack_vns_into_spans(&[VnRange::new(0, 64)], &draws);
+            let group = table.group;
+            let case = || format!("packing {packing}, after group {group}");
+            let built = check_solo_sums(case, &mut table, &mut walk, &bandwidths, &vns);
+            outcomes[usize::from(built)] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "rejected, built: {outcomes:?}"
+        );
+        let group = table.group;
+        assert!(group < 64, "the group number never wrapped: {group}");
+        assert!(
+            table.loads.iter().all(|&(g, _)| g <= group)
+                && table.addends.iter().all(|&(g, _)| g <= group),
+            "a slot kept a stamp from before the wrap"
+        );
+    }
+
+    /// Checks the interior-link lemma on the group `vns` under `faults`:
+    /// where the walk builds, no VN loads the up-link of, or adds at, a
+    /// node interior to another VN's range, and a VN loads each link
+    /// interior to its own range at most once. Which VN loads what is
+    /// read off each VN's steps and output climb, whose loads must add
+    /// up to the walk's. Returns whether the walk built.
+    fn check_interior_nodes(
+        case: impl Fn() -> String,
+        walk: &mut ArtWalk,
+        vns: &[VnRange],
+        faults: Option<&FaultPlan>,
+    ) -> bool {
+        if walk.run(vns, faults).is_err() {
+            return false;
+        }
+        let tree = walk.tree;
+        let owners = interior_owners(tree, vns);
+        let mut loads = vec![0u32; tree.num_nodes()];
+        for (vn, ops) in ops_per_vn(&walk.ops, &walk.op_ends).enumerate() {
+            let mut touch = |node: NodeId, loaded: bool| {
+                loads[node] += u32::from(loaded);
+                match owners[node] {
+                    Some(owner) if owner != vn => panic!(
+                        "{}: vn {vn} {} node {node}, interior to vn {owner}: {vns:?}",
+                        case(),
+                        if loaded {
+                            "loads the up-link of"
+                        } else {
+                            "adds at"
+                        }
+                    ),
+                    Some(_) if loaded && loads[node] > 1 => {
+                        panic!("{}: vn {vn} loads link {node} twice: {vns:?}", case())
+                    }
+                    _ => {}
+                }
+            };
+            for op in ops {
+                match *op {
+                    Op::Combine { node, children } => {
+                        touch(children[0], true);
+                        touch(children[1], true);
+                        touch(node, false);
+                    }
+                    Op::Up { from, .. } => touch(from, true),
+                    Op::Lateral { to, .. } => touch(to, false),
+                }
+            }
+            let mut node = walk.output_nodes[vn];
+            while let Some(parent) = tree.parent(node) {
+                touch(node, true);
+                node = parent;
+            }
+        }
+        assert_eq!(loads, walk.edge_loads, "{}: {vns:?}", case());
+        true
+    }
+
+    #[test]
+    fn only_its_own_vn_loads_or_adds_at_a_node_inside_a_vn_range() {
+        use crate::fault::FaultSpec;
+        // 4,096 seeded compositions of 16 leaves under each of the 16
+        // severed-link patterns.
+        let tree = BinaryTree::with_leaves(16).unwrap();
+        let mut walk = ArtWalk::new(tree);
+        let mut rng = SimRng::seed(28);
+        let mut outcomes = [0usize; 2];
+        let mut vns = Vec::new();
+        for (severed, plan) in &severed_patterns_at_16_leaves() {
+            for _ in 0..4096 {
+                let cuts = rng.next_below(1 << 15) as u32;
+                composition_of_16(cuts, &mut vns);
+                let case = || format!("16 leaves, severed {severed:?}, cuts {cuts:#06x}");
+                let built = check_interior_nodes(case, &mut walk, &vns, Some(plan));
+                outcomes[usize::from(built)] += 1;
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "rejected, built: {outcomes:?}"
+        );
+
+        // Seeded packings at 32 and 64 leaves, and at 128-4096 leaves,
+        // healthy or under dead multipliers with or without severed
+        // links, some with VNs left out so gaps separate the rest.
+        let mut outcomes = [0usize; 2];
+        for case in 0..1500 {
+            let leaves = if case < 1000 {
+                [32, 64][case % 2]
+            } else {
+                128 << rng.next_below(6)
+            };
+            let seed = rng.next_below(1 << 16) as u64;
+            let spec = match rng.next_below(3) {
+                0 => None,
+                1 => Some(FaultSpec::new(seed).dead_multipliers(rng.next_below(301) as u16)),
+                _ => Some(
+                    FaultSpec::new(seed)
+                        .dead_multipliers(rng.next_below(301) as u16)
+                        .dead_forwarding_links(rng.next_below(1001) as u16),
+                ),
+            };
+            let plan = spec.map(|spec| FaultPlan::materialize(spec, leaves));
+            let spans = plan
+                .as_ref()
+                .map_or_else(|| vec![VnRange::new(0, leaves)], FaultPlan::healthy_spans);
+            let draws: Vec<usize> = (0..leaves)
+                .map(|_| {
+                    let widest = 1 << rng.next_below(6);
+                    1 + rng.next_below(widest)
+                })
+                .collect();
+            let (mut vns, _) = pack_vns_into_spans(&spans, &draws);
+            if rng.next_bool(0.5) {
+                vns.retain(|_| rng.next_bool(0.8));
+            }
+            let case = || format!("case {case}: {leaves} leaves, {spec:?}");
+            let mut walk = ArtWalk::new(BinaryTree::with_leaves(leaves).unwrap());
+            let built = check_interior_nodes(case, &mut walk, &vns, plan.as_ref());
+            outcomes[usize::from(built)] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "rejected, built: {outcomes:?}"
+        );
+    }
+
     /// Checks that the lone VN `range` builds under `faults`, loads no
     /// up-link more than once, and gives a slowdown of exactly 1.0 at
     /// every root bandwidth of the tree.
@@ -1654,22 +1932,9 @@ mod tests {
 
     #[test]
     fn a_lone_vn_on_healthy_leaves_builds_and_never_slows_the_art() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        use std::collections::{BTreeMap, BTreeSet};
-        // Every range at 16 leaves under all 16 severed-link patterns,
-        // which the FaultSpec seeds reach.
-        let mut patterns: BTreeMap<BTreeSet<(usize, usize)>, FaultPlan> = BTreeMap::new();
-        for permille in [0, 250, 500, 750, 1000] {
-            for seed in 0..32 {
-                let plan = FaultPlan::materialize(
-                    FaultSpec::new(seed).dead_forwarding_links(permille),
-                    16,
-                );
-                patterns.entry(plan.dead_links().clone()).or_insert(plan);
-            }
-        }
-        assert_eq!(patterns.len(), 16, "severed patterns {:?}", patterns.keys());
-        for (severed, plan) in &patterns {
+        use crate::fault::FaultSpec;
+        // Every range at 16 leaves under all 16 severed-link patterns.
+        for (severed, plan) in &severed_patterns_at_16_leaves() {
             for start in 0..16 {
                 for len in 1..=16 - start {
                     let case = || format!("16 leaves, severed {severed:?}");

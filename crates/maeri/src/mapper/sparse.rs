@@ -18,10 +18,10 @@
 //! Of a group's cost, only its ART slowdown needs the tree. A group of
 //! one piece never slows the ART, so a tile whose every group is one
 //! piece is costed in closed form from its VN count per fold count;
-//! any other tile is packed group by group, and the slowdowns of its
-//! multi-piece groups are memoized by their piece sizes.
-
-use std::collections::BTreeMap;
+//! any other tile is packed group by group, and a multi-piece group's
+//! slowdown is read from the summed solo loads of its VNs, of which
+//! only the links and adders two VNs could share are kept
+//! ([`crate::art`], DESIGN.md §10).
 
 use maeri_dnn::{ConvLayer, WeightMask};
 use maeri_sim::util::ceil_div;
@@ -32,19 +32,6 @@ use crate::art::{SoloLoads, SpanCursor, VnRange};
 use crate::engine::RunStats;
 use crate::fault::FaultPlan;
 use crate::MaeriConfig;
-
-/// Entries the per-run slowdown memo of [`SparseConvMapper::run`] holds
-/// before it is cleared, so a run's memory stays flat however many
-/// distinct groups it packs. Only multi-piece groups reach the memo: a
-/// one-piece group's slowdown is 1.0 without a lookup.
-///
-/// Measured on a build without the memo (2-core host, DESIGN.md §10):
-/// `figure13`, whose tile-3 groups repeat, took 0.120 s instead of
-/// 0.100 s traced, and `regen`'s `latency_p50_ms` rose from 99 to
-/// 120 ms over 12 pairs. The groups of the sparse search's tiles 1–6
-/// are nearly all distinct, and there the memo costs about 10 ms
-/// (0.102 instead of 0.091 s traced).
-const SLOWDOWN_MEMO_CAP: usize = 1024;
 
 /// Maps weight-sparse CONV layers onto a MAERI instance.
 ///
@@ -157,15 +144,11 @@ impl SparseConvMapper {
     /// than half of it), the tile is costed in closed form from its VN
     /// count per fold count, with no piece list and no group loop,
     /// whenever that sum is exact in `f64`. Otherwise the pieces are
-    /// grouped one by one. A multi-piece group's slowdown depends only
-    /// on its piece sizes (the ranges follow from the sizes and the
-    /// healthy spans, and the chubby tree and fault plan are fixed for
-    /// the run), so each distinct size sequence is costed at most once
-    /// between memo clears. Its ART loads are the sum of what each of
-    /// its VNs loads alone, so the ART walk runs once per distinct VN
-    /// range in the run, and on a whole group only when those sums
-    /// cannot rule out a conflict; the slowdown and any error are the
-    /// group walk's.
+    /// grouped one by one. A multi-piece group's ART loads are the sum
+    /// of what each of its VNs loads alone, so the ART walk runs once
+    /// per distinct VN range in the run, and on a whole group only when
+    /// those sums cannot rule out a conflict; the slowdown and any
+    /// error are the group walk's.
     ///
     /// # Errors
     ///
@@ -290,10 +273,6 @@ impl SparseConvMapper {
         let mut solo = SoloLoads::new(*chubby.tree(), fault_plan);
         let mut tile = TileCost::default();
         let mut idx = 0usize;
-        // The memo keys groups by their piece sizes as `u32`; no piece
-        // exceeds the leaf count, so the key is lossless.
-        let mut memo: BTreeMap<Box<[u32]>, f64> = BTreeMap::new();
-        let mut key: Vec<u32> = Vec::new();
         let mut ranges = Vec::new();
         while idx < pieces.len() {
             ranges.clear();
@@ -317,18 +296,7 @@ impl SparseConvMapper {
             let slowdown = if ranges.len() == 1 {
                 1.0
             } else {
-                key.clear();
-                key.extend(ranges.iter().map(|vn| vn.len as u32));
-                if let Some(&slowdown) = memo.get(key.as_slice()) {
-                    slowdown
-                } else {
-                    let slowdown = solo.group_slowdown(&chubby, &ranges)?;
-                    if memo.len() >= SLOWDOWN_MEMO_CAP {
-                        memo.clear();
-                    }
-                    memo.insert(key.as_slice().into(), slowdown);
-                    slowdown
-                }
+                solo.group_slowdown(&chubby, &ranges)?
             };
             // One-time group startup (configure, ART fill, first
             // window); rows pipeline thereafter.
@@ -435,7 +403,7 @@ mod tests {
     /// lookups, each group re-packed from the left on every push, and
     /// one ART build per group. The optimized `run` must agree with it
     /// exactly. Also returns the number of distinct size sequences of
-    /// multi-piece groups, the memo's key count without eviction.
+    /// its multi-piece groups.
     fn reference_run(
         m: &SparseConvMapper,
         layer: &ConvLayer,
@@ -640,10 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_reference_past_the_memo_cap() {
-        // Over a thousand groups of about a dozen varied pieces: nearly
-        // every group is distinct, so the memo fills and is cleared
-        // mid-run.
+    fn run_matches_reference_over_a_thousand_distinct_groups() {
+        // Over a thousand groups of about a dozen varied pieces, nearly
+        // every one distinct, summed through one table whose group
+        // stamps must keep each group's sums apart.
         let l = ConvLayer::new("evict", 128, 3, 3, 160, 3, 3, 1, 1);
         let mask = WeightMask::generate(&l, 0.5, &mut SimRng::seed(8));
         let healthy = SparseConvMapper::new(
@@ -653,17 +621,14 @@ mod tests {
                 .unwrap(),
         );
         let (want, distinct) = reference_run(&healthy, &l, &mask, 1);
-        assert!(
-            distinct > SLOWDOWN_MEMO_CAP,
-            "only {distinct} distinct groups; the memo never evicts"
-        );
+        assert!(distinct > 1024, "only {distinct} distinct groups");
         assert!(want.is_ok());
         let (got, fallbacks) = run_counting_fallbacks(&healthy, &l, &mask, 1);
         assert_eq!(got, want);
         assert_eq!(fallbacks, (0, 0), "a healthy fabric fell back");
 
         // On this faulty fabric a later group's ART configuration is
-        // illegal: the memo must not hide the build error.
+        // illegal: its error must come back after the groups before it.
         let faulty = SparseConvMapper::new(
             MaeriConfig::builder(64)
                 .faults(
@@ -844,6 +809,33 @@ mod tests {
             paths.iter().all(|&n| n > 0),
             "closed form, group loop: {paths:?}"
         );
+    }
+
+    #[test]
+    fn figure13_runs_match_their_golden_digest() {
+        // Figure 13's twelve MAERI runs: VGG16-C8 at tile 3 with 0-50%
+        // zeros, each on the 1x fabric and on the 0.25x one, whose
+        // thinner collection tree gives its groups slowdowns above 1.
+        // The digest of their cycles, MACs, SRAM reads and groups was
+        // recorded before the sums skipped the links inside one VN.
+        let layer = maeri_dnn::zoo::vgg16_c8();
+        let quarter = MaeriConfig::builder(64)
+            .distribution_bandwidth(2)
+            .collection_bandwidth(2)
+            .build()
+            .unwrap();
+        let fabrics = [MaeriConfig::paper_64(), quarter].map(SparseConvMapper::new);
+        let mut words = Vec::new();
+        for pct in [0u32, 10, 20, 30, 40, 50] {
+            let zero_fraction = f64::from(pct) / 100.0;
+            let mask = WeightMask::generate(&layer, zero_fraction, &mut SimRng::seed(42));
+            for m in &fabrics {
+                let run = m.run(&layer, &mask, 3).unwrap();
+                let groups = run.extra.get("groups");
+                words.extend([run.cycles.as_u64(), run.macs, run.sram_reads, groups]);
+            }
+        }
+        assert_eq!(fnv1a(words), 0xff6b_a4c0_0560_3206);
     }
 
     fn layer() -> ConvLayer {

@@ -6,7 +6,7 @@ use maeri::{
 };
 use maeri_dnn::WeightMask;
 use maeri_sim::util::ceil_div;
-use maeri_sim::{Result, SimError, SimRng};
+use maeri_sim::{Result, SimError};
 use maeri_verify::{statically_reject, VerifyLayer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -207,14 +207,10 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
             layer,
             zero_fraction,
             mask_seed,
-        } => Some(WeightMask::generate(
-            layer,
-            *zero_fraction,
-            &mut SimRng::seed(*mask_seed),
-        )),
+        } => Some(WeightMask::seeded(layer, *zero_fraction, *mask_seed)),
         _ => None,
     };
-    let mask = mask.as_ref();
+    let mask = mask.as_deref();
     let heuristic_candidate = heuristic_candidate(spec, mask)?;
     let (heuristic_cycles, _) = score(spec, mask, &heuristic_candidate)?;
 
@@ -451,6 +447,7 @@ mod tests {
     use maeri::fault::FaultSpec;
     use maeri::{ArtConfig, MaeriConfig, PlanError};
     use maeri_dnn::ConvLayer;
+    use maeri_sim::SimRng;
     use maeri_verify::VerifyError;
     use std::collections::btree_map::Entry;
 

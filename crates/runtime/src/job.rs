@@ -1,5 +1,7 @@
 //! Simulation job descriptions and their content-hash identity.
 
+use std::sync::Arc;
+
 use maeri::analytic;
 use maeri::cycle_sim::simulate_conv_layer_telemetry;
 use maeri::{
@@ -9,7 +11,6 @@ use maeri::{
 use maeri_baselines::{FixedClusterArray, RowStationary, SystolicArray};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, PoolLayer, WeightMask};
 use maeri_mapspace::{SearchLayer, SearchSpec};
-use maeri_sim::SimRng;
 use maeri_verify::{statically_reject, VerifyLayer};
 
 use crate::output::{JobError, JobResult, SimOutput, TelemetryRun};
@@ -716,9 +717,10 @@ impl SimJob {
     }
 }
 
-/// Regenerates the deterministic weight mask a sparse job describes.
-fn regenerate_mask(layer: &ConvLayer, zero_fraction: f64, seed: u64) -> WeightMask {
-    WeightMask::generate(layer, zero_fraction, &mut SimRng::seed(seed))
+/// Regenerates the deterministic weight mask a sparse job describes,
+/// shared with every concurrent job of the same recipe.
+fn regenerate_mask(layer: &ConvLayer, zero_fraction: f64, seed: u64) -> Arc<WeightMask> {
+    WeightMask::seeded(layer, zero_fraction, seed)
 }
 
 /// A sparse job's static pre-flight check on the mask it runs on.

@@ -25,7 +25,11 @@
 //! conv, mapping search, and seeded random layers), each with an
 //! optional `fabric` override (`{"ms":64,"dist_bw":8,"collect_bw":8}`).
 //! Decoding refuses a fabric field above [`MAX_WIRE_MULTIPLIERS`] and a
-//! layer dimension above [`MAX_WIRE_LAYER_DIM`] with `bad_request`.
+//! layer dimension above [`MAX_WIRE_LAYER_DIM`] with `bad_request`, and
+//! a CONV job whose work passes [`MAX_WIRE_LAYER_MACS`],
+//! [`MAX_WIRE_TRACE_WORK`] or [`MAX_WIRE_SEARCH_WORK`]: the field caps
+//! bound each field on its own, and their products can still hold a
+//! worker for minutes.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -50,6 +54,30 @@ pub const MAX_WIRE_MULTIPLIERS: usize = 4096;
 /// zoo's largest (`vgg16_fc14`'s 25,088 inputs). It bounds every
 /// field on its own, not their products.
 pub const MAX_WIRE_LAYER_DIM: usize = 65_536;
+
+/// The most multiply-accumulates a wire `conv`, `telemetry_conv` or
+/// `map_search` layer may carry: about 9.3x the zoo's largest
+/// (`vgg16_conv2`, 1,849,688,064).
+pub const MAX_WIRE_LAYER_MACS: u64 = 1 << 34;
+
+/// The most clocked work a wire `telemetry_conv` or `map_search` may
+/// ask for, as output columns × multipliers². A clocked trace steps
+/// every switch through one output row (the search traces the row
+/// once per validated frontier point, at most nine times), and a step
+/// takes at most about one cycle per multiplier, since both its inputs
+/// and its outputs fit the fabric. About 9.1x `vgg16_conv1` (224
+/// columns) on the repo's largest wire fabric (128 multipliers). On
+/// one core of a 2-core host, telemetry traces at this cap took
+/// 0.05–0.4 s, and at 2^28 0.3–3.2 s.
+pub const MAX_WIRE_TRACE_WORK: u64 = 1 << 25;
+
+/// The most enumeration work a wire `map_search` may ask for, as input
+/// channels × multipliers: the search scores every channel tile at
+/// every VN width, and planning a candidate walks the fabric. 64x
+/// `vgg16`'s 512 channels on 128 multipliers. On one core of a 2-core
+/// host, searches at this cap took 0.5–1.5 s, and one at 2^28 (65,536
+/// channels on 4,096 multipliers) 23 s.
+pub const MAX_WIRE_SEARCH_WORK: u64 = 1 << 22;
 
 /// Fabric geometry carried on the wire; defaults to the paper's
 /// 64-switch configuration.
@@ -268,8 +296,10 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a message for unknown kinds, missing/mistyped fields, a
-    /// layer dimension above [`MAX_WIRE_LAYER_DIM`] or a fabric field
-    /// above [`MAX_WIRE_MULTIPLIERS`].
+    /// layer dimension above [`MAX_WIRE_LAYER_DIM`], a fabric field
+    /// above [`MAX_WIRE_MULTIPLIERS`], or a CONV job whose work passes
+    /// [`MAX_WIRE_LAYER_MACS`], [`MAX_WIRE_TRACE_WORK`] or
+    /// [`MAX_WIRE_SEARCH_WORK`].
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let str_field = |name: &str| -> Result<String, String> {
             value
@@ -309,7 +339,9 @@ impl JobSpec {
             if kh > h + 2 * pad || kw > w + 2 * pad {
                 return Err("conv kernel larger than padded input".to_owned());
             }
-            Ok(ConvLayer::new(&name, c, h, w, k, kh, kw, stride, pad))
+            let layer = ConvLayer::new(&name, c, h, w, k, kh, kw, stride, pad);
+            within_work_caps(&kind, &layer, fabric)?;
+            Ok(layer)
         };
         match kind.as_str() {
             "conv" => Ok(JobSpec::Conv {
@@ -353,6 +385,39 @@ impl JobSpec {
             }),
             other => Err(format!("unknown job kind `{other}`")),
         }
+    }
+}
+
+/// Refuses a `kind` CONV job on `fabric` whose work passes a cap: the
+/// layer's MACs for every kind, a clocked trace's work for
+/// `telemetry_conv` and `map_search`, and the enumeration's for
+/// `map_search`. Counted in `u128`, which no product of capped fields
+/// overflows.
+fn within_work_caps(kind: &str, layer: &ConvLayer, fabric: FabricSpec) -> Result<(), String> {
+    let [k, p, q, c, r, s, ms] = [
+        layer.out_channels,
+        layer.out_h(),
+        layer.out_w(),
+        layer.in_channels,
+        layer.kernel_h,
+        layer.kernel_w,
+        fabric.num_ms,
+    ]
+    .map(|dim| dim as u128);
+    let mut caps = vec![("MACs", k * p * q * c * r * s, MAX_WIRE_LAYER_MACS)];
+    if kind != "conv" {
+        let trace = q * ms * ms;
+        caps.push(("output columns x multipliers^2", trace, MAX_WIRE_TRACE_WORK));
+    }
+    if kind == "map_search" {
+        caps.push(("input channels x multipliers", c * ms, MAX_WIRE_SEARCH_WORK));
+    }
+    match caps
+        .into_iter()
+        .find(|&(_, work, cap)| work > u128::from(cap))
+    {
+        Some((what, work, cap)) => Err(format!("{kind} job has {work} {what}, above {cap}")),
+        None => Ok(()),
     }
 }
 

@@ -9,7 +9,7 @@
 use maeri_dnn::{ConvLayer, FcLayer};
 use maeri_serve::wire::{
     read_frame, write_frame, FabricSpec, JobSpec, Request, MAX_FRAME_BYTES, MAX_WIRE_LAYER_DIM,
-    MAX_WIRE_MULTIPLIERS,
+    MAX_WIRE_LAYER_MACS, MAX_WIRE_MULTIPLIERS, MAX_WIRE_SEARCH_WORK, MAX_WIRE_TRACE_WORK,
 };
 use maeri_sim::SimRng;
 
@@ -168,6 +168,18 @@ fn mutated_json_bodies_error_structurally() {
     assert_eq!(doc.render(), good.render());
 }
 
+/// Encodes `spec` in a submit frame and decodes it as the server does.
+fn submit(spec: JobSpec) -> Result<Request, String> {
+    let mut frame = Vec::new();
+    let request = Request::Submit {
+        tenant: "t0".to_owned(),
+        spec,
+        deadline_ms: None,
+    };
+    write_frame(&mut frame, &request.to_json()).expect("valid frame encodes");
+    Request::from_json(&read_frame(&mut &frame[..]).unwrap().unwrap())
+}
+
 #[test]
 fn oversized_jobs_are_refused_at_decode() {
     // Run, a 2^40-multiplier fabric aborts the process on a failed
@@ -178,16 +190,6 @@ fn oversized_jobs_are_refused_at_decode() {
     let fabric = |num_ms| FabricSpec {
         num_ms,
         ..FabricSpec::default()
-    };
-    let submit = |spec| {
-        let mut frame = Vec::new();
-        let request = Request::Submit {
-            tenant: "t0".to_owned(),
-            spec,
-            deadline_ms: None,
-        };
-        write_frame(&mut frame, &request.to_json()).expect("valid frame encodes");
-        Request::from_json(&read_frame(&mut &frame[..]).unwrap().unwrap())
     };
     for (spec, cap) in [
         (
@@ -216,4 +218,88 @@ fn oversized_jobs_are_refused_at_decode() {
         fabric: fabric(MAX_WIRE_MULTIPLIERS),
     };
     assert!(submit(at_caps).is_ok(), "a job at both caps decodes");
+}
+
+#[test]
+fn jobs_whose_work_passes_a_cap_are_refused_at_decode() {
+    // Every field of these is inside its cap, yet each held a worker
+    // for over a minute: on the widest fabric, a cycle trace and a
+    // search of a 1x1 layer with 65,536 channels, filters, rows and
+    // columns (2^64 MACs), and a cycle trace over a one-channel
+    // 65,536 x 65,536 map with one filter (2^32 MACs, but 2^40 output
+    // columns x multipliers^2). The fourth searches 65,536 channels of
+    // a 1x1 map, 2^28 channels x multipliers.
+    let widest = FabricSpec {
+        num_ms: MAX_WIRE_MULTIPLIERS,
+        ..FabricSpec::default()
+    };
+    let dim = MAX_WIRE_LAYER_DIM;
+    let square = ConvLayer::new("square", dim, dim, dim, dim, 1, 1, 1, 0);
+    let wide_map = ConvLayer::new("wide_map", 1, dim, dim, 1, 1, 1, 1, 0);
+    let deep = ConvLayer::new("deep", dim, 1, 1, 1, 1, 1, 1, 0);
+    for (spec, cap) in [
+        (
+            JobSpec::TelemetryConv {
+                layer: square.clone(),
+                fabric: widest,
+            },
+            MAX_WIRE_LAYER_MACS,
+        ),
+        (
+            JobSpec::MapSearch {
+                layer: square,
+                fabric: widest,
+            },
+            MAX_WIRE_LAYER_MACS,
+        ),
+        (
+            JobSpec::TelemetryConv {
+                layer: wide_map,
+                fabric: widest,
+            },
+            MAX_WIRE_TRACE_WORK,
+        ),
+        (
+            JobSpec::MapSearch {
+                layer: deep,
+                fabric: widest,
+            },
+            MAX_WIRE_SEARCH_WORK,
+        ),
+    ] {
+        let name = format!("{spec:?}");
+        let err = submit(spec).expect_err("a job past a work cap is refused");
+        assert!(
+            err.contains(&cap.to_string()),
+            "{name}: the refusal names the cap: {err}"
+        );
+    }
+
+    // Every CONV layer of the zoo still decodes as each capped kind on
+    // the widest fabric the repo sends.
+    let fabric = FabricSpec {
+        num_ms: 128,
+        ..FabricSpec::default()
+    };
+    for model in maeri_dnn::zoo::all_models() {
+        for layer in model.conv_layers() {
+            for spec in [
+                JobSpec::Conv {
+                    layer: layer.clone(),
+                    fabric,
+                },
+                JobSpec::TelemetryConv {
+                    layer: layer.clone(),
+                    fabric,
+                },
+                JobSpec::MapSearch {
+                    layer: layer.clone(),
+                    fabric,
+                },
+            ] {
+                let name = format!("{spec:?}");
+                assert!(submit(spec).is_ok(), "{name} is refused");
+            }
+        }
+    }
 }
