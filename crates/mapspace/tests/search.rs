@@ -155,10 +155,13 @@ fn fnv1a(text: &str) -> u64 {
 
 #[test]
 fn search_text_matches_its_golden_digest() {
-    // Two searches whose full text no other digest covers: the
+    // Searches whose full text no other digest covers: the
     // `mapping_search` report's sparse layer (the report prints only
-    // its best mapping) and `tune_layer --faulty`'s FC layer, where the
-    // static verifier refuses 60 of the 64 VN sizes.
+    // its best mapping), `tune_layer --faulty`'s FC layer, where the
+    // static verifier refuses 60 of the 64 VN sizes, and a 1x1 CONV
+    // layer (VN sizes 1 to 24) on three faulty 64-leaf fabrics, where
+    // packings fragment: dead multipliers, severed forwarding links
+    // (the ART refuses 44 candidates' packings) and dead adders.
     let sparse = SearchSpec::new(
         SearchLayer::SparseConv {
             layer: maeri_dnn::zoo::vgg16_c8(),
@@ -172,11 +175,34 @@ fn search_text_matches_its_golden_digest() {
         .build()
         .unwrap();
     let faulty_fc = SearchSpec::new(SearchLayer::Fc(FcLayer::new("fc6", 256, 64)), faulty);
-    for (spec, want) in [
-        (sparse, 0x7715_c069_24d5_8094),
-        (faulty_fc, 0x2d9d_2d1d_b452_f712),
+    let faulty_conv = |faults: FaultSpec| {
+        let base = MaeriConfig::builder(64).faults(faults).build().unwrap();
+        let layer = ConvLayer::new("faulty_conv", 24, 14, 14, 8, 1, 1, 1, 0);
+        SearchSpec::new(SearchLayer::Conv(layer), base)
+    };
+    // (spec, text digest, statically rejected candidates)
+    for (spec, want, rejected) in [
+        (sparse, 0x7715_c069_24d5_8094, 0),
+        (faulty_fc, 0x2d9d_2d1d_b452_f712, 60),
+        (
+            faulty_conv(FaultSpec::new(5).dead_multipliers(200)),
+            0x30c3_9e86_3dc4_64bb,
+            0,
+        ),
+        (
+            faulty_conv(FaultSpec::new(6).dead_forwarding_links(500)),
+            0x76c3_26e8_b74a_c7cd,
+            44,
+        ),
+        (
+            faulty_conv(FaultSpec::new(9).dead_adders(100)),
+            0xd1fa_f363_8ef1_59d1,
+            0,
+        ),
     ] {
-        let text = search(&spec).unwrap().canonical_text();
+        let result = search(&spec).unwrap();
+        let text = result.canonical_text();
         assert_eq!(fnv1a(&text), want, "{text}");
+        assert_eq!(result.counters.statically_rejected, rejected, "{text}");
     }
 }

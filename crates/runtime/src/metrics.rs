@@ -70,6 +70,8 @@ maeri_telemetry::metric_table! {
             => "Searches whose frontier was trace-validated (rank checkable).",
         search_rank_agreements: Counter "maeri_runtime_search_rank_agreements_total"
             => "Rank checks where analytic and exact ranking picked the same winner.",
+        search_arts_built: Counter "maeri_runtime_search_arts_built_total"
+            => "ARTs those searches built, one per distinct VN packing their dense candidates planned.",
     }
 }
 
@@ -169,6 +171,7 @@ impl RuntimeMetrics {
             add(&self.search_rank_checks, 1);
             add(&self.search_rank_agreements, u64::from(agreed));
         }
+        add(&self.search_arts_built, search.arts_built);
     }
 
     /// Marks one job entering the queue and updates the high-water mark.
@@ -307,7 +310,7 @@ mod tests {
             "submitted executed failed cache_hits timeouts queue_high_water telemetry_runs \
              telemetry_events searches search_candidates search_pruned \
              search_statically_rejected search_validated search_rank_checks \
-             search_rank_agreements total_wall_us phases"
+             search_rank_agreements search_arts_built total_wall_us phases"
         );
     }
 }

@@ -13,7 +13,9 @@
 //! The mapping-space search uses it as a prune gate. It rejects exactly
 //! the dense CONV, FC and LSTM candidates the mapper refuses, and only
 //! sparse candidates the mapper refuses too, so pruning before scoring
-//! changes no search outcome.
+//! changes no search outcome. [`reject_plan`] is the gate's check of a
+//! plan already built: the search plans each dense candidate once and
+//! hands the plan it costs to the same ledger.
 
 use maeri::mapper::{span_capacity, ConvPlan};
 use maeri::{
@@ -23,6 +25,20 @@ use maeri::{
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 
 use crate::error::VerifyError;
+
+/// A layer with the plan its mapper built for one candidate: what
+/// [`reject_plan`] checks.
+#[derive(Debug, Clone, Copy)]
+pub enum VerifyPlan<'a> {
+    /// Dense convolution, planned by [`ConvMapper::plan`].
+    Conv(&'a ConvLayer, &'a ConvPlan),
+    /// Fully connected, planned by [`FcMapper::plan`].
+    Fc(&'a FcLayer, &'a VectorPlan),
+    /// LSTM cell with its gate phase's plan ([`LstmMapper::gate_plan`]),
+    /// the one its knob sizes; the state phase's fixed plan
+    /// ([`LstmMapper::state_plan`]) only has to build.
+    Lstm(&'a LstmLayer, &'a VectorPlan),
+}
 
 /// The layer a candidate is verified against.
 #[derive(Debug, Clone, Copy)]
@@ -65,17 +81,15 @@ fn check_mapping(
     match (layer, cand.kind) {
         (VerifyLayer::Conv(l), CandidateKind::Conv(m)) => {
             let plan = ConvMapper::new(cfg).plan(l, VnPolicy::Explicit(m))?;
-            conv_ledger(l, &plan)
+            check_plan(VerifyPlan::Conv(l, &plan))
         }
         (VerifyLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
-            let plan = FcMapper::new(cfg).plan(l, vn_size)?;
-            folded_ledger(&plan, l.inputs, l.outputs, l.macs(), "fc folding")
+            check_plan(VerifyPlan::Fc(l, &FcMapper::new(cfg).plan(l, vn_size)?))
         }
         (VerifyLayer::Lstm(l), CandidateKind::Lstm { gate_vn_size }) => {
             let plan = LstmMapper::gate_plan(&cfg, l, gate_vn_size)?;
             LstmMapper::state_plan(&cfg)?;
-            let (d, gates) = (l.input_dim + l.hidden_dim, 4 * l.hidden_dim);
-            folded_ledger(&plan, d, gates, l.gate_macs(), "lstm gate folding")
+            check_plan(VerifyPlan::Lstm(l, &plan))
         }
         (VerifyLayer::SparseConv { layer, mask }, CandidateKind::SparseConv { channel_tile }) => {
             let sizes = SparseConvMapper::new(cfg).vn_sizes(layer, mask, channel_tile)?;
@@ -119,6 +133,28 @@ pub fn statically_reject(
     cand: &MappingCandidate,
 ) -> Option<VerifyError> {
     check_mapping(base, layer, cand).err()
+}
+
+/// The gate's check of a plan the mapper already built, which
+/// [`statically_reject`] runs on the plan it asks for: `Some(violation)`
+/// when the plan's MAC-conservation ledger (invariant 4) fails. Building
+/// the plan decided the other invariants, so a caller that holds the
+/// plan it will cost gets the gate's verdict without planning again.
+#[must_use]
+pub fn reject_plan(plan: VerifyPlan<'_>) -> Option<VerifyError> {
+    check_plan(plan).err()
+}
+
+/// [`reject_plan`]'s ledger, as a `Result`.
+fn check_plan(plan: VerifyPlan<'_>) -> Result<(), VerifyError> {
+    match plan {
+        VerifyPlan::Conv(l, plan) => conv_ledger(l, plan),
+        VerifyPlan::Fc(l, plan) => folded_ledger(plan, l.inputs, l.outputs, l.macs(), "fc folding"),
+        VerifyPlan::Lstm(l, plan) => {
+            let (d, gates) = (l.input_dim + l.hidden_dim, 4 * l.hidden_dim);
+            folded_ledger(plan, d, gates, l.gate_macs(), "lstm gate folding")
+        }
+    }
 }
 
 /// Invariant 4's books: the plan must assign exactly the `expected`

@@ -38,6 +38,9 @@
 //! [`statically_reject`] is the one entry point. `maeri-mapspace` uses
 //! it as a pre-score prune gate, `maeri-runtime` rejects illegal jobs
 //! early with `JobError::InvalidMapping`, and `examples/perf` times it.
+//! Its plan-level half, [`reject_plan`], checks a plan the caller
+//! already built: the dense mapping search plans each candidate once
+//! and gates the plan it then costs.
 //! `tests/differential.rs` checks the walk against an independent
 //! oracle (legality from the ranges and fault plan alone, exact sums
 //! from the replay) over exhaustive small fabrics and seeded samples.
@@ -48,5 +51,5 @@
 pub mod candidate;
 pub mod error;
 
-pub use candidate::{statically_reject, VerifyLayer};
+pub use candidate::{reject_plan, statically_reject, VerifyLayer, VerifyPlan};
 pub use error::VerifyError;
