@@ -1117,6 +1117,22 @@ pub fn pack_vns_into_spans(spans: &[VnRange], sizes: &[usize]) -> (Vec<VnRange>,
     (ranges, overflow)
 }
 
+/// How many of `want` VNs of `size` leaves [`pack_vns_into_spans`]
+/// places into `spans`: the packer's own cursor, run without collecting
+/// the ranges. A VN that fits nowhere leaves the cursor where it was,
+/// so the next one of the same size fits nowhere either and the count
+/// stops there.
+#[must_use]
+pub fn packed_count(spans: &[VnRange], size: usize, want: usize) -> usize {
+    if size == 0 {
+        return 0;
+    }
+    let mut cursor = SpanCursor::new(spans);
+    (0..want)
+        .take_while(|_| cursor.place(size).is_some())
+        .count()
+}
+
 /// The placement state of [`pack_vns_into_spans`]: where the next VN
 /// may start. Placing VNs one at a time through a cursor yields exactly
 /// the ranges `pack_vns_into_spans` returns for the same sizes, so a
@@ -1356,6 +1372,72 @@ mod tests {
         let (ranges, overflow) = pack_vns_into_spans(&spans, &[2, 7, 2]);
         assert_eq!(overflow, vec![7]);
         assert_eq!(ranges, vec![VnRange::new(0, 2), VnRange::new(5, 2)]);
+    }
+
+    #[test]
+    fn packed_count_and_fabric_arts_follow_the_packer() {
+        use crate::fault::FaultSpec;
+        use crate::mapper::{ArtSource, FabricArts};
+        use crate::MaeriConfig;
+        // Random fabrics of 16-4,096 leaves with dead multipliers, dead
+        // adders and severed links. For every VN size up to the largest
+        // healthy span and every count from one to one past what fits,
+        // `packed_count` is the number of ranges the packer places. For
+        // four drawn sizes, the fabric's ART of all that fit, and of a
+        // drawn count of them, is the one built on the packer's first
+        // that many ranges.
+        let mut rng = SimRng::seed(35);
+        let (mut built, mut refused) = (0, 0);
+        for case in 0..40 {
+            let leaves = 16 << rng.next_below(9);
+            let spec = FaultSpec::new(rng.next_below(1 << 16) as u64)
+                .dead_multipliers(rng.next_below(301) as u16)
+                .dead_adders(rng.next_below(101) as u16)
+                .dead_forwarding_links(rng.next_below(1001) as u16);
+            let cfg = MaeriConfig::builder(leaves).faults(spec).build().unwrap();
+            let mut arts = FabricArts::new(&cfg);
+            let spans = arts.spans().to_vec();
+            let cap = spans.iter().map(|s| s.len).max().unwrap_or(0);
+            if cap == 0 {
+                continue;
+            }
+            let drawn: Vec<usize> = (0..4).map(|_| 1 + rng.next_below(cap)).collect();
+            let what = |size| format!("case {case}: {leaves} leaves, {spec:?}, size {size}");
+            for size in 1..=cap {
+                let mut want = 1;
+                let placed = loop {
+                    let (ranges, _) = pack_vns_into_spans(&spans, &vec![size; want]);
+                    assert_eq!(
+                        packed_count(&spans, size, want),
+                        ranges.len(),
+                        "{}, want {want}",
+                        what(size)
+                    );
+                    if ranges.len() < want {
+                        break ranges;
+                    }
+                    want += 1;
+                };
+                if !drawn.contains(&size) {
+                    continue;
+                }
+                for n in [placed.len(), 1 + rng.next_below(placed.len())] {
+                    let fresh = ArtConfig::build_with_faults(
+                        cfg.collection_chubby(),
+                        &placed[..n],
+                        cfg.fault_plan().as_ref(),
+                    );
+                    let art = arts.art(size, n);
+                    assert_eq!(art.as_deref(), fresh.as_ref(), "{}, n {n}", what(size));
+                    built += 1;
+                    refused += usize::from(fresh.is_err());
+                }
+            }
+        }
+        assert!(
+            refused > 0 && refused < built,
+            "the ART refused {refused} of {built} packings"
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ use maeri_telemetry::{FabricTelemetry, NullSink, TelemetrySink, TraceEvent, Trac
 use serde::{Deserialize, Serialize};
 
 use crate::art::{pack_vns_into_spans, ArtConfig};
+use crate::mapper::{ConvMapper, ConvPlan, VnPolicy};
 use crate::MaeriConfig;
 
 /// Salt folded into the fault seed so the flit-loss stream is
@@ -132,6 +133,20 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
         )));
     }
     let art = ArtConfig::build_with_faults(cfg.collection_chubby(), &ranges, fault_plan.as_ref())?;
+    clock_iteration(cfg, &art, lanes, steps, shared_inputs, sink)
+}
+
+/// The clocked loop of [`simulate_conv_iteration_probed`] over `art`,
+/// the ART `lanes` pack to on `cfg`'s healthy spans: it announces the
+/// ART to `sink`, then clocks the lanes until every wave is collected.
+fn clock_iteration<S: TraceSink>(
+    cfg: &MaeriConfig,
+    art: &ArtConfig,
+    lanes: &[LaneSpec],
+    steps: u64,
+    shared_inputs: usize,
+    sink: &mut S,
+) -> Result<TraceStats> {
     art.probe_configuration(sink);
 
     // Flit faults on the distribution tree: a seeded stream decides
@@ -195,6 +210,8 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
         extra: Stats::new(),
     };
     let mut cycle = 0u64;
+    // Event counts, added to `stats.extra` once the run ends.
+    let (mut words_issued, mut flits_dropped) = (0u64, 0u64);
     // Generous bound: everything serialized through a 1-wide port,
     // inflated by twice the expected flit-retransmission factor plus
     // the full rerouting delay of every set.
@@ -281,7 +298,7 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
                 if let Some(rng) = flit_rng.as_mut() {
                     if flit_drop_p > 0.0 && rng.next_bool(flit_drop_p) {
                         budget -= 1;
-                        stats.extra.add("flits_dropped", 1);
+                        flits_dropped += 1;
                         sink.emit(|| TraceEvent::FlitDropped { cycle });
                         continue;
                     }
@@ -298,7 +315,6 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
                 }
                 budget -= 1;
                 issued_this_cycle += 1;
-                stats.extra.add("words_issued", 1);
             }
             // Sets whose words all arrived become buffered waves — or
             // wait out the rerouting delay on a degraded tree.
@@ -322,6 +338,7 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
                 break;
             }
         }
+        words_issued += issued_this_cycle;
         if issued_this_cycle > 0 {
             sink.emit(|| TraceEvent::DistIssue {
                 cycle,
@@ -379,6 +396,14 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
     sink.emit(|| TraceEvent::RunEnd { cycle });
     stats.cycles = Cycle::new(cycle);
     stats.waves_completed = collected;
+    for (name, count) in [
+        ("words_issued", words_issued),
+        ("flits_dropped", flits_dropped),
+    ] {
+        if count > 0 {
+            stats.extra.add(name, count);
+        }
+    }
     stats
         .extra
         .add("art_active_adders", art.active_adders() as u64);
@@ -399,7 +424,7 @@ pub fn simulate_conv_iteration_probed<S: TraceSink>(
 pub fn simulate_conv_layer(
     cfg: &MaeriConfig,
     layer: &maeri_dnn::ConvLayer,
-    policy: crate::mapper::VnPolicy,
+    policy: VnPolicy,
 ) -> Result<TraceStats> {
     simulate_conv_layer_probed(cfg, layer, policy, &mut NullSink)
 }
@@ -417,11 +442,23 @@ pub fn simulate_conv_layer(
 pub fn simulate_conv_layer_probed<S: TraceSink>(
     cfg: &MaeriConfig,
     layer: &maeri_dnn::ConvLayer,
-    policy: crate::mapper::VnPolicy,
+    policy: VnPolicy,
     sink: &mut S,
 ) -> Result<TraceStats> {
-    let mapper = crate::mapper::ConvMapper::new(*cfg);
-    let plan = mapper.plan(layer, policy)?;
+    let plan = ConvMapper::new(*cfg).plan(layer, policy)?;
+    trace_conv_plan(cfg, layer, &plan, sink)
+}
+
+/// [`simulate_conv_layer_probed`] on `plan`, the layer's plan on `cfg`.
+/// Its lanes are the plan's VNs, equal-sized, so they pack to the ranges
+/// of the plan's ART, and the loop clocks that ART without building it
+/// again.
+fn trace_conv_plan<S: TraceSink>(
+    cfg: &MaeriConfig,
+    layer: &maeri_dnn::ConvLayer,
+    plan: &ConvPlan,
+    sink: &mut S,
+) -> Result<TraceStats> {
     // Per-step fresh inputs: the plan's definition is shared with the
     // closed-form cost model, so trace and model count the same input
     // traffic (including the padded-image row clamp and the loop-order
@@ -436,7 +473,7 @@ pub fn simulate_conv_layer_probed<S: TraceSink>(
         plan.num_vns
     ];
     let steps = layer.out_w() as u64;
-    let one_iteration = simulate_conv_iteration_probed(cfg, &lanes, steps, fresh, sink)?;
+    let one_iteration = clock_iteration(cfg, &plan.art, &lanes, steps, fresh, sink)?;
     let dist = cfg.distributor();
     let weight_cycles = dist
         .multicast_cycles_probed(layer.weight_count() as u64, sink)
@@ -475,11 +512,11 @@ pub fn simulate_conv_layer_probed<S: TraceSink>(
 pub fn simulate_conv_layer_telemetry(
     cfg: &MaeriConfig,
     layer: &maeri_dnn::ConvLayer,
-    policy: crate::mapper::VnPolicy,
+    policy: VnPolicy,
 ) -> Result<(TraceStats, FabricTelemetry)> {
-    let plan = crate::mapper::ConvMapper::new(*cfg).plan(layer, policy)?;
+    let plan = ConvMapper::new(*cfg).plan(layer, policy)?;
     let mut sink = TelemetrySink::new();
-    let total = simulate_conv_layer_probed(cfg, layer, policy, &mut sink)?;
+    let total = trace_conv_plan(cfg, layer, &plan, &mut sink)?;
     Ok((
         total,
         fabric_telemetry(cfg, &sink, plan.num_vns, plan.vn_size),
@@ -730,6 +767,85 @@ mod tests {
         ];
         assert!(simulate_conv_iteration(&cfg(), &lanes, 1, 0).is_err());
         assert!(simulate_conv_iteration(&cfg(), &[], 1, 0).is_err());
+    }
+
+    #[test]
+    fn a_plan_clocks_the_art_its_lanes_pack_to() {
+        use crate::fault::FaultSpec;
+        use crate::mapper::{ConvMapping, LoopOrder};
+        use maeri_dnn::ConvLayer;
+        // Seeded random CONV layers and explicit mappings on fabrics of
+        // 16-64 leaves, healthy or with dead multipliers, severed links
+        // and lost flits. A layer trace clocks the ART its plan holds;
+        // the iteration it clocks must equal the one the public loop
+        // traces after packing the same lanes and building their ART,
+        // events and counters included, and the counters it keeps must
+        // match the words and flits its probes report.
+        let mut rng = SimRng::seed(35);
+        let (mut traced, mut dropping) = (0, 0);
+        for case in 0..120 {
+            let mut builder = MaeriConfig::builder(16 << rng.next_below(3))
+                .distribution_bandwidth(1 << rng.next_below(4))
+                .collection_bandwidth(1 << rng.next_below(4));
+            if case % 2 == 1 {
+                builder = builder.faults(
+                    FaultSpec::new(case)
+                        .dead_multipliers(rng.next_below(300) as u16)
+                        .dead_forwarding_links(rng.next_below(1000) as u16)
+                        .flit_drops(rng.next_below(200) as u16)
+                        .flit_delay(rng.next_below(3) as u16),
+                );
+            }
+            let cfg = builder.build().unwrap();
+            let kernel = 1 + rng.next_below(4);
+            let side = kernel + rng.next_below(8);
+            let layer = ConvLayer::new(
+                "conv",
+                1 + rng.next_below(8),
+                side,
+                side,
+                1 + rng.next_below(8),
+                kernel,
+                kernel,
+                1,
+                rng.next_below(2),
+            );
+            let policy = VnPolicy::Explicit(ConvMapping {
+                channel_tile: 1 + rng.next_below(layer.in_channels),
+                max_vns: 1 + rng.next_below(cfg.num_mult_switches()),
+                loop_order: [LoopOrder::FilterMajor, LoopOrder::RowMajor][rng.next_below(2)],
+            });
+            let Ok(plan) = ConvMapper::new(cfg).plan(&layer, policy) else {
+                continue;
+            };
+            let fresh = plan.step_inputs(&layer) as usize;
+            let lanes = vec![
+                LaneSpec {
+                    vn_size: plan.vn_size,
+                    fresh_inputs_per_step: fresh,
+                };
+                plan.num_vns
+            ];
+            let steps = layer.out_w() as u64;
+            let (mut shared, mut rebuilt) = (TelemetrySink::new(), TelemetrySink::new());
+            let clocked = clock_iteration(&cfg, &plan.art, &lanes, steps, fresh, &mut shared);
+            let repacked = simulate_conv_iteration_probed(&cfg, &lanes, steps, fresh, &mut rebuilt);
+            let what = format!("case {case}: {cfg:?}, {layer:?}, {policy:?}");
+            assert_eq!(clocked, repacked, "{what}");
+            assert_eq!(shared, rebuilt, "{what}");
+            let extra = &clocked.unwrap_or_else(|err| panic!("{what}: {err}")).extra;
+            assert_eq!(
+                (extra.get("words_issued"), extra.get("flits_dropped")),
+                (shared.words_issued(), shared.flit_drops()),
+                "{what}"
+            );
+            traced += 1;
+            dropping += usize::from(shared.flit_drops() > 0);
+        }
+        assert!(
+            traced > 60 && dropping > 0,
+            "{traced} of 120 cases planned, {dropping} dropped flits"
+        );
     }
 
     #[test]

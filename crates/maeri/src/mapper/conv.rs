@@ -31,9 +31,10 @@ use maeri_dnn::ConvLayer;
 use maeri_sim::util::ceil_div;
 use maeri_sim::{Cycle, Result, SimError};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use super::{knob_in_range, span_capacity, ArtSource, FabricArts, PlanError};
-use crate::art::{pack_vns_into_spans, ArtConfig, VnRange};
+use crate::art::{packed_count, ArtConfig, VnRange};
 use crate::engine::RunStats;
 use crate::MaeriConfig;
 
@@ -115,7 +116,9 @@ pub enum VnPolicy {
 }
 
 /// A CONV mapping's shape: everything [`ConvMapper::plan`] decides
-/// before it builds the ART from `ranges`.
+/// before it asks for the ART of `num_vns` VNs of `vn_size`. The shape
+/// holds no ranges: the packer places the VNs only where an ART is
+/// built ([`ArtSource::art`]).
 #[derive(Debug, Clone)]
 pub struct ConvShape {
     /// Leaves per VN after any sub-folding.
@@ -132,12 +135,10 @@ pub struct ConvShape {
     pub iterations: u64,
     /// How work units tile over the simultaneous VNs.
     pub loop_order: LoopOrder,
-    /// The VNs of one iteration, packed into the healthy spans.
-    pub ranges: Vec<VnRange>,
 }
 
 impl ConvShape {
-    /// This shape's plan, with the ART of its `ranges` from `arts`.
+    /// This shape's plan, with the ART of its packing from `arts`.
     ///
     /// # Errors
     ///
@@ -151,7 +152,7 @@ impl ConvShape {
             subfold: self.subfold,
             iterations: self.iterations,
             loop_order: self.loop_order,
-            art: arts.art(&self.ranges)?,
+            art: arts.art(self.vn_size, self.num_vns)?,
         })
     }
 }
@@ -173,8 +174,9 @@ pub struct ConvPlan {
     pub iterations: u64,
     /// How work units tile over the simultaneous VNs.
     pub loop_order: LoopOrder,
-    /// The ART configuration of one iteration.
-    pub art: ArtConfig,
+    /// The ART configuration of one iteration. Plans that ask one
+    /// [`ArtSource`] for the same packing may share it.
+    pub art: Arc<ArtConfig>,
 }
 
 impl ConvPlan {
@@ -199,6 +201,12 @@ impl ConvPlan {
         let rows_piece = ceil_div(layer.kernel_h as u64, self.subfold as u64);
         (self.row_groups(layer) * stride + rows_piece.saturating_sub(stride.min(rows_piece)))
             .min(layer.in_h as u64 + 2 * layer.pad as u64)
+    }
+
+    /// Input words of a row's first window: every touched row across
+    /// the kernel's `S` columns, for each of the tile's channels.
+    fn fill_inputs(&self, layer: &ConvLayer) -> u64 {
+        self.rows_touched(layer) * layer.kernel_w as u64 * self.channel_tile as u64
     }
 
     /// Fresh (unique) input words per steady-state output step, shared
@@ -309,7 +317,8 @@ impl ConvMapper {
     }
 
     /// Plans the mapping on the healthy `spans` up to its ART: every field
-    /// of [`Self::plan`] but the ART, and the packed VN ranges it is built from.
+    /// of [`Self::plan`] but the ART. The VN count is what
+    /// [`packed_count`] places of the VNs the budget and replication cap allow.
     ///
     /// # Errors
     ///
@@ -346,9 +355,8 @@ impl ConvMapper {
         // Fragmentation may shrink the VN count below the healthy
         // budget's ideal; at least one VN always fits in the largest
         // span because vn_size <= cap.
-        let (ranges, _) = pack_vns_into_spans(spans, &vec![vn_size; want]);
-        debug_assert!(!ranges.is_empty(), "vn_size <= cap must fit");
-        let num_vns = ranges.len();
+        let num_vns = packed_count(spans, vn_size, want);
+        debug_assert!(num_vns > 0, "vn_size <= cap must fit");
         // Work units: one (filter, output row, segment, subfold pass).
         let row_units =
             layer.out_channels as u64 * layer.out_h() as u64 * (segments * subfold) as u64;
@@ -360,7 +368,6 @@ impl ConvMapper {
             subfold,
             iterations: ceil_div(row_units, num_vns as u64),
             loop_order,
-            ranges,
         })
     }
 
@@ -465,21 +472,19 @@ impl ConvMapper {
         Ok(run)
     }
 
-    /// Applies the cycle model to a plan from [`ConvMapper::plan`].
+    /// The cycles of [`Self::cost`] without its traffic and counters:
+    /// what the mapping search ranks a plan by.
     #[must_use]
-    pub fn cost(&self, layer: &ConvLayer, plan: &ConvPlan) -> RunStats {
+    pub fn cycles(&self, layer: &ConvLayer, plan: &ConvPlan) -> u64 {
         let dist = self.cfg.distributor();
-        let n = self.cfg.num_mult_switches();
         let q = layer.out_w() as u64;
-        let s = layer.kernel_w as u64;
-        let ct = plan.channel_tile as u64;
 
         // Per-step unique input values (new window columns), shared
         // with the clocked trace via the plan (a folded VN holds only
         // `ceil(R / subfold)` filter rows per pass, and the loop order
         // sets how many distinct rows are live at once).
         let step_inputs = plan.step_inputs(layer);
-        let fill_inputs = plan.rows_touched(layer) * s * ct;
+        let fill_inputs = plan.fill_inputs(layer);
 
         let slowdown = plan.art.throughput_slowdown();
         // Steady-state step rate, fractional: distribution amortizes
@@ -496,16 +501,24 @@ impl ConvMapper {
         let per_iter = q as f64 * steady;
 
         // Weight distribution: every weight enters once (stationary).
-        let total_weights = layer.weight_count() as u64;
-        let weight_cycles = dist.multicast_cycles(total_weights).as_u64();
+        let weight_cycles = dist.multicast_cycles(layer.weight_count() as u64).as_u64();
 
-        let total_cycles =
-            (plan.iterations as f64 * per_iter).ceil() as u64 + startup + weight_cycles;
+        (plan.iterations as f64 * per_iter).ceil() as u64 + startup + weight_cycles
+    }
+
+    /// Applies the cycle model to a plan from [`ConvMapper::plan`]:
+    /// [`Self::cycles`], with the SRAM traffic and the plan's counters.
+    #[must_use]
+    pub fn cost(&self, layer: &ConvLayer, plan: &ConvPlan) -> RunStats {
+        let n = self.cfg.num_mult_switches();
+        let q = layer.out_w() as u64;
+        let total_cycles = self.cycles(layer, plan);
 
         // SRAM traffic: weights once; inputs per iteration (fill +
         // steady steps); outputs once.
-        let inputs_per_iter = fill_inputs + q.saturating_sub(1) * step_inputs;
-        let sram_reads = total_weights + plan.iterations * inputs_per_iter;
+        let inputs_per_iter =
+            plan.fill_inputs(layer) + q.saturating_sub(1) * plan.step_inputs(layer);
+        let sram_reads = layer.weight_count() as u64 + plan.iterations * inputs_per_iter;
         let sram_writes = layer.output_count() as u64;
 
         let mut run = RunStats::new(&layer.name, n, Cycle::new(total_cycles), layer.macs());
@@ -515,8 +528,10 @@ impl ConvMapper {
         run.extra.add("vn_size", plan.vn_size as u64);
         run.extra.add("num_vns", plan.num_vns as u64);
         run.extra.add("fold_factor", plan.fold_factor() as u64);
-        run.extra
-            .add("slowdown_x100", (slowdown * 100.0).round() as u64);
+        run.extra.add(
+            "slowdown_x100",
+            (plan.art.throughput_slowdown() * 100.0).round() as u64,
+        );
         run
     }
 }

@@ -113,9 +113,8 @@ impl FcMapper {
         let per_iter = (dist.multicast_cycles(weights_per_iter).as_u64() as f64)
             .max(1.0)
             .max(slowdown);
-        let input_cycles: u64 = (0..fold)
-            .map(|_| dist.multicast_cycles(vn_size as u64).as_u64())
-            .sum();
+        // One multicast of each of the `fold` x-segments.
+        let input_cycles = fold * dist.multicast_cycles(vn_size as u64).as_u64();
         let cycles = 1
             + self.cfg.art_depth() as u64
             + input_cycles

@@ -30,6 +30,7 @@ pub mod pool;
 pub mod sparse;
 
 use std::fmt;
+use std::sync::Arc;
 
 pub use candidate::{CandidateKind, MappingCandidate};
 pub use conv::{ConvMapper, ConvMapping, ConvPlan, FoldMode, LoopOrder, VnPolicy};
@@ -39,7 +40,7 @@ pub use lstm::LstmMapper;
 pub use pool::PoolMapper;
 pub use sparse::SparseConvMapper;
 
-use crate::art::{pack_vns_into_spans, ArtConfig, ArtError, VnRange};
+use crate::art::{pack_vns_into_spans, packed_count, ArtConfig, ArtError, VnRange};
 use crate::{FaultPlan, MaeriConfig};
 use maeri_noc::ChubbyTree;
 use maeri_sim::{Result, SimError};
@@ -131,23 +132,27 @@ pub(crate) fn knob_in_range(
 }
 
 /// Where a mapper's VNs pack and where the ART of a packing comes from.
-/// [`FabricArts`] builds every ART afresh; a caller planning many
-/// mappings on one fabric may share one ART among the plans whose VNs
-/// pack to the same ranges.
+/// A mapper counts the VNs that fit with [`packed_count`] and asks for
+/// the ART of that many; the ranges are packed only where an ART is
+/// built. [`FabricArts`] builds every ART afresh; a caller planning
+/// many mappings on one fabric may share one ART among the plans that
+/// ask for the same packing.
 pub trait ArtSource {
     /// The healthy spans VNs pack into.
     fn spans(&self) -> &[VnRange];
 
-    /// The ART of `ranges`, VNs packed into [`Self::spans`].
+    /// The ART of `num_vns` VNs of `vn_size` leaves, packed into
+    /// [`Self::spans`] by [`pack_vns_into_spans`]; the caller asks for
+    /// no more than [`packed_count`] places.
     ///
     /// # Errors
     ///
     /// Returns the ART's refusal of the packing.
-    fn art(&mut self, ranges: &[VnRange]) -> Result<ArtConfig, ArtError>;
+    fn art(&mut self, vn_size: usize, num_vns: usize) -> Result<Arc<ArtConfig>, ArtError>;
 }
 
 /// A fabric's [`ArtSource`]: its fault plan and healthy spans,
-/// materialized once, and a fresh ART per request.
+/// materialized once, and a freshly packed and built ART per request.
 #[derive(Debug)]
 pub struct FabricArts {
     chubby: ChubbyTree,
@@ -173,8 +178,9 @@ impl ArtSource for FabricArts {
         &self.spans
     }
 
-    fn art(&mut self, ranges: &[VnRange]) -> Result<ArtConfig, ArtError> {
-        ArtConfig::build_with_faults(self.chubby, ranges, self.faults.as_ref())
+    fn art(&mut self, vn_size: usize, num_vns: usize) -> Result<Arc<ArtConfig>, ArtError> {
+        let (ranges, _) = pack_vns_into_spans(&self.spans, &vec![vn_size; num_vns]);
+        ArtConfig::build_with_faults(self.chubby, &ranges, self.faults.as_ref()).map(Arc::new)
     }
 }
 
@@ -190,7 +196,8 @@ pub struct VectorPlan {
     /// Switches per VN after balancing (`ceil(d / fold)`).
     pub vn_size: usize,
     /// The ART configuration of one iteration; its VNs are the lanes.
-    pub art: ArtConfig,
+    /// Plans that ask one [`ArtSource`] for the same packing may share it.
+    pub art: Arc<ArtConfig>,
 }
 
 impl VectorPlan {
@@ -229,11 +236,11 @@ impl VectorPlan {
         let fold = d.div_ceil(knob_in_range(knob, vn_size, d.min(cap))?);
         let vn_size = d.div_ceil(fold);
         let want = (budget / vn_size).max(1);
-        let (ranges, _) = pack_vns_into_spans(arts.spans(), &vec![vn_size; want]);
+        let num_vns = packed_count(arts.spans(), vn_size, want);
         Ok(VectorPlan {
             fold,
             vn_size,
-            art: arts.art(&ranges)?,
+            art: arts.art(vn_size, num_vns)?,
         })
     }
 

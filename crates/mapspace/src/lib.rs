@@ -18,15 +18,21 @@
 //!    (`maeri-verify`) checks that plan with `reject_plan`, the ledger
 //!    its `statically_reject` runs. A dense CONV candidate's
 //!    fingerprint is read off its plan's shape (`maeri::ConvMapper::shape`,
-//!    no ART) before the gate, so the gate and scoring run once per
-//!    shape and later candidates of that shape replay its verdict into
-//!    the counters. A plan's ART comes from a memo that lives for one
-//!    search: a packing's (VN size, VN count) fixes its ranges, so each
-//!    packing's ART is built once (the memo keeps a bounded number of
-//!    ARTs, and past 64 leaves builds a forgotten packing again),
+//!    no ART; its VN count is what `maeri::art::packed_count` places)
+//!    before the gate, so the gate and scoring run once per shape and
+//!    later candidates of that shape replay its verdict into the
+//!    counters. The fingerprint names the channel tile, and the
+//!    enumeration lists a tile's candidates together, so the verdicts
+//!    kept are the current tile's. A plan's ART comes from a memo that
+//!    lives for one search, keyed by the (VN size, VN count) the mapper
+//!    asks for, which fixes the packed ranges: each packing's ART is
+//!    built once and shared by the plans that ask for it (the memo keeps
+//!    a bounded number of ARTs, and past 64 leaves builds a forgotten
+//!    packing again),
 //! 3. **Score** the survivors with the mappers' closed-form cost models
-//!    on the plan the gate checked (`maeri::ConvMapper::cost`,
-//!    `FcMapper::cost`, `LstmMapper::cost`; the sparse mapper's run),
+//!    on the plan the gate checked (`maeri::ConvMapper::cycles`, the
+//!    cycles of `ConvMapper::cost`; `FcMapper::cost`, `LstmMapper::cost`;
+//!    the sparse mapper's run),
 //! 4. keep the 8 analytically best as the **frontier** (always joined
 //!    by the legacy heuristic mapper's named point, so tuning can never
 //!    lose to it), and

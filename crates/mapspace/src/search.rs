@@ -12,6 +12,7 @@ use maeri_sim::{Result, SimError};
 use maeri_verify::{reject_plan, statically_reject, VerifyLayer, VerifyPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::space::{enumerate, space_size, SearchLayer, SearchSpec};
 
@@ -177,8 +178,9 @@ struct Scored {
 /// one effective mapping (e.g. two replication caps above the packable
 /// VN count) share it. The dense CONV key is exact: VN size and count fix
 /// the packed ranges, and with the fault plan the ART; the gate's ledger
-/// and `ConvMapper::cost` read nothing it omits. Every candidate of one
-/// search carries the spec's bandwidth pair, so the key leaves it out.
+/// and `ConvMapper::cycles` read nothing it omits. It names the channel
+/// tile, so only candidates of one tile can share it. Every candidate of
+/// one search carries the spec's bandwidth pair, so the key leaves it out.
 type Fingerprint = [u64; 6];
 
 /// What the gate and the scorer decided for a shape's first candidate.
@@ -203,7 +205,14 @@ enum Outcome {
 #[derive(Default)]
 struct Tally {
     counters: SearchCounters,
+    /// The verdict of every fingerprint seen so far, except that a dense
+    /// CONV search keeps only the channel tile `tile`'s: a CONV
+    /// fingerprint names its tile, and [`enumerate`] lists a tile's
+    /// candidates together, so no later candidate can share an earlier
+    /// tile's.
     verdicts: BTreeMap<Fingerprint, Verdict>,
+    /// The channel tile of the dense CONV candidate considered last.
+    tile: usize,
     scored: Vec<Scored>,
 }
 
@@ -218,15 +227,16 @@ const ART_MEMO_LEAVES: usize = 1 << 16;
 
 /// The search's ART memo, which lives for one search. VNs of one size
 /// pack left to right into the healthy spans, so on the search's one
-/// fabric and fault plan a (VN size, VN count) pair fixes the packed
-/// ranges, and with them the ART, whichever candidate asks. Past
-/// [`ART_MEMO_LEAVES`] it forgets its oldest packing: candidates that
-/// share a packing mostly come one after another (one channel tile's
-/// replication caps and loop orders), so a forgotten packing is seldom
-/// asked for again.
+/// fabric and fault plan a (VN size, VN count) request fixes the packed
+/// ranges, and with them the ART, whichever candidate asks; the request
+/// is the key, and the fabric packs its ranges only on a miss. Plans
+/// share the memo's ARTs. Past [`ART_MEMO_LEAVES`] it forgets its oldest
+/// packing: candidates that share a packing mostly come one after
+/// another (one channel tile's replication caps and loop orders), so a
+/// forgotten packing is seldom asked for again.
 struct Arts {
     fabric: FabricArts,
-    built: BTreeMap<(usize, usize), Result<ArtConfig, ArtError>>,
+    built: BTreeMap<(usize, usize), Result<Arc<ArtConfig>, ArtError>>,
     /// The packings in `built`, oldest first.
     order: VecDeque<(usize, usize)>,
     /// Most packings `built` holds.
@@ -252,15 +262,10 @@ impl ArtSource for Arts {
         self.fabric.spans()
     }
 
-    /// The ART of `ranges`, equal-sized VNs as the mappers pack them,
-    /// built on the first request for their packing.
-    fn art(&mut self, ranges: &[VnRange]) -> Result<ArtConfig, ArtError> {
-        let key = (ranges.first().map_or(0, |r| r.len), ranges.len());
+    /// The ART of the packing, built on its first request.
+    fn art(&mut self, vn_size: usize, num_vns: usize) -> Result<Arc<ArtConfig>, ArtError> {
+        let key = (vn_size, num_vns);
         if let Some(art) = self.built.get(&key) {
-            debug_assert!(
-                art.as_ref().map_or(true, |art| art.vns() == ranges),
-                "{key:?}"
-            );
             return art.clone();
         }
         if self.order.len() == self.capacity {
@@ -268,7 +273,7 @@ impl ArtSource for Arts {
                 self.built.remove(&oldest);
             }
         }
-        let art = self.fabric.art(ranges);
+        let art = self.fabric.art(vn_size, num_vns);
         self.built.insert(key, art.clone());
         self.order.push_back(key);
         self.builds += 1;
@@ -320,12 +325,13 @@ impl Plan<'_> {
 
     /// The mapper's closed-form cycles on `fabric`.
     fn cycles(&self, fabric: MaeriConfig) -> u64 {
-        let run = match self {
-            Plan::Conv(l, plan) => ConvMapper::new(fabric).cost(l, plan),
-            Plan::Fc(l, plan) => FcMapper::new(fabric).cost(l, plan),
-            Plan::Lstm(l, gate, state) => LstmMapper::new(fabric).cost(l, gate, state),
-        };
-        run.cycles.as_u64()
+        match self {
+            Plan::Conv(l, plan) => ConvMapper::new(fabric).cycles(l, plan),
+            Plan::Fc(l, plan) => FcMapper::new(fabric).cost(l, plan).cycles.as_u64(),
+            Plan::Lstm(l, gate, state) => {
+                LstmMapper::new(fabric).cost(l, gate, state).cycles.as_u64()
+            }
+        }
     }
 }
 
@@ -513,8 +519,9 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
 }
 
 impl Tally {
-    /// Takes one candidate through the loop: a dense CONV shape's first
-    /// verdict is recorded, and its later candidates replay it.
+    /// Takes one candidate through the loop, in [`enumerate`]'s order: a
+    /// dense CONV shape's first verdict is recorded, and its later
+    /// candidates replay it.
     fn consider(
         &mut self,
         planner: &mut Planner,
@@ -526,23 +533,29 @@ impl Tally {
         // A dense CONV candidate's shape names its verdict before any
         // ART is built. A shape the mapper refuses is the gate's refusal.
         let (key, outcome) = match (&spec.layer, cand.kind) {
-            (SearchLayer::Conv(l), CandidateKind::Conv(m)) => match planner.conv_shape(l, m) {
-                Ok(shape) => {
-                    let key = shape_fingerprint(l, &shape);
-                    if let Some(verdict) = self.verdicts.get(&key) {
-                        self.counters.pruned += 1;
-                        self.counters.statically_rejected +=
-                            u64::from(matches!(verdict, Verdict::Rejected));
-                        return;
-                    }
-                    let outcome = match shape.into_plan(&mut planner.arts) {
-                        Ok(plan) => Plan::Conv(l, plan).judge(planner.fabric, key),
-                        Err(_) => Outcome::Rejected,
-                    };
-                    (Some(key), outcome)
+            (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
+                if m.channel_tile != self.tile {
+                    self.verdicts.clear();
+                    self.tile = m.channel_tile;
                 }
-                Err(_) => (None, Outcome::Rejected),
-            },
+                match planner.conv_shape(l, m) {
+                    Ok(shape) => {
+                        let key = shape_fingerprint(l, &shape);
+                        if let Some(verdict) = self.verdicts.get(&key) {
+                            self.counters.pruned += 1;
+                            self.counters.statically_rejected +=
+                                u64::from(matches!(verdict, Verdict::Rejected));
+                            return;
+                        }
+                        let outcome = match shape.into_plan(&mut planner.arts) {
+                            Ok(plan) => Plan::Conv(l, plan).judge(planner.fabric, key),
+                            Err(_) => Outcome::Rejected,
+                        };
+                        (Some(key), outcome)
+                    }
+                    Err(_) => (None, Outcome::Rejected),
+                }
+            }
             _ => (None, planner.judge(spec, mask, &cand)),
         };
         self.record(key, outcome, cand);
@@ -655,6 +668,7 @@ fn validate(spec: &SearchSpec, fabric: &MaeriConfig, cand: &MappingCandidate) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maeri::art::pack_vns_into_spans;
     use maeri::fault::FaultSpec;
     use maeri_dnn::{zoo, Layer};
     use maeri_sim::util::ceil_div;
@@ -757,9 +771,9 @@ mod tests {
             self.fabric.spans()
         }
 
-        fn art(&mut self, ranges: &[VnRange]) -> Result<ArtConfig, ArtError> {
-            self.packings.insert((ranges[0].len, ranges.len()));
-            self.fabric.art(ranges)
+        fn art(&mut self, vn_size: usize, num_vns: usize) -> Result<Arc<ArtConfig>, ArtError> {
+            self.packings.insert((vn_size, num_vns));
+            self.fabric.art(vn_size, num_vns)
         }
     }
 
@@ -1016,14 +1030,20 @@ mod tests {
                 let mapper = ConvMapper::new(cfg);
                 let policy = VnPolicy::Explicit(m);
                 let plan = mapper.plan(layer, policy);
-                // `plan` is `shape` plus the ART of its ranges.
-                let shape = mapper.shape(layer, policy, &cfg.healthy_spans());
+                // `plan` is `shape` plus the ART of the ranges the packer
+                // places of the VNs the budget and replication cap allow.
+                let spans = cfg.healthy_spans();
+                let shape = mapper.shape(layer, policy, &spans);
                 match shape.clone() {
                     Err(err) => assert_eq!(plan.as_ref().err(), Some(&err)),
                     Ok(shape) => {
+                        let budget: usize = spans.iter().map(|s| s.len).sum();
+                        let want = (budget / shape.vn_size).min(m.max_vns).max(1);
+                        let (ranges, _) = pack_vns_into_spans(&spans, &vec![shape.vn_size; want]);
+                        assert_eq!(shape.num_vns, ranges.len(), "case {case}: {cand:?}");
                         let art = ArtConfig::build_with_faults(
                             cfg.collection_chubby(),
-                            &shape.ranges,
+                            &ranges,
                             cfg.fault_plan().as_ref(),
                         );
                         match (&plan, art) {
@@ -1041,7 +1061,12 @@ mod tests {
                                     (plan.subfold, plan.iterations, plan.loop_order),
                                     (shape.subfold, shape.iterations, shape.loop_order)
                                 );
-                                assert_eq!(plan.art.vns(), shape.ranges.as_slice());
+                                assert_eq!(plan.art.vns(), ranges.as_slice());
+                                assert_eq!(
+                                    mapper.cycles(layer, plan),
+                                    mapper.cost(layer, plan).cycles.as_u64(),
+                                    "case {case}: {cand:?}"
+                                );
                             }
                             (Err(err), Err(art)) => {
                                 assert_eq!(err, &PlanError::Partition(art));
