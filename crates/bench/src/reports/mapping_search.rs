@@ -35,7 +35,7 @@ pub fn run() {
             report::cycles(r.heuristic_cycles()),
             report::cycles(r.best_cycles()),
             format!("{}x", fmt_f64(r.speedup(), 3)),
-            r.best.candidate.describe(),
+            r.describe(&r.best.candidate),
             match r.counters.rank_agreement {
                 Some(true) => "agree".to_owned(),
                 Some(false) => "differ".to_owned(),

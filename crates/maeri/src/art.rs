@@ -245,7 +245,6 @@ struct NodeUse {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArtConfig {
     tree: BinaryTree,
-    chubby: ChubbyTree,
     vns: Vec<VnRange>,
     /// Every VN's reduction steps, VN after VN; VN `i`'s steps end at
     /// `op_ends[i]`.
@@ -257,6 +256,8 @@ pub struct ArtConfig {
     /// Flow count per up-link, indexed by the child node of the link
     /// (zero for links no flow uses).
     edge_loads: Vec<u32>,
+    /// [`Self::throughput_slowdown`], computed by the build.
+    slowdown: f64,
 }
 
 impl ArtConfig {
@@ -295,6 +296,7 @@ impl ArtConfig {
     ) -> Result<Self, ArtError> {
         let mut walk = ArtWalk::new(*chubby.tree());
         walk.run(vns, faults)?;
+        let slowdown = walk.throughput_slowdown(&chubby);
         let ArtWalk {
             tree,
             ops,
@@ -307,7 +309,6 @@ impl ArtConfig {
         } = walk;
         Ok(ArtConfig {
             tree,
-            chubby,
             vns: vns.to_vec(),
             ops,
             op_ends,
@@ -315,6 +316,7 @@ impl ArtConfig {
             node_uses,
             fl_activations,
             edge_loads,
+            slowdown,
         })
     }
 
@@ -388,8 +390,7 @@ impl ArtConfig {
     /// the root port. `1.0` means fully non-blocking.
     #[must_use]
     pub fn throughput_slowdown(&self) -> f64 {
-        let worst = level_worst_loads(self.tree, &self.edge_loads);
-        collection_slowdown(&self.chubby, worst, self.vns.len())
+        self.slowdown
     }
 
     /// Replays the configuration on multiplier outputs, returning one
@@ -1991,7 +1992,7 @@ mod tests {
         range: VnRange,
         faults: Option<&FaultPlan>,
     ) {
-        let mut cfg = ArtConfig::build_with_faults(chubby(leaves, 1), &[range], faults)
+        let cfg = ArtConfig::build_with_faults(chubby(leaves, 1), &[range], faults)
             .unwrap_or_else(|err| panic!("{}: {range:?} fails with {err:?}", case()));
         assert!(
             cfg.edge_loads.iter().all(|&load| load <= 1),
@@ -1999,12 +2000,20 @@ mod tests {
             case(),
             cfg.edge_loads
         );
-        // The build reads nothing of the chubby profile, so swapping it
-        // in gives the slowdown of a build at that bandwidth.
+        assert_eq!(
+            cfg.throughput_slowdown().to_bits(),
+            1f64.to_bits(),
+            "{}: {range:?}",
+            case()
+        );
+        // The walk reads nothing of the chubby profile and a build keeps
+        // its walk's slowdown, so one walk gives the slowdown of a build
+        // at every bandwidth.
+        let mut walk = ArtWalk::new(cfg.tree);
+        walk.run(&[range], faults).unwrap();
         for bw in (0..=leaves.trailing_zeros()).map(|k| 1 << k) {
-            cfg.chubby = chubby(leaves, bw);
             assert_eq!(
-                cfg.throughput_slowdown().to_bits(),
+                walk.throughput_slowdown(&chubby(leaves, bw)).to_bits(),
                 1f64.to_bits(),
                 "{}, root bandwidth {bw}: {range:?}",
                 case()

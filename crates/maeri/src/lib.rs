@@ -70,5 +70,5 @@ pub use engine::RunStats;
 pub use fault::{FaultPlan, FaultSpec};
 pub use mapper::{
     CandidateKind, ConvMapper, ConvMapping, CrossLayerMapper, FcMapper, FoldMode, LoopOrder,
-    LstmMapper, MappingCandidate, PlanError, PoolMapper, SparseConvMapper, VectorPlan, VnPolicy,
+    LstmMapper, PlanError, PoolMapper, SparseConvMapper, VectorPlan, VnPolicy,
 };

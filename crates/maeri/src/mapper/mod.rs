@@ -32,7 +32,7 @@ pub mod sparse;
 use std::fmt;
 use std::sync::Arc;
 
-pub use candidate::{CandidateKind, MappingCandidate};
+pub use candidate::CandidateKind;
 pub use conv::{ConvMapper, ConvMapping, ConvPlan, FoldMode, LoopOrder, VnPolicy};
 pub use cross_layer::CrossLayerMapper;
 pub use fc::FcMapper;

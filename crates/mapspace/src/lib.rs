@@ -6,10 +6,11 @@
 //! neuron partitions, each with a different bandwidth/iteration
 //! trade-off. This crate turns that freedom into a search problem:
 //!
-//! 1. **Enumerate** every candidate [`MappingCandidate`](maeri::MappingCandidate)
-//!    of a [`SearchSpec`]'s layer on its fabric (channel tile,
+//! 1. **Enumerate** the knobs ([`CandidateKind`](maeri::CandidateKind))
+//!    of every candidate of a [`SearchSpec`]'s layer (channel tile,
 //!    replication cap, loop order, VN-size fold target — per layer
-//!    kind; every candidate keeps the fabric's bandwidth pair),
+//!    kind); every candidate runs on the spec's fabric, whose bandwidth
+//!    pair [`SearchResult`] records and prints,
 //! 2. **Prune** candidates the mapper refuses to plan and shape
 //!    duplicates. A dense candidate is planned once, by its mapper's own
 //!    recipe on the search's one fabric, fault plan and healthy spans

@@ -5,7 +5,7 @@ use maeri::mapper::conv::ConvShape;
 use maeri::mapper::{ArtSource, ConvPlan, FabricArts};
 use maeri::{
     ArtConfig, ArtError, CandidateKind, ConvMapper, ConvMapping, FcMapper, LstmMapper, MaeriConfig,
-    MappingCandidate, PlanError, SparseConvMapper, VectorPlan, VnPolicy, VnRange,
+    PlanError, SparseConvMapper, VectorPlan, VnPolicy, VnRange,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 use maeri_sim::{Result, SimError};
@@ -55,8 +55,8 @@ pub struct SearchCounters {
 /// One evaluated candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CandidateOutcome {
-    /// The mapping point.
-    pub candidate: MappingCandidate,
+    /// The mapping point's knobs.
+    pub candidate: CandidateKind,
     /// Closed-form analytic cycle estimate.
     pub analytic_cycles: u64,
     /// Exact clocked-trace cycles, when the layer kind has a trace
@@ -82,6 +82,12 @@ pub struct SearchResult {
     pub kind: String,
     /// Closed-form size of the exhaustive space.
     pub space: u64,
+    /// The searched fabric's distribution-tree root bandwidth
+    /// (words/cycle), which every candidate ran under.
+    pub dist_bandwidth: usize,
+    /// The searched fabric's collection (ART) root bandwidth
+    /// (words/cycle).
+    pub collect_bandwidth: usize,
     /// The legacy heuristic mapper's named point, evaluated with the
     /// same machinery as every other candidate.
     pub heuristic: CandidateOutcome,
@@ -117,6 +123,14 @@ impl SearchResult {
         }
     }
 
+    /// A stable human-readable label of `candidate` on the searched
+    /// fabric, e.g. `conv ct=3 max_vns=64 filter-major bw=8/8`.
+    #[must_use]
+    pub fn describe(&self, candidate: &CandidateKind) -> String {
+        let (dist, collect) = (self.dist_bandwidth, self.collect_bandwidth);
+        format!("{} bw={dist}/{collect}", candidate.describe())
+    }
+
     /// A byte-stable multi-line rendering (used as the runtime's
     /// canonical job output, so it must not depend on wall-clock,
     /// worker count, or hash-map iteration order).
@@ -138,13 +152,13 @@ impl SearchResult {
         let _ = writeln!(
             s,
             "  heuristic: {} -> {} cycles",
-            self.heuristic.candidate.describe(),
+            self.describe(&self.heuristic.candidate),
             self.heuristic.final_cycles()
         );
         let _ = writeln!(
             s,
             "  best:      {} -> {} cycles (speedup {:.3}x, rank agreement {})",
-            self.best.candidate.describe(),
+            self.describe(&self.best.candidate),
             self.best.final_cycles(),
             self.speedup(),
             match self.counters.rank_agreement {
@@ -160,7 +174,7 @@ impl SearchResult {
             let _ = writeln!(
                 s,
                 "  frontier: {} analytic={} validated={validated}",
-                entry.candidate.describe(),
+                self.describe(&entry.candidate),
                 entry.analytic_cycles
             );
         }
@@ -170,7 +184,7 @@ impl SearchResult {
 
 /// A scored candidate (stable sorts break `cycles` ties in consideration order).
 struct Scored {
-    candidate: MappingCandidate,
+    candidate: CandidateKind,
     cycles: u64,
 }
 
@@ -180,7 +194,8 @@ struct Scored {
 /// the packed ranges, and with the fault plan the ART; the gate's ledger
 /// and `ConvMapper::cycles` read nothing it omits. It names the channel
 /// tile, so only candidates of one tile can share it. Every candidate of
-/// one search carries the spec's bandwidth pair, so the key leaves it out.
+/// one search runs on the spec's fabric, so the key leaves out its
+/// bandwidth pair.
 type Fingerprint = [u64; 6];
 
 /// What the gate and the scorer decided for a shape's first candidate.
@@ -217,7 +232,7 @@ struct Tally {
 }
 
 /// The candidate loop's body, one candidate at a time.
-type Consider = fn(&mut Tally, &mut Planner, &SearchSpec, Option<&WeightMask>, MappingCandidate);
+type Consider = fn(&mut Tally, &mut Planner, &SearchSpec, Option<&WeightMask>, CandidateKind);
 
 /// Leaves' worth of ARTs one search's memo retains. Every ART holds
 /// tree-sized arrays, so this bounds the memo's memory on any fabric. A
@@ -282,8 +297,7 @@ impl ArtSource for Arts {
 }
 
 /// What one search plans its dense candidates on, set up once per
-/// search: the fabric (every candidate carries the spec's bandwidth
-/// pair) and the ART memo over its healthy spans.
+/// search: the spec's fabric and the ART memo over its healthy spans.
 struct Planner {
     fabric: MaeriConfig,
     arts: Arts,
@@ -381,13 +395,13 @@ impl Planner {
         &mut self,
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
-        cand: &MappingCandidate,
+        cand: CandidateKind,
     ) -> Result<u64> {
         let fabric = self.fabric;
-        if let Some(plan) = self.plan(&spec.layer, cand.kind) {
+        if let Some(plan) = self.plan(&spec.layer, cand) {
             return Ok(plan?.cycles(fabric));
         }
-        match (&spec.layer, cand.kind) {
+        match (&spec.layer, cand) {
             (SearchLayer::SparseConv { layer, .. }, CandidateKind::SparseConv { channel_tile }) => {
                 let mask = mask.expect("sparse search carries a mask");
                 let run = SparseConvMapper::new(fabric).run(layer, mask, channel_tile)?;
@@ -409,15 +423,15 @@ impl Planner {
         &mut self,
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
-        cand: &MappingCandidate,
+        cand: CandidateKind,
     ) -> Outcome {
         let fabric = self.fabric;
-        match self.plan(&spec.layer, cand.kind) {
+        match self.plan(&spec.layer, cand) {
             Some(Ok(plan)) => return plan.judge(fabric, plan.fingerprint()),
             Some(Err(_)) => return Outcome::Rejected,
             None => {}
         }
-        if statically_reject(&spec.base, &verify_layer(spec, mask), cand).is_some() {
+        if statically_reject(&spec.base, &verify_layer(spec, mask), &cand).is_some() {
             return Outcome::Rejected;
         }
         match self.score(spec, mask, cand) {
@@ -449,10 +463,8 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
     };
     let mask = mask.as_deref();
     let heuristic_candidate = heuristic_candidate(spec, mask)?;
-    // Every candidate carries the spec's bandwidth pair, so one fabric
-    // serves the whole search.
-    let mut planner = Planner::new(heuristic_candidate.config(&spec.base)?);
-    let heuristic_cycles = planner.score(spec, mask, &heuristic_candidate)?;
+    let mut planner = Planner::new(spec.base);
+    let heuristic_cycles = planner.score(spec, mask, heuristic_candidate)?;
 
     let mut tally = Tally::default();
     for cand in enumerate(spec) {
@@ -482,7 +494,7 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
 
     // Exact validation where a clocked trace exists (dense CONV).
     for entry in &mut frontier {
-        if let Some(cycles) = validate(spec, &planner.fabric, &entry.candidate) {
+        if let Some(cycles) = validate(spec, &planner.fabric, entry.candidate) {
             entry.validated_cycles = Some(cycles);
             counters.validated += 1;
         }
@@ -499,6 +511,8 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
         .find(|o| o.candidate == heuristic_candidate)
         .cloned()
         .expect("heuristic point always joins the frontier");
+    // Ties break on the knobs' label, not on `CandidateKind`'s order,
+    // which sorts `ct=9` before `ct=10`.
     frontier.sort_by(|a, b| {
         (a.final_cycles(), a.analytic_cycles, a.candidate.describe()).cmp(&(
             b.final_cycles(),
@@ -511,6 +525,8 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
         layer: spec.layer.name().to_owned(),
         kind: spec.layer.kind_label().to_owned(),
         space: space_size(spec),
+        dist_bandwidth: spec.base.dist_bandwidth(),
+        collect_bandwidth: spec.base.collect_bandwidth(),
         heuristic,
         best,
         frontier,
@@ -527,12 +543,12 @@ impl Tally {
         planner: &mut Planner,
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
-        cand: MappingCandidate,
+        cand: CandidateKind,
     ) {
         self.counters.enumerated += 1;
         // A dense CONV candidate's shape names its verdict before any
         // ART is built. A shape the mapper refuses is the gate's refusal.
-        let (key, outcome) = match (&spec.layer, cand.kind) {
+        let (key, outcome) = match (&spec.layer, cand) {
             (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
                 if m.channel_tile != self.tile {
                     self.verdicts.clear();
@@ -556,7 +572,7 @@ impl Tally {
                     Err(_) => (None, Outcome::Rejected),
                 }
             }
-            _ => (None, planner.judge(spec, mask, &cand)),
+            _ => (None, planner.judge(spec, mask, cand)),
         };
         self.record(key, outcome, cand);
     }
@@ -564,7 +580,7 @@ impl Tally {
     /// Counts one candidate's outcome. A rejected shape's verdict is
     /// kept for its later candidates; a scored fingerprint already seen
     /// is a duplicate shape, pruned.
-    fn record(&mut self, key: Option<Fingerprint>, outcome: Outcome, cand: MappingCandidate) {
+    fn record(&mut self, key: Option<Fingerprint>, outcome: Outcome, cand: CandidateKind) {
         let counters = &mut self.counters;
         match outcome {
             Outcome::Rejected => {
@@ -604,8 +620,8 @@ fn shape_fingerprint(layer: &ConvLayer, shape: &ConvShape) -> Fingerprint {
 }
 
 /// A sparse candidate's fingerprint: its channel tile.
-fn sparse_fingerprint(cand: &MappingCandidate) -> Fingerprint {
-    let CandidateKind::SparseConv { channel_tile } = cand.kind else {
+fn sparse_fingerprint(cand: CandidateKind) -> Fingerprint {
+    let CandidateKind::SparseConv { channel_tile } = cand else {
         unreachable!("only sparse candidates pass the gate without a dense plan")
     };
     [channel_tile as u64, 0, 0, 0, 0, 1]
@@ -637,9 +653,9 @@ fn verify_layer<'a>(spec: &'a SearchSpec, mask: Option<&'a WeightMask>) -> Verif
 }
 
 /// The legacy heuristic mapper's point in this spec's space.
-fn heuristic_candidate(spec: &SearchSpec, mask: Option<&WeightMask>) -> Result<MappingCandidate> {
+fn heuristic_candidate(spec: &SearchSpec, mask: Option<&WeightMask>) -> Result<CandidateKind> {
     let base = &spec.base;
-    let kind = match &spec.layer {
+    Ok(match &spec.layer {
         SearchLayer::Conv(l) => CandidateKind::Conv(ConvMapper::new(*base).heuristic_mapping(l)?),
         SearchLayer::SparseConv { layer, .. } => CandidateKind::SparseConv {
             channel_tile: SparseConvMapper::new(*base)
@@ -651,13 +667,12 @@ fn heuristic_candidate(spec: &SearchSpec, mask: Option<&WeightMask>) -> Result<M
         SearchLayer::Lstm(l) => CandidateKind::Lstm {
             gate_vn_size: LstmMapper::new(*base).heuristic_gate_vn_size(l)?,
         },
-    };
-    Ok(MappingCandidate::with_base_bandwidth(kind, base))
+    })
 }
 
 /// Exact clocked-trace cycles on `fabric` for candidates that have one.
-fn validate(spec: &SearchSpec, fabric: &MaeriConfig, cand: &MappingCandidate) -> Option<u64> {
-    if let (SearchLayer::Conv(l), CandidateKind::Conv(m)) = (&spec.layer, cand.kind) {
+fn validate(spec: &SearchSpec, fabric: &MaeriConfig, cand: CandidateKind) -> Option<u64> {
+    if let (SearchLayer::Conv(l), CandidateKind::Conv(m)) = (&spec.layer, cand) {
         let trace = simulate_conv_layer(fabric, l, VnPolicy::Explicit(m)).ok()?;
         Some(trace.cycles.as_u64())
     } else {
@@ -685,13 +700,13 @@ mod tests {
         _: &mut Planner,
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
-        cand: MappingCandidate,
+        cand: CandidateKind,
     ) {
         tally.counters.enumerated += 1;
         let outcome = if statically_reject(&spec.base, &verify_layer(spec, mask), &cand).is_some() {
             Outcome::Rejected
         } else {
-            match score_unshared(spec, mask, &cand) {
+            match score_unshared(spec, mask, cand) {
                 Ok((cycles, fp)) => Outcome::Scored(cycles, fp),
                 Err(_) => Outcome::Unscored,
             }
@@ -700,15 +715,15 @@ mod tests {
     }
 
     /// The score before the search shared its plans: analytic cycles
-    /// and fingerprint from the candidate's own fabric and the mappers'
-    /// own plans and runs.
+    /// and fingerprint from the mappers' own plans and runs on the
+    /// spec's fabric.
     fn score_unshared(
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
-        cand: &MappingCandidate,
+        cand: CandidateKind,
     ) -> Result<(u64, Fingerprint)> {
-        let cfg = cand.config(&spec.base)?;
-        match (&spec.layer, cand.kind) {
+        let cfg = spec.base;
+        match (&spec.layer, cand) {
             (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
                 let mapper = ConvMapper::new(cfg);
                 let plan = mapper.plan(l, VnPolicy::Explicit(m))?;
@@ -788,7 +803,7 @@ mod tests {
             packings: BTreeSet::new(),
         };
         for cand in enumerate(spec) {
-            match (&spec.layer, cand.kind) {
+            match (&spec.layer, cand) {
                 (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
                     let policy = VnPolicy::Explicit(m);
                     if let Ok(shape) = ConvMapper::new(cfg).shape(l, policy, arts.spans()) {
@@ -875,7 +890,7 @@ mod tests {
         let spans = spec.base.healthy_spans();
         let mut refused: BTreeMap<Fingerprint, usize> = BTreeMap::new();
         for cand in enumerate(spec) {
-            let CandidateKind::Conv(m) = cand.kind else {
+            let CandidateKind::Conv(m) = cand else {
                 continue;
             };
             let shape = ConvMapper::new(spec.base).shape(layer, VnPolicy::Explicit(m), &spans);
@@ -935,10 +950,10 @@ mod tests {
             let searched = assert_memo_is_exact(&spec, &what);
             assert_one_art_per_packing(&spec, &what);
             if let Ok(heuristic) = heuristic_candidate(&spec, None) {
-                let score = Planner::new(base).score(&spec, None, &heuristic);
+                let score = Planner::new(base).score(&spec, None, heuristic);
                 assert_eq!(
                     score,
-                    score_unshared(&spec, None, &heuristic).map(|(cycles, _)| cycles),
+                    score_unshared(&spec, None, heuristic).map(|(cycles, _)| cycles),
                     "{what}: {spec:?}"
                 );
                 failing_heuristics += usize::from(score.is_err());
@@ -1023,8 +1038,9 @@ mod tests {
                 unreachable!("random_spec draws dense CONV layers")
             };
             let mut groups = BTreeMap::new();
+            let cfg = spec.base;
             for cand in enumerate(&spec) {
-                let (CandidateKind::Conv(m), Ok(cfg)) = (cand.kind, cand.config(&spec.base)) else {
+                let CandidateKind::Conv(m) = cand else {
                     continue;
                 };
                 let mapper = ConvMapper::new(cfg);

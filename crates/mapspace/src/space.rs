@@ -1,7 +1,7 @@
 //! Search-space definition: what a search is over, and the full
 //! deterministic enumeration of its candidates.
 
-use maeri::{CandidateKind, ConvMapping, LoopOrder, MaeriConfig, MappingCandidate};
+use maeri::{CandidateKind, ConvMapping, LoopOrder, MaeriConfig};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer};
 use serde::{Deserialize, Serialize};
 
@@ -58,9 +58,9 @@ impl SearchLayer {
 pub struct SearchSpec {
     /// The layer to tune.
     pub layer: SearchLayer,
-    /// The fabric the layer runs on. Every candidate keeps its
-    /// bandwidth pair, so the tuned and heuristic mappings are compared
-    /// on identical hardware.
+    /// The fabric the layer runs on, bandwidth pair and faults included.
+    /// Every candidate runs on it, so the tuned and heuristic mappings
+    /// are compared on identical hardware.
     pub base: MaeriConfig,
 }
 
@@ -96,21 +96,18 @@ pub fn space_size(spec: &SearchSpec) -> u64 {
 }
 
 /// Every candidate in the space, in a fixed deterministic order (knobs
-/// ascending), each on the base config's bandwidth pair. Infeasible
-/// candidates are *included* — the scoring pass prunes them, so the
-/// enumeration count always matches [`space_size`].
+/// ascending). Infeasible candidates are *included* — the scoring pass
+/// prunes them, so the enumeration count always matches [`space_size`].
 #[must_use]
-pub fn enumerate(spec: &SearchSpec) -> Vec<MappingCandidate> {
+pub fn enumerate(spec: &SearchSpec) -> Vec<CandidateKind> {
     let n = spec.base.num_mult_switches();
     let mut out = Vec::with_capacity(space_size(spec) as usize);
-    let mut push =
-        |kind: CandidateKind| out.push(MappingCandidate::with_base_bandwidth(kind, &spec.base));
     match &spec.layer {
         SearchLayer::Conv(l) => {
             for channel_tile in 1..=l.in_channels {
                 for exp in 0..=spec.base.art_depth() {
                     for loop_order in [LoopOrder::FilterMajor, LoopOrder::RowMajor] {
-                        push(CandidateKind::Conv(ConvMapping {
+                        out.push(CandidateKind::Conv(ConvMapping {
                             channel_tile,
                             max_vns: 1 << exp,
                             loop_order,
@@ -121,17 +118,17 @@ pub fn enumerate(spec: &SearchSpec) -> Vec<MappingCandidate> {
         }
         SearchLayer::SparseConv { layer, .. } => {
             for channel_tile in 1..=layer.in_channels {
-                push(CandidateKind::SparseConv { channel_tile });
+                out.push(CandidateKind::SparseConv { channel_tile });
             }
         }
         SearchLayer::Fc(l) => {
             for vn_size in 1..=l.inputs.min(n) {
-                push(CandidateKind::Fc { vn_size });
+                out.push(CandidateKind::Fc { vn_size });
             }
         }
         SearchLayer::Lstm(l) => {
             for gate_vn_size in 1..=(l.input_dim + l.hidden_dim).min(n) {
-                push(CandidateKind::Lstm { gate_vn_size });
+                out.push(CandidateKind::Lstm { gate_vn_size });
             }
         }
     }

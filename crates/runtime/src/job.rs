@@ -6,7 +6,7 @@ use maeri::analytic;
 use maeri::cycle_sim::simulate_conv_layer_telemetry;
 use maeri::{
     CandidateKind, ConvMapper, CrossLayerMapper, FcMapper, LoopOrder, LstmMapper, MaeriConfig,
-    MappingCandidate, PoolMapper, SparseConvMapper, VnPolicy,
+    PoolMapper, SparseConvMapper, VnPolicy,
 };
 use maeri_baselines::{FixedClusterArray, RowStationary, SystolicArray};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, PoolLayer, WeightMask};
@@ -356,10 +356,7 @@ impl SimJob {
                 cfg,
                 layer,
                 policy: VnPolicy::Explicit(m),
-            } => {
-                let cand = MappingCandidate::with_base_bandwidth(CandidateKind::Conv(*m), cfg);
-                statically_reject(cfg, &VerifyLayer::Conv(layer), &cand)
-            }
+            } => statically_reject(cfg, &VerifyLayer::Conv(layer), &CandidateKind::Conv(*m)),
             SimJob::SparseConv {
                 cfg,
                 layer,
@@ -730,8 +727,7 @@ fn verify_sparse(
     mask: &WeightMask,
     channel_tile: usize,
 ) -> Result<(), JobError> {
-    let cand =
-        MappingCandidate::with_base_bandwidth(CandidateKind::SparseConv { channel_tile }, cfg);
+    let cand = CandidateKind::SparseConv { channel_tile };
     match statically_reject(cfg, &VerifyLayer::SparseConv { layer, mask }, &cand) {
         Some(err) => Err(JobError::InvalidMapping(err.to_string())),
         None => Ok(()),

@@ -1,5 +1,6 @@
 //! Invariant 4 and the pre-score prune gate: static verification of a
-//! [`MappingCandidate`] against a layer, on the mapper's own plan.
+//! [`CandidateKind`] against a layer on a fabric, on the mapper's own
+//! plan.
 //!
 //! [`statically_reject`] asks the mapper for its plan
 //! ([`ConvMapper::plan`], [`FcMapper::plan`], [`LstmMapper::gate_plan`],
@@ -19,8 +20,8 @@
 
 use maeri::mapper::{span_capacity, ConvPlan};
 use maeri::{
-    CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, MappingCandidate,
-    SparseConvMapper, VectorPlan, VnPolicy,
+    CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, SparseConvMapper, VectorPlan,
+    VnPolicy,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 
@@ -71,28 +72,25 @@ impl VerifyLayer<'_> {
 
 /// [`statically_reject`]'s checks, as a `Result`.
 fn check_mapping(
-    base: &MaeriConfig,
+    cfg: &MaeriConfig,
     layer: &VerifyLayer<'_>,
-    cand: &MappingCandidate,
+    cand: &CandidateKind,
 ) -> Result<(), VerifyError> {
-    let cfg = cand.config(base).map_err(|e| VerifyError::Config {
-        message: e.to_string(),
-    })?;
-    match (layer, cand.kind) {
+    match (layer, *cand) {
         (VerifyLayer::Conv(l), CandidateKind::Conv(m)) => {
-            let plan = ConvMapper::new(cfg).plan(l, VnPolicy::Explicit(m))?;
+            let plan = ConvMapper::new(*cfg).plan(l, VnPolicy::Explicit(m))?;
             check_plan(VerifyPlan::Conv(l, &plan))
         }
         (VerifyLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
-            check_plan(VerifyPlan::Fc(l, &FcMapper::new(cfg).plan(l, vn_size)?))
+            check_plan(VerifyPlan::Fc(l, &FcMapper::new(*cfg).plan(l, vn_size)?))
         }
         (VerifyLayer::Lstm(l), CandidateKind::Lstm { gate_vn_size }) => {
-            let plan = LstmMapper::gate_plan(&cfg, l, gate_vn_size)?;
-            LstmMapper::state_plan(&cfg)?;
+            let plan = LstmMapper::gate_plan(cfg, l, gate_vn_size)?;
+            LstmMapper::state_plan(cfg)?;
             check_plan(VerifyPlan::Lstm(l, &plan))
         }
         (VerifyLayer::SparseConv { layer, mask }, CandidateKind::SparseConv { channel_tile }) => {
-            let sizes = SparseConvMapper::new(cfg).vn_sizes(layer, mask, channel_tile)?;
+            let sizes = SparseConvMapper::new(*cfg).vn_sizes(layer, mask, channel_tile)?;
             // An entirely pruned layer performs no work and always maps.
             if !sizes.is_empty() {
                 span_capacity(&cfg.healthy_spans())?;
@@ -123,16 +121,16 @@ fn check_mapping(
 /// ART may still fail there). A statically rejected candidate can never
 /// have scored.
 ///
-/// The violation is the first of: a fabric-configuration failure, a
-/// kind mismatch, the mapper's refusal to plan, or a MAC-conservation
-/// mismatch in the plan.
+/// The candidate is planned on `cfg` as given. The violation is the
+/// first of: a kind mismatch, the mapper's refusal to plan, or a
+/// MAC-conservation mismatch in the plan.
 #[must_use]
 pub fn statically_reject(
-    base: &MaeriConfig,
+    cfg: &MaeriConfig,
     layer: &VerifyLayer<'_>,
-    cand: &MappingCandidate,
+    cand: &CandidateKind,
 ) -> Option<VerifyError> {
-    check_mapping(base, layer, cand).err()
+    check_mapping(cfg, layer, cand).err()
 }
 
 /// The gate's check of a plan the mapper already built, which
@@ -224,14 +222,11 @@ mod tests {
     fn valid_conv_candidate_verifies_and_conserves_macs() {
         let base = MaeriConfig::paper_64();
         let layer = conv_layer();
-        let cand = MappingCandidate::with_base_bandwidth(
-            CandidateKind::Conv(ConvMapping {
-                channel_tile: 3,
-                max_vns: 64,
-                loop_order: LoopOrder::FilterMajor,
-            }),
-            &base,
-        );
+        let cand = CandidateKind::Conv(ConvMapping {
+            channel_tile: 3,
+            max_vns: 64,
+            loop_order: LoopOrder::FilterMajor,
+        });
         // The plan builds and its ledger assigns every MAC once.
         assert_eq!(
             statically_reject(&base, &VerifyLayer::Conv(&layer), &cand),
@@ -243,10 +238,7 @@ mod tests {
     fn oversized_channel_tile_rejected_with_bounds() {
         let base = MaeriConfig::paper_64();
         let layer = conv_layer();
-        let cand = MappingCandidate::with_base_bandwidth(
-            CandidateKind::SparseConv { channel_tile: 99 },
-            &base,
-        );
+        let cand = CandidateKind::SparseConv { channel_tile: 99 };
         let mask = WeightMask::generate(&layer, 0.5, &mut SimRng::seed(1));
         let err = statically_reject(
             &base,
@@ -280,8 +272,7 @@ mod tests {
         let cap = base.fault_plan().unwrap().max_span_len();
         assert!(cap < 64);
         let fc = FcLayer::new("f", 256, 16);
-        let reject =
-            MappingCandidate::with_base_bandwidth(CandidateKind::Fc { vn_size: cap + 1 }, &base);
+        let reject = CandidateKind::Fc { vn_size: cap + 1 };
         let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &reject).unwrap();
         assert_eq!(
             err,
@@ -292,8 +283,7 @@ mod tests {
                 max: cap
             })
         );
-        let accept =
-            MappingCandidate::with_base_bandwidth(CandidateKind::Fc { vn_size: cap }, &base);
+        let accept = CandidateKind::Fc { vn_size: cap };
         assert!(statically_reject(&base, &VerifyLayer::Fc(&fc), &accept).is_none());
     }
 
@@ -301,8 +291,7 @@ mod tests {
     fn kind_mismatch_is_structured() {
         let base = MaeriConfig::paper_64();
         let fc = FcLayer::new("f", 16, 4);
-        let cand =
-            MappingCandidate::with_base_bandwidth(CandidateKind::Lstm { gate_vn_size: 4 }, &base);
+        let cand = CandidateKind::Lstm { gate_vn_size: 4 };
         let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &cand).unwrap();
         assert_eq!(
             err,
@@ -311,23 +300,6 @@ mod tests {
                 layer: "fc"
             }
         );
-    }
-
-    #[test]
-    fn bad_bandwidth_pair_is_a_config_error() {
-        let base = MaeriConfig::paper_64();
-        let layer = conv_layer();
-        let cand = MappingCandidate {
-            kind: CandidateKind::Conv(ConvMapping {
-                channel_tile: 1,
-                max_vns: 64,
-                loop_order: LoopOrder::FilterMajor,
-            }),
-            dist_bandwidth: 3,
-            collect_bandwidth: 8,
-        };
-        let err = statically_reject(&base, &VerifyLayer::Conv(&layer), &cand).unwrap();
-        assert!(matches!(err, VerifyError::Config { .. }), "{err}");
     }
 
     /// A plan the mapper built for a 3×3 layer of 16 channels with tile

@@ -42,11 +42,6 @@ pub enum VerifyError {
         /// What is being counted (e.g. `"conv channel tiling"`).
         unit: &'static str,
     },
-    /// The candidate's fabric parameters fail configuration validation.
-    Config {
-        /// The builder's validation message.
-        message: String,
-    },
     /// The candidate kind does not match the layer kind.
     KindMismatch {
         /// The candidate's kind label.
@@ -68,7 +63,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "{unit} assigns {assigned} of {expected} weight-input pairs"
             ),
-            VerifyError::Config { message } => write!(f, "fabric configuration invalid: {message}"),
             VerifyError::KindMismatch { candidate, layer } => {
                 write!(f, "candidate kind {candidate} does not match {layer} layer")
             }
@@ -121,6 +115,21 @@ mod tests {
                     max: 3,
                 }),
                 "channel_tile 99 out of range 1..=3",
+            ),
+            (
+                VerifyError::KindMismatch {
+                    candidate: "lstm",
+                    layer: "fc",
+                },
+                "candidate kind lstm does not match fc layer",
+            ),
+            (
+                VerifyError::MacMismatch {
+                    expected: 4096,
+                    assigned: 3072,
+                    unit: "fc folding",
+                },
+                "fc folding assigns 3072 of 4096 weight-input pairs",
             ),
         ];
         for (err, want) in cases {

@@ -5,8 +5,9 @@
 //! reductions *non-blocking*. The simulator checks this dynamically, by
 //! clocking a full trace; this crate decides the same legality
 //! **statically** — given only a [`maeri::MaeriConfig`] (with its
-//! optional fault spec), a layer and a [`maeri::MappingCandidate`],
-//! without clocking a single cycle. The paper's invariants are:
+//! optional fault spec and bandwidth pair), a layer and the
+//! [`maeri::CandidateKind`] knobs of a mapping, without clocking a
+//! single cycle. The paper's invariants are:
 //!
 //! 1. **VN contiguity** over the multiplier leaves (ranges in bounds,
 //!    pairwise disjoint),

@@ -12,8 +12,8 @@
 
 use maeri::fault::FaultSpec;
 use maeri::{
-    CandidateKind, ConvMapper, ConvMapping, FcMapper, LoopOrder, LstmMapper, MaeriConfig,
-    MappingCandidate, RunStats, SparseConvMapper, VnPolicy,
+    CandidateKind, ConvMapper, ConvMapping, FcMapper, LoopOrder, LstmMapper, MaeriConfig, RunStats,
+    SparseConvMapper, VnPolicy,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 use maeri_sim::{SimError, SimRng};
@@ -73,7 +73,6 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
             single_leaf_spans += 1;
         }
         let what = format!("case {case}: {leaves} leaves, {faults:?}");
-        let candidate = |kind| MappingCandidate::with_base_bandwidth(kind, &cfg);
 
         let c = 1 + rng.next_below(12);
         let kernel = 1 + rng.next_below(5);
@@ -87,7 +86,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
             statically_reject(
                 &cfg,
                 &VerifyLayer::Conv(&layer),
-                &candidate(CandidateKind::Conv(mapping)),
+                &CandidateKind::Conv(mapping),
             ),
             ConvMapper::new(cfg).run(&layer, VnPolicy::Explicit(mapping)),
             true,
@@ -100,7 +99,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
             statically_reject(
                 &cfg,
                 &VerifyLayer::Fc(&fc_layer),
-                &candidate(CandidateKind::Fc { vn_size }),
+                &CandidateKind::Fc { vn_size },
             ),
             FcMapper::new(cfg).run_with_vn_size(&fc_layer, vn_size),
             true,
@@ -113,7 +112,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
             statically_reject(
                 &cfg,
                 &VerifyLayer::Lstm(&lstm_layer),
-                &candidate(CandidateKind::Lstm { gate_vn_size }),
+                &CandidateKind::Lstm { gate_vn_size },
             ),
             LstmMapper::new(cfg).run_with_gate_vn_size(&lstm_layer, gate_vn_size),
             true,
@@ -130,7 +129,7 @@ fn gate_rejects_exactly_what_the_mapper_refuses() {
                     layer: &layer,
                     mask: &mask,
                 },
-                &candidate(CandidateKind::SparseConv { channel_tile }),
+                &CandidateKind::SparseConv { channel_tile },
             ),
             SparseConvMapper::new(cfg).run(&layer, &mask, channel_tile),
             false,

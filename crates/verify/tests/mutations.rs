@@ -8,7 +8,7 @@
 
 use maeri::art::{pack_vns, ArtConfig, ArtError, VnRange};
 use maeri::fault::{FaultPlan, FaultSpec};
-use maeri::mapper::{CandidateKind, ConvMapping, LoopOrder, MappingCandidate};
+use maeri::mapper::{CandidateKind, ConvMapping, LoopOrder};
 use maeri::{MaeriConfig, PlanError};
 use maeri_dnn::layer::{ConvLayer, FcLayer};
 use maeri_sim::SimRng;
@@ -119,14 +119,11 @@ fn single_cell_onto_dead_leaf_flags_fault_inconsistency() {
 fn knob_mutations_flag_exact_knob_and_bounds() {
     let base = MaeriConfig::paper_64();
     let layer = ConvLayer::new("mut", 16, 14, 14, 8, 3, 3, 1, 1);
-    let good = MappingCandidate::with_base_bandwidth(
-        CandidateKind::Conv(ConvMapping {
-            channel_tile: 2,
-            max_vns: 64,
-            loop_order: LoopOrder::FilterMajor,
-        }),
-        &base,
-    );
+    let good = CandidateKind::Conv(ConvMapping {
+        channel_tile: 2,
+        max_vns: 64,
+        loop_order: LoopOrder::FilterMajor,
+    });
     assert_eq!(
         statically_reject(&base, &VerifyLayer::Conv(&layer), &good),
         None
@@ -134,8 +131,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
 
     // channel_tile pushed one past either end of its range.
     for (ct, value) in [(0usize, 0usize), (17, 17)] {
-        let mut cand = good;
-        cand.kind = CandidateKind::Conv(ConvMapping {
+        let cand = CandidateKind::Conv(ConvMapping {
             channel_tile: ct,
             max_vns: 64,
             loop_order: LoopOrder::FilterMajor,
@@ -153,8 +149,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
     }
 
     // max_vns zeroed.
-    let mut cand = good;
-    cand.kind = CandidateKind::Conv(ConvMapping {
+    let cand = CandidateKind::Conv(ConvMapping {
         channel_tile: 2,
         max_vns: 0,
         loop_order: LoopOrder::FilterMajor,
@@ -175,7 +170,7 @@ fn knob_mutations_flag_exact_knob_and_bounds() {
 
     // FC vn_size past the healthy-span capacity.
     let fc = FcLayer::new("mut-fc", 128, 10);
-    let cand = MappingCandidate::with_base_bandwidth(CandidateKind::Fc { vn_size: 65 }, &base);
+    let cand = CandidateKind::Fc { vn_size: 65 };
     let err = statically_reject(&base, &VerifyLayer::Fc(&fc), &cand).unwrap();
     assert_eq!(
         err,

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "tuned mapping is {} ({} -> {} cycles, {:.3}x)",
-        result.best.candidate.describe(),
+        result.describe(&result.best.candidate),
         result.heuristic_cycles(),
         result.best_cycles(),
         result.speedup()
