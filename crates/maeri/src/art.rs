@@ -10,11 +10,11 @@
 //!
 //! The algorithm is one walk, a reusable pass that clears and refills
 //! its own buffers for each partition. [`ArtConfig::build`] runs it
-//! once and keeps what it produced: per VN, an ordered operation list
-//! that can be *replayed on real values* ([`ArtConfig::reduce`]), plus
-//! structural bookkeeping: the mode of every adder switch, which FLs
-//! were activated in which direction, and the per-link flow load. The
-//! flow load against the chubby capacity profile yields
+//! once and copies out what it produced: per VN, an ordered operation
+//! list that can be *replayed on real values* ([`ArtConfig::reduce`]),
+//! plus structural bookkeeping: the mode of every adder switch and
+//! which FLs were activated in which direction. The walk's per-link flow
+//! load against the chubby capacity profile yields
 //! [`ArtConfig::throughput_slowdown`] — 1.0 means fully non-blocking
 //! (Property 2); thinner links (e.g. the 0.25x configuration of
 //! Figure 13) yield a proportional slowdown. The sparse mapper reads
@@ -241,7 +241,11 @@ struct NodeUse {
     lateral_out: bool,
 }
 
-/// A fully constructed ART configuration for one set of VNs.
+/// A fully constructed ART configuration for one set of VNs: what one
+/// run of the construction walk produced, copied out of the walk, so a
+/// caller building many ARTs may build them all on one walk
+/// ([`FabricArts`](crate::mapper::FabricArts) does). It keeps the
+/// slowdown its flow loads give, not the tree-sized loads themselves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArtConfig {
     tree: BinaryTree,
@@ -253,10 +257,8 @@ pub struct ArtConfig {
     output_nodes: Vec<NodeId>,
     node_uses: Vec<NodeUse>,
     fl_activations: Vec<FlActivation>,
-    /// Flow count per up-link, indexed by the child node of the link
-    /// (zero for links no flow uses).
-    edge_loads: Vec<u32>,
-    /// [`Self::throughput_slowdown`], computed by the build.
+    /// [`Self::throughput_slowdown`], computed by the build from the
+    /// walk's per-link flow loads, which the config does not keep.
     slowdown: f64,
 }
 
@@ -294,30 +296,7 @@ impl ArtConfig {
         vns: &[VnRange],
         faults: Option<&FaultPlan>,
     ) -> Result<Self, ArtError> {
-        let mut walk = ArtWalk::new(*chubby.tree());
-        walk.run(vns, faults)?;
-        let slowdown = walk.throughput_slowdown(&chubby);
-        let ArtWalk {
-            tree,
-            ops,
-            op_ends,
-            output_nodes,
-            node_uses,
-            fl_activations,
-            edge_loads,
-            ..
-        } = walk;
-        Ok(ArtConfig {
-            tree,
-            vns: vns.to_vec(),
-            ops,
-            op_ends,
-            output_nodes,
-            node_uses,
-            fl_activations,
-            edge_loads,
-            slowdown,
-        })
+        ArtWalk::new(*chubby.tree()).build(&chubby, vns, faults)
     }
 
     /// The configured VN ranges.
@@ -481,8 +460,10 @@ impl ArtConfig {
 /// The VN-construction walk (Section 4.1) over one tree, as a reusable
 /// pass: each [`Self::run`] clears and refills the same buffers, so
 /// configuring many partitions allocates only while the buffers grow.
-/// [`ArtConfig::build_with_faults`] is one fresh run whose result
-/// buffers the config keeps; the sparse mapper's [`SoloLoads`] keeps one
+/// [`Self::build`] runs it and copies the configuration out;
+/// [`ArtConfig::build_with_faults`] is that on a fresh walk, and a
+/// [`FabricArts`](crate::mapper::FabricArts) builds every ART it is
+/// asked for on one walk. The sparse mapper's [`SoloLoads`] keeps one
 /// for a whole run, to walk each distinct VN range alone and a whole
 /// group only when the summed solo loads cannot rule out a conflict.
 #[derive(Debug)]
@@ -494,6 +475,8 @@ pub(crate) struct ArtWalk {
     output_nodes: Vec<NodeId>,
     node_uses: Vec<NodeUse>,
     fl_activations: Vec<FlActivation>,
+    /// Flow count per up-link, indexed by the child node of the link
+    /// (zero for links no flow uses); the slowdown reads it.
     edge_loads: Vec<u32>,
     // Scratch.
     /// VN indices in ascending start order.
@@ -506,6 +489,10 @@ pub(crate) struct ArtWalk {
     /// partner at this level (only ever set for the fragment being
     /// visited, so a visited fragment is never already removed).
     removed: Vec<bool>,
+    /// `link_claims[node]`: one more than the index in `fl_activations`
+    /// of the first activation of the forwarding link whose lower
+    /// endpoint is `node`, or 0. Every entry is 0 between runs.
+    link_claims: Vec<usize>,
 }
 
 impl ArtWalk {
@@ -523,7 +510,33 @@ impl ArtWalk {
             frags: Vec::new(),
             next: Vec::new(),
             removed: Vec::new(),
+            link_claims: Vec::new(),
         }
+    }
+
+    /// Builds `vns` and copies the configuration out under the collection
+    /// profile `chubby`, keeping the walk's buffers for its next run.
+    ///
+    /// # Errors
+    ///
+    /// As [`ArtConfig::build_with_faults`].
+    pub(crate) fn build(
+        &mut self,
+        chubby: &ChubbyTree,
+        vns: &[VnRange],
+        faults: Option<&FaultPlan>,
+    ) -> Result<ArtConfig, ArtError> {
+        self.run(vns, faults)?;
+        Ok(ArtConfig {
+            tree: self.tree,
+            vns: vns.to_vec(),
+            ops: self.ops.clone(),
+            op_ends: self.op_ends.clone(),
+            output_nodes: self.output_nodes.clone(),
+            node_uses: self.node_uses.clone(),
+            fl_activations: self.fl_activations.clone(),
+            slowdown: self.throughput_slowdown(chubby),
+        })
     }
 
     /// Builds `vns`, replacing everything the previous run left,
@@ -755,20 +768,34 @@ impl ArtWalk {
 
     /// Verifies that no forwarding link is claimed twice and no adder
     /// switch exceeds its port budget, naming the VNs behind the first
-    /// conflict.
-    fn check_link_exclusivity(&self) -> Result<(), ArtError> {
-        let link = |fl: &FlActivation| (fl.from.min(fl.to), fl.from.max(fl.to));
+    /// conflict. Each node has at most one forwarding-link partner, so a
+    /// link's lower endpoint names it, and one pass that records each
+    /// link's first claimant finds the first activation of a link
+    /// claimed before.
+    fn check_link_exclusivity(&mut self) -> Result<(), ArtError> {
+        self.link_claims.resize(self.tree.num_internal(), 0);
+        let mut reclaimed = None;
         for (k, fl) in self.fl_activations.iter().enumerate() {
-            let earlier = &self.fl_activations[..k];
-            if let Some(first) = earlier.iter().find(|e| link(e) == link(fl)) {
-                return Err(ArtError::LinkClaimedTwice {
-                    level: fl.level,
-                    from: fl.from,
-                    to: fl.to,
-                    first_vn: first.vn,
-                    second_vn: fl.vn,
-                });
+            let claim = &mut self.link_claims[fl.from.min(fl.to)];
+            if *claim > 0 {
+                reclaimed = Some((*claim - 1, fl));
+                break;
             }
+            *claim = k + 1;
+        }
+        for fl in &self.fl_activations {
+            self.link_claims[fl.from.min(fl.to)] = 0;
+        }
+        if let Some((first, fl)) = reclaimed {
+            let first = &self.fl_activations[first];
+            debug_assert_eq!(first.from.max(first.to), fl.from.max(fl.to));
+            return Err(ArtError::LinkClaimedTwice {
+                level: fl.level,
+                from: fl.from,
+                to: fl.to,
+                first_vn: first.vn,
+                second_vn: fl.vn,
+            });
         }
         let Some(node) = self.node_uses.iter().position(|u| u.addends > 3) else {
             return Ok(());
@@ -1125,13 +1152,20 @@ pub fn pack_vns_into_spans(spans: &[VnRange], sizes: &[usize]) -> (Vec<VnRange>,
 /// stops there.
 #[must_use]
 pub fn packed_count(spans: &[VnRange], size: usize, want: usize) -> usize {
-    if size == 0 {
-        return 0;
-    }
+    pack_equal_vns(spans, size, want).count()
+}
+
+/// The ranges [`pack_vns_into_spans`] places of `want` VNs of `size`
+/// leaves, in order, without collecting them: the cursor stops at the
+/// first VN that fits nowhere, since none after it would fit.
+pub(crate) fn pack_equal_vns(
+    spans: &[VnRange],
+    size: usize,
+    want: usize,
+) -> impl Iterator<Item = VnRange> + '_ {
     let mut cursor = SpanCursor::new(spans);
-    (0..want)
-        .take_while(|_| cursor.place(size).is_some())
-        .count()
+    let want = if size == 0 { 0 } else { want };
+    (0..want).map_while(move |_| cursor.place(size))
 }
 
 /// The placement state of [`pack_vns_into_spans`]: where the next VN
@@ -1442,6 +1476,132 @@ mod tests {
     }
 
     #[test]
+    fn a_fabric_arts_walk_answers_a_request_sequence_as_fresh_builds() {
+        use crate::fault::FaultSpec;
+        use crate::mapper::{ArtSource, FabricArts};
+        use crate::MaeriConfig;
+        // Seeded fabrics of 16-512 leaves with dead multipliers and
+        // severed links, where the ART refuses some packings. One
+        // `FabricArts` answers 40 drawn (VN size, VN count) requests in a
+        // row on its one walk; every answer, refusal or ART, is a fresh
+        // build's on the packer's ranges, also right after a refusal
+        // left the walk half-built.
+        let mut rng = SimRng::seed(37);
+        let (mut built, mut refused, mut after_refusal) = (0, 0, 0);
+        for case in 0..30 {
+            let leaves = 16 << rng.next_below(6);
+            let spec = FaultSpec::new(rng.next_below(1 << 16) as u64)
+                .dead_multipliers(rng.next_below(300) as u16)
+                .dead_forwarding_links(200 + rng.next_below(801) as u16);
+            let cfg = MaeriConfig::builder(leaves).faults(spec).build().unwrap();
+            let (chubby, faults) = (cfg.collection_chubby(), cfg.fault_plan());
+            let mut arts = FabricArts::new(&cfg);
+            let spans = arts.spans().to_vec();
+            let cap = spans.iter().map(|s| s.len).max().unwrap_or(0);
+            if cap == 0 {
+                continue;
+            }
+            let mut refused_last = false;
+            for request in 0..40 {
+                // Mostly small VNs, which lean on forwarding links.
+                let widest = if rng.next_bool(0.8) { cap.min(9) } else { cap };
+                let size = 1 + rng.next_below(widest);
+                let fits = packed_count(&spans, size, leaves);
+                let n = 1 + rng.next_below(fits);
+                let (ranges, _) = pack_vns_into_spans(&spans, &vec![size; n]);
+                let fresh = ArtConfig::build_with_faults(chubby, &ranges, faults.as_ref());
+                let got = arts.art(size, n);
+                assert_eq!(
+                    got.as_deref(),
+                    fresh.as_ref(),
+                    "case {case}, request {request}: {leaves} leaves, {spec:?}, size {size}, n {n}"
+                );
+                after_refusal += usize::from(refused_last && fresh.is_ok());
+                refused_last = fresh.is_err();
+                built += usize::from(!refused_last);
+                refused += usize::from(refused_last);
+            }
+        }
+        assert!(
+            built > 0 && refused > 0 && after_refusal > 0,
+            "{built} built, {refused} refused, {after_refusal} built right after a refusal"
+        );
+    }
+
+    /// The forwarding-link check before it recorded each link's first
+    /// claimant: every activation against every earlier one.
+    fn quadratic_link_check(walk: &ArtWalk) -> Option<ArtError> {
+        let link = |fl: &FlActivation| (fl.from.min(fl.to), fl.from.max(fl.to));
+        for (k, fl) in walk.fl_activations.iter().enumerate() {
+            let earlier = &walk.fl_activations[..k];
+            if let Some(first) = earlier.iter().find(|e| link(e) == link(fl)) {
+                return Some(ArtError::LinkClaimedTwice {
+                    level: fl.level,
+                    from: fl.from,
+                    to: fl.to,
+                    first_vn: first.vn,
+                    second_vn: fl.vn,
+                });
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn the_linear_link_check_finds_what_the_pairwise_scan_finds() {
+        use crate::fault::FaultSpec;
+        // Seeded packings on fabrics of 16-4,096 leaves, healthy or with
+        // dead multipliers and severed links. A walk that builds claims
+        // no link twice, so each case then injects up to three repeats of
+        // links the walk activated (in either direction, by a drawn VN, at
+        // drawn positions), or none. The check finds the conflict the
+        // pairwise scan finds, first claimant included, and leaves no
+        // claim behind for the walk's next run.
+        let mut rng = SimRng::seed(37);
+        let mut seen = [0usize; 2];
+        for case in 0..300 {
+            let leaves = 16 << rng.next_below(9);
+            let seed = rng.next_below(1 << 16) as u64;
+            let spec = match rng.next_below(3) {
+                0 => None,
+                1 => Some(FaultSpec::new(seed).dead_multipliers(rng.next_below(301) as u16)),
+                _ => Some(FaultSpec::new(seed).dead_forwarding_links(rng.next_below(1001) as u16)),
+            };
+            let plan = spec.map(|spec| FaultPlan::materialize(spec, leaves));
+            let spans = plan
+                .as_ref()
+                .map_or_else(|| vec![VnRange::new(0, leaves)], FaultPlan::healthy_spans);
+            let draws: Vec<usize> = (0..leaves).map(|_| 1 + rng.next_below(9)).collect();
+            let (vns, _) = pack_vns_into_spans(&spans, &draws);
+            let mut walk = ArtWalk::new(BinaryTree::with_leaves(leaves).unwrap());
+            let what = || format!("case {case}: {leaves} leaves, {spec:?}");
+            let Ok(()) = walk.run(&vns, plan.as_ref()) else {
+                continue;
+            };
+            for _ in 0..rng.next_below(4) {
+                let count = walk.fl_activations.len();
+                if count == 0 {
+                    break;
+                }
+                let mut repeat = walk.fl_activations[rng.next_below(count)];
+                if rng.next_bool(0.5) {
+                    std::mem::swap(&mut repeat.from, &mut repeat.to);
+                }
+                repeat.vn = rng.next_below(vns.len());
+                let at = rng.next_below(count + 1);
+                walk.fl_activations.insert(at, repeat);
+            }
+            // The walk built, so no adder is overloaded.
+            let want = quadratic_link_check(&walk).map_or(Ok(()), Err);
+            let got = walk.check_link_exclusivity();
+            assert_eq!(got, want, "{}", what());
+            assert!(walk.link_claims.iter().all(|&c| c == 0), "{}", what());
+            seen[usize::from(got.is_err())] += 1;
+        }
+        assert!(seen.iter().all(|&n| n >= 20), "clear, reclaimed: {seen:?}");
+    }
+
+    #[test]
     fn faulty_build_rejects_vn_over_dead_leaf() {
         use crate::fault::{FaultPlan, FaultSpec};
         let spec = FaultSpec::new(7).dead_multipliers(200);
@@ -1510,8 +1670,9 @@ mod tests {
 
     /// Runs `vns` on the reused `walk` and checks its outcome against a
     /// fresh build: the same error, or the same walk results and the
-    /// same slowdown bits, which also equal a division per link. `case`
-    /// names the case index and the drawn fabric.
+    /// same slowdown bits, which also equal a division per link; the
+    /// per-link loads, which a build does not keep, are a fresh walk's.
+    /// `case` names the case index and the drawn fabric.
     fn check_reused_walk(
         case: &str,
         walk: &mut ArtWalk,
@@ -1523,7 +1684,9 @@ mod tests {
         match (&got, ArtConfig::build_with_faults(chubby, vns, faults)) {
             (Err(err), Err(want)) => assert_eq!(*err, want, "{case}: {vns:?}"),
             (Ok(()), Ok(cfg)) => {
-                assert_eq!(walk.edge_loads, cfg.edge_loads, "{case}: {vns:?}");
+                let mut fresh = ArtWalk::new(*chubby.tree());
+                fresh.run(vns, faults).unwrap();
+                assert_eq!(walk.edge_loads, fresh.edge_loads, "{case}: {vns:?}");
                 assert_eq!(walk.node_uses, cfg.node_uses, "{case}: {vns:?}");
                 assert_eq!(walk.ops, cfg.ops, "{case}: {vns:?}");
                 assert_eq!(walk.op_ends, cfg.op_ends, "{case}: {vns:?}");
@@ -1535,7 +1698,7 @@ mod tests {
                     cfg.throughput_slowdown().to_bits(),
                     "{case}: {vns:?}"
                 );
-                let per_link = per_link_slowdown(&chubby, &cfg.edge_loads, vns.len());
+                let per_link = per_link_slowdown(&chubby, &fresh.edge_loads, vns.len());
                 assert_eq!(slowdown, per_link.to_bits(), "{case}: {vns:?}");
             }
             (got, fresh) => {
@@ -1994,12 +2157,6 @@ mod tests {
     ) {
         let cfg = ArtConfig::build_with_faults(chubby(leaves, 1), &[range], faults)
             .unwrap_or_else(|err| panic!("{}: {range:?} fails with {err:?}", case()));
-        assert!(
-            cfg.edge_loads.iter().all(|&load| load <= 1),
-            "{}: {range:?} loads {:?}",
-            case(),
-            cfg.edge_loads
-        );
         assert_eq!(
             cfg.throughput_slowdown().to_bits(),
             1f64.to_bits(),
@@ -2007,10 +2164,16 @@ mod tests {
             case()
         );
         // The walk reads nothing of the chubby profile and a build keeps
-        // its walk's slowdown, so one walk gives the slowdown of a build
-        // at every bandwidth.
+        // its walk's slowdown, so one walk gives the loads and the
+        // slowdown of a build at every bandwidth.
         let mut walk = ArtWalk::new(cfg.tree);
         walk.run(&[range], faults).unwrap();
+        assert!(
+            walk.edge_loads.iter().all(|&load| load <= 1),
+            "{}: {range:?} loads {:?}",
+            case(),
+            walk.edge_loads
+        );
         for bw in (0..=leaves.trailing_zeros()).map(|k| 1 << k) {
             assert_eq!(
                 walk.throughput_slowdown(&chubby(leaves, bw)).to_bits(),

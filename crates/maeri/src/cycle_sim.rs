@@ -446,14 +446,33 @@ pub fn simulate_conv_layer_probed<S: TraceSink>(
     sink: &mut S,
 ) -> Result<TraceStats> {
     let plan = ConvMapper::new(*cfg).plan(layer, policy)?;
-    trace_conv_plan(cfg, layer, &plan, sink)
+    simulate_conv_plan_probed(cfg, layer, &plan, sink)
 }
 
-/// [`simulate_conv_layer_probed`] on `plan`, the layer's plan on `cfg`.
-/// Its lanes are the plan's VNs, equal-sized, so they pack to the ranges
-/// of the plan's ART, and the loop clocks that ART without building it
-/// again.
-fn trace_conv_plan<S: TraceSink>(
+/// [`simulate_conv_layer`] on `plan`, the layer's plan on `cfg`, which
+/// it does not plan again: the mapping search clocks the plans its
+/// scorer already costed. Its lanes are the plan's VNs, equal-sized, so
+/// they pack to the ranges of the plan's ART, and the loop clocks that
+/// ART without building it again.
+///
+/// # Errors
+///
+/// Propagates trace failures.
+pub fn simulate_conv_plan(
+    cfg: &MaeriConfig,
+    layer: &maeri_dnn::ConvLayer,
+    plan: &ConvPlan,
+) -> Result<TraceStats> {
+    simulate_conv_plan_probed(cfg, layer, plan, &mut NullSink)
+}
+
+/// [`simulate_conv_plan`] with probes, as [`simulate_conv_layer_probed`]
+/// reports them.
+///
+/// # Errors
+///
+/// Same conditions as [`simulate_conv_plan`].
+pub fn simulate_conv_plan_probed<S: TraceSink>(
     cfg: &MaeriConfig,
     layer: &maeri_dnn::ConvLayer,
     plan: &ConvPlan,
@@ -516,7 +535,7 @@ pub fn simulate_conv_layer_telemetry(
 ) -> Result<(TraceStats, FabricTelemetry)> {
     let plan = ConvMapper::new(*cfg).plan(layer, policy)?;
     let mut sink = TelemetrySink::new();
-    let total = trace_conv_plan(cfg, layer, &plan, &mut sink)?;
+    let total = simulate_conv_plan_probed(cfg, layer, &plan, &mut sink)?;
     Ok((
         total,
         fabric_telemetry(cfg, &sink, plan.num_vns, plan.vn_size),

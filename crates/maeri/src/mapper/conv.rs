@@ -115,11 +115,54 @@ pub enum VnPolicy {
     Explicit(ConvMapping),
 }
 
+/// A CONV channel tile's part of a [`ConvShape`] on given healthy spans:
+/// everything the replication cap and the loop order leave alone, and
+/// the most VNs of the tile that pack. VNs of one size pack left to
+/// right and stop at the first that fits nowhere, so a cap of `c` maps
+/// `min(c, packed)` of them, and every cap at or above `packed` gives
+/// the tile one shape per loop order. [`ConvMapper::tile_shape`] packs
+/// once per tile; [`TileShape::with_cap`] is arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileShape {
+    /// Channels covered per VN.
+    pub channel_tile: usize,
+    /// Leaves per VN after any sub-folding.
+    pub vn_size: usize,
+    /// Channel segments per filter (`ceil(C / ct)`).
+    pub segments: usize,
+    /// Extra folds when one segment exceeds the array (`>= 1`).
+    pub subfold: usize,
+    /// The most VNs of `vn_size` the spans hold: [`packed_count`] of
+    /// all the healthy budget allows (`>= 1`).
+    pub packed: usize,
+    /// Work units: one per (filter, output row, segment, subfold pass).
+    row_units: u64,
+}
+
+impl TileShape {
+    /// The tile's shape under a replication cap of `max_vns` (`>= 1`)
+    /// VNs and `loop_order`.
+    #[must_use]
+    pub fn with_cap(&self, max_vns: usize, loop_order: LoopOrder) -> ConvShape {
+        let num_vns = self.packed.min(max_vns).max(1);
+        ConvShape {
+            vn_size: self.vn_size,
+            num_vns,
+            channel_tile: self.channel_tile,
+            segments: self.segments,
+            subfold: self.subfold,
+            iterations: ceil_div(self.row_units, num_vns as u64),
+            loop_order,
+        }
+    }
+}
+
 /// A CONV mapping's shape: everything [`ConvMapper::plan`] decides
-/// before it asks for the ART of `num_vns` VNs of `vn_size`. The shape
-/// holds no ranges: the packer places the VNs only where an ART is
-/// built ([`ArtSource::art`]).
-#[derive(Debug, Clone)]
+/// before it asks for the ART of `num_vns` VNs of `vn_size`, its
+/// channel tile's [`TileShape`] under one replication cap and loop
+/// order. The shape holds no ranges: the packer places the VNs only
+/// where an ART is built ([`ArtSource::art`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvShape {
     /// Leaves per VN after any sub-folding.
     pub vn_size: usize,
@@ -180,6 +223,21 @@ pub struct ConvPlan {
 }
 
 impl ConvPlan {
+    /// The plan's shape: every field but the ART, which
+    /// [`ConvShape::into_plan`] asks an [`ArtSource`] for again.
+    #[must_use]
+    pub fn shape(&self) -> ConvShape {
+        ConvShape {
+            vn_size: self.vn_size,
+            num_vns: self.num_vns,
+            channel_tile: self.channel_tile,
+            segments: self.segments,
+            subfold: self.subfold,
+            iterations: self.iterations,
+            loop_order: self.loop_order,
+        }
+    }
+
     /// Total fold factor (`segments * subfold`).
     #[must_use]
     pub fn fold_factor(&self) -> usize {
@@ -316,9 +374,48 @@ impl ConvMapper {
         layer.macs() as f64 / (n as f64 * cycles)
     }
 
+    /// The per-tile part of [`Self::shape`] on the healthy `spans`: the
+    /// policy's channel tile, its VN size and folds, and the most VNs
+    /// that pack, which [`packed_count`] counts once for every cap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::NothingMappable`] on a fully faulty fabric
+    /// and [`PlanError::KnobOutOfRange`] for a bad channel tile.
+    pub fn tile_shape(
+        &self,
+        layer: &ConvLayer,
+        policy: VnPolicy,
+        spans: &[VnRange],
+    ) -> Result<TileShape, PlanError> {
+        let (cap, budget) = span_capacity(spans)?;
+        let ct = self.channel_tile(layer, policy, spans)?;
+        let vn_weights = layer.kernel_h * layer.kernel_w * ct;
+        let subfold = ceil_div(vn_weights as u64, cap as u64) as usize;
+        let vn_size = ceil_div(vn_weights as u64, subfold as u64) as usize;
+        let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
+        // Fragmentation may shrink the VN count below the healthy
+        // budget's ideal; at least one VN always fits in the largest
+        // span because vn_size <= cap.
+        let packed = packed_count(spans, vn_size, budget / vn_size);
+        debug_assert!(packed > 0, "vn_size <= cap must fit");
+        Ok(TileShape {
+            channel_tile: ct,
+            vn_size,
+            segments,
+            subfold,
+            packed,
+            row_units: layer.out_channels as u64
+                * layer.out_h() as u64
+                * (segments * subfold) as u64,
+        })
+    }
+
     /// Plans the mapping on the healthy `spans` up to its ART: every field
-    /// of [`Self::plan`] but the ART. The VN count is what
-    /// [`packed_count`] places of the VNs the budget and replication cap allow.
+    /// of [`Self::plan`] but the ART. It is [`Self::tile_shape`] under the
+    /// policy's replication cap and loop order ([`TileShape::with_cap`]),
+    /// so the VN count is what [`packed_count`] places of the VNs the
+    /// budget and replication cap allow.
     ///
     /// # Errors
     ///
@@ -331,8 +428,7 @@ impl ConvMapper {
         policy: VnPolicy,
         spans: &[VnRange],
     ) -> Result<ConvShape, PlanError> {
-        let (cap, budget) = span_capacity(spans)?;
-        let ct = self.channel_tile(layer, policy, spans)?;
+        let tile = self.tile_shape(layer, policy, spans)?;
         let (max_vns, loop_order) = match policy {
             VnPolicy::Explicit(m) => {
                 if m.max_vns == 0 {
@@ -347,28 +443,7 @@ impl ConvMapper {
             }
             _ => (usize::MAX, LoopOrder::FilterMajor),
         };
-        let vn_weights = layer.kernel_h * layer.kernel_w * ct;
-        let subfold = ceil_div(vn_weights as u64, cap as u64) as usize;
-        let vn_size = ceil_div(vn_weights as u64, subfold as u64) as usize;
-        let want = (budget / vn_size).min(max_vns).max(1);
-        let segments = ceil_div(layer.in_channels as u64, ct as u64) as usize;
-        // Fragmentation may shrink the VN count below the healthy
-        // budget's ideal; at least one VN always fits in the largest
-        // span because vn_size <= cap.
-        let num_vns = packed_count(spans, vn_size, want);
-        debug_assert!(num_vns > 0, "vn_size <= cap must fit");
-        // Work units: one (filter, output row, segment, subfold pass).
-        let row_units =
-            layer.out_channels as u64 * layer.out_h() as u64 * (segments * subfold) as u64;
-        Ok(ConvShape {
-            vn_size,
-            num_vns,
-            channel_tile: ct,
-            segments,
-            subfold,
-            iterations: ceil_div(row_units, num_vns as u64),
-            loop_order,
-        })
+        Ok(tile.with_cap(max_vns, loop_order))
     }
 
     /// Plans the mapping without computing costs: [`Self::shape`], then
@@ -702,6 +777,121 @@ mod tests {
         .run(&layer, VnPolicy::Auto)
         .unwrap();
         assert!(wide.cycles <= narrow.cycles);
+    }
+
+    /// The shape of `ct` channels per VN under the cap `max_vns`, as
+    /// `shape` computed it before the per-tile split: the VNs
+    /// `pack_vns_into_spans` places of the `want` the healthy budget and
+    /// the cap allow.
+    fn packed_shape(
+        layer: &ConvLayer,
+        spans: &[VnRange],
+        ct: usize,
+        max_vns: usize,
+        loop_order: LoopOrder,
+    ) -> ConvShape {
+        let (cap, budget) = span_capacity(spans).unwrap();
+        let vn_weights = layer.kernel_h * layer.kernel_w * ct;
+        let subfold = vn_weights.div_ceil(cap);
+        let vn_size = vn_weights.div_ceil(subfold);
+        let want = (budget / vn_size).min(max_vns).max(1);
+        let (ranges, _) = crate::art::pack_vns_into_spans(spans, &vec![vn_size; want]);
+        let segments = layer.in_channels.div_ceil(ct);
+        let row_units = layer.out_channels * layer.out_h() * segments * subfold;
+        ConvShape {
+            vn_size,
+            num_vns: ranges.len(),
+            channel_tile: ct,
+            segments,
+            subfold,
+            iterations: row_units.div_ceil(ranges.len()) as u64,
+            loop_order,
+        }
+    }
+
+    #[test]
+    fn a_tile_shape_under_every_cap_equals_packing_the_capped_vns() {
+        use crate::fault::FaultSpec;
+        use maeri_sim::SimRng;
+        // Seeded layers on fabrics of 16-128 leaves, healthy in a quarter
+        // of the cases and otherwise with dead multipliers (every one in
+        // a tenth of those), dead adders and severed links. For every
+        // channel tile from 0 to one past the layer's channels, every
+        // replication cap from 1 to the multiplier count and both loop
+        // orders, the tile's shape under the cap, and `shape`, equal
+        // packing the capped VNs; a tile the mapper refuses is refused
+        // alike under every cap.
+        let mut rng = SimRng::seed(37);
+        let (mut saturated, mut fragmented, mut refused) = (0, 0, 0);
+        for case in 0..60 {
+            let leaves = 16 << rng.next_below(4);
+            let mut builder = MaeriConfig::builder(leaves);
+            if case % 4 != 0 {
+                let dead = if case % 10 == 1 {
+                    1000
+                } else {
+                    rng.next_below(400)
+                };
+                let spec = FaultSpec::new(rng.next_below(1 << 16) as u64)
+                    .dead_multipliers(dead as u16)
+                    .dead_adders(rng.next_below(100) as u16)
+                    .dead_forwarding_links(rng.next_below(1001) as u16);
+                builder = builder.faults(spec);
+            }
+            let cfg = builder.build().unwrap();
+            let kernel = 1 + rng.next_below(5);
+            let side = kernel + rng.next_below(8);
+            let layer = ConvLayer::new(
+                "tile",
+                1 + rng.next_below(12),
+                side,
+                side,
+                1 + rng.next_below(16),
+                kernel,
+                kernel,
+                1 + rng.next_below(2),
+                rng.next_below(2),
+            );
+            let mapper = ConvMapper::new(cfg);
+            let spans = cfg.healthy_spans();
+            let what = |ct| {
+                format!(
+                    "case {case}: {leaves} leaves, {:?}, {layer:?}, ct {ct}",
+                    cfg.faults()
+                )
+            };
+            for ct in 0..=layer.in_channels + 1 {
+                let tile = mapper.tile_shape(&layer, VnPolicy::ChannelsPerVn(ct), &spans);
+                if let Ok(tile) = &tile {
+                    let budget: usize = spans.iter().map(|s| s.len).sum();
+                    fragmented += usize::from(tile.packed < budget / tile.vn_size);
+                }
+                for max_vns in 1..=leaves {
+                    for loop_order in [LoopOrder::FilterMajor, LoopOrder::RowMajor] {
+                        let mapping = ConvMapping {
+                            channel_tile: ct,
+                            max_vns,
+                            loop_order,
+                        };
+                        let shape = mapper.shape(&layer, VnPolicy::Explicit(mapping), &spans);
+                        let Ok(tile) = &tile else {
+                            assert_eq!(shape.err(), tile.clone().err(), "{}", what(ct));
+                            refused += 1;
+                            continue;
+                        };
+                        let want = packed_shape(&layer, &spans, ct, max_vns, loop_order);
+                        let got = tile.with_cap(max_vns, loop_order);
+                        assert_eq!(got, want, "{}, cap {max_vns}", what(ct));
+                        assert_eq!(shape, Ok(got), "{}, cap {max_vns}", what(ct));
+                        saturated += usize::from(max_vns > tile.packed);
+                    }
+                }
+            }
+        }
+        assert!(
+            saturated > 0 && fragmented > 0 && refused > 0,
+            "{saturated} saturated caps, {fragmented} fragmented tiles, {refused} refusals"
+        );
     }
 
     #[test]

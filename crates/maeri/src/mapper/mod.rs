@@ -40,7 +40,7 @@ pub use lstm::LstmMapper;
 pub use pool::PoolMapper;
 pub use sparse::SparseConvMapper;
 
-use crate::art::{pack_vns_into_spans, packed_count, ArtConfig, ArtError, VnRange};
+use crate::art::{pack_equal_vns, packed_count, ArtConfig, ArtError, ArtWalk, VnRange};
 use crate::{FaultPlan, MaeriConfig};
 use maeri_noc::ChubbyTree;
 use maeri_sim::{Result, SimError};
@@ -142,8 +142,8 @@ pub trait ArtSource {
     fn spans(&self) -> &[VnRange];
 
     /// The ART of `num_vns` VNs of `vn_size` leaves, packed into
-    /// [`Self::spans`] by [`pack_vns_into_spans`]; the caller asks for
-    /// no more than [`packed_count`] places.
+    /// [`Self::spans`] by [`crate::art::pack_vns_into_spans`]; the caller
+    /// asks for no more than [`packed_count`] places.
     ///
     /// # Errors
     ///
@@ -152,12 +152,17 @@ pub trait ArtSource {
 }
 
 /// A fabric's [`ArtSource`]: its fault plan and healthy spans,
-/// materialized once, and a freshly packed and built ART per request.
+/// materialized once, and an ART built per request. Every request packs
+/// into one reused range buffer and is built on one reused construction
+/// walk, whose result the ART copies out, so a source asked for many
+/// ARTs allocates little more than the ARTs themselves.
 #[derive(Debug)]
 pub struct FabricArts {
     chubby: ChubbyTree,
     faults: Option<FaultPlan>,
     spans: Vec<VnRange>,
+    walk: ArtWalk,
+    ranges: Vec<VnRange>,
 }
 
 impl FabricArts {
@@ -165,10 +170,13 @@ impl FabricArts {
     #[must_use]
     pub fn new(cfg: &MaeriConfig) -> Self {
         let faults = cfg.fault_plan();
+        let chubby = cfg.collection_chubby();
         FabricArts {
-            chubby: cfg.collection_chubby(),
+            chubby,
             spans: cfg.healthy_spans_under(faults.as_ref()),
             faults,
+            walk: ArtWalk::new(*chubby.tree()),
+            ranges: Vec::new(),
         }
     }
 }
@@ -179,8 +187,12 @@ impl ArtSource for FabricArts {
     }
 
     fn art(&mut self, vn_size: usize, num_vns: usize) -> Result<Arc<ArtConfig>, ArtError> {
-        let (ranges, _) = pack_vns_into_spans(&self.spans, &vec![vn_size; num_vns]);
-        ArtConfig::build_with_faults(self.chubby, &ranges, self.faults.as_ref()).map(Arc::new)
+        self.ranges.clear();
+        self.ranges
+            .extend(pack_equal_vns(&self.spans, vn_size, num_vns));
+        self.walk
+            .build(&self.chubby, &self.ranges, self.faults.as_ref())
+            .map(Arc::new)
     }
 }
 

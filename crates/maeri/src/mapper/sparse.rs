@@ -154,9 +154,21 @@ impl SparseConvMapper {
     ///
     /// Propagates invalid tiles and ART construction failures.
     pub fn run(&self, layer: &ConvLayer, mask: &WeightMask, ct: usize) -> Result<RunStats> {
+        self.cost(layer, ct, self.vn_sizes(layer, mask, ct)?)
+    }
+
+    /// [`Self::run`] on `sizes`, the VN sizes [`Self::vn_sizes`] counts
+    /// for the layer's mask with `ct` channels per VN: a caller that
+    /// checked the sizes first (the static gate, `maeri-verify`) costs
+    /// the sizes it checked without counting them again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ART construction failures, and a fabric with no
+    /// healthy multiplier when `sizes` is not empty.
+    pub fn cost(&self, layer: &ConvLayer, ct: usize, sizes: Vec<usize>) -> Result<RunStats> {
         let n = self.cfg.num_mult_switches();
         let dist = self.cfg.distributor();
-        let sizes = self.vn_sizes(layer, mask, ct)?;
         // An entirely pruned layer performs no work.
         if sizes.is_empty() {
             let mut run = RunStats::new(&layer.name, n, Cycle::ZERO, 0);

@@ -18,28 +18,36 @@
 //!    and the static verifier
 //!    (`maeri-verify`) checks that plan with `reject_plan`, the ledger
 //!    its `statically_reject` runs. A dense CONV candidate's
-//!    fingerprint is read off its plan's shape (`maeri::ConvMapper::shape`,
-//!    no ART; its VN count is what `maeri::art::packed_count` places)
-//!    before the gate, so the gate and scoring run once per shape and
-//!    later candidates of that shape replay its verdict into the
-//!    counters. The fingerprint names the channel tile, and the
-//!    enumeration lists a tile's candidates together, so the verdicts
-//!    kept are the current tile's. A plan's ART comes from a memo that
-//!    lives for one search, keyed by the (VN size, VN count) the mapper
-//!    asks for, which fixes the packed ranges: each packing's ART is
-//!    built once and shared by the plans that ask for it (the memo keeps
-//!    a bounded number of ARTs, and past 64 leaves builds a forgotten
-//!    packing again),
+//!    fingerprint is read off its plan's shape (no ART) before the gate,
+//!    so the gate and scoring run once per shape and later candidates of
+//!    that shape replay its verdict into the counters. Each channel tile
+//!    is shaped once (`maeri::ConvMapper::tile_shape`, whose VN count is
+//!    the most that `maeri::art::packed_count` places), and a
+//!    replication cap is arithmetic on that
+//!    (`maeri::mapper::conv::TileShape::with_cap`); every cap at or above
+//!    the VNs that pack gives the tile one shape per loop order, so the
+//!    loop counts those candidates as duplicates without shaping them.
+//!    The fingerprint names the channel tile, and the enumeration lists
+//!    a tile's candidates together, so the verdicts kept are the current
+//!    tile's. A plan's ART comes from a memo that lives for one search,
+//!    keyed by the (VN size, VN count) the mapper asks for, which fixes
+//!    the packed ranges: each packing's ART is built once, on one reused
+//!    construction walk (`maeri::mapper::FabricArts`), and shared by the
+//!    plans that ask for it (the memo keeps a bounded number of ARTs,
+//!    and past 64 leaves builds a forgotten packing again). A sparse
+//!    candidate's VN sizes are counted once, checked by `reject_plan`
+//!    and costed,
 //! 3. **Score** the survivors with the mappers' closed-form cost models
 //!    on the plan the gate checked (`maeri::ConvMapper::cycles`, the
 //!    cycles of `ConvMapper::cost`; `FcMapper::cost`, `LstmMapper::cost`;
-//!    the sparse mapper's run),
+//!    `SparseConvMapper::cost` on the VN sizes the gate checked),
 //! 4. keep the 8 analytically best as the **frontier** (always joined
 //!    by the legacy heuristic mapper's named point, so tuning can never
 //!    lose to it), and
 //! 5. **Validate** the frontier with the exact clocked trace
-//!    (`maeri::cycle_sim`) where one exists (dense CONV), picking the
-//!    winner by validated cycles.
+//!    (`maeri::cycle_sim::simulate_conv_plan`) where one exists (dense
+//!    CONV), on the shape each member was scored by and the memo's ART,
+//!    without planning it again, picking the winner by validated cycles.
 //!
 //! The whole pipeline is deterministic: enumeration is ordered, the
 //! frontier sort is stable, and [`SearchResult::canonical_text`] is

@@ -1,15 +1,15 @@
 //! The prune → score → validate search loop.
 
-use maeri::cycle_sim::simulate_conv_layer;
-use maeri::mapper::conv::ConvShape;
+use maeri::cycle_sim::simulate_conv_plan;
+use maeri::mapper::conv::{ConvShape, TileShape};
 use maeri::mapper::{ArtSource, ConvPlan, FabricArts};
 use maeri::{
-    ArtConfig, ArtError, CandidateKind, ConvMapper, ConvMapping, FcMapper, LstmMapper, MaeriConfig,
-    PlanError, SparseConvMapper, VectorPlan, VnPolicy, VnRange,
+    ArtConfig, ArtError, CandidateKind, ConvMapper, FcMapper, LstmMapper, MaeriConfig, PlanError,
+    SparseConvMapper, VectorPlan, VnPolicy, VnRange,
 };
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, WeightMask};
 use maeri_sim::{Result, SimError};
-use maeri_verify::{reject_plan, statically_reject, VerifyLayer, VerifyPlan};
+use maeri_verify::{reject_plan, VerifyPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -47,8 +47,10 @@ pub struct SearchCounters {
     /// ARTs the search built for its dense candidates' plans: one per
     /// distinct (VN size, VN count) packing they planned, the LSTM
     /// state-phase plan's included, whether or not the ART refused it.
-    /// Sparse candidates walk their groups inside the sparse mapper and
-    /// add none. Not part of [`SearchResult::canonical_text`].
+    /// Past 64 leaves the memo may forget a packing, which counts again
+    /// when a later candidate or a frontier trace asks for it. Sparse
+    /// candidates walk their groups inside the sparse mapper and add
+    /// none. Not part of [`SearchResult::canonical_text`].
     pub arts_built: u64,
 }
 
@@ -182,10 +184,14 @@ impl SearchResult {
     }
 }
 
-/// A scored candidate (stable sorts break `cycles` ties in consideration order).
+/// A scored candidate.
 struct Scored {
     candidate: CandidateKind,
     cycles: u64,
+    /// A dense CONV candidate's shape, whose plan the frontier's trace
+    /// clocks on the memo's ART. A shape holds no ART, so the frontier
+    /// keeps no ART the memo has forgotten.
+    shape: Option<ConvShape>,
 }
 
 /// Shape fingerprint, the verdict memo's key: candidates that resolve to
@@ -199,35 +205,54 @@ struct Scored {
 type Fingerprint = [u64; 6];
 
 /// What the gate and the scorer decided for a shape's first candidate.
+#[derive(Clone, Copy)]
 enum Verdict {
     Rejected,
     Scored,
 }
 
 /// What the loop decides for one candidate.
-#[derive(Clone, Copy)]
 enum Outcome {
     /// The static gate refused it.
     Rejected,
     /// The gate passed it and the scorer refused it (only a sparse run
     /// can, when a later group's ART fails).
     Unscored,
-    /// Analytic cycles and shape fingerprint.
-    Scored(u64, Fingerprint),
+    /// Analytic cycles, shape fingerprint and, for a dense CONV
+    /// candidate, its shape.
+    Scored(u64, Fingerprint, Option<ConvShape>),
 }
 
-/// The candidate loop's counters, verdict memo and scored candidates.
+/// The dense CONV channel tile the loop is on.
+struct ConvTile {
+    channel_tile: usize,
+    /// Its shape on the search's spans, or the mapper's refusal, which
+    /// every candidate of the tile meets.
+    shape: Result<TileShape, PlanError>,
+    /// Per loop order, the verdict of the one shape that every
+    /// replication cap at or above `shape.packed` gives the tile.
+    saturated: [Option<Verdict>; 2],
+}
+
+/// The candidate loop's counters, verdict memo and analytic frontier.
 #[derive(Default)]
 struct Tally {
     counters: SearchCounters,
     /// The verdict of every fingerprint seen so far, except that a dense
-    /// CONV search keeps only the channel tile `tile`'s: a CONV
+    /// CONV search keeps only the current channel tile's: a CONV
     /// fingerprint names its tile, and [`enumerate`] lists a tile's
     /// candidates together, so no later candidate can share an earlier
     /// tile's.
     verdicts: BTreeMap<Fingerprint, Verdict>,
-    /// The channel tile of the dense CONV candidate considered last.
-    tile: usize,
+    /// The channel tile of the dense CONV candidate considered last,
+    /// shaped.
+    tile: Option<ConvTile>,
+    /// The [`FRONTIER`] analytically best candidates scored so far, best
+    /// first, ties in consideration order (as a stable sort of every
+    /// scored candidate orders them).
+    frontier: Vec<Scored>,
+    /// Every scored candidate.
+    #[cfg(test)]
     scored: Vec<Scored>,
 }
 
@@ -244,11 +269,12 @@ const ART_MEMO_LEAVES: usize = 1 << 16;
 /// pack left to right into the healthy spans, so on the search's one
 /// fabric and fault plan a (VN size, VN count) request fixes the packed
 /// ranges, and with them the ART, whichever candidate asks; the request
-/// is the key, and the fabric packs its ranges only on a miss. Plans
-/// share the memo's ARTs. Past [`ART_MEMO_LEAVES`] it forgets its oldest
-/// packing: candidates that share a packing mostly come one after
-/// another (one channel tile's replication caps and loop orders), so a
-/// forgotten packing is seldom asked for again.
+/// is the key, and the fabric packs its ranges and builds on its one
+/// walk only on a miss. Plans share the memo's ARTs, and the frontier's
+/// traces take theirs from it too. Past [`ART_MEMO_LEAVES`] it forgets
+/// its oldest packing: candidates that share a packing mostly come one
+/// after another (one channel tile's replication caps and loop orders),
+/// so a forgotten packing is seldom asked for again.
 struct Arts {
     fabric: FabricArts,
     built: BTreeMap<(usize, usize), Result<Arc<ArtConfig>, ArtError>>,
@@ -322,9 +348,16 @@ impl Plan<'_> {
             Plan::Lstm(l, gate, _) => VerifyPlan::Lstm(l, gate),
         };
         if reject_plan(verify).is_some() {
-            Outcome::Rejected
-        } else {
-            Outcome::Scored(self.cycles(fabric), key)
+            return Outcome::Rejected;
+        }
+        Outcome::Scored(self.cycles(fabric), key, self.conv_shape())
+    }
+
+    /// A dense CONV candidate's shape.
+    fn conv_shape(&self) -> Option<ConvShape> {
+        match self {
+            Plan::Conv(_, plan) => Some(plan.shape()),
+            Plan::Fc(..) | Plan::Lstm(..) => None,
         }
     }
 
@@ -358,9 +391,10 @@ impl Planner {
         }
     }
 
-    /// A dense CONV candidate's shape: its plan up to the ART.
-    fn conv_shape(&self, layer: &ConvLayer, mapping: ConvMapping) -> Result<ConvShape, PlanError> {
-        ConvMapper::new(self.fabric).shape(layer, VnPolicy::Explicit(mapping), self.arts.spans())
+    /// The shape of a dense CONV channel tile on the search's spans.
+    fn tile_shape(&self, layer: &ConvLayer, channel_tile: usize) -> Result<TileShape, PlanError> {
+        let policy = VnPolicy::ChannelsPerVn(channel_tile);
+        ConvMapper::new(self.fabric).tile_shape(layer, policy, self.arts.spans())
     }
 
     /// A dense candidate's plan, as its mapper plans it, on the search's
@@ -372,8 +406,8 @@ impl Planner {
         kind: CandidateKind,
     ) -> Option<Result<Plan<'a>, PlanError>> {
         Some(match (layer, kind) {
-            (SearchLayer::Conv(l), CandidateKind::Conv(m)) => self
-                .conv_shape(l, m)
+            (SearchLayer::Conv(l), CandidateKind::Conv(m)) => ConvMapper::new(self.fabric)
+                .shape(l, VnPolicy::Explicit(m), self.arts.spans())
                 .and_then(|shape| shape.into_plan(&mut self.arts))
                 .map(|plan| Plan::Conv(l, plan)),
             (SearchLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
@@ -389,36 +423,48 @@ impl Planner {
         })
     }
 
-    /// The analytic cycles of `cand` without the gate: the heuristic
-    /// point's score, with the mappers' own errors.
+    /// `cand` scored without the gate: the heuristic point, with the
+    /// mappers' own errors.
     fn score(
         &mut self,
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
         cand: CandidateKind,
-    ) -> Result<u64> {
+    ) -> Result<Scored> {
         let fabric = self.fabric;
-        if let Some(plan) = self.plan(&spec.layer, cand) {
-            return Ok(plan?.cycles(fabric));
-        }
-        match (&spec.layer, cand) {
-            (SearchLayer::SparseConv { layer, .. }, CandidateKind::SparseConv { channel_tile }) => {
+        let (cycles, shape) = match (self.plan(&spec.layer, cand), &spec.layer, cand) {
+            (Some(plan), ..) => {
+                let plan = plan?;
+                (plan.cycles(fabric), plan.conv_shape())
+            }
+            (
+                None,
+                SearchLayer::SparseConv { layer, .. },
+                CandidateKind::SparseConv { channel_tile },
+            ) => {
                 let mask = mask.expect("sparse search carries a mask");
                 let run = SparseConvMapper::new(fabric).run(layer, mask, channel_tile)?;
-                Ok(run.cycles.as_u64())
+                (run.cycles.as_u64(), None)
             }
-            _ => Err(SimError::invalid_config(
-                "candidate kind does not match the search layer",
-            )),
-        }
+            _ => {
+                return Err(SimError::invalid_config(
+                    "candidate kind does not match the search layer",
+                ))
+            }
+        };
+        Ok(Scored {
+            candidate: cand,
+            cycles,
+            shape,
+        })
     }
 
     /// The gate's verdict on an FC, LSTM or sparse candidate and, when
     /// it passes, its score. An FC or LSTM candidate is planned once:
     /// `reject_plan` checks the plan and the mapper's cost model prices
-    /// it; a plan the mapper refuses is the gate's refusal. Sparse
-    /// candidates go through `statically_reject` and
-    /// `SparseConvMapper::run`, which plan on their own.
+    /// it; a plan the mapper refuses is the gate's refusal. A sparse
+    /// candidate's VN sizes are counted once: `reject_plan` checks them
+    /// and `SparseConvMapper::cost` costs them.
     fn judge(
         &mut self,
         spec: &SearchSpec,
@@ -431,11 +477,29 @@ impl Planner {
             Some(Err(_)) => return Outcome::Rejected,
             None => {}
         }
-        if statically_reject(&spec.base, &verify_layer(spec, mask), &cand).is_some() {
+        // What is left is a sparse candidate or a kind mismatch, which
+        // the gate refuses.
+        let (SearchLayer::SparseConv { layer, .. }, CandidateKind::SparseConv { channel_tile }) =
+            (&spec.layer, cand)
+        else {
+            return Outcome::Rejected;
+        };
+        let mask = mask.expect("sparse search carries a mask");
+        let mapper = SparseConvMapper::new(fabric);
+        let Ok(sizes) = mapper.vn_sizes(layer, mask, channel_tile) else {
+            return Outcome::Rejected;
+        };
+        let plan = VerifyPlan::SparseConv {
+            cfg: &fabric,
+            layer,
+            mask,
+            sizes: &sizes,
+        };
+        if reject_plan(plan).is_some() {
             return Outcome::Rejected;
         }
-        match self.score(spec, mask, cand) {
-            Ok(cycles) => Outcome::Scored(cycles, sparse_fingerprint(cand)),
+        match mapper.cost(layer, channel_tile, sizes) {
+            Ok(run) => Outcome::Scored(run.cycles.as_u64(), sparse_fingerprint(channel_tile), None),
             Err(_) => Outcome::Unscored,
         }
     }
@@ -464,7 +528,7 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
     let mask = mask.as_deref();
     let heuristic_candidate = heuristic_candidate(spec, mask)?;
     let mut planner = Planner::new(spec.base);
-    let heuristic_cycles = planner.score(spec, mask, heuristic_candidate)?;
+    let heuristic = planner.score(spec, mask, heuristic_candidate)?;
 
     let mut tally = Tally::default();
     for cand in enumerate(spec) {
@@ -472,33 +536,28 @@ fn search_with(spec: &SearchSpec, consider: Consider) -> Result<SearchResult> {
     }
 
     // The frontier by analytic rank, joined by the heuristic point.
-    let (mut counters, mut scored) = (tally.counters, tally.scored);
-    counters.arts_built = planner.arts.builds;
-    scored.sort_by_key(|s| s.cycles);
-    let mut frontier: Vec<CandidateOutcome> = scored
-        .iter()
-        .take(FRONTIER)
+    let (mut counters, mut ranked) = (tally.counters, tally.frontier);
+    if !ranked.iter().any(|s| s.candidate == heuristic_candidate) {
+        ranked.push(heuristic);
+    }
+
+    // Exact validation where a clocked trace exists (dense CONV), on the
+    // shape the scorer costed and the memo's ART of its packing.
+    let mut frontier: Vec<CandidateOutcome> = ranked
+        .into_iter()
         .map(|s| CandidateOutcome {
             candidate: s.candidate,
             analytic_cycles: s.cycles,
-            validated_cycles: None,
+            validated_cycles: s
+                .shape
+                .and_then(|shape| validate(spec, &mut planner, shape)),
         })
         .collect();
-    if !frontier.iter().any(|o| o.candidate == heuristic_candidate) {
-        frontier.push(CandidateOutcome {
-            candidate: heuristic_candidate,
-            analytic_cycles: heuristic_cycles,
-            validated_cycles: None,
-        });
-    }
-
-    // Exact validation where a clocked trace exists (dense CONV).
-    for entry in &mut frontier {
-        if let Some(cycles) = validate(spec, &planner.fabric, entry.candidate) {
-            entry.validated_cycles = Some(cycles);
-            counters.validated += 1;
-        }
-    }
+    counters.arts_built = planner.arts.builds;
+    counters.validated = frontier
+        .iter()
+        .filter(|o| o.validated_cycles.is_some())
+        .count() as u64;
     if counters.validated > 0 {
         let by_analytic = argmin(&frontier, |o| o.analytic_cycles);
         let by_final = argmin(&frontier, CandidateOutcome::final_cycles);
@@ -546,35 +605,58 @@ impl Tally {
         cand: CandidateKind,
     ) {
         self.counters.enumerated += 1;
-        // A dense CONV candidate's shape names its verdict before any
-        // ART is built. A shape the mapper refuses is the gate's refusal.
-        let (key, outcome) = match (&spec.layer, cand) {
-            (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
-                if m.channel_tile != self.tile {
-                    self.verdicts.clear();
-                    self.tile = m.channel_tile;
-                }
-                match planner.conv_shape(l, m) {
-                    Ok(shape) => {
-                        let key = shape_fingerprint(l, &shape);
-                        if let Some(verdict) = self.verdicts.get(&key) {
-                            self.counters.pruned += 1;
-                            self.counters.statically_rejected +=
-                                u64::from(matches!(verdict, Verdict::Rejected));
-                            return;
-                        }
-                        let outcome = match shape.into_plan(&mut planner.arts) {
-                            Ok(plan) => Plan::Conv(l, plan).judge(planner.fabric, key),
-                            Err(_) => Outcome::Rejected,
-                        };
-                        (Some(key), outcome)
-                    }
-                    Err(_) => (None, Outcome::Rejected),
-                }
-            }
-            _ => (None, planner.judge(spec, mask, cand)),
+        let (SearchLayer::Conv(l), CandidateKind::Conv(m)) = (&spec.layer, cand) else {
+            let outcome = planner.judge(spec, mask, cand);
+            return self.record(None, outcome, cand);
         };
-        self.record(key, outcome, cand);
+        // A dense CONV candidate's shape names its verdict before any
+        // ART is built: its tile is shaped once, and a cap is arithmetic
+        // on that. A tile the mapper refuses, or a zero cap, is the
+        // gate's refusal.
+        let ConvTile {
+            shape, saturated, ..
+        } = match &mut self.tile {
+            Some(tile) if tile.channel_tile == m.channel_tile => tile,
+            slot => {
+                self.verdicts.clear();
+                slot.insert(ConvTile {
+                    channel_tile: m.channel_tile,
+                    shape: planner.tile_shape(l, m.channel_tile),
+                    saturated: [None; 2],
+                })
+            }
+        };
+        let (Ok(tile), 1..) = (shape, m.max_vns) else {
+            return self.record(None, Outcome::Rejected, cand);
+        };
+        // Every cap at or above the VNs that pack gives one shape per
+        // loop order, whose verdict the later ones replay.
+        let order = m.loop_order as usize;
+        let saturating = m.max_vns >= tile.packed;
+        if let (true, Some(verdict)) = (saturating, saturated[order]) {
+            return self.replay(verdict);
+        }
+        let shape = tile.with_cap(m.max_vns, m.loop_order);
+        let key = shape_fingerprint(l, &shape);
+        if let Some(&verdict) = self.verdicts.get(&key) {
+            saturated[order] = saturating.then_some(verdict);
+            return self.replay(verdict);
+        }
+        let outcome = match shape.into_plan(&mut planner.arts) {
+            Ok(plan) => Plan::Conv(l, plan).judge(planner.fabric, key),
+            Err(_) => Outcome::Rejected,
+        };
+        saturated[order] = saturating.then_some(match outcome {
+            Outcome::Scored(..) => Verdict::Scored,
+            Outcome::Rejected | Outcome::Unscored => Verdict::Rejected,
+        });
+        self.record(Some(key), outcome, cand);
+    }
+
+    /// Counts a candidate whose shape an earlier candidate decided.
+    fn replay(&mut self, verdict: Verdict) {
+        self.counters.pruned += 1;
+        self.counters.statically_rejected += u64::from(matches!(verdict, Verdict::Rejected));
     }
 
     /// Counts one candidate's outcome. A rejected shape's verdict is
@@ -591,17 +673,33 @@ impl Tally {
                 }
             }
             Outcome::Unscored => counters.pruned += 1,
-            Outcome::Scored(cycles, fp) => {
+            Outcome::Scored(cycles, fp, shape) => {
                 if self.verdicts.insert(fp, Verdict::Scored).is_none() {
                     counters.scored += 1;
-                    self.scored.push(Scored {
+                    self.rank(Scored {
                         candidate: cand,
                         cycles,
+                        shape,
                     });
                 } else {
                     counters.pruned += 1;
                 }
             }
+        }
+    }
+
+    /// Keeps a newly scored candidate if it is among the [`FRONTIER`]
+    /// best so far; it goes after every earlier candidate of its cycles.
+    fn rank(&mut self, entry: Scored) {
+        #[cfg(test)]
+        self.scored.push(Scored {
+            shape: None,
+            ..entry
+        });
+        let at = self.frontier.partition_point(|s| s.cycles <= entry.cycles);
+        if at < FRONTIER {
+            self.frontier.insert(at, entry);
+            self.frontier.truncate(FRONTIER);
         }
     }
 }
@@ -620,10 +718,7 @@ fn shape_fingerprint(layer: &ConvLayer, shape: &ConvShape) -> Fingerprint {
 }
 
 /// A sparse candidate's fingerprint: its channel tile.
-fn sparse_fingerprint(cand: CandidateKind) -> Fingerprint {
-    let CandidateKind::SparseConv { channel_tile } = cand else {
-        unreachable!("only sparse candidates pass the gate without a dense plan")
-    };
+fn sparse_fingerprint(channel_tile: usize) -> Fingerprint {
     [channel_tile as u64, 0, 0, 0, 0, 1]
 }
 
@@ -637,19 +732,6 @@ fn argmin<F: Fn(&CandidateOutcome) -> u64>(entries: &[CandidateOutcome], key: F)
         }
     }
     best
-}
-
-/// The spec's layer as the static verifier sees it.
-fn verify_layer<'a>(spec: &'a SearchSpec, mask: Option<&'a WeightMask>) -> VerifyLayer<'a> {
-    match &spec.layer {
-        SearchLayer::Conv(l) => VerifyLayer::Conv(l),
-        SearchLayer::SparseConv { layer, .. } => VerifyLayer::SparseConv {
-            layer,
-            mask: mask.expect("sparse search carries a mask"),
-        },
-        SearchLayer::Fc(l) => VerifyLayer::Fc(l),
-        SearchLayer::Lstm(l) => VerifyLayer::Lstm(l),
-    }
 }
 
 /// The legacy heuristic mapper's point in this spec's space.
@@ -670,27 +752,43 @@ fn heuristic_candidate(spec: &SearchSpec, mask: Option<&WeightMask>) -> Result<C
     })
 }
 
-/// Exact clocked-trace cycles on `fabric` for candidates that have one.
-fn validate(spec: &SearchSpec, fabric: &MaeriConfig, cand: CandidateKind) -> Option<u64> {
-    if let (SearchLayer::Conv(l), CandidateKind::Conv(m)) = (&spec.layer, cand) {
-        let trace = simulate_conv_layer(fabric, l, VnPolicy::Explicit(m)).ok()?;
-        Some(trace.cycles.as_u64())
-    } else {
-        None
-    }
+/// Exact clocked-trace cycles of a dense CONV shape's plan on the
+/// planner's fabric, with its ART from the planner's memo: the ART the
+/// scorer costed, unless the memo has forgotten its packing since.
+fn validate(spec: &SearchSpec, planner: &mut Planner, shape: ConvShape) -> Option<u64> {
+    let SearchLayer::Conv(l) = &spec.layer else {
+        unreachable!("only dense CONV candidates carry a shape")
+    };
+    let plan = shape.into_plan(&mut planner.arts).ok()?;
+    let trace = simulate_conv_plan(&planner.fabric, l, &plan).ok()?;
+    Some(trace.cycles.as_u64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use maeri::art::pack_vns_into_spans;
+    use maeri::cycle_sim::simulate_conv_layer;
     use maeri::fault::FaultSpec;
     use maeri_dnn::{zoo, Layer};
     use maeri_sim::util::ceil_div;
     use maeri_sim::SimRng;
-    use maeri_verify::VerifyError;
+    use maeri_verify::{statically_reject, VerifyError, VerifyLayer};
     use std::collections::btree_map::Entry;
     use std::collections::BTreeSet;
+
+    /// The spec's layer as the static verifier sees it.
+    fn verify_layer<'a>(spec: &'a SearchSpec, mask: Option<&'a WeightMask>) -> VerifyLayer<'a> {
+        match &spec.layer {
+            SearchLayer::Conv(l) => VerifyLayer::Conv(l),
+            SearchLayer::SparseConv { layer, .. } => VerifyLayer::SparseConv {
+                layer,
+                mask: mask.expect("sparse search carries a mask"),
+            },
+            SearchLayer::Fc(l) => VerifyLayer::Fc(l),
+            SearchLayer::Lstm(l) => VerifyLayer::Lstm(l),
+        }
+    }
 
     /// The candidate loop before the verdict and ART memos: the gate
     /// and the unshared score on every candidate, with `verdicts` only
@@ -707,7 +805,7 @@ mod tests {
             Outcome::Rejected
         } else {
             match score_unshared(spec, mask, cand) {
-                Ok((cycles, fp)) => Outcome::Scored(cycles, fp),
+                Ok((cycles, fp, shape)) => Outcome::Scored(cycles, fp, shape),
                 Err(_) => Outcome::Unscored,
             }
         };
@@ -716,12 +814,12 @@ mod tests {
 
     /// The score before the search shared its plans: analytic cycles
     /// and fingerprint from the mappers' own plans and runs on the
-    /// spec's fabric.
+    /// spec's fabric, with a dense CONV candidate's shape.
     fn score_unshared(
         spec: &SearchSpec,
         mask: Option<&WeightMask>,
         cand: CandidateKind,
-    ) -> Result<(u64, Fingerprint)> {
+    ) -> Result<(u64, Fingerprint, Option<ConvShape>)> {
         let cfg = spec.base;
         match (&spec.layer, cand) {
             (SearchLayer::Conv(l), CandidateKind::Conv(m)) => {
@@ -737,6 +835,7 @@ mod tests {
                         plan.row_groups(l),
                         0,
                     ],
+                    Some(plan.shape()),
                 ))
             }
             (SearchLayer::SparseConv { layer, .. }, CandidateKind::SparseConv { channel_tile }) => {
@@ -745,17 +844,21 @@ mod tests {
                     mask.expect("sparse search carries a mask"),
                     channel_tile,
                 )?;
-                Ok((run.cycles.as_u64(), [channel_tile as u64, 0, 0, 0, 0, 1]))
+                Ok((
+                    run.cycles.as_u64(),
+                    [channel_tile as u64, 0, 0, 0, 0, 1],
+                    None,
+                ))
             }
             (SearchLayer::Fc(l), CandidateKind::Fc { vn_size }) => {
                 let run = FcMapper::new(cfg).run_with_vn_size(l, vn_size)?;
                 let fold = ceil_div(l.inputs as u64, vn_size as u64);
-                Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 2]))
+                Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 2], None))
             }
             (SearchLayer::Lstm(l), CandidateKind::Lstm { gate_vn_size }) => {
                 let run = LstmMapper::new(cfg).run_with_gate_vn_size(l, gate_vn_size)?;
                 let fold = ceil_div((l.input_dim + l.hidden_dim) as u64, gate_vn_size as u64);
-                Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 3]))
+                Ok((run.cycles.as_u64(), [fold, 0, 0, 0, 0, 3], None))
             }
             _ => Err(SimError::invalid_config(
                 "candidate kind does not match the search layer",
@@ -923,6 +1026,59 @@ mod tests {
     }
 
     #[test]
+    fn validated_frontier_members_equal_simulate_conv_layer() {
+        // Seeded dense CONV searches on `random_spec`'s layers and
+        // bandwidths, on fabrics with dead multipliers, dead adders,
+        // severed links, flit drops and flit delays (healthy in an
+        // eighth of the cases). The search clocks each frontier member
+        // on the shape it scored and its memo's ART; that must be what
+        // `simulate_conv_layer` gives the candidate on the spec's fabric
+        // after planning it afresh, errors included.
+        let mut rng = SimRng::seed(37);
+        let (mut validated, mut faulty) = (0, 0);
+        for case in 0..150 {
+            let drawn = random_spec(&mut rng, case);
+            let mut base = MaeriConfig::builder(drawn.base.num_mult_switches())
+                .distribution_bandwidth(drawn.base.dist_bandwidth())
+                .collection_bandwidth(drawn.base.collect_bandwidth());
+            if case % 8 != 0 {
+                let faults = FaultSpec::new(case)
+                    .dead_multipliers(rng.next_below(300) as u16)
+                    .dead_adders(rng.next_below(100) as u16)
+                    .dead_forwarding_links(rng.next_below(1001) as u16)
+                    .flit_drops(rng.next_below(200) as u16)
+                    .flit_delay(rng.next_below(4) as u16);
+                base = base.faults(faults);
+            }
+            let spec = SearchSpec::new(drawn.layer, base.build().unwrap());
+            let SearchLayer::Conv(layer) = &spec.layer else {
+                unreachable!("random_spec draws dense CONV layers")
+            };
+            let Ok(result) = search(&spec) else {
+                continue;
+            };
+            for entry in &result.frontier {
+                let CandidateKind::Conv(m) = entry.candidate else {
+                    unreachable!("a CONV search's frontier holds CONV candidates")
+                };
+                let trace = simulate_conv_layer(&spec.base, layer, VnPolicy::Explicit(m));
+                assert_eq!(
+                    entry.validated_cycles,
+                    trace.ok().map(|t| t.cycles.as_u64()),
+                    "case {case}: {}, {spec:?}",
+                    entry.candidate.describe()
+                );
+                validated += usize::from(entry.validated_cycles.is_some());
+                faulty += usize::from(case % 8 != 0 && entry.validated_cycles.is_some());
+            }
+        }
+        assert!(
+            faulty > 0 && validated > faulty,
+            "{validated} validated, {faulty} faulty"
+        );
+    }
+
+    #[test]
     fn shared_vector_plans_equal_the_mappers_own() {
         // Seeded random FC and LSTM searches (reduction lengths 1–200)
         // on `random_spec`'s fabrics, and in a quarter of the cases on
@@ -950,10 +1106,12 @@ mod tests {
             let searched = assert_memo_is_exact(&spec, &what);
             assert_one_art_per_packing(&spec, &what);
             if let Ok(heuristic) = heuristic_candidate(&spec, None) {
-                let score = Planner::new(base).score(&spec, None, heuristic);
+                let score = Planner::new(base)
+                    .score(&spec, None, heuristic)
+                    .map(|s| s.cycles);
                 assert_eq!(
                     score,
-                    score_unshared(&spec, None, heuristic).map(|(cycles, _)| cycles),
+                    score_unshared(&spec, None, heuristic).map(|(cycles, ..)| cycles),
                     "{what}: {spec:?}"
                 );
                 failing_heuristics += usize::from(score.is_err());

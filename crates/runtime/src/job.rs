@@ -11,7 +11,7 @@ use maeri::{
 use maeri_baselines::{FixedClusterArray, RowStationary, SystolicArray};
 use maeri_dnn::{ConvLayer, FcLayer, LstmLayer, PoolLayer, WeightMask};
 use maeri_mapspace::{SearchLayer, SearchSpec};
-use maeri_verify::{statically_reject, VerifyLayer};
+use maeri_verify::{reject_plan, statically_reject, VerifyError, VerifyLayer, VerifyPlan};
 
 use crate::output::{JobError, JobResult, SimOutput, TelemetryRun};
 
@@ -365,7 +365,7 @@ impl SimJob {
                 mask_seed,
             } => {
                 let mask = regenerate_mask(layer, *zero_fraction, *mask_seed);
-                return verify_sparse(cfg, layer, &mask, *channel_tile);
+                return verified_sparse_sizes(cfg, layer, &mask, *channel_tile).map(drop);
             }
             _ => None,
         };
@@ -401,11 +401,11 @@ impl SimJob {
                 mask_seed,
             } => {
                 let mask = regenerate_mask(layer, *zero_fraction, *mask_seed);
-                verify_sparse(cfg, layer, &mask, *channel_tile)?;
-                Ok(SimOutput::Run(SparseConvMapper::new(*cfg).run(
+                let sizes = verified_sparse_sizes(cfg, layer, &mask, *channel_tile)?;
+                Ok(SimOutput::Run(SparseConvMapper::new(*cfg).cost(
                     layer,
-                    &mask,
                     *channel_tile,
+                    sizes,
                 )?))
             }
             SimJob::FusedConvChain { cfg, layers } => {
@@ -720,17 +720,27 @@ fn regenerate_mask(layer: &ConvLayer, zero_fraction: f64, seed: u64) -> Arc<Weig
     WeightMask::seeded(layer, zero_fraction, seed)
 }
 
-/// A sparse job's static pre-flight check on the mask it runs on.
-fn verify_sparse(
+/// A sparse job's static pre-flight check on the mask it runs on, as
+/// `statically_reject` checks it: the VN sizes the gate checked, which
+/// the mapper then costs.
+fn verified_sparse_sizes(
     cfg: &MaeriConfig,
     layer: &ConvLayer,
     mask: &WeightMask,
     channel_tile: usize,
-) -> Result<(), JobError> {
-    let cand = CandidateKind::SparseConv { channel_tile };
-    match statically_reject(cfg, &VerifyLayer::SparseConv { layer, mask }, &cand) {
-        Some(err) => Err(JobError::InvalidMapping(err.to_string())),
-        None => Ok(()),
+) -> Result<Vec<usize>, JobError> {
+    let invalid = |err: VerifyError| JobError::InvalidMapping(err.to_string());
+    let sizes = SparseConvMapper::new(*cfg)
+        .vn_sizes(layer, mask, channel_tile)
+        .map_err(|err| invalid(err.into()))?;
+    match reject_plan(VerifyPlan::SparseConv {
+        cfg,
+        layer,
+        mask,
+        sizes: &sizes,
+    }) {
+        Some(err) => Err(invalid(err)),
+        None => Ok(sizes),
     }
 }
 

@@ -16,7 +16,8 @@
 //! sparse candidates the mapper refuses too, so pruning before scoring
 //! changes no search outcome. [`reject_plan`] is the gate's check of a
 //! plan already built: the search plans each dense candidate once and
-//! hands the plan it costs to the same ledger.
+//! hands the plan it costs to the same ledger, and a sparse candidate's
+//! VN sizes are counted once, checked, and costed.
 
 use maeri::mapper::{span_capacity, ConvPlan};
 use maeri::{
@@ -39,6 +40,19 @@ pub enum VerifyPlan<'a> {
     /// the one its knob sizes; the state phase's fixed plan
     /// ([`LstmMapper::state_plan`]) only has to build.
     Lstm(&'a LstmLayer, &'a VectorPlan),
+    /// Sparse convolution with the VN sizes
+    /// [`SparseConvMapper::vn_sizes`] counted for its mask, which
+    /// [`SparseConvMapper::cost`] then costs on `cfg`.
+    SparseConv {
+        /// The fabric the sizes map onto.
+        cfg: &'a MaeriConfig,
+        /// The dense layer shape.
+        layer: &'a ConvLayer,
+        /// Which weights survived pruning.
+        mask: &'a WeightMask,
+        /// Surviving weights per work unit.
+        sizes: &'a [usize],
+    },
 }
 
 /// The layer a candidate is verified against.
@@ -91,15 +105,12 @@ fn check_mapping(
         }
         (VerifyLayer::SparseConv { layer, mask }, CandidateKind::SparseConv { channel_tile }) => {
             let sizes = SparseConvMapper::new(*cfg).vn_sizes(layer, mask, channel_tile)?;
-            // An entirely pruned layer performs no work and always maps.
-            if !sizes.is_empty() {
-                span_capacity(&cfg.healthy_spans())?;
-            }
-            // Each surviving weight is assigned once per output position.
-            let positions = (layer.out_h() * layer.out_w()) as u64;
-            let expected = mask.total_nonzeros() as u64 * positions;
-            let assigned = sizes.iter().sum::<usize>() as u64 * positions;
-            conserve(expected, assigned, "sparse survivors")
+            check_plan(VerifyPlan::SparseConv {
+                cfg,
+                layer,
+                mask,
+                sizes: &sizes,
+            })
         }
         (layer, kind) => Err(VerifyError::KindMismatch {
             candidate: match kind {
@@ -135,9 +146,11 @@ pub fn statically_reject(
 
 /// The gate's check of a plan the mapper already built, which
 /// [`statically_reject`] runs on the plan it asks for: `Some(violation)`
-/// when the plan's MAC-conservation ledger (invariant 4) fails. Building
-/// the plan decided the other invariants, so a caller that holds the
-/// plan it will cost gets the gate's verdict without planning again.
+/// when the plan's MAC-conservation ledger (invariant 4) fails, or a
+/// sparse plan's nonempty sizes meet a fabric with no healthy
+/// multiplier. Building the plan decided the other invariants, so a
+/// caller that holds the plan it will cost gets the gate's verdict
+/// without planning again.
 #[must_use]
 pub fn reject_plan(plan: VerifyPlan<'_>) -> Option<VerifyError> {
     check_plan(plan).err()
@@ -151,6 +164,22 @@ fn check_plan(plan: VerifyPlan<'_>) -> Result<(), VerifyError> {
         VerifyPlan::Lstm(l, plan) => {
             let (d, gates) = (l.input_dim + l.hidden_dim, 4 * l.hidden_dim);
             folded_ledger(plan, d, gates, l.gate_macs(), "lstm gate folding")
+        }
+        VerifyPlan::SparseConv {
+            cfg,
+            layer,
+            mask,
+            sizes,
+        } => {
+            // An entirely pruned layer performs no work and always maps.
+            if !sizes.is_empty() {
+                span_capacity(&cfg.healthy_spans())?;
+            }
+            // Each surviving weight is assigned once per output position.
+            let positions = (layer.out_h() * layer.out_w()) as u64;
+            let expected = mask.total_nonzeros() as u64 * positions;
+            let assigned = sizes.iter().sum::<usize>() as u64 * positions;
+            conserve(expected, assigned, "sparse survivors")
         }
     }
 }
@@ -260,6 +289,37 @@ mod tests {
         );
         // The dynamic mapper rejects it too (gate soundness).
         assert!(SparseConvMapper::new(base).run(&layer, &mask, 99).is_err());
+    }
+
+    #[test]
+    fn sparse_sizes_need_a_healthy_multiplier_unless_nothing_survives() {
+        use maeri::fault::FaultSpec;
+        let dead = MaeriConfig::builder(64)
+            .faults(FaultSpec::new(3).dead_multipliers(1000))
+            .build()
+            .unwrap();
+        let layer = conv_layer();
+        let cand = CandidateKind::SparseConv { channel_tile: 3 };
+        let mask = WeightMask::generate(&layer, 0.5, &mut SimRng::seed(1));
+        let verify = VerifyLayer::SparseConv {
+            layer: &layer,
+            mask: &mask,
+        };
+        assert_eq!(
+            statically_reject(&dead, &verify, &cand),
+            Some(VerifyError::Plan(PlanError::NothingMappable))
+        );
+        // The dynamic mapper rejects it too (gate soundness).
+        assert!(SparseConvMapper::new(dead).run(&layer, &mask, 3).is_err());
+        // An entirely pruned layer performs no work and maps anywhere.
+        let pruned = WeightMask::generate(&layer, 1.0, &mut SimRng::seed(1));
+        let verify = VerifyLayer::SparseConv {
+            layer: &layer,
+            mask: &pruned,
+        };
+        assert_eq!(statically_reject(&dead, &verify, &cand), None);
+        let run = SparseConvMapper::new(dead).run(&layer, &pruned, 3).unwrap();
+        assert_eq!(run.macs, 0);
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! early with `JobError::InvalidMapping`, and `examples/perf` times it.
 //! Its plan-level half, [`reject_plan`], checks a plan the caller
 //! already built: the dense mapping search plans each candidate once
-//! and gates the plan it then costs.
+//! and gates the plan it then costs, and the search and the runtime
+//! count a sparse candidate's VN sizes once, gate them and cost them.
 //! `tests/differential.rs` checks the walk against an independent
 //! oracle (legality from the ranges and fault plan alone, exact sums
 //! from the replay) over exhaustive small fabrics and seeded samples.
